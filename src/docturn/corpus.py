@@ -17,7 +17,7 @@ import json
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -258,8 +258,3 @@ def matching(
         return True
 
     return predicate
-
-
-def with_identity_references(doc: Document) -> Document:
-    """Copy of a document whose references equal its sources (mock-run fixture)."""
-    return replace(doc, reference_segments=doc.source_segments)

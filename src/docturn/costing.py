@@ -3,7 +3,9 @@
 The ledger walks a session transcript turn by turn. In cached mode a turn
 pays prefill only for tokens not already covered by a previously computed
 conversation prefix (message-granular: a prefix counts as reused when its
-messages match a prior request-plus-reply state element-wise). In uncached
+messages match a prior request-plus-reply state element-wise). The prior
+states are kept in a prefix tree of messages, as in SGLang's RadixAttention,
+so a request's reuse is the depth it reaches in that tree. In uncached
 mode every turn pays for its full request. Generation tokens are charged
 identically in both modes; caching affects prefill only.
 
@@ -17,11 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .chat import Message
-from .errors import LedgerError, PrefixStabilityError
-from .strategy import Mode
+from .errors import LedgerError
+from .prompts import base_language
+from .strategy import Mode, check_prefix_stability
 
 MODE_CACHED = "cached"
 MODE_UNCACHED = "uncached"
@@ -69,8 +72,7 @@ def count_tokens(text: str, spec: TokenizerSpec) -> int:
 
 def spec_for_target_language(tgt_lang: str, default: TokenizerSpec | None = None) -> TokenizerSpec:
     """Whitespace counting, except char counting for zh/ja targets."""
-    base = tgt_lang.split("-")[0].split("_")[0].lower()
-    if base in ("zh", "ja"):
+    if base_language(tgt_lang) in ("zh", "ja"):
         return TokenizerSpec("char")
     return default if default is not None else TokenizerSpec("whitespace")
 
@@ -147,15 +149,6 @@ class CostLedger:
 _KeyedMessage = tuple[object, int]
 
 
-def _longest_common_prefix(a: Sequence[_KeyedMessage], b: Sequence[_KeyedMessage]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x[0] != y[0]:
-            break
-        n += 1
-    return n
-
-
 def _ledger_over_keyed_turns(
     turns: Iterable[tuple[list[_KeyedMessage], _KeyedMessage]],
     mode: str,
@@ -163,13 +156,23 @@ def _ledger_over_keyed_turns(
     if mode not in (MODE_CACHED, MODE_UNCACHED):
         raise LedgerError(f"unknown ledger mode: {mode!r}")
     ledger = CostLedger(mode=mode)
-    cache_states: list[list[_KeyedMessage]] = []
+    # Prefix tree of every earlier request-plus-reply state: each node maps
+    # a message key to the node of the one-message-longer prefix.
+    root: dict = {}
     for i, (request, reply) in enumerate(turns):
         request_tokens = sum(t for _, t in request)
         reused = 0
-        if mode == MODE_CACHED and cache_states:
-            best = max(_longest_common_prefix(request, state) for state in cache_states)
-            reused = sum(t for _, t in request[:best])
+        if mode == MODE_CACHED:
+            # A node added on this walk is empty, so every later key misses.
+            node = root
+            for key, tokens in request:
+                child = node.get(key)
+                if child is None:
+                    child = node[key] = {}
+                else:
+                    reused += tokens
+                node = child
+            node.setdefault(reply[0], {})
         ledger.entries.append(
             LedgerEntry(
                 turn_index=i,
@@ -178,30 +181,7 @@ def _ledger_over_keyed_turns(
                 generated=reply[1],
             )
         )
-        cache_states.append(list(request) + [reply])
     return ledger
-
-
-def _verify_multi_turn_transcript(transcript: Transcript) -> None:
-    """Cache-validity check: each request must extend the previous exchange."""
-    for i in range(1, len(transcript.turns)):
-        prev, cur = transcript.turns[i - 1], transcript.turns[i]
-        expected_len = len(prev.request_messages) + 2
-        if len(cur.request_messages) != expected_len:
-            raise PrefixStabilityError(
-                f"{transcript.doc_id}: turn {i} has {len(cur.request_messages)} messages, "
-                f"expected {expected_len}"
-            )
-        for j, msg in enumerate(prev.request_messages):
-            if cur.request_messages[j] != msg:
-                raise PrefixStabilityError(
-                    f"{transcript.doc_id}: turn {i} rewrites message {j}"
-                )
-        appended = cur.request_messages[len(prev.request_messages)]
-        if appended.role != "assistant" or appended.content != prev.response_text:
-            raise PrefixStabilityError(
-                f"{transcript.doc_id}: turn {i} does not carry the previous reply verbatim"
-            )
 
 
 def ledger_for_session(
@@ -217,7 +197,10 @@ def ledger_for_session(
     rewritten, so no cache could have been reused.
     """
     if transcript.strategy_mode is not None and transcript.strategy_mode.is_multi_turn:
-        _verify_multi_turn_transcript(transcript)
+        check_prefix_stability(
+            [t.request_messages for t in transcript.turns],
+            [t.response_text for t in transcript.turns],
+        )
 
     def keyed() -> Iterable[tuple[list[_KeyedMessage], _KeyedMessage]]:
         for turn in transcript.turns:

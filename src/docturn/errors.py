@@ -27,16 +27,6 @@ class SessionContractError(DocturnError):
     """A session operation was called outside its legal state."""
 
 
-class SessionFailed(DocturnError):
-    """A session transitioned to the failed state (reason recorded on the session)."""
-
-    def __init__(self, reason: str, doc_id: str, turn_index: int):
-        self.reason = reason
-        self.doc_id = doc_id
-        self.turn_index = turn_index
-        super().__init__(f"session failed ({reason}) for document '{doc_id}' at turn {turn_index}")
-
-
 class GatewayError(DocturnError):
     """Backend request failed and is not recoverable."""
 

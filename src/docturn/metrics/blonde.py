@@ -25,9 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Sequence
 
+from ..prompts import base_language
 from .tokenizers import tokenize_13a_like
 
 CATEGORIES = ("pronouns", "connectives", "tense", "entities")
@@ -60,16 +60,9 @@ class BlondeResources:
             raise ValueError(f"resource lists for '{self.language}' must be non-empty")
 
 
-def supported_languages() -> list[str]:
-    root = resources.files("docturn.resources.blonde")
-    return sorted(
-        entry.name for entry in root.iterdir() if entry.is_dir() and entry.name != "__pycache__"
-    )
-
-
 def load_blonde_resources(tgt_lang: str) -> BlondeResources | None:
     """Resource lists for a target language, or None when unsupported."""
-    base = tgt_lang.split("-")[0].split("_")[0].lower()
+    base = base_language(tgt_lang)
     root = resources.files("docturn.resources.blonde")
     lang_dir = root.joinpath(base)
     try:
@@ -87,29 +80,6 @@ def load_blonde_resources(tgt_lang: str) -> BlondeResources | None:
         ),
         tense_auxiliaries=frozenset(a.casefold() for a in auxiliaries),
         tense_suffixes=tuple(sorted(suffixes, key=len, reverse=True)),
-    )
-
-
-def load_blonde_resources_from_dir(path: str | Path, language: str) -> BlondeResources:
-    """Load user-supplied resource lists from a directory of .txt files."""
-    path = Path(path)
-    return BlondeResources(
-        language=language,
-        pronouns=frozenset(
-            p.casefold() for p in _read_list((path / "pronouns.txt").read_text("utf-8"))
-        ),
-        connectives=tuple(
-            tuple(c.casefold().split())
-            for c in sorted(
-                _read_list((path / "connectives.txt").read_text("utf-8")), key=len, reverse=True
-            )
-        ),
-        tense_auxiliaries=frozenset(
-            a.casefold() for a in _read_list((path / "tense_auxiliaries.txt").read_text("utf-8"))
-        ),
-        tense_suffixes=tuple(
-            sorted(_read_list((path / "tense_suffixes.txt").read_text("utf-8")), key=len, reverse=True)
-        ),
     )
 
 

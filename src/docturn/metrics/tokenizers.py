@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import regex
 
+from ..prompts import base_language
+
 TOKENIZER_IDS = ("intl_13a_like", "char")
 
 _NONDIGIT_PUNCT = regex.compile(r"(\P{N})(\p{P})")
@@ -39,5 +41,4 @@ def tokenize(text: str, tokenizer: str = "intl_13a_like") -> list[str]:
 
 def tokenizer_for_language(lang: str) -> str:
     """char for zh/ja, the 13a-like rule for space-delimited languages."""
-    base = lang.split("-")[0].split("_")[0].lower()
-    return "char" if base in ("zh", "ja") else "intl_13a_like"
+    return "char" if base_language(lang) in ("zh", "ja") else "intl_13a_like"

@@ -49,9 +49,13 @@ LANGUAGE_NAMES = {
 }
 
 
+def base_language(code: str) -> str:
+    """Lower-cased primary subtag of a language code: 'zh-Hans' -> 'zh'."""
+    return code.split("-")[0].split("_")[0].lower()
+
+
 def language_name(code: str) -> str:
-    base = code.split("-")[0].split("_")[0].lower()
-    return LANGUAGE_NAMES.get(base, code)
+    return LANGUAGE_NAMES.get(base_language(code), code)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from ..corpus import Exemplar
-from ..costing import TokenizerSpec
+from ..costing import TokenizerSpec, spec_for_target_language
 from ..errors import ConfigError
 from ..gateway import BackendConfig
 from ..prompts import DEFAULT_TEMPLATE_SET
@@ -100,8 +100,7 @@ class RunPlan:
     def tokenizer_spec(self, tgt_lang: str) -> TokenizerSpec:
         """Token counting spec for a direction under this plan."""
         if self.tokenizer == "auto":
-            base = tgt_lang.split("-")[0].split("_")[0].lower()
-            return TokenizerSpec("char") if base in ("zh", "ja") else TokenizerSpec("whitespace")
+            return spec_for_target_language(tgt_lang)
         if self.tokenizer == "external":
             return TokenizerSpec("external", external_path=self.tokenizer_external_path)
         return TokenizerSpec(self.tokenizer)

@@ -1,16 +1,20 @@
 """Run-matrix execution with per-cell persistence and resume.
 
-A cell is one (backend, strategy, document) combination. Cells are the unit
-of persistence: every raw exchange, the assembled translation and both cost
-ledgers land on disk as the cell completes, so an interrupted run can be
-re-executed and will recompute only the missing cells. Re-running against a
-directory produced by a different configuration is an explicit error.
+A cell is one (backend, strategy, document) combination and the unit of
+persistence: an append-only log with one JSON line per request sent. A line
+holds `keep`, how many messages of the previous request-plus-reply the
+request reuses, `append`, the messages after those, the `response` and
+`elapsed_ms`. Translations and ledgers are pure functions of the transcript,
+so loading a cell replays its log through the strategy and recomputes them.
+A log becomes complete only by os.replace of a temp file once its cell has
+finished, so an interrupted run leaves no partial log and re-executing it runs
+exactly the missing cells. ResumeMismatchError refuses a log whose requests
+differ from the rebuilt ones or that has a missing, extra or unparseable line,
+and a directory from a different configuration or an older layout.
 
 Layout under <output_dir>/<run_id>/:
     manifest.json
-    raw/<backend>/<strategy>/<doc_id>/turn_<i>.json
-    translations/<backend>/<strategy>/<doc_id>.json
-    ledgers/<backend>/<strategy>/<doc_id>.json
+    cells/<backend>/<strategy>/<doc_id>.jsonl
     reports/*.csv, *.md
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +30,7 @@ from pathlib import Path
 from typing import Callable
 
 from .. import gateway
-from ..chat import ChatRequest, ChatResponse
+from ..chat import ChatRequest, ChatResponse, Message, assistant
 from ..corpus import Document, TestSet, load_corpus
 from ..costing import (
     MODE_CACHED,
@@ -36,7 +41,7 @@ from ..costing import (
     ledger_for_session,
 )
 from ..errors import DocturnError, GatewayError, ResumeMismatchError
-from ..prompts import load_template_set
+from ..prompts import PromptTemplateSet, load_template_set
 from ..strategy import (
     DocumentTranslation,
     StrategyConfig,
@@ -49,6 +54,8 @@ from ..strategy import (
 from .config import RunPlan
 
 logger = logging.getLogger(__name__)
+
+LAYOUT_VERSION = 2
 
 CompleteFn = Callable[[ChatRequest, gateway.BackendConfig], ChatResponse]
 
@@ -85,34 +92,25 @@ def load_testsets(plan: RunPlan) -> TestSet:
     return TestSet(name=plan.run_id, documents=documents)
 
 
-def _cell_paths(run_dir: Path, backend: str, strategy: str, doc_id: str) -> tuple[Path, Path, Path]:
-    raw = run_dir / "raw" / backend / strategy / doc_id
-    translation = run_dir / "translations" / backend / strategy / f"{doc_id}.json"
-    ledger = run_dir / "ledgers" / backend / strategy / f"{doc_id}.json"
-    return raw, translation, ledger
+def _cell_log(run_dir: Path, backend: str, strategy: str, doc_id: str) -> Path:
+    return run_dir / "cells" / backend / strategy / f"{doc_id}.jsonl"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n", "utf-8")
-
-
-def _run_cell(
+def _drive_cell(
     plan: RunPlan,
-    backend: gateway.BackendConfig,
     strategy: StrategyConfig,
     doc: Document,
-    run_dir: Path,
-    complete_fn: CompleteFn,
-    templates,
+    templates: PromptTemplateSet,
+    reply: Callable[[int, ChatRequest, tuple[Message, ...]], ChatResponse],
 ) -> CellArtifact:
-    raw_dir, translation_path, ledger_path = _cell_paths(
-        run_dir, backend.name, strategy.label, doc.id
-    )
+    """Run one document session, taking each reply from reply(turn, request,
+    previous request-plus-reply), then derive the translation and both
+    ledgers from its transcript."""
     session = init_session(strategy, doc, templates)
     transcript = Transcript(doc_id=doc.id, strategy_mode=strategy.mode)
     spec = plan.tokenizer_spec(doc.tgt_lang)
 
+    state: tuple[Message, ...] = ()
     turn = 0
     while (request := next_request(session)) is not None:
         if plan.max_context_tokens is not None:
@@ -123,19 +121,11 @@ def _run_cell(
                     f"context_overflow: request of {request_tokens} tokens exceeds "
                     f"budget {plan.max_context_tokens} for document '{doc.id}'"
                 )
-        started = time.monotonic()
-        response = complete_fn(request, backend)
-        _write_json(
-            raw_dir / f"turn_{turn}.json",
-            {
-                "request": {**request.to_dict(), "model": backend.model, "request_tag": request.request_tag},
-                "response": response.to_dict(),
-                "elapsed_ms": round((time.monotonic() - started) * 1000.0, 3),
-            },
-        )
+        response = reply(turn, request, state)
         transcript.turns.append(
             TranscriptTurn(request_messages=request.messages, response_text=response.content)
         )
+        state = request.messages + (assistant(response.content),)
         if response.finish_reason == "length":
             session.warnings.append(f"turn {turn}: output truncated (finish_reason=length)")
         ingest_response(session, response.content)
@@ -144,41 +134,139 @@ def _run_cell(
         turn += 1
 
     if strategy.mode.is_multi_turn:
-        check_prefix_stability([t.request_messages for t in transcript.turns])
+        check_prefix_stability(
+            [t.request_messages for t in transcript.turns],
+            [t.response_text for t in transcript.turns],
+        )
 
     translation = assemble_hypothesis(session)
     ledgers = {
         mode: ledger_for_session(transcript, mode, spec).to_dict()
         for mode in (MODE_CACHED, MODE_UNCACHED)
     }
-    _write_json(translation_path, translation.to_dict())
-    _write_json(ledger_path, {"tokenizer": spec.id, "modes": ledgers})
     return CellArtifact(translation=translation, ledgers=ledgers, transcript=transcript)
 
 
-def _load_cell(translation_path: Path, ledger_path: Path) -> CellArtifact:
-    translation = DocumentTranslation.from_dict(json.loads(translation_path.read_text("utf-8")))
-    ledgers = json.loads(ledger_path.read_text("utf-8"))["modes"]
-    return CellArtifact(translation=translation, ledgers=ledgers)
+def _run_cell(
+    plan: RunPlan,
+    backend: gateway.BackendConfig,
+    strategy: StrategyConfig,
+    doc: Document,
+    templates: PromptTemplateSet,
+    log: Path,
+    complete: CompleteFn,
+) -> CellArtifact:
+    """A fresh cell: replies come from the backend, each exchange is appended
+    to a temp log, and the temp log becomes `log` once the cell completes."""
+    log.parent.mkdir(parents=True, exist_ok=True)
+    partial = log.with_name(log.name + ".partial")
+
+    def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
+        started = time.monotonic()
+        response = complete(request, backend)
+        keep = len(state)
+        while request.messages[:keep] != state[:keep]:
+            keep -= 1
+        line = {
+            "keep": keep,
+            "append": [m.to_dict() for m in request.messages[keep:]],
+            "response": response.to_dict(),
+            "elapsed_ms": round((time.monotonic() - started) * 1000.0, 3),
+        }
+        fh.write(json.dumps(line, ensure_ascii=False, separators=(",", ":")) + "\n")
+        return response
+
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            cell = _drive_cell(plan, strategy, doc, templates, reply)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, log)
+    return cell
 
 
-def _manifest_payload(plan: RunPlan, created_at: str) -> dict:
-    template_hash = load_template_set(plan.template_set).content_hash
-    return {
-        "run_id": plan.run_id,
-        "config_hash": plan.config_hash,
-        "template_set": plan.template_set,
-        "template_set_hash": template_hash,
-        "created_at": created_at,
-        "exclusions": [],
-    }
+def _replay_cell(
+    plan: RunPlan,
+    strategy: StrategyConfig,
+    doc: Document,
+    templates: PromptTemplateSet,
+    log: Path,
+) -> CellArtifact:
+    """A completed cell: replies come from its log, whose every request must
+    equal the one the session rebuilds. The transcript is dropped."""
+    lines = log.read_text("utf-8").rstrip("\n").split("\n")
+
+    def mismatch(turn: int, problem: str) -> ResumeMismatchError:
+        return ResumeMismatchError(f"{log}: turn {turn}: {problem}")
+
+    def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
+        if turn >= len(lines):
+            raise mismatch(turn, f"line missing, the log has {len(lines)}")
+        try:
+            entry = json.loads(lines[turn])
+            logged = state[: entry["keep"]] + tuple(Message.from_dict(m) for m in entry["append"])
+            response = ChatResponse.from_dict(entry["response"])
+            if not isinstance(response.content, str):
+                raise TypeError("response content is not a string")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise mismatch(turn, f"unparseable line ({exc})") from None
+        if logged != request.messages:
+            raise mismatch(turn, "logged request differs from the rebuilt one")
+        return response
+
+    try:
+        cell = _drive_cell(plan, strategy, doc, templates, reply)
+    except GatewayError as exc:
+        raise ResumeMismatchError(f"{log}: replay failed: {exc}") from None
+    sent = len(cell.transcript.turns)
+    if len(lines) != sent:
+        raise mismatch(sent, f"extra line, the session sent {sent} requests")
+    cell.transcript = None
+    return cell
+
+
+def _read_manifest(run_dir: Path, plan: RunPlan) -> dict:
+    manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
+    if manifest.get("layout_version") != LAYOUT_VERSION:
+        raise ResumeMismatchError(
+            f"{run_dir} has artifact layout {manifest.get('layout_version')!r}, "
+            f"this version reads layout {LAYOUT_VERSION}; re-run into a new directory"
+        )
+    if manifest.get("config_hash") != plan.config_hash:
+        raise ResumeMismatchError(
+            f"{run_dir} was produced by config_hash {manifest.get('config_hash')!r}, "
+            f"current plan hashes to {plan.config_hash!r}; refusing to mix runs"
+        )
+    return manifest
+
+
+def _load_completed(
+    artifacts: RunArtifacts, testset: TestSet, templates: PromptTemplateSet
+) -> list[tuple[gateway.BackendConfig, StrategyConfig, list[Document]]]:
+    """Replay every cell that has a log into artifacts.cells; return the
+    documents without one, per (backend, strategy)."""
+    pending = []
+    for backend in artifacts.plan.backends:
+        for strategy in artifacts.plan.strategies:
+            missing: list[Document] = []
+            for doc in testset:
+                log = _cell_log(artifacts.run_dir, backend.name, strategy.label, doc.id)
+                if log.exists():
+                    artifacts.cells[(backend.name, strategy.label, doc.id)] = _replay_cell(
+                        artifacts.plan, strategy, doc, templates, log
+                    )
+                else:
+                    missing.append(doc)
+            pending.append((backend, strategy, missing))
+    return pending
 
 
 def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifacts:
     """Run every (backend, strategy, document) cell of the plan.
 
     Completed cells found on disk are reused. Failures follow
-    plan.fail_policy: 'halt' re-raises immediately (partial artifacts remain
+    plan.fail_policy: 'halt' re-raises immediately (completed cells remain
     for resume), 'skip_and_report' records an exclusion and continues.
     """
     complete = complete_fn or gateway.complete
@@ -193,61 +281,49 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
-        existing = json.loads(manifest_path.read_text("utf-8"))
-        if existing.get("config_hash") != plan.config_hash:
-            raise ResumeMismatchError(
-                f"{run_dir} was produced by config_hash {existing.get('config_hash')!r}, "
-                f"current plan hashes to {plan.config_hash!r}; refusing to mix runs"
-            )
-        created_at = existing.get("created_at", "")
+        created_at = _read_manifest(run_dir, plan).get("created_at", "")
     else:
         created_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
     artifacts = RunArtifacts(run_dir=run_dir, plan=plan)
     templates = load_template_set(plan.template_set)
 
-    for backend in plan.backends:
-        for strategy in plan.strategies:
-            pending: list[Document] = []
-            for doc in testset:
-                _, translation_path, ledger_path = _cell_paths(
-                    run_dir, backend.name, strategy.label, doc.id
-                )
-                if translation_path.exists() and ledger_path.exists():
-                    artifacts.cells[(backend.name, strategy.label, doc.id)] = _load_cell(
-                        translation_path, ledger_path
-                    )
-                else:
-                    pending.append(doc)
+    for backend, strategy, pending in _load_completed(artifacts, testset, templates):
 
-            def run_one(doc: Document) -> tuple[str, CellArtifact]:
-                return doc.id, _run_cell(
-                    plan, backend, strategy, doc, run_dir, complete, templates
-                )
+        def run_one(doc: Document) -> CellArtifact:
+            log = _cell_log(run_dir, backend.name, strategy.label, doc.id)
+            return _run_cell(plan, backend, strategy, doc, templates, log, complete)
 
-            if plan.max_concurrent_documents > 1 and len(pending) > 1:
-                with ThreadPoolExecutor(max_workers=plan.max_concurrent_documents) as pool:
-                    futures = {pool.submit(run_one, doc): doc for doc in pending}
-                    for future, doc in futures.items():
-                        try:
-                            doc_id, cell = future.result()
-                            artifacts.cells[(backend.name, strategy.label, doc_id)] = cell
-                        except DocturnError as exc:
-                            _handle_failure(plan, artifacts, backend.name, strategy.label, doc.id, exc)
-            else:
-                for doc in pending:
+        if plan.max_concurrent_documents > 1 and len(pending) > 1:
+            with ThreadPoolExecutor(max_workers=plan.max_concurrent_documents) as pool:
+                futures = {pool.submit(run_one, doc): doc for doc in pending}
+                for future, doc in futures.items():
                     try:
-                        doc_id, cell = run_one(doc)
-                        artifacts.cells[(backend.name, strategy.label, doc_id)] = cell
+                        artifacts.cells[(backend.name, strategy.label, doc.id)] = future.result()
                     except DocturnError as exc:
                         _handle_failure(plan, artifacts, backend.name, strategy.label, doc.id, exc)
+        else:
+            for doc in pending:
+                try:
+                    artifacts.cells[(backend.name, strategy.label, doc.id)] = run_one(doc)
+                except DocturnError as exc:
+                    _handle_failure(plan, artifacts, backend.name, strategy.label, doc.id, exc)
 
-    manifest = _manifest_payload(plan, created_at)
-    manifest["exclusions"] = sorted(
-        artifacts.exclusions, key=lambda e: (e["backend"], e["strategy"], e["doc_id"])
+    manifest = {
+        "run_id": plan.run_id,
+        "layout_version": LAYOUT_VERSION,
+        "config_hash": plan.config_hash,
+        "template_set": plan.template_set,
+        "template_set_hash": templates.content_hash,
+        "created_at": created_at,
+        "exclusions": sorted(
+            artifacts.exclusions, key=lambda e: (e["backend"], e["strategy"], e["doc_id"])
+        ),
+        "completed_cells": len(artifacts.cells),
+    }
+    manifest_path.write_text(
+        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n", "utf-8"
     )
-    manifest["completed_cells"] = len(artifacts.cells)
-    _write_json(manifest_path, manifest)
     return artifacts
 
 
@@ -270,25 +346,10 @@ def _handle_failure(
 def load_artifacts(plan: RunPlan) -> RunArtifacts:
     """Load previously executed cells from disk (for score/report commands)."""
     run_dir = Path(plan.output_dir) / plan.run_id
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
+    if not (run_dir / "manifest.json").exists():
         raise DocturnError(f"no run found at {run_dir} (missing manifest.json)")
-    manifest = json.loads(manifest_path.read_text("utf-8"))
-    if manifest.get("config_hash") != plan.config_hash:
-        raise ResumeMismatchError(
-            f"{run_dir} was produced by a different configuration"
-        )
-    testset = load_testsets(plan)
+    manifest = _read_manifest(run_dir, plan)
     artifacts = RunArtifacts(run_dir=run_dir, plan=plan)
     artifacts.exclusions = list(manifest.get("exclusions", []))
-    for backend in plan.backends:
-        for strategy in plan.strategies:
-            for doc in testset:
-                _, translation_path, ledger_path = _cell_paths(
-                    run_dir, backend.name, strategy.label, doc.id
-                )
-                if translation_path.exists() and ledger_path.exists():
-                    artifacts.cells[(backend.name, strategy.label, doc.id)] = _load_cell(
-                        translation_path, ledger_path
-                    )
+    _load_completed(artifacts, load_testsets(plan), load_template_set(plan.template_set))
     return artifacts

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .chat import ChatRequest, Message, assistant, user
 from .corpus import Document, Exemplar
@@ -332,25 +333,6 @@ class DocumentTranslation:
     def joined(self) -> str:
         return " ".join(self.hypothesis_segments)
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "hypothesis_segments": list(self.hypothesis_segments),
-            "alignment_ok": self.alignment_ok,
-            "raw_output": self.raw_output,
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DocumentTranslation":
-        return cls(
-            doc_id=d["doc_id"],
-            hypothesis_segments=tuple(d["hypothesis_segments"]),
-            alignment_ok=bool(d["alignment_ok"]),
-            raw_output=d.get("raw_output"),
-            warnings=tuple(d.get("warnings", ())),
-        )
-
 
 def assemble_hypothesis(s: SessionState) -> DocumentTranslation:
     """Turn a completed session into a DocumentTranslation.
@@ -385,12 +367,17 @@ def assemble_hypothesis(s: SessionState) -> DocumentTranslation:
     return DocumentTranslation(s.document.id, tuple(blank_split), False, raw, warnings)
 
 
-def check_prefix_stability(request_messages: list[tuple[Message, ...]]) -> None:
+def check_prefix_stability(
+    request_messages: Sequence[tuple[Message, ...]],
+    replies: Sequence[str] | None = None,
+) -> None:
     """Verify the multi-turn cache contract over a session's request sequence.
 
     Every consecutive request pair must satisfy exact element-wise prefix
     containment with exactly two additional messages (the previous assistant
-    reply and the next user instruction). Raises PrefixStabilityError.
+    reply and the next user instruction). Given the session's replies, the
+    appended assistant message must also equal the previous reply verbatim.
+    Raises PrefixStabilityError.
     """
     for i in range(1, len(request_messages)):
         prev, cur = request_messages[i - 1], request_messages[i]
@@ -398,12 +385,16 @@ def check_prefix_stability(request_messages: list[tuple[Message, ...]]) -> None:
             raise PrefixStabilityError(
                 f"request {i} has {len(cur)} messages, expected {len(prev) + 2}"
             )
-        for j, msg in enumerate(prev):
-            if cur[j] != msg:
-                raise PrefixStabilityError(
-                    f"request {i} rewrites message {j} ({msg.role!r})"
-                )
+        if cur[: len(prev)] != prev:
+            j = next(j for j, msg in enumerate(prev) if cur[j] != msg)
+            raise PrefixStabilityError(
+                f"request {i} rewrites message {j} ({prev[j].role!r})"
+            )
         if cur[len(prev)].role != "assistant" or cur[-1].role != "user":
             raise PrefixStabilityError(
                 f"request {i} does not append an assistant/user pair"
+            )
+        if replies is not None and cur[len(prev)].content != replies[i - 1]:
+            raise PrefixStabilityError(
+                f"request {i} does not carry the previous reply verbatim"
             )

@@ -106,3 +106,29 @@ def closed_form_sp_cached(k: int, s: int, o: int = 0, sp: int = 0, pi: int = 0) 
 
 def closed_form_sp_uncached(k: int, s: int, t: int, o: int = 0, sp: int = 0, pi: int = 0) -> int:
     return closed_form_multi_turn_uncached(k, s, t, o, sp) + k * (pi + k * s)
+
+
+# Cached ledger by brute force: a request reuses its longest common prefix
+# (by message key) with any earlier request-plus-reply state. Turns are
+# (request, reply) over (key, tokens) messages; returns per-turn
+# (prefill_new, prefill_reused, generated).
+
+
+def longest_common_prefix(a: list, b: list) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x[0] != y[0]:
+            break
+        n += 1
+    return n
+
+
+def all_states_cached_ledger(turns: list) -> list[tuple[int, int, int]]:
+    entries = []
+    states: list[list] = []
+    for request, reply in turns:
+        best = max((longest_common_prefix(request, state) for state in states), default=0)
+        reused = sum(t for _, t in request[:best])
+        entries.append((sum(t for _, t in request) - reused, reused, reply[1]))
+        states.append(list(request) + [reply])
+    return entries

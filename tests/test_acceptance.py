@@ -480,14 +480,17 @@ def test_criterion_12_live_smoke(tmp_path):
         }
     )
     artifacts = execute(plan)
-    raw_turn_files = list((artifacts.run_dir / "raw").rglob("turn_*.json"))
+    persisted_turns = sum(
+        log.read_text("utf-8").count("\n")
+        for log in (artifacts.run_dir / "cells").rglob("*.jsonl")
+    )
     # Per strategy: single-turn issues one request per document (3), the
     # segment-wise modes issue one per segment (2 + 3 + 1 = 6).
     expected_turns = sum(3 if s["mode"] == "single_turn" else 6 for s in strategies)
     ok = (
         len(artifacts.cells) == 8 * 3
         and not artifacts.exclusions
-        and len(raw_turn_files) == expected_turns
+        and persisted_turns == expected_turns
     )
     report_line(12, "live-smoke", ok,
-                f"{len(artifacts.cells)} cells, {len(raw_turn_files)} persisted turns")
+                f"{len(artifacts.cells)} cells, {persisted_turns} persisted turns")

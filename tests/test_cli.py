@@ -68,7 +68,7 @@ class TestRun:
         result = runner.invoke(main, ["run", "--config", config])
         assert result.exit_code == 1
         assert "API key" in result.output
-        assert not (tmp_path / "runs" / "test-run" / "raw").exists()
+        assert not (tmp_path / "runs" / "test-run" / "cells").exists()
 
     def test_score_and_report_after_run(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))

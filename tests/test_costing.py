@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from docturn.chat import Message, assistant, user
 from docturn.costing import (
     MODE_CACHED,
+    _ledger_over_keyed_turns,
     MODE_UNCACHED,
     DocShape,
     TokenizerSpec,
@@ -131,6 +132,16 @@ class TestLedgerInvariants:
         with pytest.raises(PrefixStabilityError):
             ledger_for_session(transcript, MODE_CACHED, WS)
 
+    def test_reply_not_carried_verbatim_refused(self):
+        transcript = multi_turn_transcript(3, 5, 5)
+        # The last request carries an edited copy of the previous reply.
+        last = transcript.turns[-1]
+        messages = list(last.request_messages)
+        messages[-2] = assistant(messages[-2].content + " edited")
+        transcript.turns[-1] = TranscriptTurn(tuple(messages), last.response_text)
+        with pytest.raises(PrefixStabilityError, match="verbatim"):
+            ledger_for_session(transcript, MODE_CACHED, WS)
+
     def test_segment_level_reuses_only_shared_prefix(self):
         shared = Message("system", words(7, "s"))
         transcript = Transcript(doc_id="doc", strategy_mode=Mode.SEGMENT_LEVEL)
@@ -231,3 +242,53 @@ def test_ledger_matches_simulation_on_real_transcript():
         synthetic = simulate_strategy_costs(Mode.MULTI_TURN, shape, mode)
         assert real.total_prefill_new == synthetic.total_prefill_new
         assert real.total_generated == synthetic.total_generated
+
+
+def _entries(ledger):
+    return [(e.prefill_new, e.prefill_reused, e.generated) for e in ledger.entries]
+
+
+def random_keyed_turns(rng: random.Random) -> list:
+    """A session of requests over a small key alphabet, so prefixes collide:
+    multi-turn growth, segment-level requests over a shared prefix, and
+    arbitrary requests."""
+    shape = rng.choice(["multi_turn", "segment_level", "arbitrary"])
+    tokens = {}
+
+    def msg(key):
+        return (key, tokens.setdefault(key, rng.randint(0, 9)))
+
+    shared = [msg(f"s{i}") for i in range(rng.randint(0, 2))]
+    turns, history = [], list(shared)
+    for i in range(rng.randint(1, 12)):
+        reply = msg(f"a{rng.randint(0, 4)}")
+        if shape == "multi_turn":
+            history.append(msg(f"u{rng.randint(0, 4)}"))
+            turns.append((list(history), reply))
+            history.append(reply)
+        elif shape == "segment_level":
+            turns.append((shared + [msg(f"u{rng.randint(0, 3)}")], reply))
+        else:
+            request = [msg(f"m{rng.randint(0, 2)}") for _ in range(rng.randint(0, 5))]
+            turns.append((request, reply))
+    return turns
+
+
+def test_prefix_tree_ledger_matches_all_states_oracle():
+    rng = random.Random(2312)
+    for _ in range(500):
+        turns = random_keyed_turns(rng)
+        cached = _ledger_over_keyed_turns(turns, MODE_CACHED)
+        assert _entries(cached) == oracles.all_states_cached_ledger(turns)
+        uncached = _ledger_over_keyed_turns(turns, MODE_UNCACHED)
+        assert _entries(uncached) == [(sum(t for _, t in r), 0, a[1]) for r, a in turns]
+
+
+def test_repeated_paragraph_reuses_an_older_state():
+    # Segment-level with paragraph u0 repeated at turn 2: the best matching
+    # state is turn 0's, not the previous one.
+    shared, u0, u1 = ("icl", 10), ("u0", 5), ("u1", 7)
+    turns = [([shared, u0], ("a0", 4)), ([shared, u1], ("a1", 4)), ([shared, u0], ("a0", 4))]
+    cached = _ledger_over_keyed_turns(turns, MODE_CACHED)
+    assert [e.prefill_reused for e in cached.entries] == [0, 10, 15]
+    assert _entries(cached) == oracles.all_states_cached_ledger(turns)

@@ -112,10 +112,8 @@ class TestExecute:
         assert len(artifacts.cells) == 1 * 2 * 2  # backends x strategies x documents
         for (backend, strategy, doc_id), cell in artifacts.cells.items():
             assert cell.translation.alignment_ok
-        raw = artifacts.run_dir / "raw" / "identity" / "multi_turn" / "doc-1"
-        assert sorted(p.name for p in raw.iterdir()) == [
-            "turn_0.json", "turn_1.json", "turn_2.json"
-        ]
+        log = artifacts.run_dir / "cells" / "identity" / "multi_turn" / "doc-1.jsonl"
+        assert log.read_text("utf-8").count("\n") == 3
 
     def test_identity_run_translations_equal_sources(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -202,7 +200,7 @@ class TestExecute:
         plan = plan_from_dict(record)
         with pytest.raises(GatewayError, match="API key"):
             execute(plan)
-        assert not (Path(plan.output_dir) / plan.run_id / "raw").exists()
+        assert not (Path(plan.output_dir) / plan.run_id / "cells").exists()
 
     def test_context_budget_overflow_excluded(self, tmp_path):
         record = minimal_plan_dict(tmp_path, max_context_tokens=8)
@@ -220,6 +218,148 @@ class TestExecute:
         assert {
             key: cell.translation.hypothesis_segments for key, cell in cells_seq.items()
         } == {key: cell.translation.hypothesis_segments for key, cell in cells_par.items()}
+
+
+EXEMPLARS = [
+    {"source": f"Example {i}.", "target": f"Beispiel {i}.", "src_lang": "en", "tgt_lang": "de"}
+    for i in range(3)
+]
+
+
+def mixed_plan_dict(tmp_path: Path, **overrides) -> dict:
+    """Every mode with and without ICL, on two backends."""
+    strategies = []
+    for mode in ("single_turn", "segment_level", "multi_turn", "multi_turn_sp"):
+        strategies.append({"mode": mode})
+        strategies.append({"mode": mode, "icl": True, "exemplars": EXEMPLARS})
+    return minimal_plan_dict(
+        tmp_path,
+        backends=[
+            {"kind": "mock_identity", "name": "identity"},
+            {"kind": "mock_tail_dropper", "name": "dropper", "drop_fraction": 0.5},
+        ],
+        strategies=strategies,
+        **overrides,
+    )
+
+
+def cell_log(plan, backend: str, strategy: str, doc_id: str) -> Path:
+    return Path(plan.output_dir) / plan.run_id / "cells" / backend / strategy / f"{doc_id}.jsonl"
+
+
+class TestCellLog:
+    def test_loaded_cells_equal_fresh_cells(self, tmp_path):
+        plan = plan_from_dict(mixed_plan_dict(tmp_path))
+        executed = execute(plan)
+        loaded = load_artifacts(plan)
+        assert len(executed.cells) == 2 * 8 * 2 and set(loaded.cells) == set(executed.cells)
+        for key, cell in executed.cells.items():
+            assert loaded.cells[key].translation == cell.translation
+            assert loaded.cells[key].ledgers == cell.ledgers
+            assert loaded.cells[key].transcript is None
+
+    def test_run_directory_holds_one_log_per_cell(self, tmp_path):
+        plan = plan_from_dict(mixed_plan_dict(tmp_path))
+        artifacts = execute(plan)
+        emit_reports(artifacts)
+        run_dir = artifacts.run_dir
+        files = {
+            p.relative_to(run_dir) for p in run_dir.rglob("*")
+            if p.is_file() and p.parts[len(run_dir.parts)] != "reports"
+        }
+        logs = {cell_log(plan, *key).relative_to(run_dir) for key in artifacts.cells}
+        assert files == {Path("manifest.json")} | logs
+        for key, cell in artifacts.cells.items():
+            lines = cell_log(plan, *key).read_text("utf-8").count("\n")
+            assert lines == len(cell.transcript.turns)
+
+    def test_log_line_stores_only_the_appended_messages(self, tmp_path):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        lines = cell_log(plan, "identity", "multi_turn", "doc-1").read_text("utf-8").splitlines()
+        entries = [json.loads(line) for line in lines]
+        # Each later request reuses the whole previous request plus its reply.
+        assert [(e["keep"], len(e["append"])) for e in entries] == [(0, 1), (2, 1), (4, 1)]
+        assert set(entries[0]) == {"keep", "append", "response", "elapsed_ms"}
+
+    def _tamper(self, tmp_path, edit):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        log = cell_log(plan, "identity", "multi_turn", "doc-1")
+        lines = log.read_text("utf-8").splitlines(keepends=True)
+        log.write_text("".join(edit(lines)), "utf-8")
+        return plan, log
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda lines: lines[:-1], "turn 2: line missing"),
+            (lambda lines: lines + lines[-1:], "turn 3: extra line"),
+            (lambda lines: lines[:1] + ["{not json\n"] + lines[2:], "turn 1: unparseable"),
+            (
+                lambda lines: lines[:1]
+                + [lines[1].replace("Four five six.", "Four five seven.")]
+                + lines[2:],
+                "turn 1: logged request differs",
+            ),
+        ],
+        ids=["truncated", "extra_line", "unparseable", "tampered_append"],
+    )
+    def test_tampered_log_rejected_on_load_and_resume(self, tmp_path, edit, problem):
+        plan, log = self._tamper(tmp_path, edit)
+        for load in (load_artifacts, execute):
+            with pytest.raises(ResumeMismatchError, match=problem) as info:
+                load(plan)
+            assert str(log) in str(info.value)
+
+    def test_pre_v2_manifest_rejected(self, tmp_path):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        manifest_path = Path(plan.output_dir) / plan.run_id / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        del manifest["layout_version"]
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        for load in (load_artifacts, execute):
+            with pytest.raises(ResumeMismatchError, match="layout"):
+                load(plan)
+
+    def test_interrupt_mid_cell_leaves_no_log_and_resume_reruns_it(self, tmp_path):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        log = cell_log(plan, "identity", "multi_turn", "doc-2")
+        calls = []
+
+        class Interrupted(RuntimeError):
+            pass
+
+        def interrupted_in_last_cell(request, backend):
+            # 3 + 2 segment-level turns, 3 multi-turn turns for doc-1, then
+            # multi_turn/doc-2 is interrupted after its first turn. Its log
+            # must not exist yet: a process killed here leaves no .jsonl.
+            if len(calls) == 9:
+                assert not log.exists()
+                raise Interrupted("simulated interrupt")
+            calls.append(request.request_tag)
+            return gateway.complete(request, backend)
+
+        with pytest.raises(Interrupted):
+            execute(plan, complete_fn=interrupted_in_last_cell)
+        cells_dir = Path(plan.output_dir) / plan.run_id / "cells"
+        assert sorted(p.relative_to(cells_dir).as_posix() for p in cells_dir.rglob("*.*")) == [
+            "identity/multi_turn/doc-1.jsonl",
+            "identity/segment_level/doc-1.jsonl",
+            "identity/segment_level/doc-2.jsonl",
+        ]
+
+        resumed = []
+
+        def counting(request, backend):
+            resumed.append(request.request_tag)
+            return gateway.complete(request, backend)
+
+        artifacts = execute(plan, complete_fn=counting)
+        assert resumed == ["doc-2:turn_0", "doc-2:turn_1"]
+        assert log.read_text("utf-8").count("\n") == 2
+        assert len(artifacts.cells) == 4
 
 
 def report_bytes(run_dir: Path) -> dict[str, bytes]:
