@@ -240,16 +240,26 @@ def _openai_complete(
                 raise ContextOverflowError(f"context overflow for {req.request_tag}: {body}")
             raise GatewayError(f"HTTP {resp.status_code} for {req.request_tag}: {body}")
 
-        data = resp.json()
-        choice = data["choices"][0]
-        usage = data.get("usage", {})
-        finish = choice.get("finish_reason", "stop")
+        try:
+            data = resp.json()
+            choice = data["choices"][0]
+            usage = data.get("usage") or {}
+            content = choice["message"]["content"] or ""
+            if not isinstance(content, str):
+                raise TypeError(f"message content is a {type(content).__name__}")
+            finish = choice.get("finish_reason", "stop")
+            prompt_tokens = int(usage.get("prompt_tokens", 0))
+            completion_tokens = int(usage.get("completion_tokens", 0))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise GatewayError(
+                f"malformed response for {req.request_tag}: {type(exc).__name__}: {exc}"
+            ) from exc
         if finish not in ("stop", "length"):
             finish = "other"
         return ChatResponse(
-            content=choice["message"]["content"] or "",
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            content=content,
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
             finish_reason=finish,
             latency_ms=latency_ms,
         )

@@ -3,7 +3,9 @@
 A document's segments are concatenated (single-space joined) into one token
 sequence; clipped n-gram matches and n-gram totals are then pooled across
 documents exactly as corpus BLEU pools sentences, and the brevity penalty is
-computed from the pooled lengths. The result lives in [0, 100].
+computed from the pooled lengths. The result lives in [0, 100]. A document
+pair's statistics (``bleu_stats``) add, so ``bleu_from_stats`` scores any
+group of documents exactly from the sum of their records.
 
 Conventions (declared, since they affect absolute scores): case-sensitive by
 default, max_n=4, no smoothing; n-gram orders for which the hypothesis corpus
@@ -13,7 +15,9 @@ short corpora still score 100 against themselves.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -44,6 +48,10 @@ class ClippedCounts(NamedTuple):
     total: int
 
 
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
 def ngram_clipped_counts(
     hyp_tokens: Sequence[str], ref_tokens: Sequence[str], n: int
 ) -> ClippedCounts:
@@ -53,11 +61,35 @@ def ngram_clipped_counts(
     total = max(0, len(hyp_tokens) - n + 1)
     if total == 0:
         return ClippedCounts(0, 0)
-    hyp_counts = Counter(tuple(hyp_tokens[i : i + n]) for i in range(total))
-    ref_total = max(0, len(ref_tokens) - n + 1)
-    ref_counts = Counter(tuple(ref_tokens[i : i + n]) for i in range(ref_total))
-    matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-    return ClippedCounts(matched, total)
+    clipped = _ngram_counts(hyp_tokens, n) & _ngram_counts(ref_tokens, n)
+    return ClippedCounts(sum(clipped.values()), total)
+
+
+@dataclass(frozen=True)
+class BleuStats:
+    """Sufficient statistics of corpus BLEU: clipped n-gram matches and
+    hypothesis n-gram totals per order (index n-1), and the token lengths.
+
+    The statistics of a document set are the sum of its documents'
+    statistics, so any grouping of documents scores exactly by adding records.
+    """
+
+    matched: tuple[int, ...]
+    total: tuple[int, ...]
+    hyp_len: int
+    ref_len: int
+
+    def __add__(self, other: BleuStats) -> BleuStats:
+        if not isinstance(other, BleuStats):
+            return NotImplemented
+        if len(self.matched) != len(other.matched):
+            raise ValueError("cannot add BLEU statistics of different max_n")
+        return BleuStats(
+            matched=tuple(map(operator.add, self.matched, other.matched)),
+            total=tuple(map(operator.add, self.total, other.total)),
+            hyp_len=self.hyp_len + other.hyp_len,
+            ref_len=self.ref_len + other.ref_len,
+        )
 
 
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:
@@ -77,6 +109,46 @@ def _document_tokens(segments: Iterable[str], cfg: BleuConfig) -> list[str]:
     if not cfg.case_sensitive:
         text = text.casefold()
     return tokenize(text, cfg.tokenizer)
+
+
+def bleu_stats(
+    hyp_segments: Iterable[str], ref_segments: Iterable[str], cfg: BleuConfig
+) -> BleuStats:
+    """Statistics of one document pair; each side's segments are joined and
+    tokenized once."""
+    hyp_tokens = _document_tokens(hyp_segments, cfg)
+    ref_tokens = _document_tokens(ref_segments, cfg)
+    counts = [ngram_clipped_counts(hyp_tokens, ref_tokens, n) for n in range(1, cfg.max_n + 1)]
+    return BleuStats(
+        matched=tuple(c.matched for c in counts),
+        total=tuple(c.total for c in counts),
+        hyp_len=len(hyp_tokens),
+        ref_len=len(ref_tokens),
+    )
+
+
+def bleu_from_stats(stats: BleuStats, cfg: BleuConfig) -> float:
+    """BLEU in [0, 100] from pooled statistics."""
+    if len(stats.matched) != cfg.max_n:
+        raise ValueError(f"statistics have {len(stats.matched)} orders, config max_n={cfg.max_n}")
+    usable = [i for i in range(cfg.max_n) if stats.total[i] > 0]
+    if not usable:
+        return 0.0
+    precisions: list[float] = []
+    for i in usable:
+        if cfg.smoothing == "add_k":
+            precisions.append(
+                (stats.matched[i] + cfg.smoothing_k) / (stats.total[i] + cfg.smoothing_k)
+            )
+        else:
+            if stats.matched[i] == 0:
+                return 0.0
+            precisions.append(stats.matched[i] / stats.total[i])
+    if len(precisions) == 1:
+        geo_mean = precisions[0]
+    else:
+        geo_mean = math.exp(sum(math.log(p) for p in precisions) / len(precisions))
+    return 100.0 * brevity_penalty(stats.hyp_len, stats.ref_len) * geo_mean
 
 
 def doc_bleu(
@@ -100,35 +172,8 @@ def doc_bleu(
         raise DocturnError(f"missing references for documents: {sorted(missing)}")
     if not hyp_docs:
         raise DocturnError("doc_bleu needs at least one document")
-
-    matched = [0] * cfg.max_n
-    total = [0] * cfg.max_n
-    hyp_len = 0
-    ref_len = 0
-    for hyp in hyp_docs:
-        ref = refs_by_id[hyp.doc_id]
-        hyp_tokens = _document_tokens(hyp.hypothesis_segments, cfg)
-        ref_tokens = _document_tokens(ref.reference_segments or (), cfg)
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        for n in range(1, cfg.max_n + 1):
-            counts = ngram_clipped_counts(hyp_tokens, ref_tokens, n)
-            matched[n - 1] += counts.matched
-            total[n - 1] += counts.total
-
-    usable = [i for i in range(cfg.max_n) if total[i] > 0]
-    if not usable:
-        return 0.0
-    precisions: list[float] = []
-    for i in usable:
-        if cfg.smoothing == "add_k":
-            precisions.append((matched[i] + cfg.smoothing_k) / (total[i] + cfg.smoothing_k))
-        else:
-            if matched[i] == 0:
-                return 0.0
-            precisions.append(matched[i] / total[i])
-    if len(precisions) == 1:
-        geo_mean = precisions[0]
-    else:
-        geo_mean = math.exp(sum(math.log(p) for p in precisions) / len(precisions))
-    return 100.0 * brevity_penalty(hyp_len, ref_len) * geo_mean
+    per_doc = [
+        bleu_stats(h.hypothesis_segments, refs_by_id[h.doc_id].reference_segments or (), cfg)
+        for h in hyp_docs
+    ]
+    return bleu_from_stats(functools.reduce(operator.add, per_doc), cfg)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -59,9 +60,20 @@ class BlondeResources:
         if not self.pronouns or not self.connectives or not self.tense_auxiliaries:
             raise ValueError(f"resource lists for '{self.language}' must be non-empty")
 
+    @cached_property
+    def connectives_by_first_token(self) -> dict[str, list[tuple[tuple[str, ...], str]]]:
+        """(phrase, marker) pairs keyed by the phrase's first token, in list
+        order; a repeated list entry stays repeated, as it counts twice."""
+        index: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        for phrase in self.connectives:
+            index.setdefault(phrase[0], []).append((phrase, " ".join(phrase)))
+        return index
 
+
+@lru_cache(maxsize=None)
 def load_blonde_resources(tgt_lang: str) -> BlondeResources | None:
-    """Resource lists for a target language, or None when unsupported."""
+    """Resource lists for a target language, or None when unsupported.
+    Loaded once per language; the result is immutable and shared."""
     base = base_language(tgt_lang)
     root = resources.files("docturn.resources.blonde")
     lang_dir = root.joinpath(base)
@@ -92,13 +104,15 @@ def extract_pronouns(tokens: Sequence[str], res: BlondeResources) -> Counter:
 
 
 def extract_connectives(tokens: Sequence[str], res: BlondeResources) -> Counter:
-    folded = [t.casefold() for t in tokens]
+    """Every occurrence of every listed phrase, overlapping and nested ones
+    included ("even though" also counts "though")."""
+    folded = tuple(t.casefold() for t in tokens)
+    index = res.connectives_by_first_token
     found: Counter = Counter()
-    for phrase in res.connectives:
-        width = len(phrase)
-        for i in range(len(folded) - width + 1):
-            if tuple(folded[i : i + width]) == phrase:
-                found[" ".join(phrase)] += 1
+    for i, token in enumerate(folded):
+        for phrase, marker in index.get(token, ()):
+            if folded[i : i + len(phrase)] == phrase:
+                found[marker] += 1
     return found
 
 

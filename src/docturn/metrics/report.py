@@ -3,6 +3,12 @@
 Bundles document-level BLEU (per direction and averaged), BlonDE-lite,
 segment-mean external scores and length statistics into one report, tracking
 which metrics could not be computed and why instead of defaulting them.
+
+Each scored document is tokenized and counted once, into one BLEU statistics
+record under its direction's tokenizer. The per-direction, per-domain and
+per-document dBLEU are computed from sums of those records, which is exact:
+corpus BLEU depends on the summed statistics alone. BlonDE-lite resources are
+loaded once per target language.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from ..corpus import Document, TestSet
 from ..costing import TokenizerSpec, count_tokens, spec_for_target_language
 from ..strategy import DocumentTranslation
 from .blonde import BlondeReport, category_counts, load_blonde_resources, pooled_report
-from .bleu import BleuConfig, doc_bleu
+from .bleu import BleuConfig, BleuStats, bleu_from_stats, bleu_stats
+from .bleu import doc_bleu  # noqa: F401  (re-exported for existing importers)
 from .lengths import LengthReport, length_report
 from .segment_mean import SegmentScorer, segment_mean_score
 from .tokenizers import tokenizer_for_language
@@ -54,6 +61,10 @@ def _direction_bleu_config(cfg: BleuConfig, tgt_lang: str, auto_tokenizer: bool)
     if not auto_tokenizer:
         return cfg
     return replace(cfg, tokenizer=tokenizer_for_language(tgt_lang))
+
+
+def _accumulate(totals: dict[str, BleuStats], key: str, stats: BleuStats) -> None:
+    totals[key] = totals[key] + stats if key in totals else stats
 
 
 def _mean(values: list[float]) -> float | None:
@@ -102,31 +113,35 @@ def score_strategy(
             continue
         scored.append((doc, translations[doc.id]))
 
-    # Document-level BLEU, grouped by direction.
-    by_direction: dict[str, list[tuple[Document, DocumentTranslation]]] = {}
+    # Document-level BLEU: one statistics record per scored document, with
+    # its direction's tokenizer. Every dBLEU below is a sum of these records.
+    dir_cfgs: dict[str, BleuConfig] = {}
+    direction_stats: dict[str, BleuStats] = {}
+    slice_stats: dict[str, dict[str, BleuStats]] = {}  # direction -> domain -> stats
+    doc_stats: list[BleuStats] = []
     for doc, hyp in scored:
-        by_direction.setdefault(doc.direction, []).append((doc, hyp))
-    for direction in sorted(by_direction):
-        docs = by_direction[direction]
-        tgt = docs[0][0].tgt_lang
-        dir_cfg = _direction_bleu_config(cfg, tgt, auto_tokenizer)
-        metrics.per_direction_dbleu[direction] = doc_bleu(
-            [h for _, h in docs], [d for d, _ in docs], dir_cfg
+        dir_cfg = dir_cfgs.setdefault(
+            doc.direction, _direction_bleu_config(cfg, doc.tgt_lang, auto_tokenizer)
         )
-    metrics.dbleu = _mean(list(metrics.per_direction_dbleu.values()))
+        stats = bleu_stats(hyp.hypothesis_segments, doc.reference_segments or (), dir_cfg)
+        doc_stats.append(stats)
+        _accumulate(direction_stats, doc.direction, stats)
+        _accumulate(slice_stats.setdefault(doc.direction, {}), doc.domain, stats)
 
-    # Per-domain dBLEU: score each (direction, domain) slice, then average
-    # over the directions in which the domain occurs.
+    # Per-direction scores, averaged unweighted; per-domain scores average
+    # each (direction, domain) slice's score over the directions in which
+    # the domain occurs.
     domain_direction_scores: dict[str, list[float]] = {}
-    for direction, docs in sorted(by_direction.items()):
-        tgt = docs[0][0].tgt_lang
-        dir_cfg = _direction_bleu_config(cfg, tgt, auto_tokenizer)
-        by_domain: dict[str, list[tuple[Document, DocumentTranslation]]] = {}
-        for doc, hyp in docs:
-            by_domain.setdefault(doc.domain, []).append((doc, hyp))
-        for domain, slice_docs in by_domain.items():
-            score = doc_bleu([h for _, h in slice_docs], [d for d, _ in slice_docs], dir_cfg)
-            domain_direction_scores.setdefault(domain, []).append(score)
+    for direction in sorted(direction_stats):
+        dir_cfg = dir_cfgs[direction]
+        metrics.per_direction_dbleu[direction] = bleu_from_stats(
+            direction_stats[direction], dir_cfg
+        )
+        for domain, stats in slice_stats[direction].items():
+            domain_direction_scores.setdefault(domain, []).append(
+                bleu_from_stats(stats, dir_cfg)
+            )
+    metrics.dbleu = _mean(list(metrics.per_direction_dbleu.values()))
     metrics.per_domain_dbleu = {
         domain: sum(vals) / len(vals) for domain, vals in sorted(domain_direction_scores.items())
     }
@@ -165,7 +180,7 @@ def score_strategy(
     metrics.lengths = length_report(testset, translations, length_spec, top_n)
 
     # Per-document detail rows.
-    for doc, hyp in scored:
+    for (doc, hyp), stats in zip(scored, doc_stats):
         tgt_spec = (
             length_spec
             if length_spec is not None
@@ -173,7 +188,6 @@ def score_strategy(
         )
         ref_tokens = sum(count_tokens(s, tgt_spec) for s in doc.reference_segments or ())
         hyp_tokens = sum(count_tokens(s, tgt_spec) for s in hyp.hypothesis_segments)
-        dir_cfg = _direction_bleu_config(cfg, doc.tgt_lang, auto_tokenizer)
         flags: set[str] = set()
         if not hyp.alignment_ok:
             flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
@@ -182,7 +196,7 @@ def score_strategy(
                 doc_id=doc.id,
                 direction=doc.direction,
                 domain=doc.domain,
-                dbleu=doc_bleu([hyp], [doc], dir_cfg),
+                dbleu=bleu_from_stats(stats, dir_cfgs[doc.direction]),
                 blonde=per_doc_blonde.get(doc.id),
                 ref_tokens=ref_tokens,
                 hyp_tokens=hyp_tokens,

@@ -106,10 +106,19 @@ class RunPlan:
         return TokenizerSpec(self.tokenizer)
 
     def canonical_dict(self) -> dict[str, Any]:
-        """Stable dict representation used for the resume-identity hash."""
+        """Stable dict representation used for the resume-identity hash.
+
+        It holds every setting that can change a run's outputs, and the
+        SHA-256 of each test set file's bytes, so an edited corpus is a
+        different run. Left out, as operational only: output_dir (it locates
+        the run), max_concurrent_documents and each backend's timeout_s.
+        """
         return {
             "run_id": self.run_id,
-            "testsets": list(self.testsets),
+            "testsets": [
+                {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+                for path in self.testsets
+            ],
             "backends": [
                 {
                     "kind": b.kind,
@@ -137,10 +146,15 @@ class RunPlan:
                         }
                         for e in s.exemplars
                     ],
+                    "exemplar_count": s.exemplar_count,
+                    "template_set": s.template_set,
+                    "model_id": s.model_id,
+                    "max_tokens": s.max_tokens,
                 }
                 for s in self.strategies
             ],
             "tokenizer": self.tokenizer,
+            "tokenizer_external_path": self.tokenizer_external_path,
             "scoring": {
                 "blonde": self.scoring.blonde,
                 "scorer_command": list(self.scoring.scorer_command or ()),

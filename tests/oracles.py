@@ -132,3 +132,20 @@ def all_states_cached_ledger(turns: list) -> list[tuple[int, int, int]]:
         entries.append((sum(t for _, t in request) - reused, reused, reply[1]))
         states.append(list(request) + [reply])
     return entries
+
+
+# BlonDE-lite connectives by the plain scan: every listed phrase tried at
+# every position, so overlapping and nested matches ("though" inside "even
+# though") and repeated list entries all count.
+
+
+def naive_connectives(tokens: list[str], phrases: tuple[tuple[str, ...], ...]) -> dict[str, int]:
+    folded = [t.casefold() for t in tokens]
+    found: dict[str, int] = {}
+    for phrase in phrases:
+        width = len(phrase)
+        for i in range(len(folded) - width + 1):
+            if tuple(folded[i : i + width]) == phrase:
+                key = " ".join(phrase)
+                found[key] = found.get(key, 0) + 1
+    return found

@@ -8,9 +8,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from docturn.corpus import Document
+from docturn.corpus import Document, TestSet
 from docturn.errors import DocturnError
-from docturn.metrics.bleu import BleuConfig, brevity_penalty, doc_bleu, ngram_clipped_counts
+from docturn.metrics.bleu import (
+    BleuConfig,
+    bleu_from_stats,
+    bleu_stats,
+    brevity_penalty,
+    doc_bleu,
+    ngram_clipped_counts,
+)
+from docturn.metrics.report import score_strategy
 from docturn.strategy import DocumentTranslation
 
 from . import oracles
@@ -164,3 +172,82 @@ class TestDocBleuProperties:
             assert smoothed == pytest.approx(
                 oracles.oracle_corpus_bleu(token_pairs, smoothing_k=1.0), rel=1e-9, abs=1e-12
             )
+
+
+# Random token documents, each assigned to a direction and a domain.
+VOCAB = [f"w{i}" for i in range(6)]
+DIRECTIONS = [("en", "de"), ("en", "fr"), ("de", "en")]
+DOMAINS = ["news", "speech", "social"]
+random_docs = st.lists(
+    st.tuples(
+        st.integers(0, len(DIRECTIONS) - 1),
+        st.sampled_from(DOMAINS),
+        st.lists(st.sampled_from(VOCAB), min_size=0, max_size=14),
+        st.lists(st.sampled_from(VOCAB), min_size=1, max_size=14),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _approx_oracle(pairs, **kwargs):
+    return pytest.approx(oracles.oracle_corpus_bleu(pairs, **kwargs), rel=1e-9, abs=1e-12)
+
+
+class TestPooledStatistics:
+    @settings(max_examples=150, deadline=None)
+    @given(docs=random_docs, smoothed=st.booleans())
+    def test_slice_scores_from_summed_stats_equal_oracle(self, docs, smoothed):
+        cfg = BleuConfig(smoothing="add_k") if smoothed else BleuConfig()
+        slices: dict = {}
+        for direction, domain, hyp, ref in docs:
+            stats = bleu_stats([" ".join(hyp)], [" ".join(ref)], cfg)
+            for key in (("direction", direction), ("slice", direction, domain), ("all",)):
+                pooled, pairs = slices.get(key, (None, []))
+                slices[key] = (stats if pooled is None else pooled + stats, pairs + [(hyp, ref)])
+        for pooled, pairs in slices.values():
+            assert bleu_from_stats(pooled, cfg) == _approx_oracle(
+                pairs, smoothing_k=1.0 if smoothed else None
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs=random_docs)
+    def test_score_strategy_aggregates_equal_oracle(self, docs):
+        documents, translations = [], {}
+        for i, (direction, domain, hyp, ref) in enumerate(docs):
+            src, tgt = DIRECTIONS[direction]
+            doc = Document(id=f"d{i}", src_lang=src, tgt_lang=tgt, domain=domain,
+                           source_segments=("source",), reference_segments=(" ".join(ref),))
+            documents.append(doc)
+            translations[doc.id] = DocumentTranslation(
+                doc_id=doc.id, hypothesis_segments=(" ".join(hyp),), alignment_ok=True
+            )
+        metrics = score_strategy(TestSet("t", documents), translations, compute_blonde=False)
+
+        by_direction: dict = {}
+        by_slice: dict = {}
+        for doc, (_, _, hyp, ref) in zip(documents, docs):
+            by_direction.setdefault(doc.direction, []).append((hyp, ref))
+            by_slice.setdefault((doc.direction, doc.domain), []).append((hyp, ref))
+        assert metrics.per_direction_dbleu == {
+            d: _approx_oracle(pairs) for d, pairs in by_direction.items()
+        }
+        for domain, score in metrics.per_domain_dbleu.items():
+            per_direction = [
+                oracles.oracle_corpus_bleu(pairs)
+                for (d, dom), pairs in sorted(by_slice.items())
+                if dom == domain
+            ]
+            assert score == pytest.approx(sum(per_direction) / len(per_direction), rel=1e-9,
+                                          abs=1e-12)
+        assert set(metrics.per_domain_dbleu) == {dom for _, dom in by_slice}
+        for row, (_, _, hyp, ref) in zip(metrics.documents, docs):
+            assert row.dbleu == _approx_oracle([(hyp, ref)])
+
+    def test_stats_of_different_orders_do_not_add(self):
+        one = bleu_stats(["a b"], ["a b"], BleuConfig(max_n=1))
+        four = bleu_stats(["a b"], ["a b"], BleuConfig())
+        with pytest.raises(ValueError):
+            one + four
+        with pytest.raises(ValueError):
+            bleu_from_stats(one, BleuConfig())

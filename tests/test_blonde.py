@@ -13,13 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docturn.metrics.blonde import (
+    BlondeResources,
     blonde_lite,
     category_counts,
+    extract_connectives,
     extract_entities,
     load_blonde_resources,
     pooled_report,
 )
 from docturn.metrics.tokenizers import tokenize_13a_like
+
+from . import oracles
 
 RES = load_blonde_resources("en")
 
@@ -178,3 +182,44 @@ def test_pooled_report_micro_averages():
         hyp_count = sum(d[name][1] for d in docs)
         expected = matched / hyp_count if hyp_count else 0.0
         assert pooled.categories[name].precision == pytest.approx(expected)
+
+
+def test_resources_loaded_once_per_language():
+    assert load_blonde_resources("en") is load_blonde_resources("en")
+    assert load_blonde_resources("xx") is None
+
+
+CONNECTIVE_STREAM = ["even", "though", "Though", "on", "the", "other", "hand", "On", "as",
+                     "well", "as", "a", "result", "in", "addition", "fact", "so", "cat",
+                     "HOWEVER", "for", "example", "."]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(st.sampled_from(CONNECTIVE_STREAM), min_size=0, max_size=40))
+def test_indexed_connectives_match_plain_scan(tokens):
+    assert extract_connectives(tokens, RES) == oracles.naive_connectives(tokens, RES.connectives)
+
+
+def test_nested_overlapping_and_repeated_connectives():
+    tokens = tokenize_13a_like(
+        "Even though it rained, on the other hand on the other hand as well as "
+        "as well as well as"
+    )
+    found = extract_connectives(tokens, RES)
+    assert found == oracles.naive_connectives(tokens, RES.connectives)
+    assert (found["even though"], found["though"]) == (1, 1)
+    assert found["on the other hand"] == 2
+    assert found["as well as"] == 3  # the last two overlap on "as"
+
+
+def test_repeated_list_entry_counts_twice():
+    res = BlondeResources(
+        language="test",
+        pronouns=frozenset({"he"}),
+        connectives=(("so", "that"), ("so",), ("so",)),
+        tense_auxiliaries=frozenset({"is"}),
+        tense_suffixes=("ed",),
+    )
+    tokens = ["So", "that", "so"]
+    assert extract_connectives(tokens, res) == oracles.naive_connectives(tokens, res.connectives)
+    assert extract_connectives(tokens, res) == {"so that": 1, "so": 4}

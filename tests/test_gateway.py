@@ -141,6 +141,16 @@ class FakeHttpResponse:
         return self._payload
 
 
+class NonJsonHttpResponse:
+    status_code = 200
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)  # raises ValueError, as requests does
+
+
 def ok_payload(content="Hallo.", finish="stop"):
     return {
         "choices": [{"message": {"content": content}, "finish_reason": finish}],
@@ -237,6 +247,40 @@ class TestOpenAiCompatible:
         complete(request_of(user("hi")), self.backend(model="real-model"), http_post=post)
         assert seen["model"] == "real-model"
         assert seen["temperature"] == 0.0
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            NonJsonHttpResponse("<html>bad gateway</html>"),
+            FakeHttpResponse(200, {"usage": {"prompt_tokens": 1}}),
+            FakeHttpResponse(200, {"choices": []}),
+            FakeHttpResponse(200, {"choices": [{"finish_reason": "stop"}]}),
+            FakeHttpResponse(200, {"choices": ["text"]}),
+            FakeHttpResponse(200, {"choices": [{"message": {"content": ["a"]}}]}),
+            FakeHttpResponse(200, ok_payload() | {"usage": {"prompt_tokens": "many"}}),
+        ],
+        ids=["non_json", "no_choices", "empty_choices", "no_message", "choice_not_object",
+             "content_not_text", "usage_not_integer"],
+    )
+    def test_malformed_reply_is_gateway_error_with_tag(self, reply):
+        calls = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            calls.append(1)
+            return reply
+
+        request = ChatRequest(model_id="m", messages=(user("hi"),), request_tag="doc-7:turn_2")
+        with pytest.raises(GatewayError, match="malformed response for doc-7:turn_2"):
+            complete(request, self.backend(), http_post=post, sleeper=lambda s: None)
+        assert len(calls) == 1  # not retried: the backend answered
+
+    def test_null_content_and_usage_accepted(self):
+        def post(url, json=None, headers=None, timeout=None):
+            return FakeHttpResponse(200, {"choices": [{"message": {"content": None}}],
+                                          "usage": None})
+
+        response = complete(request_of(user("hi")), self.backend(), http_post=post)
+        assert (response.content, response.prompt_tokens, response.finish_reason) == ("", 0, "stop")
 
 
 def test_greedy_contract_enforced_at_boundary():

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from docturn import gateway
+from docturn.corpus import Exemplar
 from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
-from docturn.runner.config import load_run_config, plan_from_dict
+from docturn.gateway import BackendConfig
+from docturn.runner.config import RunPlan, ScoringConfig, load_run_config, plan_from_dict
 from docturn.runner.executor import execute, load_artifacts, load_testsets
 from docturn.runner.reports import emit_reports
+from docturn.strategy import Mode, StrategyConfig
 
 from .conftest import write_jsonl
 
@@ -462,3 +466,189 @@ class TestReports:
         artifacts = execute(plan, complete_fn=truncating)
         cell = artifacts.cells[("identity", "multi_turn", "doc-1")]
         assert any("finish_reason=length" in w for w in cell.translation.warnings)
+
+
+class TestMalformedBackendReply:
+    def test_garbage_reply_excludes_only_its_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
+        record = minimal_plan_dict(
+            tmp_path,
+            backends=[{"kind": "openai_compatible", "name": "real", "base_url": "http://fake",
+                       "api_key_env_var": "DOCTURN_TEST_KEY"}],
+            strategies=[{"mode": "segment_level"}, {"mode": "multi_turn"}],
+            fail_policy="skip_and_report",
+        )
+        plan = plan_from_dict(record)
+
+        class Reply:
+            status_code = 200
+
+            def __init__(self, text):
+                self.text = text
+
+            def json(self):
+                return json.loads(self.text)
+
+        def post(url, **kwargs):
+            messages = kwargs["json"]["messages"]
+            # Turn 1 of doc-2 under segment_level, the one request without history.
+            if "Thirteen" in messages[-1]["content"] and "assistant" not in {
+                m["role"] for m in messages
+            }:
+                return Reply("<html>upstream garbage</html>")
+            return Reply(json.dumps({"choices": [{"message": {"content": "Übersetzt."}}]}))
+
+        def complete_fn(request, backend):
+            return gateway.complete(request, backend, http_post=post, sleeper=lambda s: None)
+
+        artifacts = execute(plan, complete_fn=complete_fn)
+        assert set(artifacts.cells) == {
+            ("real", "segment_level", "doc-1"),
+            ("real", "multi_turn", "doc-1"),
+            ("real", "multi_turn", "doc-2"),
+        }
+        emit_reports(artifacts)
+        lines = (artifacts.run_dir / "reports" / "exclusions.csv").read_text("utf-8").splitlines()
+        assert lines[0] == "backend,strategy,doc_id,reason"
+        assert len(lines) == 2
+        assert lines[1].startswith("real,segment_level,doc-2,malformed response for doc-2:turn_1")
+
+
+# Every field that feeds a run, either covered by the resume-identity hash or
+# declared operational (it cannot change any output). A new field must be
+# added to one of the two sets.
+HASHED_FIELDS = {
+    RunPlan: {"run_id", "testsets", "backends", "strategies", "tokenizer",
+              "tokenizer_external_path", "scoring", "fail_policy", "template_set",
+              "max_context_tokens"},
+    BackendConfig: {"kind", "name", "model", "base_url", "api_key_env_var", "max_retries",
+                    "requests_per_minute", "dictionary_path", "drop_fraction"},
+    StrategyConfig: {"mode", "icl", "exemplars", "template_set", "exemplar_count", "model_id",
+                     "max_tokens"},
+    Exemplar: {"source", "target", "src_lang", "tgt_lang"},
+    ScoringConfig: {"blonde", "scorer_command", "top_n", "case_sensitive", "max_n"},
+}
+OPERATIONAL_FIELDS = {
+    RunPlan: {"output_dir", "max_concurrent_documents"},
+    BackendConfig: {"timeout_s"},
+    StrategyConfig: set(),
+    Exemplar: set(),
+    ScoringConfig: set(),
+}
+
+
+def _identity_plan(tmp_path: Path) -> RunPlan:
+    """Two strategies: strategies[0] without ICL, strategies[1] with it."""
+    return plan_from_dict(
+        minimal_plan_dict(
+            tmp_path,
+            strategies=[{"mode": "segment_level"},
+                        {"mode": "multi_turn", "icl": True, "exemplars": EXEMPLARS}],
+        )
+    )
+
+
+def _with_backend(plan: RunPlan, **change) -> RunPlan:
+    return dataclasses.replace(plan, backends=[dataclasses.replace(plan.backends[0], **change)])
+
+
+def _with_strategy(plan: RunPlan, index: int, **change) -> RunPlan:
+    strategies = list(plan.strategies)
+    strategies[index] = dataclasses.replace(strategies[index], **change)
+    return dataclasses.replace(plan, strategies=strategies)
+
+
+def _with_exemplar(plan: RunPlan, **change) -> RunPlan:
+    exemplars = list(plan.strategies[1].exemplars)
+    exemplars[0] = dataclasses.replace(exemplars[0], **change)
+    return _with_strategy(plan, 1, exemplars=tuple(exemplars))
+
+
+def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
+    """(class, field) -> the plan with only that field changed."""
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(Path(plan.testsets[0]).read_bytes())
+    return {
+        (RunPlan, "run_id"): dataclasses.replace(plan, run_id="other-run"),
+        (RunPlan, "testsets"): dataclasses.replace(plan, testsets=[str(copy)]),
+        (RunPlan, "backends"): dataclasses.replace(
+            plan, backends=plan.backends + [BackendConfig(kind="mock_identity", name="extra")]
+        ),
+        (RunPlan, "strategies"): dataclasses.replace(plan, strategies=plan.strategies[:1]),
+        (RunPlan, "tokenizer"): dataclasses.replace(plan, tokenizer="whitespace"),
+        (RunPlan, "tokenizer_external_path"): dataclasses.replace(
+            plan, tokenizer_external_path="counts.json"
+        ),
+        (RunPlan, "scoring"): dataclasses.replace(plan, scoring=ScoringConfig(top_n=3)),
+        (RunPlan, "fail_policy"): dataclasses.replace(plan, fail_policy="halt"),
+        (RunPlan, "template_set"): dataclasses.replace(plan, template_set="other-templates"),
+        (RunPlan, "max_context_tokens"): dataclasses.replace(plan, max_context_tokens=100),
+        (RunPlan, "output_dir"): dataclasses.replace(plan, output_dir=str(tmp_path / "elsewhere")),
+        (RunPlan, "max_concurrent_documents"): dataclasses.replace(
+            plan, max_concurrent_documents=4
+        ),
+        (BackendConfig, "kind"): _with_backend(plan, kind="mock_tail_dropper"),
+        (BackendConfig, "name"): _with_backend(plan, name="renamed"),
+        (BackendConfig, "model"): _with_backend(plan, model="other-model"),
+        (BackendConfig, "base_url"): _with_backend(plan, base_url="http://other"),
+        (BackendConfig, "api_key_env_var"): _with_backend(plan, api_key_env_var="OTHER_KEY"),
+        (BackendConfig, "max_retries"): _with_backend(plan, max_retries=9),
+        (BackendConfig, "requests_per_minute"): _with_backend(plan, requests_per_minute=10),
+        (BackendConfig, "dictionary_path"): _with_backend(plan, dictionary_path="dict.json"),
+        (BackendConfig, "drop_fraction"): _with_backend(plan, drop_fraction=0.5),
+        (BackendConfig, "timeout_s"): _with_backend(plan, timeout_s=5.0),
+        (StrategyConfig, "mode"): _with_strategy(plan, 0, mode=Mode.SINGLE_TURN),
+        (StrategyConfig, "icl"): _with_strategy(plan, 1, icl=False),
+        (StrategyConfig, "exemplars"): _with_strategy(
+            plan, 1, exemplars=plan.strategies[1].exemplars[::-1]
+        ),
+        (StrategyConfig, "template_set"): _with_strategy(plan, 0, template_set="other-templates"),
+        (StrategyConfig, "exemplar_count"): _with_strategy(plan, 0, exemplar_count=5),
+        (StrategyConfig, "model_id"): _with_strategy(plan, 0, model_id="other-model"),
+        (StrategyConfig, "max_tokens"): _with_strategy(plan, 0, max_tokens=64),
+        (Exemplar, "source"): _with_exemplar(plan, source="Other."),
+        (Exemplar, "target"): _with_exemplar(plan, target="Andere."),
+        (Exemplar, "src_lang"): _with_exemplar(plan, src_lang="fr"),
+        (Exemplar, "tgt_lang"): _with_exemplar(plan, tgt_lang="it"),
+        (ScoringConfig, "blonde"): dataclasses.replace(plan, scoring=ScoringConfig(blonde=False)),
+        (ScoringConfig, "scorer_command"): dataclasses.replace(
+            plan, scoring=ScoringConfig(scorer_command=("score",))
+        ),
+        (ScoringConfig, "top_n"): dataclasses.replace(plan, scoring=ScoringConfig(top_n=3)),
+        (ScoringConfig, "case_sensitive"): dataclasses.replace(
+            plan, scoring=ScoringConfig(case_sensitive=False)
+        ),
+        (ScoringConfig, "max_n"): dataclasses.replace(plan, scoring=ScoringConfig(max_n=2)),
+    }
+
+
+class TestResumeIdentity:
+    def test_every_field_is_hashed_or_declared_operational(self):
+        for cls, hashed in HASHED_FIELDS.items():
+            operational = OPERATIONAL_FIELDS[cls]
+            assert not hashed & operational, cls.__name__
+            assert hashed | operational == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+    def test_hash_moves_with_exactly_the_hashed_fields(self, tmp_path):
+        plan = _identity_plan(tmp_path)
+        changes = _single_field_changes(plan, tmp_path)
+        declared = {(cls, name) for cls, names in HASHED_FIELDS.items() for name in names}
+        declared |= {(cls, name) for cls, names in OPERATIONAL_FIELDS.items() for name in names}
+        assert set(changes) == declared
+        for (cls, name), changed in changes.items():
+            if name in HASHED_FIELDS[cls]:
+                assert changed.config_hash != plan.config_hash, f"{cls.__name__}.{name}"
+            else:
+                assert changed.config_hash == plan.config_hash, f"{cls.__name__}.{name}"
+
+    def test_edited_corpus_refuses_resume(self, tmp_path):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        corpus = Path(plan.testsets[0])
+        corpus.write_text(
+            corpus.read_text("utf-8").replace("Seven eight nine.", "Seven eight ten."), "utf-8"
+        )
+        edited = plan_from_dict(minimal_plan_dict(tmp_path))
+        assert edited.testsets == plan.testsets
+        with pytest.raises(ResumeMismatchError, match="config_hash"):
+            execute(edited)
