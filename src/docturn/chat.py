@@ -44,6 +44,19 @@ def assistant(content: str) -> Message:
     return Message(ROLE_ASSISTANT, content)
 
 
+def common_prefix_length(a: tuple, b: tuple) -> int:
+    """Length of the longest shared prefix of two message tuples.
+
+    Each step is one tuple-slice comparison, which runs in C and stops at
+    shared message objects by identity; a history that only grows matches
+    on the first step.
+    """
+    n = min(len(a), len(b))
+    while a[:n] != b[:n]:
+        n -= 1
+    return n
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     """A chat-completion request. Harness-generated requests pin temperature to 0."""

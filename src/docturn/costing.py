@@ -9,6 +9,11 @@ so a request's reuse is the depth it reaches in that tree. In uncached
 mode every turn pays for its full request. Generation tokens are charged
 identically in both modes; caching affects prefill only.
 
+Each turn's walk resumes at the tree node of the longest prefix its request
+shares with the previous request-plus-reply state, and each distinct message
+is counted once per session, so a turn costs work in proportion to the
+messages it appends, not to the whole conversation.
+
 Counting uses the harness's own tokenizer spec (whitespace by default, char
 for ideographic targets) so numbers are comparable across backends;
 backend-reported usage is stored separately by the runner.
@@ -19,9 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from .chat import Message
+from .chat import Message, assistant, common_prefix_length
 from .errors import LedgerError
 from .prompts import base_language
 from .strategy import Mode, check_prefix_stability
@@ -143,42 +148,72 @@ class CostLedger:
         }
 
 
+def message_tokens(
+    message: Message, spec: TokenizerSpec, counts: dict[tuple[str, str], int]
+) -> int:
+    """Tokens of one message; counts memoises them per distinct (role,
+    content), so a session's messages are each counted once under one spec."""
+    key = (message.role, message.content)
+    if key not in counts:
+        counts[key] = count_tokens(message.content, spec)
+    return counts[key]
+
+
 # The ledger core works over abstract messages: (identity key, token count).
 # Real transcripts key messages by (role, content); the strategy simulator
 # keys them by synthetic labels.
 _KeyedMessage = tuple[object, int]
+_M = TypeVar("_M")
 
 
 def _ledger_over_keyed_turns(
-    turns: Iterable[tuple[list[_KeyedMessage], _KeyedMessage]],
+    turns: Iterable[tuple[Sequence[_M], _M]],
     mode: str,
+    keyed: Callable[[_M], _KeyedMessage] = lambda message: message,
 ) -> CostLedger:
+    """Ledger of (request, reply) turns; keyed(message) gives a message's key
+    and tokens, and is asked only for the messages a turn appends. Equal
+    messages must have equal keys and tokens."""
     if mode not in (MODE_CACHED, MODE_UNCACHED):
         raise LedgerError(f"unknown ledger mode: {mode!r}")
     ledger = CostLedger(mode=mode)
     # Prefix tree of every earlier request-plus-reply state: each node maps
     # a message key to the node of the one-message-longer prefix.
     root: dict = {}
+    # The previous request-plus-reply state, and for each of its prefixes
+    # (index = length) the node it reaches and its tokens.
+    state: tuple = ()
+    path: list[tuple[dict, int]] = [(root, 0)]
     for i, (request, reply) in enumerate(turns):
-        request_tokens = sum(t for _, t in request)
-        reused = 0
-        if mode == MODE_CACHED:
-            # A node added on this walk is empty, so every later key misses.
-            node = root
-            for key, tokens in request:
-                child = node.get(key)
-                if child is None:
-                    child = node[key] = {}
-                else:
-                    reused += tokens
-                node = child
-            node.setdefault(reply[0], {})
+        request = tuple(request)
+        # Every prefix of the previous state is in the tree, so the walk from
+        # the root would reach path[shared] and reuse all of it.
+        shared = common_prefix_length(request, state)
+        del path[shared + 1 :]
+        node, request_tokens = path[shared]
+        reused = request_tokens
+        for message in request[shared:]:
+            key, tokens = keyed(message)
+            child = node.get(key)
+            if child is None:
+                # A node added on this walk is empty, so every later key misses.
+                child = node[key] = {}
+            else:
+                reused += tokens
+            node = child
+            request_tokens += tokens
+            path.append((node, request_tokens))
+        reply_key, generated = keyed(reply)
+        path.append((node.setdefault(reply_key, {}), request_tokens + generated))
+        state = request + (reply,)
+        if mode == MODE_UNCACHED:
+            reused = 0
         ledger.entries.append(
             LedgerEntry(
                 turn_index=i,
                 prefill_new=request_tokens - reused,
                 prefill_reused=reused,
-                generated=reply[1],
+                generated=generated,
             )
         )
     return ledger
@@ -188,30 +223,28 @@ def ledger_for_session(
     transcript: Transcript,
     mode: str,
     spec: TokenizerSpec,
+    counts: dict[tuple[str, str], int] | None = None,
 ) -> CostLedger:
     """Token ledger for one session transcript.
 
     Cached mode charges each conversation token's prefill exactly once across
     the session; uncached mode charges every request in full. Multi-turn
     transcripts that violate prefix stability are refused: their history was
-    rewritten, so no cache could have been reused.
+    rewritten, so no cache could have been reused. counts is the session's
+    message_tokens memo, to share the counting between calls.
     """
     if transcript.strategy_mode is not None and transcript.strategy_mode.is_multi_turn:
         check_prefix_stability(
             [t.request_messages for t in transcript.turns],
             [t.response_text for t in transcript.turns],
         )
+    counts = {} if counts is None else counts
 
-    def keyed() -> Iterable[tuple[list[_KeyedMessage], _KeyedMessage]]:
-        for turn in transcript.turns:
-            request = [
-                ((m.role, m.content), count_tokens(m.content, spec))
-                for m in turn.request_messages
-            ]
-            reply = (("assistant", turn.response_text), count_tokens(turn.response_text, spec))
-            yield request, reply
+    def keyed(message: Message) -> _KeyedMessage:
+        return (message.role, message.content), message_tokens(message, spec, counts)
 
-    return _ledger_over_keyed_turns(keyed(), mode)
+    turns = ((t.request_messages, assistant(t.response_text)) for t in transcript.turns)
+    return _ledger_over_keyed_turns(turns, mode, keyed)
 
 
 def conversation_token_count(transcript: Transcript, spec: TokenizerSpec) -> int:

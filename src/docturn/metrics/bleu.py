@@ -52,6 +52,12 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
+def _clipped(hyp_ngrams: Counter, ref_ngrams: Counter, total: int) -> ClippedCounts:
+    if total == 0:
+        return ClippedCounts(0, 0)
+    return ClippedCounts(sum((hyp_ngrams & ref_ngrams).values()), total)
+
+
 def ngram_clipped_counts(
     hyp_tokens: Sequence[str], ref_tokens: Sequence[str], n: int
 ) -> ClippedCounts:
@@ -59,10 +65,21 @@ def ngram_clipped_counts(
     if n < 1:
         raise ValueError("n must be >= 1")
     total = max(0, len(hyp_tokens) - n + 1)
-    if total == 0:
-        return ClippedCounts(0, 0)
-    clipped = _ngram_counts(hyp_tokens, n) & _ngram_counts(ref_tokens, n)
-    return ClippedCounts(sum(clipped.values()), total)
+    return _clipped(_ngram_counts(hyp_tokens, n), _ngram_counts(ref_tokens, n), total)
+
+
+@dataclass(frozen=True)
+class NgramSide:
+    """One side of a document pair: its n-gram counts per order (index n-1)
+    and its token length. A reference side serves every hypothesis scored
+    against it."""
+
+    ngrams: tuple[Counter, ...]
+    length: int
+
+
+def ngram_side(tokens: Sequence[str], max_n: int) -> NgramSide:
+    return NgramSide(tuple(_ngram_counts(tokens, n) for n in range(1, max_n + 1)), len(tokens))
 
 
 @dataclass(frozen=True)
@@ -104,11 +121,29 @@ def brevity_penalty(hyp_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / hyp_len)
 
 
-def _document_tokens(segments: Iterable[str], cfg: BleuConfig) -> list[str]:
+def document_tokens(segments: Iterable[str], cfg: BleuConfig) -> list[str]:
+    """A document side's tokens: its segments joined by single spaces,
+    case-folded unless the config is case-sensitive, then tokenized."""
     text = " ".join(segments)
     if not cfg.case_sensitive:
         text = text.casefold()
     return tokenize(text, cfg.tokenizer)
+
+
+def stats_against(hyp: NgramSide, ref: NgramSide) -> BleuStats:
+    """Statistics of a hypothesis side scored against a reference side."""
+    if len(hyp.ngrams) != len(ref.ngrams):
+        raise ValueError("cannot score n-gram sides of different max_n")
+    counts = [
+        _clipped(h, r, max(0, hyp.length - i))
+        for i, (h, r) in enumerate(zip(hyp.ngrams, ref.ngrams))
+    ]
+    return BleuStats(
+        matched=tuple(c.matched for c in counts),
+        total=tuple(c.total for c in counts),
+        hyp_len=hyp.length,
+        ref_len=ref.length,
+    )
 
 
 def bleu_stats(
@@ -116,14 +151,9 @@ def bleu_stats(
 ) -> BleuStats:
     """Statistics of one document pair; each side's segments are joined and
     tokenized once."""
-    hyp_tokens = _document_tokens(hyp_segments, cfg)
-    ref_tokens = _document_tokens(ref_segments, cfg)
-    counts = [ngram_clipped_counts(hyp_tokens, ref_tokens, n) for n in range(1, cfg.max_n + 1)]
-    return BleuStats(
-        matched=tuple(c.matched for c in counts),
-        total=tuple(c.total for c in counts),
-        hyp_len=len(hyp_tokens),
-        ref_len=len(ref_tokens),
+    return stats_against(
+        ngram_side(document_tokens(hyp_segments, cfg), cfg.max_n),
+        ngram_side(document_tokens(ref_segments, cfg), cfg.max_n),
     )
 
 

@@ -95,7 +95,9 @@ def load_blonde_resources(tgt_lang: str) -> BlondeResources | None:
     )
 
 
-def _doc_tokens(segments: Iterable[str]) -> list[str]:
+def document_tokens(segments: Iterable[str]) -> list[str]:
+    """A document side's tokens: its segments joined by single spaces and
+    split by the 13a-like rule, case kept."""
     return tokenize_13a_like(" ".join(segments))
 
 
@@ -210,22 +212,34 @@ def score_counts(matched: int, hyp_count: int, ref_count: int) -> CategoryScore:
     return CategoryScore(precision, recall, f1, matched, hyp_count, ref_count)
 
 
+def marker_counts(tokens: Sequence[str], res: BlondeResources) -> dict[str, Counter]:
+    """Each category's marker multiset in one document side's tokens. A
+    reference's markers serve every hypothesis scored against it."""
+    return {name: _EXTRACTORS[name](tokens, res) for name in CATEGORIES}
+
+
+def counts_against(
+    hyp_markers: dict[str, Counter], ref_markers: dict[str, Counter]
+) -> dict[str, tuple[int, int, int]]:
+    """(matched, hyp_count, ref_count) per category of a hypothesis side's
+    markers against a reference side's."""
+    out: dict[str, tuple[int, int, int]] = {}
+    for name in CATEGORIES:
+        hyp, ref = hyp_markers[name], ref_markers[name]
+        out[name] = (sum((hyp & ref).values()), sum(hyp.values()), sum(ref.values()))
+    return out
+
+
 def category_counts(
     hyp_segments: Iterable[str],
     ref_segments: Iterable[str],
     res: BlondeResources,
 ) -> dict[str, tuple[int, int, int]]:
     """(matched, hyp_count, ref_count) per category for one document pair."""
-    hyp_tokens = _doc_tokens(hyp_segments)
-    ref_tokens = _doc_tokens(ref_segments)
-    out: dict[str, tuple[int, int, int]] = {}
-    for name in CATEGORIES:
-        extractor = _EXTRACTORS[name]
-        hyp_markers = extractor(hyp_tokens, res)
-        ref_markers = extractor(ref_tokens, res)
-        matched = sum((hyp_markers & ref_markers).values())
-        out[name] = (matched, sum(hyp_markers.values()), sum(ref_markers.values()))
-    return out
+    return counts_against(
+        marker_counts(document_tokens(hyp_segments), res),
+        marker_counts(document_tokens(ref_segments), res),
+    )
 
 
 def report_from_counts(counts: dict[str, tuple[int, int, int]]) -> BlondeReport:

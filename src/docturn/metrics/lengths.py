@@ -9,10 +9,10 @@ deficit is measurable per document and in aggregate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..corpus import TestSet
-from ..costing import TokenizerSpec, count_tokens
+from ..costing import TokenizerSpec, count_tokens, spec_for_target_language
 from ..strategy import DocumentTranslation
 
 
@@ -32,6 +32,17 @@ class LengthReport:
     rows: tuple[LengthRow, ...]  # top_n longest by reference tokens
     total_ref_tokens: int  # totals cover all scored documents, not just top_n
     total_hyp_tokens: int
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[LengthRow], top_n: int = 10) -> LengthReport:
+        """The top_n rows longest by reference tokens, ties broken by doc id;
+        the totals cover every row. A top_n larger than the corpus keeps all."""
+        rows = sorted(rows, key=lambda r: (-r.ref_tokens, r.doc_id))
+        return cls(
+            rows=tuple(rows[:top_n]),
+            total_ref_tokens=sum(r.ref_tokens for r in rows),
+            total_hyp_tokens=sum(r.hyp_tokens for r in rows),
+        )
 
     @property
     def total_ratio(self) -> float:
@@ -55,26 +66,22 @@ def length_report(
 ) -> LengthReport:
     """Top-N longest documents by reference tokens, ties broken by doc id.
 
-    Documents without references or without a translation are skipped. A
-    top_n larger than the corpus returns the full corpus.
+    Without a spec, each document is counted by spec_for_target_language of
+    its target language (characters for zh/ja). Documents without references
+    or without a translation are skipped. A top_n larger than the corpus
+    returns the full corpus.
     """
-    spec = spec or TokenizerSpec("whitespace")
     rows: list[LengthRow] = []
-    total_ref = 0
-    total_hyp = 0
     for doc in testset:
         if doc.reference_segments is None or doc.id not in translations:
             continue
-        ref_tokens = sum(count_tokens(seg, spec) for seg in doc.reference_segments)
-        hyp_tokens = sum(
-            count_tokens(seg, spec) for seg in translations[doc.id].hypothesis_segments
+        doc_spec = spec or spec_for_target_language(doc.tgt_lang)
+        hyp_segments = translations[doc.id].hypothesis_segments
+        rows.append(
+            LengthRow(
+                doc.id,
+                sum(count_tokens(seg, doc_spec) for seg in doc.reference_segments),
+                sum(count_tokens(seg, doc_spec) for seg in hyp_segments),
+            )
         )
-        rows.append(LengthRow(doc.id, ref_tokens, hyp_tokens))
-        total_ref += ref_tokens
-        total_hyp += hyp_tokens
-    rows.sort(key=lambda r: (-r.ref_tokens, r.doc_id))
-    return LengthReport(
-        rows=tuple(rows[:top_n]),
-        total_ref_tokens=total_ref,
-        total_hyp_tokens=total_hyp,
-    )
+    return LengthReport.from_rows(rows, top_n)

@@ -1,28 +1,51 @@
 """Per-strategy metric assembly.
 
 Bundles document-level BLEU (per direction and averaged), BlonDE-lite,
-segment-mean external scores and length statistics into one report, tracking
+segment-mean external scoring and length statistics into one report, tracking
 which metrics could not be computed and why instead of defaulting them.
 
-Each scored document is tokenized and counted once, into one BLEU statistics
-record under its direction's tokenizer. The per-direction, per-domain and
-per-document dBLEU are computed from sums of those records, which is exact:
-corpus BLEU depends on the summed statistics alone. BlonDE-lite resources are
-loaded once per target language.
+Each side of a scored document is tokenized and counted once, into one
+DocumentSide: its BLEU n-grams under its direction's tokenizer, its
+BlonDE-lite markers and its length. When the direction's BLEU tokens are
+13a-like and case-sensitive, BlonDE-lite reuses them instead of tokenizing
+again. A reference side does not depend on the hypothesis, so callers that
+score several strategies against one test set pass one reference_sides table
+to every call. The per-direction, per-domain and per-document dBLEU are
+computed from sums of per-document statistics, which is exact: corpus BLEU
+depends on the summed statistics alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..corpus import Document, TestSet
 from ..costing import TokenizerSpec, count_tokens, spec_for_target_language
 from ..strategy import DocumentTranslation
-from .blonde import BlondeReport, category_counts, load_blonde_resources, pooled_report
-from .bleu import BleuConfig, BleuStats, bleu_from_stats, bleu_stats
+from . import blonde
+from .blonde import (
+    BlondeReport,
+    BlondeResources,
+    counts_against,
+    load_blonde_resources,
+    marker_counts,
+    pooled_report,
+)
+from .blonde import category_counts  # noqa: F401  (re-exported for existing importers)
+from .bleu import (
+    BleuConfig,
+    BleuStats,
+    NgramSide,
+    bleu_from_stats,
+    document_tokens,
+    ngram_side,
+    stats_against,
+)
 from .bleu import doc_bleu  # noqa: F401  (re-exported for existing importers)
-from .lengths import LengthReport, length_report
+from .lengths import LengthReport, LengthRow
+from .lengths import length_report  # noqa: F401  (re-exported for existing importers)
 from .segment_mean import SegmentScorer, segment_mean_score
 from .tokenizers import tokenizer_for_language
 
@@ -63,6 +86,40 @@ def _direction_bleu_config(cfg: BleuConfig, tgt_lang: str, auto_tokenizer: bool)
     return replace(cfg, tokenizer=tokenizer_for_language(tgt_lang))
 
 
+@dataclass(frozen=True)
+class DocumentSide:
+    """What scoring needs of one side of a document pair: its BLEU n-grams,
+    its BlonDE-lite markers (None when not scored) and its token count."""
+
+    ngrams: NgramSide
+    markers: dict[str, Counter] | None
+    tokens: int
+
+
+def document_side(
+    segments: Iterable[str],
+    bleu_cfg: BleuConfig,
+    res: BlondeResources | None,
+    length_spec: TokenizerSpec,
+) -> DocumentSide:
+    segments = tuple(segments)
+    tokens = document_tokens(segments, bleu_cfg)
+    markers = None
+    if res is not None:
+        # BlonDE-lite tokenizes by the 13a-like rule with case kept.
+        same = bleu_cfg.tokenizer == "intl_13a_like" and bleu_cfg.case_sensitive
+        markers = marker_counts(tokens if same else blonde.document_tokens(segments), res)
+    return DocumentSide(
+        ngrams=ngram_side(tokens, bleu_cfg.max_n),
+        markers=markers,
+        tokens=sum(count_tokens(s, length_spec) for s in segments),
+    )
+
+
+# (doc id, direction BLEU config, BlonDE-lite scored, length spec) -> side
+ReferenceSides = dict[tuple[str, BleuConfig, bool, TokenizerSpec], DocumentSide]
+
+
 def _accumulate(totals: dict[str, BleuStats], key: str, stats: BleuStats) -> None:
     totals[key] = totals[key] + stats if key in totals else stats
 
@@ -81,15 +138,20 @@ def score_strategy(
     scorer: SegmentScorer | None = None,
     length_spec: TokenizerSpec | None = None,
     top_n: int = 10,
+    reference_sides: ReferenceSides | None = None,
 ) -> StrategyMetrics:
     """Score every translated document of one strategy against the test set.
 
     dBLEU is computed per language direction with a direction-appropriate
     tokenizer and averaged (unweighted) across directions; the per-domain
-    table averages each domain's per-direction scores the same way.
+    table averages each domain's per-direction scores the same way. Lengths
+    are counted with length_spec, or without one by the spec of each
+    document's target language. Reference sides are taken from, and added
+    to, reference_sides.
     """
     cfg = bleu_config or BleuConfig()
     metrics = StrategyMetrics()
+    sides: ReferenceSides = {} if reference_sides is None else reference_sides
 
     scored: list[tuple[Document, DocumentTranslation]] = []
     for doc in testset:
@@ -113,20 +175,42 @@ def score_strategy(
             continue
         scored.append((doc, translations[doc.id]))
 
-    # Document-level BLEU: one statistics record per scored document, with
-    # its direction's tokenizer. Every dBLEU below is a sum of these records.
+    # One side per hypothesis, one per reference (shared through sides); the
+    # document's BLEU statistics, BlonDE-lite counts and lengths come from them.
     dir_cfgs: dict[str, BleuConfig] = {}
     direction_stats: dict[str, BleuStats] = {}
     slice_stats: dict[str, dict[str, BleuStats]] = {}  # direction -> domain -> stats
     doc_stats: list[BleuStats] = []
+    length_rows: list[LengthRow] = []
+    blonde_counts = []
+    per_doc_blonde: dict[str, BlondeReport | None] = {}
     for doc, hyp in scored:
         dir_cfg = dir_cfgs.setdefault(
             doc.direction, _direction_bleu_config(cfg, doc.tgt_lang, auto_tokenizer)
         )
-        stats = bleu_stats(hyp.hypothesis_segments, doc.reference_segments or (), dir_cfg)
+        res = load_blonde_resources(doc.tgt_lang) if compute_blonde else None
+        spec = length_spec or spec_for_target_language(doc.tgt_lang)
+        key = (doc.id, dir_cfg, res is not None, spec)
+        ref = sides.get(key)
+        if ref is None:
+            ref = sides[key] = document_side(doc.reference_segments or (), dir_cfg, res, spec)
+        side = document_side(
+            hyp.hypothesis_segments, dir_cfg, res if hyp.alignment_ok else None, spec
+        )
+
+        stats = stats_against(side.ngrams, ref.ngrams)
         doc_stats.append(stats)
         _accumulate(direction_stats, doc.direction, stats)
         _accumulate(slice_stats.setdefault(doc.direction, {}), doc.domain, stats)
+        length_rows.append(LengthRow(doc.id, ref.tokens, side.tokens))
+        # BlonDE-lite: pooled over aligned documents whose target language
+        # has resources.
+        if side.markers is not None and ref.markers is not None:
+            counts = counts_against(side.markers, ref.markers)
+            blonde_counts.append(counts)
+            per_doc_blonde[doc.id] = pooled_report([counts])
+    if blonde_counts:
+        metrics.blonde = pooled_report(blonde_counts)
 
     # Per-direction scores, averaged unweighted; per-domain scores average
     # each (direction, domain) slice's score over the directions in which
@@ -146,21 +230,6 @@ def score_strategy(
         domain: sum(vals) / len(vals) for domain, vals in sorted(domain_direction_scores.items())
     }
 
-    # BlonDE-lite: pooled over documents whose target language has resources.
-    blonde_counts = []
-    per_doc_blonde: dict[str, BlondeReport | None] = {}
-    if compute_blonde:
-        for doc, hyp in scored:
-            res = load_blonde_resources(doc.tgt_lang)
-            if res is None or not hyp.alignment_ok:
-                per_doc_blonde[doc.id] = None
-                continue
-            counts = category_counts(hyp.hypothesis_segments, doc.reference_segments or (), res)
-            blonde_counts.append(counts)
-            per_doc_blonde[doc.id] = pooled_report([counts])
-        if blonde_counts:
-            metrics.blonde = pooled_report(blonde_counts)
-
     # Segment-mean external scoring over alignment-safe documents only.
     if scorer is not None:
         pairs = []
@@ -176,18 +245,10 @@ def score_strategy(
     if any(not hyp.alignment_ok for _, hyp in scored):
         metrics.flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
 
-    # Length statistics.
-    metrics.lengths = length_report(testset, translations, length_spec, top_n)
+    metrics.lengths = LengthReport.from_rows(length_rows, top_n)
 
     # Per-document detail rows.
-    for (doc, hyp), stats in zip(scored, doc_stats):
-        tgt_spec = (
-            length_spec
-            if length_spec is not None
-            else spec_for_target_language(doc.tgt_lang)
-        )
-        ref_tokens = sum(count_tokens(s, tgt_spec) for s in doc.reference_segments or ())
-        hyp_tokens = sum(count_tokens(s, tgt_spec) for s in hyp.hypothesis_segments)
+    for (doc, hyp), stats, lengths in zip(scored, doc_stats, length_rows):
         flags: set[str] = set()
         if not hyp.alignment_ok:
             flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
@@ -198,8 +259,8 @@ def score_strategy(
                 domain=doc.domain,
                 dbleu=bleu_from_stats(stats, dir_cfgs[doc.direction]),
                 blonde=per_doc_blonde.get(doc.id),
-                ref_tokens=ref_tokens,
-                hyp_tokens=hyp_tokens,
+                ref_tokens=lengths.ref_tokens,
+                hyp_tokens=lengths.hyp_tokens,
                 alignment_ok=hyp.alignment_ok,
                 flags=frozenset(flags),
             )

@@ -30,15 +30,15 @@ from pathlib import Path
 from typing import Callable
 
 from .. import gateway
-from ..chat import ChatRequest, ChatResponse, Message, assistant
+from ..chat import ChatRequest, ChatResponse, Message, assistant, common_prefix_length
 from ..corpus import Document, TestSet, load_corpus
 from ..costing import (
     MODE_CACHED,
     MODE_UNCACHED,
     Transcript,
     TranscriptTurn,
-    count_tokens,
     ledger_for_session,
+    message_tokens,
 )
 from ..errors import DocturnError, GatewayError, ResumeMismatchError
 from ..prompts import PromptTemplateSet, load_template_set
@@ -109,12 +109,13 @@ def _drive_cell(
     session = init_session(strategy, doc, templates)
     transcript = Transcript(doc_id=doc.id, strategy_mode=strategy.mode)
     spec = plan.tokenizer_spec(doc.tgt_lang)
+    counts: dict[tuple[str, str], int] = {}  # every message counted once per cell
 
     state: tuple[Message, ...] = ()
     turn = 0
     while (request := next_request(session)) is not None:
         if plan.max_context_tokens is not None:
-            request_tokens = sum(count_tokens(m.content, spec) for m in request.messages)
+            request_tokens = sum(message_tokens(m, spec, counts) for m in request.messages)
             if request_tokens > plan.max_context_tokens:
                 session.fail("context_overflow")
                 raise GatewayError(
@@ -141,7 +142,7 @@ def _drive_cell(
 
     translation = assemble_hypothesis(session)
     ledgers = {
-        mode: ledger_for_session(transcript, mode, spec).to_dict()
+        mode: ledger_for_session(transcript, mode, spec, counts).to_dict()
         for mode in (MODE_CACHED, MODE_UNCACHED)
     }
     return CellArtifact(translation=translation, ledgers=ledgers, transcript=transcript)
@@ -164,9 +165,7 @@ def _run_cell(
     def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
         started = time.monotonic()
         response = complete(request, backend)
-        keep = len(state)
-        while request.messages[:keep] != state[:keep]:
-            keep -= 1
+        keep = common_prefix_length(request.messages, state)
         line = {
             "keep": keep,
             "append": [m.to_dict() for m in request.messages[keep:]],

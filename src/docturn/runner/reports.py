@@ -22,7 +22,7 @@ from pathlib import Path
 
 from ..corpus import TestSet
 from ..metrics.bleu import BleuConfig
-from ..metrics.report import StrategyMetrics, score_strategy
+from ..metrics.report import ReferenceSides, StrategyMetrics, score_strategy
 from ..metrics.segment_mean import SubprocessScorer
 from ..strategy import Mode, StrategyConfig
 from .config import RunPlan
@@ -63,6 +63,7 @@ def _strategy_scores(
         else None
     )
     out: dict[tuple[str, str], StrategyMetrics] = {}
+    reference_sides: ReferenceSides = {}  # every strategy is scored against one test set
     for backend in plan.backends:
         for strategy in plan.strategies:
             translations = artifacts.translations_for(backend.name, strategy.label)
@@ -75,6 +76,7 @@ def _strategy_scores(
                 scorer=None if strategy.mode == Mode.SINGLE_TURN else scorer,
                 length_spec=None if plan.tokenizer == "auto" else plan.tokenizer_spec(""),
                 top_n=plan.scoring.top_n,
+                reference_sides=reference_sides,
             )
     return out
 

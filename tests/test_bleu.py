@@ -211,8 +211,8 @@ class TestPooledStatistics:
             )
 
     @settings(max_examples=100, deadline=None)
-    @given(docs=random_docs)
-    def test_score_strategy_aggregates_equal_oracle(self, docs):
+    @given(docs=random_docs, shared_sides=st.booleans())
+    def test_score_strategy_aggregates_equal_oracle(self, docs, shared_sides):
         documents, translations = [], {}
         for i, (direction, domain, hyp, ref) in enumerate(docs):
             src, tgt = DIRECTIONS[direction]
@@ -222,7 +222,18 @@ class TestPooledStatistics:
             translations[doc.id] = DocumentTranslation(
                 doc_id=doc.id, hypothesis_segments=(" ".join(hyp),), alignment_ok=True
             )
-        metrics = score_strategy(TestSet("t", documents), translations, compute_blonde=False)
+        testset = TestSet("t", documents)
+        sides: dict = {}
+        if shared_sides:
+            # Another strategy scored first builds every reference side.
+            references = {
+                doc.id: DocumentTranslation(doc.id, doc.reference_segments, True)
+                for doc in documents
+            }
+            score_strategy(testset, references, compute_blonde=False, reference_sides=sides)
+            assert len(sides) == len(documents)
+        metrics = score_strategy(testset, translations, compute_blonde=False, reference_sides=sides)
+        assert len(sides) == len(documents)
 
         by_direction: dict = {}
         by_slice: dict = {}

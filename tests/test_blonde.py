@@ -12,16 +12,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from docturn.corpus import Document, TestSet
+from docturn.metrics.bleu import BleuConfig
 from docturn.metrics.blonde import (
     BlondeResources,
     blonde_lite,
     category_counts,
+    counts_against,
     extract_connectives,
     extract_entities,
     load_blonde_resources,
+    marker_counts,
     pooled_report,
 )
+from docturn.metrics.report import score_strategy
 from docturn.metrics.tokenizers import tokenize_13a_like
+from docturn.strategy import DocumentTranslation
 
 from . import oracles
 
@@ -195,9 +201,54 @@ CONNECTIVE_STREAM = ["even", "though", "Though", "on", "the", "other", "hand", "
 
 
 @settings(max_examples=200, deadline=None)
-@given(tokens=st.lists(st.sampled_from(CONNECTIVE_STREAM), min_size=0, max_size=40))
-def test_indexed_connectives_match_plain_scan(tokens):
+@given(
+    tokens=st.lists(st.sampled_from(CONNECTIVE_STREAM), min_size=0, max_size=40),
+    ref=st.lists(st.sampled_from(CONNECTIVE_STREAM), min_size=0, max_size=40),
+)
+def test_indexed_connectives_match_plain_scan(tokens, ref):
     assert extract_connectives(tokens, RES) == oracles.naive_connectives(tokens, RES.connectives)
+    # Against one reference side, shared by two hypotheses, each pair's
+    # counts are the plain scan's clipped counts.
+    ref_side = marker_counts(ref, RES)
+    ref_found = oracles.naive_connectives(ref, RES.connectives)
+    for hyp in (tokens, tokens[::-1]):
+        found = oracles.naive_connectives(hyp, RES.connectives)
+        expected = (
+            sum(min(n, ref_found.get(marker, 0)) for marker, n in found.items()),
+            sum(found.values()),
+            sum(ref_found.values()),
+        )
+        assert counts_against(marker_counts(hyp, RES), ref_side)["connectives"] == expected
+
+
+TEXT_WORDS = WORDS + ["Alice,", "Paris.", "Even", "though", "On", "the", "other", "hand", "had",
+                     "will", "HE", "They", "as", "well"]
+texts = st.lists(st.sampled_from(TEXT_WORDS), min_size=0, max_size=24).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(texts, texts), min_size=1, max_size=6),
+       case_sensitive=st.booleans())
+def test_score_strategy_blonde_equals_per_pair_scores(pairs, case_sensitive):
+    # score_strategy reuses BLEU's tokens for BlonDE-lite when they are
+    # case-sensitive 13a-like tokens, and reuses reference sides across calls.
+    documents = [
+        Document(id=f"d{i}", src_lang="de", tgt_lang="en", domain="news",
+                 source_segments=("Quelle",), reference_segments=(ref,))
+        for i, (_, ref) in enumerate(pairs)
+    ]
+    testset = TestSet("t", documents)
+    cfg = BleuConfig(case_sensitive=case_sensitive)
+    sides: dict = {}
+    references = {d.id: DocumentTranslation(d.id, d.reference_segments, True) for d in documents}
+    score_strategy(testset, references, bleu_config=cfg, reference_sides=sides)
+    translations = {
+        d.id: DocumentTranslation(d.id, (hyp,), True) for d, (hyp, _) in zip(documents, pairs)
+    }
+    metrics = score_strategy(testset, translations, bleu_config=cfg, reference_sides=sides)
+    for row, (hyp, ref) in zip(metrics.documents, pairs):
+        assert row.blonde == blonde_lite([hyp], [ref], RES)
+    assert metrics.blonde == pooled_report(category_counts([h], [r], RES) for h, r in pairs)
 
 
 def test_nested_overlapping_and_repeated_connectives():

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from docturn import costing
 from docturn.chat import Message, assistant, user
 from docturn.costing import (
     MODE_CACHED,
@@ -16,6 +17,7 @@ from docturn.costing import (
     TokenizerSpec,
     Transcript,
     TranscriptTurn,
+    _synthetic_turns,
     compare_strategies,
     comparison_csv,
     conversation_token_count,
@@ -292,3 +294,65 @@ def test_repeated_paragraph_reuses_an_older_state():
     cached = _ledger_over_keyed_turns(turns, MODE_CACHED)
     assert [e.prefill_reused for e in cached.entries] == [0, 10, 15]
     assert _entries(cached) == oracles.all_states_cached_ledger(turns)
+
+
+def segment_level_transcript(k: int) -> Transcript:
+    """Segment-level transcript: a shared system message, then one user
+    message per turn."""
+    shared = Message("system", words(7, "s"))
+    transcript = Transcript(doc_id="doc", strategy_mode=Mode.SEGMENT_LEVEL)
+    for i in range(k):
+        request = (shared, user(words(5, f"u{i}_")))
+        transcript.turns.append(TranscriptTurn(request, words(4, f"a{i}_")))
+    return transcript
+
+
+@pytest.mark.parametrize(
+    "transcript",
+    [multi_turn_transcript(64, 3, 2), segment_level_transcript(64)],
+    ids=["multi_turn", "segment_level"],
+)
+def test_ledger_counts_each_distinct_message_once(monkeypatch, transcript):
+    counted: list[str] = []
+    original = costing.count_tokens
+
+    def count_tokens(text, spec):
+        counted.append(text)
+        return original(text, spec)
+
+    monkeypatch.setattr(costing, "count_tokens", count_tokens)
+    distinct = sorted(
+        {m.content for t in transcript.turns for m in t.request_messages}
+        | {t.response_text for t in transcript.turns}
+    )
+    for mode in (MODE_CACHED, MODE_UNCACHED):
+        counted.clear()
+        ledger_for_session(transcript, mode, WS)
+        assert sorted(counted) == distinct
+    # One memo shared by both ledgers of a session counts each message once.
+    counted.clear()
+    counts: dict = {}
+    modes = (MODE_CACHED, MODE_UNCACHED)
+    shared = [ledger_for_session(transcript, mode, WS, counts) for mode in modes]
+    assert sorted(counted) == distinct
+    assert [_entries(ledger) for ledger in shared] == [
+        _entries(ledger_for_session(transcript, mode, WS)) for mode in modes
+    ]
+
+
+@pytest.mark.parametrize("strategy", [Mode.MULTI_TURN, Mode.SEGMENT_LEVEL])
+def test_ledger_walks_only_appended_messages(strategy):
+    # 64 turns over a shared prefix: the first turn appends the prefix, and
+    # every turn a user message and the reply. At the parent commit every
+    # request was walked in full.
+    turns = _synthetic_turns(strategy, DocShape.uniform(64, 5, 4, shared_prefix_tokens=3))
+    for mode in (MODE_CACHED, MODE_UNCACHED):
+        seen = []
+
+        def keyed(message):
+            seen.append(message)
+            return message
+
+        ledger = _ledger_over_keyed_turns(turns, mode, keyed)
+        assert len(seen) == 1 + 2 * 64
+        assert _entries(ledger) == _entries(_ledger_over_keyed_turns(turns, mode))

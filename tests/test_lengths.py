@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+from docturn.corpus import Document, TestSet
 from docturn.costing import TokenizerSpec
 from docturn.metrics.lengths import length_report
+from docturn.metrics.report import score_strategy
 from docturn.strategy import DocumentTranslation
 
 from .conftest import make_random_document, make_testset
@@ -85,3 +87,23 @@ def test_csv_shape():
     assert lines[0] == "doc_id,ref_tokens,hyp_tokens,ratio"
     assert len(lines) == 4  # header + 2 rows + TOTAL
     assert lines[-1].startswith("TOTAL,")
+
+
+def test_zh_target_counted_in_characters_without_a_spec():
+    zh = Document(id="zh-1", src_lang="en", tgt_lang="zh", domain="news",
+                  source_segments=("Hello, friend.", "Nice weather today."),
+                  reference_segments=("你好，朋友。", "今天 天气 很好。"))
+    en = Document(id="en-1", src_lang="de", tgt_lang="en", domain="news",
+                  source_segments=("Guten Tag.",), reference_segments=("Good day to you.",))
+    testset = TestSet("t", [zh, en])
+    translations = {
+        "zh-1": DocumentTranslation("zh-1", ("你好。", "天气好。"), True),
+        "en-1": DocumentTranslation("en-1", ("Good day.",), True),
+    }
+    expected = {"zh-1": (6 + 9, 3 + 4), "en-1": (4, 2)}  # characters for zh, words for en
+    report = length_report(testset, translations)
+    assert {r.doc_id: (r.ref_tokens, r.hyp_tokens) for r in report.rows} == expected
+    assert (report.total_ref_tokens, report.total_hyp_tokens) == (19, 9)
+    metrics = score_strategy(testset, translations)
+    assert metrics.lengths == report
+    assert {d.doc_id: (d.ref_tokens, d.hyp_tokens) for d in metrics.documents} == expected

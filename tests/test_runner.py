@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from docturn import gateway
+from docturn import costing, gateway
 from docturn.corpus import Exemplar
 from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
 from docturn.gateway import BackendConfig
+from docturn.metrics import report as report_module
 from docturn.runner.config import RunPlan, ScoringConfig, load_run_config, plan_from_dict
 from docturn.runner.executor import execute, load_artifacts, load_testsets
 from docturn.runner.reports import emit_reports
@@ -652,3 +654,93 @@ class TestResumeIdentity:
         assert edited.testsets == plan.testsets
         with pytest.raises(ResumeMismatchError, match="config_hash"):
             execute(edited)
+
+
+def count_tokens_calls(monkeypatch) -> list[str]:
+    """Every text the costing layer counts from now on, in order."""
+    counted: list[str] = []
+    original = costing.count_tokens
+
+    def count_tokens(text, spec):
+        counted.append(text)
+        return original(text, spec)
+
+    monkeypatch.setattr(costing, "count_tokens", count_tokens)
+    return counted
+
+
+class TestCountOnce:
+    def test_overflow_fires_at_the_same_turn_with_the_same_text(self, tmp_path):
+        free = execute(plan_from_dict(minimal_plan_dict(
+            tmp_path, run_id="free", strategies=[{"mode": "multi_turn"}]
+        )))
+        turns = free.cells[("identity", "multi_turn", "doc-1")].transcript.turns
+        sizes = [sum(len(m.content.split()) for m in t.request_messages) for t in turns]
+        budget = sizes[1]  # requests grow, so turn 2 is the first over budget
+        tags = []
+
+        def complete(request, backend):
+            tags.append(request.request_tag)
+            return gateway.complete(request, backend)
+
+        artifacts = execute(plan_from_dict(minimal_plan_dict(
+            tmp_path, run_id="budget", strategies=[{"mode": "multi_turn"}],
+            max_context_tokens=budget,
+        )), complete)
+        reasons = {e["doc_id"]: e["reason"] for e in artifacts.exclusions}
+        assert reasons["doc-1"] == (
+            f"context_overflow: request of {sizes[2]} tokens exceeds budget {budget} "
+            "for document 'doc-1'"
+        )
+        assert [t for t in tags if t.startswith("doc-1:")] == ["doc-1:turn_0", "doc-1:turn_1"]
+
+    def test_nothing_counted_between_turns_without_a_budget(self, tmp_path, monkeypatch):
+        counted = count_tokens_calls(monkeypatch)
+        calls: list[tuple[str, int]] = []  # (request tag, texts counted before it)
+
+        def complete(request, backend):
+            calls.append((request.request_tag, len(counted)))
+            return gateway.complete(request, backend)
+
+        execute(plan_from_dict(minimal_plan_dict(
+            tmp_path, strategies=[{"mode": "multi_turn"}, {"mode": "segment_level"}]
+        )), complete)
+        later_turns = [
+            (prev_count, count)
+            for (_, prev_count), (tag, count) in zip(calls, calls[1:])
+            if not tag.endswith(":turn_0")
+        ]
+        assert counted and len(later_turns) == 6
+        assert all(prev_count == count for prev_count, count in later_turns)
+
+    def test_each_message_of_a_cell_counted_once_with_a_budget(self, tmp_path, monkeypatch):
+        counted = count_tokens_calls(monkeypatch)
+        artifacts = execute(plan_from_dict(minimal_plan_dict(
+            tmp_path, strategies=[{"mode": "multi_turn"}, {"mode": "multi_turn_sp"}],
+            max_context_tokens=10_000,
+        )))
+        distinct = 0
+        for cell in artifacts.cells.values():
+            turns = cell.transcript.turns
+            distinct += len(
+                {(m.role, m.content) for t in turns for m in t.request_messages}
+                | {("assistant", t.response_text) for t in turns}
+            )
+        assert len(counted) == distinct
+
+    def test_reference_side_built_once_per_document(self, tmp_path, monkeypatch):
+        plan = plan_from_dict(mixed_plan_dict(tmp_path))
+        artifacts = execute(plan)
+        testset = load_testsets(plan)
+        references = {id(doc.reference_segments): doc.id for doc in testset}
+        built: Counter = Counter()
+        original = report_module.document_side
+
+        def document_side(segments, *args):
+            built[references.get(id(segments), "hypothesis")] += 1
+            return original(segments, *args)
+
+        monkeypatch.setattr(report_module, "document_side", document_side)
+        emit_reports(artifacts, testset)
+        scored = len(plan.backends) * len(plan.strategies)
+        assert built == Counter({"doc-1": 1, "doc-2": 1, "hypothesis": scored * len(testset)})
