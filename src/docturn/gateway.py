@@ -155,7 +155,7 @@ def _tail_dropper_reply(req: ChatRequest, cfg: BackendConfig) -> str:
 
 
 class _RateLimiter:
-    """Token bucket shared by all callers of one backend."""
+    """Token bucket shared by all callers of one backend name at one rate."""
 
     def __init__(self, requests_per_minute: int):
         self.capacity = float(requests_per_minute)
@@ -177,17 +177,18 @@ class _RateLimiter:
             sleeper(wait)
 
 
-_limiters: dict[str, _RateLimiter] = {}
+_limiters: dict[tuple[str, int], _RateLimiter] = {}
 _limiters_lock = threading.Lock()
 
 
 def _limiter_for(cfg: BackendConfig) -> _RateLimiter | None:
     if cfg.requests_per_minute is None:
         return None
+    key = (cfg.name, cfg.requests_per_minute)
     with _limiters_lock:
-        if cfg.name not in _limiters:
-            _limiters[cfg.name] = _RateLimiter(cfg.requests_per_minute)
-        return _limiters[cfg.name]
+        if key not in _limiters:
+            _limiters[key] = _RateLimiter(cfg.requests_per_minute)
+        return _limiters[key]
 
 
 _CONTEXT_OVERFLOW_HINTS = ("context length", "context_length", "maximum context", "too many tokens")

@@ -1,20 +1,27 @@
 """Run-matrix execution with per-cell persistence and resume.
 
 A cell is one (backend, strategy, document) combination and the unit of
-persistence: an append-only log with one JSON line per request sent. A line
-holds `keep`, how many messages of the previous request-plus-reply the
-request reuses, `append`, the messages after those, the `response` and
-`elapsed_ms`. Translations and ledgers are pure functions of the transcript,
-so loading a cell replays its log through the strategy and recomputes them.
-A log becomes complete only by os.replace of a temp file once its cell has
-finished, so an interrupted run leaves no partial log and re-executing it runs
-exactly the missing cells. ResumeMismatchError refuses a log whose requests
-differ from the rebuilt ones or that has a missing, extra or unparseable line,
-and a directory from a different configuration or an older layout.
+resume. Its transcript is logged as one record, one JSON line in the
+append-only log of its (backend, strategy) group: `doc`, the document id,
+and `turns`, one object per request sent. A turn holds `keep`, how many
+messages of the previous request-plus-reply the request reuses, `append`,
+the messages after those, the `response` and `elapsed_ms`. Translations and
+ledgers are pure functions of the transcript, so loading a cell replays its
+record through the strategy and recomputes them.
+
+A record is built in memory while its cell runs and appended, with one write
+and a flush, only once the cell has completed, so a failed or interrupted
+cell leaves nothing and re-executing the run executes exactly the missing
+cells. Bytes after a log's last newline are a record torn by a crash: loading
+ignores them and execute truncates them away before it appends.
+ResumeMismatchError refuses a line that does not parse, a second record for
+one document, a record for a document outside the test set, a record whose
+requests differ from the rebuilt ones or that has a missing or extra turn,
+and a directory from a different configuration or another layout.
 
 Layout under <output_dir>/<run_id>/:
     manifest.json
-    cells/<backend>/<strategy>/<doc_id>.jsonl
+    cells/<backend>/<strategy>.jsonl
     reports/*.csv, *.md
 """
 
@@ -22,12 +29,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable
 
 from .. import gateway
 from ..chat import ChatRequest, ChatResponse, Message, assistant, common_prefix_length
@@ -55,7 +63,7 @@ from .config import RunPlan
 
 logger = logging.getLogger(__name__)
 
-LAYOUT_VERSION = 2
+LAYOUT_VERSION = 3
 
 CompleteFn = Callable[[ChatRequest, gateway.BackendConfig], ChatResponse]
 
@@ -92,8 +100,19 @@ def load_testsets(plan: RunPlan) -> TestSet:
     return TestSet(name=plan.run_id, documents=documents)
 
 
-def _cell_log(run_dir: Path, backend: str, strategy: str, doc_id: str) -> Path:
-    return run_dir / "cells" / backend / strategy / f"{doc_id}.jsonl"
+def _group_log(run_dir: Path, backend: str, strategy: str) -> Path:
+    return run_dir / "cells" / backend / f"{strategy}.jsonl"
+
+
+@dataclass
+class _Group:
+    """One (backend, strategy) of the matrix as found on disk."""
+
+    backend: gateway.BackendConfig
+    strategy: StrategyConfig
+    log: Path
+    complete_bytes: int  # length of the log up to its last newline
+    pending: list[Document]  # documents without a record
 
 
 def _drive_cell(
@@ -154,35 +173,27 @@ def _run_cell(
     strategy: StrategyConfig,
     doc: Document,
     templates: PromptTemplateSet,
-    log: Path,
     complete: CompleteFn,
-) -> CellArtifact:
-    """A fresh cell: replies come from the backend, each exchange is appended
-    to a temp log, and the temp log becomes `log` once the cell completes."""
-    log.parent.mkdir(parents=True, exist_ok=True)
-    partial = log.with_name(log.name + ".partial")
+) -> tuple[CellArtifact, bytes]:
+    """A fresh cell: replies come from the backend. Returns the cell and its
+    record, one line for the group log."""
+    turns: list[dict] = []
 
     def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
         started = time.monotonic()
         response = complete(request, backend)
         keep = common_prefix_length(request.messages, state)
-        line = {
+        turns.append({
             "keep": keep,
             "append": [m.to_dict() for m in request.messages[keep:]],
             "response": response.to_dict(),
             "elapsed_ms": round((time.monotonic() - started) * 1000.0, 3),
-        }
-        fh.write(json.dumps(line, ensure_ascii=False, separators=(",", ":")) + "\n")
+        })
         return response
 
-    try:
-        with partial.open("w", encoding="utf-8") as fh:
-            cell = _drive_cell(plan, strategy, doc, templates, reply)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    os.replace(partial, log)
-    return cell
+    cell = _drive_cell(plan, strategy, doc, templates, reply)
+    record = json.dumps({"doc": doc.id, "turns": turns}, ensure_ascii=False, separators=(",", ":"))
+    return cell, (record + "\n").encode("utf-8")
 
 
 def _replay_cell(
@@ -190,26 +201,27 @@ def _replay_cell(
     strategy: StrategyConfig,
     doc: Document,
     templates: PromptTemplateSet,
-    log: Path,
+    turns: list,
+    where: str,
 ) -> CellArtifact:
-    """A completed cell: replies come from its log, whose every request must
-    equal the one the session rebuilds. The transcript is dropped."""
-    lines = log.read_text("utf-8").rstrip("\n").split("\n")
+    """A completed cell: replies come from its record's turns, whose every
+    request must equal the one the session rebuilds. `where` names the record
+    in errors. The transcript is dropped."""
 
     def mismatch(turn: int, problem: str) -> ResumeMismatchError:
-        return ResumeMismatchError(f"{log}: turn {turn}: {problem}")
+        return ResumeMismatchError(f"{where}: turn {turn}: {problem}")
 
     def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
-        if turn >= len(lines):
-            raise mismatch(turn, f"line missing, the log has {len(lines)}")
+        if turn >= len(turns):
+            raise mismatch(turn, f"turn missing, the record has {len(turns)}")
         try:
-            entry = json.loads(lines[turn])
+            entry = turns[turn]
             logged = state[: entry["keep"]] + tuple(Message.from_dict(m) for m in entry["append"])
             response = ChatResponse.from_dict(entry["response"])
             if not isinstance(response.content, str):
                 raise TypeError("response content is not a string")
         except (ValueError, KeyError, TypeError) as exc:
-            raise mismatch(turn, f"unparseable line ({exc})") from None
+            raise mismatch(turn, f"unparseable turn ({exc})") from None
         if logged != request.messages:
             raise mismatch(turn, "logged request differs from the rebuilt one")
         return response
@@ -217,12 +229,41 @@ def _replay_cell(
     try:
         cell = _drive_cell(plan, strategy, doc, templates, reply)
     except GatewayError as exc:
-        raise ResumeMismatchError(f"{log}: replay failed: {exc}") from None
+        raise ResumeMismatchError(f"{where}: replay failed: {exc}") from None
     sent = len(cell.transcript.turns)
-    if len(lines) != sent:
-        raise mismatch(sent, f"extra line, the session sent {sent} requests")
+    if len(turns) != sent:
+        raise mismatch(sent, f"extra turn, the session sent {sent} requests")
     cell.transcript = None
     return cell
+
+
+def _read_group_log(log: Path, doc_ids: set[str]) -> tuple[dict[str, tuple[int, list]], int]:
+    """The records of a group log as doc id -> (line number, turns), and the
+    length of the log up to its last newline. Bytes after it are a record
+    torn by a crash and are ignored."""
+    try:
+        data = log.read_bytes()
+    except FileNotFoundError:
+        return {}, 0
+    complete_bytes = data.rfind(b"\n") + 1
+    records: dict[str, tuple[int, list]] = {}
+    for number, line in enumerate(data[:complete_bytes].split(b"\n")[:-1], start=1):
+        try:
+            record = json.loads(line)
+            doc_id, turns = record["doc"], record["turns"]
+            if not isinstance(doc_id, str) or not isinstance(turns, list):
+                raise TypeError("doc is not a string or turns is not a list")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ResumeMismatchError(f"{log}: line {number}: unparseable record ({exc})") from None
+        if doc_id in records:
+            raise ResumeMismatchError(
+                f"{log}: line {number}: duplicate record for doc '{doc_id}', "
+                f"first on line {records[doc_id][0]}"
+            )
+        if doc_id not in doc_ids:
+            raise ResumeMismatchError(f"{log}: line {number}: doc '{doc_id}' is not in the test set")
+        records[doc_id] = (number, turns)
+    return records, complete_bytes
 
 
 def _read_manifest(run_dir: Path, plan: RunPlan) -> dict:
@@ -242,23 +283,28 @@ def _read_manifest(run_dir: Path, plan: RunPlan) -> dict:
 
 def _load_completed(
     artifacts: RunArtifacts, testset: TestSet, templates: PromptTemplateSet
-) -> list[tuple[gateway.BackendConfig, StrategyConfig, list[Document]]]:
-    """Replay every cell that has a log into artifacts.cells; return the
-    documents without one, per (backend, strategy)."""
-    pending = []
+) -> list[_Group]:
+    """Replay every cell that has a record into artifacts.cells, reading each
+    group log once; return every (backend, strategy) group with the documents
+    that have no record."""
+    doc_ids = {doc.id for doc in testset}
+    groups = []
     for backend in artifacts.plan.backends:
         for strategy in artifacts.plan.strategies:
-            missing: list[Document] = []
+            log = _group_log(artifacts.run_dir, backend.name, strategy.label)
+            records, complete_bytes = _read_group_log(log, doc_ids)
+            pending: list[Document] = []
             for doc in testset:
-                log = _cell_log(artifacts.run_dir, backend.name, strategy.label, doc.id)
-                if log.exists():
+                if doc.id in records:
+                    number, turns = records[doc.id]
                     artifacts.cells[(backend.name, strategy.label, doc.id)] = _replay_cell(
-                        artifacts.plan, strategy, doc, templates, log
+                        artifacts.plan, strategy, doc, templates, turns,
+                        f"{log}: line {number}: doc '{doc.id}'",
                     )
                 else:
-                    missing.append(doc)
-            pending.append((backend, strategy, missing))
-    return pending
+                    pending.append(doc)
+            groups.append(_Group(backend, strategy, log, complete_bytes, pending))
+    return groups
 
 
 def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifacts:
@@ -287,26 +333,12 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     artifacts = RunArtifacts(run_dir=run_dir, plan=plan)
     templates = load_template_set(plan.template_set)
 
-    for backend, strategy, pending in _load_completed(artifacts, testset, templates):
-
-        def run_one(doc: Document) -> CellArtifact:
-            log = _cell_log(run_dir, backend.name, strategy.label, doc.id)
-            return _run_cell(plan, backend, strategy, doc, templates, log, complete)
-
-        if plan.max_concurrent_documents > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=plan.max_concurrent_documents) as pool:
-                futures = {pool.submit(run_one, doc): doc for doc in pending}
-                for future, doc in futures.items():
-                    try:
-                        artifacts.cells[(backend.name, strategy.label, doc.id)] = future.result()
-                    except DocturnError as exc:
-                        _handle_failure(plan, artifacts, backend.name, strategy.label, doc.id, exc)
-        else:
-            for doc in pending:
-                try:
-                    artifacts.cells[(backend.name, strategy.label, doc.id)] = run_one(doc)
-                except DocturnError as exc:
-                    _handle_failure(plan, artifacts, backend.name, strategy.label, doc.id, exc)
+    for group in _load_completed(artifacts, testset, templates):
+        if group.pending:
+            group.log.parent.mkdir(parents=True, exist_ok=True)
+            with group.log.open("ab") as log:
+                log.truncate(group.complete_bytes)  # drop a record torn by a crash
+                _run_group(plan, artifacts, group, templates, complete, log)
 
     manifest = {
         "run_id": plan.run_id,
@@ -324,6 +356,55 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n", "utf-8"
     )
     return artifacts
+
+
+def _run_group(
+    plan: RunPlan,
+    artifacts: RunArtifacts,
+    group: _Group,
+    templates: PromptTemplateSet,
+    complete: CompleteFn,
+    log: BinaryIO,
+) -> None:
+    """Run a group's pending cells, appending each completed cell's record to
+    its log, up to plan.max_concurrent_documents at a time."""
+    backend, strategy = group.backend, group.strategy
+    write_lock = threading.Lock()
+    run_ends = threading.Event()
+
+    def run_one(doc: Document) -> CellArtifact | None:
+        # A queued cell can start between a run-ending failure and the
+        # cancellation of the queue; it must send nothing.
+        if run_ends.is_set():
+            return None
+        try:
+            cell, record = _run_cell(plan, backend, strategy, doc, templates, complete)
+        except BaseException as exc:
+            if plan.fail_policy == "halt" or not isinstance(exc, DocturnError):
+                run_ends.set()
+            raise
+        with write_lock:
+            log.write(record)
+            log.flush()
+        return cell
+
+    def settle(doc: Document, result: Callable[[], CellArtifact | None]) -> None:
+        try:
+            artifacts.cells[(backend.name, strategy.label, doc.id)] = result()
+        except DocturnError as exc:
+            _handle_failure(plan, artifacts, backend.name, strategy.label, doc.id, exc)
+
+    if plan.max_concurrent_documents > 1 and len(group.pending) > 1:
+        pool = ThreadPoolExecutor(max_workers=plan.max_concurrent_documents)
+        try:
+            futures = [(doc, pool.submit(run_one, doc)) for doc in group.pending]
+            for doc, future in futures:
+                settle(doc, future.result)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        for doc in group.pending:
+            settle(doc, partial(run_one, doc))
 
 
 def _handle_failure(

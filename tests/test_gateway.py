@@ -317,3 +317,13 @@ class TestRateLimiter:
                                             requests_per_minute=10))
         assert first is second
         assert _limiter_for(BackendConfig(kind="mock_identity")) is None
+
+    def test_limiter_keyed_by_name_and_rate(self):
+        from docturn.gateway import _limiter_for
+
+        slow = _limiter_for(BackendConfig(kind="mock_identity", name="rate-changed",
+                                          requests_per_minute=60))
+        fast = _limiter_for(BackendConfig(kind="mock_identity", name="rate-changed",
+                                          requests_per_minute=6000))
+        assert fast is not slow
+        assert (slow.capacity, fast.capacity) == (60.0, 6000.0)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -118,8 +120,8 @@ class TestExecute:
         assert len(artifacts.cells) == 1 * 2 * 2  # backends x strategies x documents
         for (backend, strategy, doc_id), cell in artifacts.cells.items():
             assert cell.translation.alignment_ok
-        log = artifacts.run_dir / "cells" / "identity" / "multi_turn" / "doc-1.jsonl"
-        assert log.read_text("utf-8").count("\n") == 3
+        log = artifacts.run_dir / "cells" / "identity" / "multi_turn.jsonl"
+        assert len(read_records(log)["doc-1"]["turns"]) == 3
 
     def test_identity_run_translations_equal_sources(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -196,6 +198,39 @@ class TestExecute:
         with pytest.raises(GatewayError):
             execute(plan, complete_fn=failing)
 
+    def test_halt_starts_no_queued_cell(self, tmp_path):
+        corpus = tmp_path / "eight.jsonl"
+        write_jsonl(corpus, [
+            {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": "news",
+             "src": [f"Segment {i} a.", f"Segment {i} b."]}
+            for i in range(8)
+        ])
+        plan = plan_from_dict(minimal_plan_dict(
+            tmp_path, testsets=[str(corpus)], strategies=[{"mode": "segment_level"}],
+            fail_policy="halt", max_concurrent_documents=2,
+        ))
+        failed = threading.Event()
+        sent: list[tuple[str, bool]] = []  # (request tag, sent after the failure)
+
+        def complete(request, backend):
+            sent.append((request.request_tag, failed.is_set()))
+            if request.request_tag == "doc-0:turn_0":
+                failed.set()
+                raise GatewayError("down")
+            # Hold the other worker's cell until the failure has been raised
+            # and handled, so that its next cell starts after it.
+            failed.wait(timeout=5)
+            time.sleep(0.05)
+            return gateway.complete(request, backend)
+
+        with pytest.raises(GatewayError, match="down"):
+            execute(plan, complete_fn=complete)
+        started_after_failure = [
+            tag for tag, after in sent if after and tag.endswith(":turn_0")
+        ]
+        assert started_after_failure == []
+        assert {tag.split(":")[0] for tag, _ in sent} <= {"doc-0", "doc-1"}
+
     def test_missing_api_key_fails_before_any_request(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCTURN_NO_SUCH_KEY", raising=False)
         record = minimal_plan_dict(tmp_path)
@@ -249,8 +284,33 @@ def mixed_plan_dict(tmp_path: Path, **overrides) -> dict:
     )
 
 
-def cell_log(plan, backend: str, strategy: str, doc_id: str) -> Path:
-    return Path(plan.output_dir) / plan.run_id / "cells" / backend / strategy / f"{doc_id}.jsonl"
+def group_log(plan, backend: str, strategy: str) -> Path:
+    return Path(plan.output_dir) / plan.run_id / "cells" / backend / f"{strategy}.jsonl"
+
+
+def read_records(log: Path) -> dict[str, dict]:
+    """A group log's records by doc id, in file order."""
+    records = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
+    return {record["doc"]: record for record in records}
+
+
+def edit_turns(edit):
+    """A log edit that rewrites the turns of line 1's record (doc-1)."""
+
+    def apply(lines: list[str]) -> list[str]:
+        record = json.loads(lines[0])
+        record["turns"] = edit(record["turns"])
+        return [json.dumps(record, ensure_ascii=False) + "\n"] + lines[1:]
+
+    return apply
+
+
+def recording(tags: list):
+    def complete(request, backend):
+        tags.append(request.request_tag)
+        return gateway.complete(request, backend)
+
+    return complete
 
 
 class TestCellLog:
@@ -265,6 +325,7 @@ class TestCellLog:
             assert loaded.cells[key].transcript is None
 
     def test_run_directory_holds_one_log_per_cell(self, tmp_path):
+        """One record per cell, in one log per (backend, strategy)."""
         plan = plan_from_dict(mixed_plan_dict(tmp_path))
         artifacts = execute(plan)
         emit_reports(artifacts)
@@ -273,25 +334,30 @@ class TestCellLog:
             p.relative_to(run_dir) for p in run_dir.rglob("*")
             if p.is_file() and p.parts[len(run_dir.parts)] != "reports"
         }
-        logs = {cell_log(plan, *key).relative_to(run_dir) for key in artifacts.cells}
+        groups = [(b.name, s.label) for b in plan.backends for s in plan.strategies]
+        logs = {group_log(plan, *group).relative_to(run_dir) for group in groups}
         assert files == {Path("manifest.json")} | logs
-        for key, cell in artifacts.cells.items():
-            lines = cell_log(plan, *key).read_text("utf-8").count("\n")
-            assert lines == len(cell.transcript.turns)
+        recorded = {
+            (*group, doc_id): len(record["turns"])
+            for group in groups
+            for doc_id, record in read_records(group_log(plan, *group)).items()
+        }
+        assert recorded == {key: len(cell.transcript.turns) for key, cell in artifacts.cells.items()}
 
     def test_log_line_stores_only_the_appended_messages(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         execute(plan)
-        lines = cell_log(plan, "identity", "multi_turn", "doc-1").read_text("utf-8").splitlines()
-        entries = [json.loads(line) for line in lines]
+        record = read_records(group_log(plan, "identity", "multi_turn"))["doc-1"]
+        assert set(record) == {"doc", "turns"}
         # Each later request reuses the whole previous request plus its reply.
-        assert [(e["keep"], len(e["append"])) for e in entries] == [(0, 1), (2, 1), (4, 1)]
-        assert set(entries[0]) == {"keep", "append", "response", "elapsed_ms"}
+        turns = record["turns"]
+        assert [(t["keep"], len(t["append"])) for t in turns] == [(0, 1), (2, 1), (4, 1)]
+        assert set(turns[0]) == {"keep", "append", "response", "elapsed_ms"}
 
     def _tamper(self, tmp_path, edit):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         execute(plan)
-        log = cell_log(plan, "identity", "multi_turn", "doc-1")
+        log = group_log(plan, "identity", "multi_turn")
         lines = log.read_text("utf-8").splitlines(keepends=True)
         log.write_text("".join(edit(lines)), "utf-8")
         return plan, log
@@ -299,17 +365,25 @@ class TestCellLog:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (lambda lines: lines[:-1], "turn 2: line missing"),
-            (lambda lines: lines + lines[-1:], "turn 3: extra line"),
-            (lambda lines: lines[:1] + ["{not json\n"] + lines[2:], "turn 1: unparseable"),
+            (edit_turns(lambda turns: turns[:-1]), "line 1: doc 'doc-1': turn 2: turn missing"),
+            (edit_turns(lambda turns: turns + turns[-1:]), "line 1: doc 'doc-1': turn 3: extra turn"),
+            (lambda lines: ["{not json\n"] + lines[1:], "line 1: unparseable record"),
             (
-                lambda lines: lines[:1]
-                + [lines[1].replace("Four five six.", "Four five seven.")]
-                + lines[2:],
-                "turn 1: logged request differs",
+                lambda lines: [lines[0].replace("Four five six.", "Four five seven.")] + lines[1:],
+                "line 1: doc 'doc-1': turn 1: logged request differs",
+            ),
+            (
+                edit_turns(lambda turns: turns[:1] + [{"keep": 2}] + turns[2:]),
+                "line 1: doc 'doc-1': turn 1: unparseable turn",
+            ),
+            (lambda lines: lines + lines[:1], "line 3: duplicate record for doc 'doc-1'"),
+            (
+                lambda lines: [lines[0].replace('"doc":"doc-1"', '"doc":"doc-9"')] + lines[1:],
+                "line 1: doc 'doc-9' is not in the test set",
             ),
         ],
-        ids=["truncated", "extra_line", "unparseable", "tampered_append"],
+        ids=["truncated", "extra_line", "unparseable", "tampered_append", "unparseable_turn",
+             "duplicate_doc", "unknown_doc"],
     )
     def test_tampered_log_rejected_on_load_and_resume(self, tmp_path, edit, problem):
         plan, log = self._tamper(tmp_path, edit)
@@ -329,9 +403,20 @@ class TestCellLog:
             with pytest.raises(ResumeMismatchError, match="layout"):
                 load(plan)
 
+    def test_layout_2_directory_rejected(self, tmp_path):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        manifest_path = Path(plan.output_dir) / plan.run_id / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest["layout_version"] = 2
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        for load in (load_artifacts, execute):
+            with pytest.raises(ResumeMismatchError, match="artifact layout 2, this version reads layout 3"):
+                load(plan)
+
     def test_interrupt_mid_cell_leaves_no_log_and_resume_reruns_it(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
-        log = cell_log(plan, "identity", "multi_turn", "doc-2")
+        log = group_log(plan, "identity", "multi_turn")
         calls = []
 
         class Interrupted(RuntimeError):
@@ -339,10 +424,10 @@ class TestCellLog:
 
         def interrupted_in_last_cell(request, backend):
             # 3 + 2 segment-level turns, 3 multi-turn turns for doc-1, then
-            # multi_turn/doc-2 is interrupted after its first turn. Its log
-            # must not exist yet: a process killed here leaves no .jsonl.
+            # multi_turn/doc-2 is interrupted after its first turn. Its record
+            # must not be written yet: a process killed here leaves only doc-1's.
             if len(calls) == 9:
-                assert not log.exists()
+                assert list(read_records(log)) == ["doc-1"]
                 raise Interrupted("simulated interrupt")
             calls.append(request.request_tag)
             return gateway.complete(request, backend)
@@ -351,21 +436,46 @@ class TestCellLog:
             execute(plan, complete_fn=interrupted_in_last_cell)
         cells_dir = Path(plan.output_dir) / plan.run_id / "cells"
         assert sorted(p.relative_to(cells_dir).as_posix() for p in cells_dir.rglob("*.*")) == [
-            "identity/multi_turn/doc-1.jsonl",
-            "identity/segment_level/doc-1.jsonl",
-            "identity/segment_level/doc-2.jsonl",
+            "identity/multi_turn.jsonl",
+            "identity/segment_level.jsonl",
         ]
+        assert list(read_records(log)) == ["doc-1"]
+        assert list(read_records(group_log(plan, "identity", "segment_level"))) == ["doc-1", "doc-2"]
 
-        resumed = []
-
-        def counting(request, backend):
-            resumed.append(request.request_tag)
-            return gateway.complete(request, backend)
-
-        artifacts = execute(plan, complete_fn=counting)
+        resumed: list[str] = []
+        artifacts = execute(plan, complete_fn=recording(resumed))
         assert resumed == ["doc-2:turn_0", "doc-2:turn_1"]
-        assert log.read_text("utf-8").count("\n") == 2
+        assert [len(r["turns"]) for r in read_records(log).values()] == [3, 2]
         assert len(artifacts.cells) == 4
+
+    @pytest.mark.parametrize("cut", ["half", "before_newline"])
+    def test_torn_record_ignored_on_load_and_resent_on_resume(self, tmp_path, cut):
+        """A crash while appending doc-2's record leaves part of it after the
+        last newline; that cell counts as not run."""
+        uninterrupted = plan_from_dict(minimal_plan_dict(tmp_path, run_id="uninterrupted"))
+        full = execute(uninterrupted)
+        emit_reports(full)
+        plan = plan_from_dict(minimal_plan_dict(tmp_path, run_id="torn"))
+        execute(plan)
+        log = group_log(plan, "identity", "multi_turn")
+        first, second = log.read_bytes().splitlines(keepends=True)
+        torn = second[: len(second) // 2] if cut == "half" else second[:-1]
+        log.write_bytes(first + torn)
+
+        loaded = load_artifacts(plan)
+        assert set(loaded.cells) == set(full.cells) - {
+            ("identity", "multi_turn", "doc-2")
+        }
+        resent: list[str] = []
+        artifacts = execute(plan, complete_fn=recording(resent))
+        assert resent == ["doc-2:turn_0", "doc-2:turn_1"]
+        assert log.read_bytes().startswith(first) and log.read_bytes().endswith(b"\n")
+        assert [len(r["turns"]) for r in read_records(log).values()] == [3, 2]
+        emit_reports(artifacts)
+        assert report_bytes(artifacts.run_dir) == report_bytes(
+            Path(uninterrupted.output_dir) / uninterrupted.run_id
+        )
+        assert set(load_artifacts(plan).cells) == set(artifacts.cells)
 
 
 def report_bytes(run_dir: Path) -> dict[str, bytes]:
