@@ -22,7 +22,7 @@ from .errors import (
     ResumeMismatchError,
 )
 from .runner.config import load_run_config
-from .runner.executor import execute, load_artifacts, load_testsets
+from .runner.executor import execute, load_artifacts
 from .runner.reports import emit_reports
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ def run(config_path: str, no_reports: bool) -> None:
     plan = _load_plan(config_path)
     try:
         artifacts = execute(plan)
-    except (CorpusError, ResumeMismatchError) as exc:
+    except (ConfigError, CorpusError, ResumeMismatchError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     except GatewayError as exc:
@@ -116,7 +116,7 @@ def report(config_path: str) -> None:
     plan = _load_plan(config_path)
     try:
         artifacts = load_artifacts(plan)
-        written = emit_reports(artifacts, load_testsets(plan))
+        written = emit_reports(artifacts)
     except DocturnError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)

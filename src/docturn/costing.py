@@ -7,7 +7,9 @@ messages match a prior request-plus-reply state element-wise). The prior
 states are kept in a prefix tree of messages, as in SGLang's RadixAttention,
 so a request's reuse is the depth it reaches in that tree. In uncached
 mode every turn pays for its full request. Generation tokens are charged
-identically in both modes; caching affects prefill only.
+identically in both modes; caching affects prefill only, so one walk yields
+both ledgers: the uncached entry of a turn is its cached entry with nothing
+reused.
 
 Each turn's walk resumes at the tree node of the longest prefix its request
 shares with the previous request-plus-reply state, and each distinct message
@@ -168,15 +170,13 @@ _M = TypeVar("_M")
 
 def _ledger_over_keyed_turns(
     turns: Iterable[tuple[Sequence[_M], _M]],
-    mode: str,
     keyed: Callable[[_M], _KeyedMessage] = lambda message: message,
-) -> CostLedger:
-    """Ledger of (request, reply) turns; keyed(message) gives a message's key
-    and tokens, and is asked only for the messages a turn appends. Equal
-    messages must have equal keys and tokens."""
-    if mode not in (MODE_CACHED, MODE_UNCACHED):
-        raise LedgerError(f"unknown ledger mode: {mode!r}")
-    ledger = CostLedger(mode=mode)
+) -> dict[str, CostLedger]:
+    """Cached and uncached ledgers of (request, reply) turns, by cache mode;
+    keyed(message) gives a message's key and tokens, and is asked only for
+    the messages a turn appends. Equal messages must have equal keys and
+    tokens."""
+    cached, uncached = CostLedger(mode=MODE_CACHED), CostLedger(mode=MODE_UNCACHED)
     # Prefix tree of every earlier request-plus-reply state: each node maps
     # a message key to the node of the one-message-longer prefix.
     root: dict = {}
@@ -206,32 +206,23 @@ def _ledger_over_keyed_turns(
         reply_key, generated = keyed(reply)
         path.append((node.setdefault(reply_key, {}), request_tokens + generated))
         state = request + (reply,)
-        if mode == MODE_UNCACHED:
-            reused = 0
-        ledger.entries.append(
-            LedgerEntry(
-                turn_index=i,
-                prefill_new=request_tokens - reused,
-                prefill_reused=reused,
-                generated=generated,
-            )
-        )
-    return ledger
+        cached.entries.append(LedgerEntry(i, request_tokens - reused, reused, generated))
+        uncached.entries.append(LedgerEntry(i, request_tokens, 0, generated))
+    return {MODE_CACHED: cached, MODE_UNCACHED: uncached}
 
 
 def ledger_for_session(
     transcript: Transcript,
-    mode: str,
     spec: TokenizerSpec,
     counts: dict[tuple[str, str], int] | None = None,
-) -> CostLedger:
-    """Token ledger for one session transcript.
+) -> dict[str, CostLedger]:
+    """Cached and uncached token ledgers for one session transcript.
 
     Cached mode charges each conversation token's prefill exactly once across
     the session; uncached mode charges every request in full. Multi-turn
     transcripts that violate prefix stability are refused: their history was
     rewritten, so no cache could have been reused. counts is the session's
-    message_tokens memo, to share the counting between calls.
+    message_tokens memo, to share the counting with the caller.
     """
     if transcript.strategy_mode is not None and transcript.strategy_mode.is_multi_turn:
         check_prefix_stability(
@@ -244,16 +235,7 @@ def ledger_for_session(
         return (message.role, message.content), message_tokens(message, spec, counts)
 
     turns = ((t.request_messages, assistant(t.response_text)) for t in transcript.turns)
-    return _ledger_over_keyed_turns(turns, mode, keyed)
-
-
-def conversation_token_count(transcript: Transcript, spec: TokenizerSpec) -> int:
-    """Tokens of the final conversation: last request plus its reply."""
-    if not transcript.turns:
-        return 0
-    last = transcript.turns[-1]
-    total = sum(count_tokens(m.content, spec) for m in last.request_messages)
-    return total + count_tokens(last.response_text, spec)
+    return _ledger_over_keyed_turns(turns, keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +328,9 @@ def _synthetic_turns(
     return turns
 
 
-def simulate_strategy_costs(strategy: Mode, shape: DocShape, mode: str) -> CostLedger:
-    """Ledger for a synthetic session of the given strategy and cache mode."""
-    return _ledger_over_keyed_turns(_synthetic_turns(strategy, shape), mode)
+def simulate_strategy_costs(strategy: Mode, shape: DocShape) -> dict[str, CostLedger]:
+    """Cached and uncached ledgers for a synthetic session of the given strategy."""
+    return _ledger_over_keyed_turns(_synthetic_turns(strategy, shape))
 
 
 @dataclass(frozen=True)
@@ -375,16 +357,11 @@ def compare_strategies(shape: DocShape) -> list[CostRow]:
     Ratios are against segment-level translation in the same cache mode, the
     conventional per-segment baseline.
     """
-    totals: dict[tuple[Mode, str], CostLedger] = {}
-    for strategy in Mode:
-        for cache_mode in (MODE_CACHED, MODE_UNCACHED):
-            totals[(strategy, cache_mode)] = simulate_strategy_costs(strategy, shape, cache_mode)
-
+    ledgers = {strategy: simulate_strategy_costs(strategy, shape) for strategy in Mode}
     rows: list[CostRow] = []
     for strategy in Mode:
-        for cache_mode in (MODE_CACHED, MODE_UNCACHED):
-            ledger = totals[(strategy, cache_mode)]
-            baseline = totals[(Mode.SEGMENT_LEVEL, cache_mode)].total_prefill_new
+        for cache_mode, ledger in ledgers[strategy].items():
+            baseline = ledgers[Mode.SEGMENT_LEVEL][cache_mode].total_prefill_new
             rows.append(
                 CostRow(
                     strategy=strategy,

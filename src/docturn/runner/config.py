@@ -109,15 +109,15 @@ class RunPlan:
         """Stable dict representation used for the resume-identity hash.
 
         It holds every setting that can change a run's outputs, and the
-        SHA-256 of each test set file's bytes, so an edited corpus is a
+        SHA-256 of the bytes of each file a run reads (test sets, mock
+        dictionaries, the external token-count file), so an edited file is a
         different run. Left out, as operational only: output_dir (it locates
         the run), max_concurrent_documents and each backend's timeout_s.
         """
         return {
             "run_id": self.run_id,
             "testsets": [
-                {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
-                for path in self.testsets
+                _file_identity(path, f"testsets[{i}]") for i, path in enumerate(self.testsets)
             ],
             "backends": [
                 {
@@ -128,10 +128,12 @@ class RunPlan:
                     "api_key_env_var": b.api_key_env_var,
                     "max_retries": b.max_retries,
                     "requests_per_minute": b.requests_per_minute,
-                    "dictionary_path": b.dictionary_path,
+                    "dictionary_path": _file_identity(
+                        b.dictionary_path, f"backends[{i}].dictionary_path"
+                    ),
                     "drop_fraction": b.drop_fraction,
                 }
-                for b in self.backends
+                for i, b in enumerate(self.backends)
             ],
             "strategies": [
                 {
@@ -154,7 +156,9 @@ class RunPlan:
                 for s in self.strategies
             ],
             "tokenizer": self.tokenizer,
-            "tokenizer_external_path": self.tokenizer_external_path,
+            "tokenizer_external_path": _file_identity(
+                self.tokenizer_external_path, "tokenizer.path"
+            ),
             "scoring": {
                 "blonde": self.scoring.blonde,
                 "scorer_command": list(self.scoring.scorer_command or ()),
@@ -171,6 +175,17 @@ class RunPlan:
     def config_hash(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _file_identity(path: str | None, key: str) -> dict[str, str] | None:
+    """A file a run reads, as its path and the SHA-256 of its bytes."""
+    if path is None:
+        return None
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot read {path} ({exc.strerror})") from None
+    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _reject_unknown(record: dict, allowed: set[str], path: str) -> None:

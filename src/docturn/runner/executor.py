@@ -19,6 +19,11 @@ one document, a record for a document outside the test set, a record whose
 requests differ from the rebuilt ones or that has a missing or extra turn,
 and a directory from a different configuration or another layout.
 
+The manifest is written before the first request, so an interrupted first
+run can be loaded, scored and resumed, and is replaced whole at the end with
+the run's exclusions. A run directory holding files but no manifest is from
+an older version, which wrote the manifest last, and is refused.
+
 Layout under <output_dir>/<run_id>/:
     manifest.json
     cells/<backend>/<strategy>.jsonl
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,21 +46,15 @@ from typing import BinaryIO, Callable
 from .. import gateway
 from ..chat import ChatRequest, ChatResponse, Message, assistant, common_prefix_length
 from ..corpus import Document, TestSet, load_corpus
-from ..costing import (
-    MODE_CACHED,
-    MODE_UNCACHED,
-    Transcript,
-    TranscriptTurn,
-    ledger_for_session,
-    message_tokens,
-)
+from ..costing import Transcript, TranscriptTurn, ledger_for_session, message_tokens
 from ..errors import DocturnError, GatewayError, ResumeMismatchError
 from ..prompts import PromptTemplateSet, load_template_set
 from ..strategy import (
     DocumentTranslation,
     StrategyConfig,
     assemble_hypothesis,
-    check_prefix_stability,
+    # ledger_for_session runs the check; bench/harness.py's tracer patches this name.
+    check_prefix_stability,  # noqa: F401
     ingest_response,
     init_session,
     next_request,
@@ -64,6 +64,7 @@ from .config import RunPlan
 logger = logging.getLogger(__name__)
 
 LAYOUT_VERSION = 3
+MANIFEST = "manifest.json"
 
 CompleteFn = Callable[[ChatRequest, gateway.BackendConfig], ChatResponse]
 
@@ -81,6 +82,7 @@ class CellArtifact:
 class RunArtifacts:
     run_dir: Path
     plan: RunPlan
+    testset: TestSet
     cells: dict[CellKey, CellArtifact] = field(default_factory=dict)
     exclusions: list[dict] = field(default_factory=list)
 
@@ -123,8 +125,8 @@ def _drive_cell(
     reply: Callable[[int, ChatRequest, tuple[Message, ...]], ChatResponse],
 ) -> CellArtifact:
     """Run one document session, taking each reply from reply(turn, request,
-    previous request-plus-reply), then derive the translation and both
-    ledgers from its transcript."""
+    previous request-plus-reply), then derive both ledgers, which checks its
+    prefix stability, and the translation from its transcript."""
     session = init_session(strategy, doc, templates)
     transcript = Transcript(doc_id=doc.id, strategy_mode=strategy.mode)
     spec = plan.tokenizer_spec(doc.tgt_lang)
@@ -153,18 +155,9 @@ def _drive_cell(
             raise GatewayError(f"{session.failure_reason}: document '{doc.id}' at turn {turn}")
         turn += 1
 
-    if strategy.mode.is_multi_turn:
-        check_prefix_stability(
-            [t.request_messages for t in transcript.turns],
-            [t.response_text for t in transcript.turns],
-        )
-
-    translation = assemble_hypothesis(session)
-    ledgers = {
-        mode: ledger_for_session(transcript, mode, spec, counts).to_dict()
-        for mode in (MODE_CACHED, MODE_UNCACHED)
-    }
-    return CellArtifact(translation=translation, ledgers=ledgers, transcript=transcript)
+    ledgers = ledger_for_session(transcript, spec, counts)
+    serialized = {mode: ledger.to_dict() for mode, ledger in ledgers.items()}
+    return CellArtifact(assemble_hypothesis(session), serialized, transcript)
 
 
 def _run_cell(
@@ -266,35 +259,47 @@ def _read_group_log(log: Path, doc_ids: set[str]) -> tuple[dict[str, tuple[int, 
     return records, complete_bytes
 
 
-def _read_manifest(run_dir: Path, plan: RunPlan) -> dict:
-    manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
+def _read_manifest(run_dir: Path, config_hash: str) -> dict | None:
+    """The run directory's manifest, None if it has none; refused unless its
+    layout is this version's and its config hash is config_hash."""
+    try:
+        manifest = json.loads((run_dir / MANIFEST).read_text("utf-8"))
+    except FileNotFoundError:
+        return None
     if manifest.get("layout_version") != LAYOUT_VERSION:
         raise ResumeMismatchError(
             f"{run_dir} has artifact layout {manifest.get('layout_version')!r}, "
             f"this version reads layout {LAYOUT_VERSION}; re-run into a new directory"
         )
-    if manifest.get("config_hash") != plan.config_hash:
+    if manifest.get("config_hash") != config_hash:
         raise ResumeMismatchError(
             f"{run_dir} was produced by config_hash {manifest.get('config_hash')!r}, "
-            f"current plan hashes to {plan.config_hash!r}; refusing to mix runs"
+            f"current plan hashes to {config_hash!r}; refusing to mix runs"
         )
     return manifest
 
 
-def _load_completed(
-    artifacts: RunArtifacts, testset: TestSet, templates: PromptTemplateSet
-) -> list[_Group]:
+def _write_manifest(run_dir: Path, manifest: dict) -> None:
+    """Replace the manifest whole, so a crash leaves the old one or the new one."""
+    staged = run_dir / f"{MANIFEST}.tmp"
+    staged.write_text(
+        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n", "utf-8"
+    )
+    os.replace(staged, run_dir / MANIFEST)
+
+
+def _load_completed(artifacts: RunArtifacts, templates: PromptTemplateSet) -> list[_Group]:
     """Replay every cell that has a record into artifacts.cells, reading each
     group log once; return every (backend, strategy) group with the documents
     that have no record."""
-    doc_ids = {doc.id for doc in testset}
+    doc_ids = {doc.id for doc in artifacts.testset}
     groups = []
     for backend in artifacts.plan.backends:
         for strategy in artifacts.plan.strategies:
             log = _group_log(artifacts.run_dir, backend.name, strategy.label)
             records, complete_bytes = _read_group_log(log, doc_ids)
             pending: list[Document] = []
-            for doc in testset:
+            for doc in artifacts.testset:
                 if doc.id in records:
                     number, turns = records[doc.id]
                     artifacts.cells[(backend.name, strategy.label, doc.id)] = _replay_cell(
@@ -321,40 +326,42 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
         if backend.kind == "openai_compatible":
             backend.require_api_key()
 
-    testset = load_testsets(plan)
     run_dir = Path(plan.output_dir) / plan.run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = run_dir / "manifest.json"
-    if manifest_path.exists():
-        created_at = _read_manifest(run_dir, plan).get("created_at", "")
-    else:
-        created_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-
-    artifacts = RunArtifacts(run_dir=run_dir, plan=plan)
+    artifacts = RunArtifacts(run_dir=run_dir, plan=plan, testset=load_testsets(plan))
+    config_hash = plan.config_hash
     templates = load_template_set(plan.template_set)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    found = _read_manifest(run_dir, config_hash)
+    if found is None and any(p.name != f"{MANIFEST}.tmp" for p in run_dir.iterdir()):
+        raise ResumeMismatchError(
+            f"{run_dir} has files but no {MANIFEST}: an older version wrote it; "
+            "re-run into a new directory"
+        )
+    now = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    manifest = {
+        "run_id": plan.run_id,
+        "layout_version": LAYOUT_VERSION,
+        "config_hash": config_hash,
+        "template_set": plan.template_set,
+        "template_set_hash": templates.content_hash,
+        "created_at": now if found is None else found.get("created_at", ""),
+        "exclusions": [],
+    }
+    if found is None:
+        _write_manifest(run_dir, manifest)
 
-    for group in _load_completed(artifacts, testset, templates):
+    for group in _load_completed(artifacts, templates):
         if group.pending:
             group.log.parent.mkdir(parents=True, exist_ok=True)
             with group.log.open("ab") as log:
                 log.truncate(group.complete_bytes)  # drop a record torn by a crash
                 _run_group(plan, artifacts, group, templates, complete, log)
 
-    manifest = {
-        "run_id": plan.run_id,
-        "layout_version": LAYOUT_VERSION,
-        "config_hash": plan.config_hash,
-        "template_set": plan.template_set,
-        "template_set_hash": templates.content_hash,
-        "created_at": created_at,
-        "exclusions": sorted(
-            artifacts.exclusions, key=lambda e: (e["backend"], e["strategy"], e["doc_id"])
-        ),
-        "completed_cells": len(artifacts.cells),
-    }
-    manifest_path.write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n", "utf-8"
+    manifest["exclusions"] = sorted(
+        artifacts.exclusions, key=lambda e: (e["backend"], e["strategy"], e["doc_id"])
     )
+    manifest["completed_cells"] = len(artifacts.cells)
+    _write_manifest(run_dir, manifest)
     return artifacts
 
 
@@ -426,10 +433,14 @@ def _handle_failure(
 def load_artifacts(plan: RunPlan) -> RunArtifacts:
     """Load previously executed cells from disk (for score/report commands)."""
     run_dir = Path(plan.output_dir) / plan.run_id
-    if not (run_dir / "manifest.json").exists():
-        raise DocturnError(f"no run found at {run_dir} (missing manifest.json)")
-    manifest = _read_manifest(run_dir, plan)
-    artifacts = RunArtifacts(run_dir=run_dir, plan=plan)
-    artifacts.exclusions = list(manifest.get("exclusions", []))
-    _load_completed(artifacts, load_testsets(plan), load_template_set(plan.template_set))
+    manifest = _read_manifest(run_dir, plan.config_hash)
+    if manifest is None:
+        raise DocturnError(f"no run found at {run_dir} (missing {MANIFEST})")
+    artifacts = RunArtifacts(run_dir=run_dir, plan=plan, testset=load_testsets(plan))
+    _load_completed(artifacts, load_template_set(plan.template_set))
+    # An interrupted resume leaves stale exclusions for cells it completed.
+    artifacts.exclusions = [
+        e for e in manifest.get("exclusions", [])
+        if (e["backend"], e["strategy"], e["doc_id"]) not in artifacts.cells
+    ]
     return artifacts

@@ -20,13 +20,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..corpus import TestSet
 from ..metrics.bleu import BleuConfig
 from ..metrics.report import ReferenceSides, StrategyMetrics, score_strategy
 from ..metrics.segment_mean import SubprocessScorer
 from ..strategy import Mode, StrategyConfig
 from .config import RunPlan
-from .executor import RunArtifacts, load_testsets
+from .executor import RunArtifacts
 
 MISSING = "-"
 
@@ -50,9 +49,7 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([line(header), sep] + [line(r) for r in rows]) + "\n"
 
 
-def _strategy_scores(
-    artifacts: RunArtifacts, testset: TestSet
-) -> dict[tuple[str, str], StrategyMetrics]:
+def _strategy_scores(artifacts: RunArtifacts) -> dict[tuple[str, str], StrategyMetrics]:
     plan = artifacts.plan
     bleu_cfg = BleuConfig(
         max_n=plan.scoring.max_n, case_sensitive=plan.scoring.case_sensitive
@@ -68,7 +65,7 @@ def _strategy_scores(
         for strategy in plan.strategies:
             translations = artifacts.translations_for(backend.name, strategy.label)
             out[(backend.name, strategy.label)] = score_strategy(
-                testset,
+                artifacts.testset,
                 translations,
                 bleu_config=bleu_cfg,
                 compute_blonde=plan.scoring.blonde,
@@ -100,14 +97,13 @@ def _baseline_label(plan: RunPlan) -> str | None:
     return None
 
 
-def emit_reports(artifacts: RunArtifacts, testset: TestSet | None = None) -> list[Path]:
-    """Write every report file; returns the paths written."""
+def emit_reports(artifacts: RunArtifacts) -> list[Path]:
+    """Write every report file, scoring against the test set the artifacts
+    were loaded with; returns the paths written."""
     plan = artifacts.plan
-    if testset is None:
-        testset = load_testsets(plan)
     reports_dir = artifacts.run_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    scores = _strategy_scores(artifacts, testset)
+    scores = _strategy_scores(artifacts)
     written: list[Path] = []
 
     # (a) Main table: strategy x metric, averaged across directions.

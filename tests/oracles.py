@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from docturn.costing import count_tokens
+
 
 def naive_ngrams(tokens: list[str], n: int) -> dict[tuple[str, ...], int]:
     counts: dict[tuple[str, ...], int] = {}
@@ -132,6 +134,16 @@ def all_states_cached_ledger(turns: list) -> list[tuple[int, int, int]]:
         entries.append((sum(t for _, t in request) - reused, reused, reply[1]))
         states.append(list(request) + [reply])
     return entries
+
+
+def conversation_token_count(transcript, spec) -> int:
+    """Tokens of a session's final conversation, its last request plus the
+    reply; a cached ledger's prefill plus generation must equal it."""
+    if not transcript.turns:
+        return 0
+    last = transcript.turns[-1]
+    total = sum(count_tokens(m.content, spec) for m in last.request_messages)
+    return total + count_tokens(last.response_text, spec)
 
 
 # BlonDE-lite connectives by the plain scan: every listed phrase tried at

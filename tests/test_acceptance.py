@@ -24,7 +24,6 @@ from docturn.costing import (
     MODE_UNCACHED,
     DocShape,
     TokenizerSpec,
-    conversation_token_count,
     ledger_for_session,
     simulate_strategy_costs,
 )
@@ -46,6 +45,7 @@ from docturn.strategy import (
 )
 
 from . import oracles
+from .oracles import conversation_token_count
 from .conftest import make_random_document
 from .test_costing import multi_turn_transcript
 
@@ -193,8 +193,8 @@ def test_criterion_6_cost_ledger_identities():
     for _ in range(500):
         k = rng.randint(1, 10)
         transcript = multi_turn_transcript(k, rng.randint(1, 50), rng.randint(1, 50))
-        cached = ledger_for_session(transcript, MODE_CACHED, WS)
-        uncached = ledger_for_session(transcript, MODE_UNCACHED, WS)
+        cached = ledger_for_session(transcript, WS)[MODE_CACHED]
+        uncached = ledger_for_session(transcript, WS)[MODE_UNCACHED]
         if cached.total_prefill_new + cached.total_generated != conversation_token_count(
             transcript, WS
         ):
@@ -207,8 +207,8 @@ def test_criterion_6_cost_ledger_identities():
             monotonicity_failures += 1
 
     worked = multi_turn_transcript(3, 110, 100)
-    cached_total = ledger_for_session(worked, MODE_CACHED, WS).total_prefill_new
-    uncached_total = ledger_for_session(worked, MODE_UNCACHED, WS).total_prefill_new
+    cached_total = ledger_for_session(worked, WS)[MODE_CACHED].total_prefill_new
+    uncached_total = ledger_for_session(worked, WS)[MODE_UNCACHED].total_prefill_new
     ok = (
         identity_failures == 0
         and monotonicity_failures == 0
@@ -237,8 +237,8 @@ def test_criterion_7_cost_scaling_shape():
     closed_form_ok = True
     for k in ks:
         shape = DocShape.uniform(k, s, t)
-        uncached = simulate_strategy_costs(Mode.MULTI_TURN, shape, MODE_UNCACHED).total_prefill_new
-        cached = simulate_strategy_costs(Mode.MULTI_TURN, shape, MODE_CACHED).total_prefill_new
+        uncached = simulate_strategy_costs(Mode.MULTI_TURN, shape)[MODE_UNCACHED].total_prefill_new
+        cached = simulate_strategy_costs(Mode.MULTI_TURN, shape)[MODE_CACHED].total_prefill_new
         uncached_totals.append(uncached)
         cached_totals.append(cached)
         if uncached != oracles.closed_form_multi_turn_uncached(k, s, t):

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from docturn import gateway
 from docturn.cli import main
 from docturn.costing import DocShape, compare_strategies, comparison_csv
+from docturn.runner import executor
+from docturn.runner.config import load_run_config
 
 from .conftest import write_jsonl
 from .test_runner import minimal_plan_dict
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.fixture
@@ -80,6 +86,49 @@ class TestRun:
         assert report.exit_code == 0
         assert "per_domain.csv" in report.output
 
+    def test_report_after_interrupted_first_run_exit_0(self, runner, tmp_path):
+        config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
+        calls = []
+
+        def interrupted(request, backend):
+            if len(calls) == 3:  # segment_level/doc-1 has completed
+                raise RuntimeError("simulated interrupt")
+            calls.append(request.request_tag)
+            return gateway.complete(request, backend)
+
+        with pytest.raises(RuntimeError):
+            executor.execute(load_run_config(config), complete_fn=interrupted)
+        report = runner.invoke(main, ["report", "--config", config])
+        assert report.exit_code == 0, report.output
+        assert "main.csv" in report.output
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_test_set_parsed_once_per_command(self, runner, tmp_path, monkeypatch, command):
+        config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
+        if command == "report":
+            assert runner.invoke(main, ["run", "--config", config]).exit_code == 0
+        parsed = []
+        original = executor.load_corpus
+
+        def load_corpus(path):
+            parsed.append(path)
+            return original(path)
+
+        monkeypatch.setattr(executor, "load_corpus", load_corpus)
+        result = runner.invoke(main, [command, "--config", config])
+        assert result.exit_code == 0, result.output
+        assert parsed == [str(tmp_path / "corpus.jsonl")]
+
+    def test_missing_dictionary_exit_1_names_key(self, runner, tmp_path):
+        record = minimal_plan_dict(tmp_path, backends=[
+            {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "missing.json"}
+        ])
+        config = self.write_config(tmp_path, record)
+        result = runner.invoke(main, ["run", "--config", config])
+        assert result.exit_code == 1
+        assert "backends[0].dictionary_path" in result.output
+        assert not (tmp_path / "runs" / "test-run").exists()
+
     def test_score_without_run_exit_2(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
         result = runner.invoke(main, ["score", "--config", config])
@@ -95,6 +144,14 @@ class TestSimulateCost:
         assert result.exit_code == 0
         expected = comparison_csv(compare_strategies(DocShape.uniform(8, 100, 100)))
         assert result.output == expected
+
+    def test_readme_example_is_byte_identical(self, runner):
+        result = runner.invoke(
+            main,
+            ["simulate-cost", "--segments", "8", "--seg-tokens", "100", "--out-tokens", "100"],
+        )
+        assert result.exit_code == 0
+        assert result.output == (GOLDEN / "simulate_cost_readme.csv").read_text("utf-8")
 
     def test_writes_csv_file(self, runner, tmp_path):
         out = tmp_path / "costs.csv"

@@ -20,7 +20,6 @@ from docturn.costing import (
     _synthetic_turns,
     compare_strategies,
     comparison_csv,
-    conversation_token_count,
     count_tokens,
     ledger_for_session,
     simulate_strategy_costs,
@@ -30,6 +29,7 @@ from docturn.errors import LedgerError, PrefixStabilityError
 from docturn.strategy import Mode
 
 from . import oracles
+from .oracles import conversation_token_count
 
 WS = TokenizerSpec("whitespace")
 
@@ -78,23 +78,23 @@ def multi_turn_transcript(k: int, user_tokens: int, reply_tokens: int) -> Transc
 class TestWorkedExample:
     # k=3 turns, 110-token user messages, 100-token replies.
     def test_cached_total_prefill_new(self):
-        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), MODE_CACHED, WS)
+        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), WS)[MODE_CACHED]
         assert ledger.total_prefill_new == 330
 
     def test_uncached_per_turn_and_total(self):
-        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), MODE_UNCACHED, WS)
+        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), WS)[MODE_UNCACHED]
         assert [e.prefill_new for e in ledger.entries] == [110, 320, 530]
         assert ledger.total_prefill_new == 960
         assert ledger.total_prefill_reused == 0
 
     def test_single_turn_cached_equals_uncached(self):
         transcript = multi_turn_transcript(1, 110, 100)
-        cached = ledger_for_session(transcript, MODE_CACHED, WS)
-        uncached = ledger_for_session(transcript, MODE_UNCACHED, WS)
+        cached = ledger_for_session(transcript, WS)[MODE_CACHED]
+        uncached = ledger_for_session(transcript, WS)[MODE_UNCACHED]
         assert cached.total_prefill_new == uncached.total_prefill_new == 110
 
     def test_cached_reuse_matches_conversation_growth(self):
-        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), MODE_CACHED, WS)
+        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), WS)[MODE_CACHED]
         # Reused prefill at turn i equals all conversation tokens before the
         # new user message: 0, 210, 420.
         assert [e.prefill_reused for e in ledger.entries] == [0, 210, 420]
@@ -106,7 +106,7 @@ class TestLedgerInvariants:
         for _ in range(25):
             k = rng.randint(1, 8)
             transcript = multi_turn_transcript(k, rng.randint(1, 40), rng.randint(1, 40))
-            ledger = ledger_for_session(transcript, MODE_CACHED, WS)
+            ledger = ledger_for_session(transcript, WS)[MODE_CACHED]
             assert (
                 ledger.total_prefill_new + ledger.total_generated
                 == conversation_token_count(transcript, WS)
@@ -117,8 +117,8 @@ class TestLedgerInvariants:
         for _ in range(25):
             k = rng.randint(1, 8)
             transcript = multi_turn_transcript(k, rng.randint(1, 40), rng.randint(1, 40))
-            cached = ledger_for_session(transcript, MODE_CACHED, WS)
-            uncached = ledger_for_session(transcript, MODE_UNCACHED, WS)
+            cached = ledger_for_session(transcript, WS)[MODE_CACHED]
+            uncached = ledger_for_session(transcript, WS)[MODE_UNCACHED]
             assert uncached.total_prefill_new >= cached.total_prefill_new
             if cached.total_prefill_reused == 0:
                 assert uncached.total_prefill_new == cached.total_prefill_new
@@ -132,7 +132,7 @@ class TestLedgerInvariants:
         tampered = (user("something else"),) + last.request_messages[1:]
         transcript.turns[-1] = TranscriptTurn(tampered, last.response_text)
         with pytest.raises(PrefixStabilityError):
-            ledger_for_session(transcript, MODE_CACHED, WS)
+            ledger_for_session(transcript, WS)[MODE_CACHED]
 
     def test_reply_not_carried_verbatim_refused(self):
         transcript = multi_turn_transcript(3, 5, 5)
@@ -142,7 +142,7 @@ class TestLedgerInvariants:
         messages[-2] = assistant(messages[-2].content + " edited")
         transcript.turns[-1] = TranscriptTurn(tuple(messages), last.response_text)
         with pytest.raises(PrefixStabilityError, match="verbatim"):
-            ledger_for_session(transcript, MODE_CACHED, WS)
+            ledger_for_session(transcript, WS)[MODE_CACHED]
 
     def test_segment_level_reuses_only_shared_prefix(self):
         shared = Message("system", words(7, "s"))
@@ -151,14 +151,14 @@ class TestLedgerInvariants:
             transcript.turns.append(
                 TranscriptTurn((shared, user(words(5, f"u{i}_"))), words(4, f"a{i}_"))
             )
-        cached = ledger_for_session(transcript, MODE_CACHED, WS)
+        cached = ledger_for_session(transcript, WS)[MODE_CACHED]
         assert [e.prefill_reused for e in cached.entries] == [0, 7, 7]
-        uncached = ledger_for_session(transcript, MODE_UNCACHED, WS)
+        uncached = ledger_for_session(transcript, WS)[MODE_UNCACHED]
         assert uncached.total_prefill_new - cached.total_prefill_new == 14
 
     def test_additivity_of_entries(self):
         transcript = multi_turn_transcript(5, 9, 4)
-        ledger = ledger_for_session(transcript, MODE_CACHED, WS)
+        ledger = ledger_for_session(transcript, WS)[MODE_CACHED]
         assert ledger.total_prefill_new == sum(e.prefill_new for e in ledger.entries)
         assert ledger.total_generated == sum(e.generated for e in ledger.entries)
 
@@ -171,7 +171,7 @@ class TestLedgerInvariants:
 )
 def test_cached_ledger_identity_property(k, user_tokens, reply_tokens):
     transcript = multi_turn_transcript(k, user_tokens, reply_tokens)
-    ledger = ledger_for_session(transcript, MODE_CACHED, WS)
+    ledger = ledger_for_session(transcript, WS)[MODE_CACHED]
     assert ledger.total_prefill_new + ledger.total_generated == conversation_token_count(
         transcript, WS
     )
@@ -182,30 +182,30 @@ class TestSimulation:
     def test_multi_turn_against_closed_forms(self, k):
         s, t, o, sp = 100, 100, 12, 0
         shape = DocShape.uniform(k, s, t, instruction_overhead=o, shared_prefix_tokens=sp)
-        uncached = simulate_strategy_costs(Mode.MULTI_TURN, shape, MODE_UNCACHED)
-        cached = simulate_strategy_costs(Mode.MULTI_TURN, shape, MODE_CACHED)
+        uncached = simulate_strategy_costs(Mode.MULTI_TURN, shape)[MODE_UNCACHED]
+        cached = simulate_strategy_costs(Mode.MULTI_TURN, shape)[MODE_CACHED]
         assert uncached.total_prefill_new == oracles.closed_form_multi_turn_uncached(k, s, t, o, sp)
         assert cached.total_prefill_new == oracles.closed_form_multi_turn_cached(k, s, o, sp)
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_segment_level_cache_only_affects_shared_prefix(self, k):
         shape = DocShape.uniform(k, 50, 60, instruction_overhead=5, shared_prefix_tokens=200)
-        cached = simulate_strategy_costs(Mode.SEGMENT_LEVEL, shape, MODE_CACHED)
-        uncached = simulate_strategy_costs(Mode.SEGMENT_LEVEL, shape, MODE_UNCACHED)
+        cached = simulate_strategy_costs(Mode.SEGMENT_LEVEL, shape)[MODE_CACHED]
+        uncached = simulate_strategy_costs(Mode.SEGMENT_LEVEL, shape)[MODE_UNCACHED]
         assert uncached.total_prefill_new - cached.total_prefill_new == 200 * (k - 1)
 
     def test_source_primed_adds_primer_once_in_cached_mode(self):
         shape = DocShape.uniform(6, 40, 50, instruction_overhead=8, primer_intro_overhead=25)
-        cached_sp = simulate_strategy_costs(Mode.MULTI_TURN_SP, shape, MODE_CACHED)
-        cached_mt = simulate_strategy_costs(Mode.MULTI_TURN, shape, MODE_CACHED)
+        cached_sp = simulate_strategy_costs(Mode.MULTI_TURN_SP, shape)[MODE_CACHED]
+        cached_mt = simulate_strategy_costs(Mode.MULTI_TURN, shape)[MODE_CACHED]
         primer_tokens = 25 + 6 * 40
         assert cached_sp.total_prefill_new - cached_mt.total_prefill_new == primer_tokens
 
     def test_generated_tokens_equal_in_both_modes(self):
         shape = DocShape.uniform(5, 30, 45)
         for strategy in Mode:
-            cached = simulate_strategy_costs(strategy, shape, MODE_CACHED)
-            uncached = simulate_strategy_costs(strategy, shape, MODE_UNCACHED)
+            cached = simulate_strategy_costs(strategy, shape)[MODE_CACHED]
+            uncached = simulate_strategy_costs(strategy, shape)[MODE_UNCACHED]
             assert cached.total_generated == uncached.total_generated
 
 
@@ -227,6 +227,18 @@ class TestCompareStrategies:
             mt.total_prefill / base.total_prefill
         )
 
+    def test_one_walk_per_strategy(self, monkeypatch):
+        walks = []
+        original = costing._ledger_over_keyed_turns
+
+        def walk(turns, *args):
+            walks.append(turns)
+            return original(turns, *args)
+
+        monkeypatch.setattr(costing, "_ledger_over_keyed_turns", walk)
+        compare_strategies(DocShape.uniform(4, 10, 10))
+        assert len(walks) == len(Mode)
+
     def test_csv_has_documented_column_order(self):
         csv = comparison_csv(compare_strategies(DocShape.uniform(2, 5, 5)))
         header = csv.splitlines()[0]
@@ -240,8 +252,8 @@ def test_ledger_matches_simulation_on_real_transcript():
     transcript = multi_turn_transcript(k, user_tokens, reply_tokens)
     shape = DocShape.uniform(k, user_tokens, reply_tokens)
     for mode in (MODE_CACHED, MODE_UNCACHED):
-        real = ledger_for_session(transcript, mode, WS)
-        synthetic = simulate_strategy_costs(Mode.MULTI_TURN, shape, mode)
+        real = ledger_for_session(transcript, WS)[mode]
+        synthetic = simulate_strategy_costs(Mode.MULTI_TURN, shape)[mode]
         assert real.total_prefill_new == synthetic.total_prefill_new
         assert real.total_generated == synthetic.total_generated
 
@@ -280,9 +292,10 @@ def test_prefix_tree_ledger_matches_all_states_oracle():
     rng = random.Random(2312)
     for _ in range(500):
         turns = random_keyed_turns(rng)
-        cached = _ledger_over_keyed_turns(turns, MODE_CACHED)
+        ledgers = _ledger_over_keyed_turns(turns)
+        cached = ledgers[MODE_CACHED]
         assert _entries(cached) == oracles.all_states_cached_ledger(turns)
-        uncached = _ledger_over_keyed_turns(turns, MODE_UNCACHED)
+        uncached = ledgers[MODE_UNCACHED]
         assert _entries(uncached) == [(sum(t for _, t in r), 0, a[1]) for r, a in turns]
 
 
@@ -291,7 +304,7 @@ def test_repeated_paragraph_reuses_an_older_state():
     # state is turn 0's, not the previous one.
     shared, u0, u1 = ("icl", 10), ("u0", 5), ("u1", 7)
     turns = [([shared, u0], ("a0", 4)), ([shared, u1], ("a1", 4)), ([shared, u0], ("a0", 4))]
-    cached = _ledger_over_keyed_turns(turns, MODE_CACHED)
+    cached = _ledger_over_keyed_turns(turns)[MODE_CACHED]
     assert [e.prefill_reused for e in cached.entries] == [0, 10, 15]
     assert _entries(cached) == oracles.all_states_cached_ledger(turns)
 
@@ -325,34 +338,33 @@ def test_ledger_counts_each_distinct_message_once(monkeypatch, transcript):
         {m.content for t in transcript.turns for m in t.request_messages}
         | {t.response_text for t in transcript.turns}
     )
-    for mode in (MODE_CACHED, MODE_UNCACHED):
-        counted.clear()
-        ledger_for_session(transcript, mode, WS)
-        assert sorted(counted) == distinct
-    # One memo shared by both ledgers of a session counts each message once.
-    counted.clear()
+    # One walk gives both ledgers and counts each message once.
     counts: dict = {}
-    modes = (MODE_CACHED, MODE_UNCACHED)
-    shared = [ledger_for_session(transcript, mode, WS, counts) for mode in modes]
+    ledgers = ledger_for_session(transcript, WS, counts)
     assert sorted(counted) == distinct
-    assert [_entries(ledger) for ledger in shared] == [
-        _entries(ledger_for_session(transcript, mode, WS)) for mode in modes
-    ]
+    # A memo already filled, as the executor passes it, counts nothing more.
+    counted.clear()
+    again = ledger_for_session(transcript, WS, counts)
+    assert counted == []
+    assert {mode: _entries(ledger) for mode, ledger in again.items()} == {
+        mode: _entries(ledger) for mode, ledger in ledgers.items()
+    }
 
 
 @pytest.mark.parametrize("strategy", [Mode.MULTI_TURN, Mode.SEGMENT_LEVEL])
 def test_ledger_walks_only_appended_messages(strategy):
     # 64 turns over a shared prefix: the first turn appends the prefix, and
-    # every turn a user message and the reply. At the parent commit every
-    # request was walked in full.
+    # every turn a user message and the reply. One walk yields both ledgers,
+    # so keyed is asked 1 + 2k times for the two together.
     turns = _synthetic_turns(strategy, DocShape.uniform(64, 5, 4, shared_prefix_tokens=3))
+    seen = []
+
+    def keyed(message):
+        seen.append(message)
+        return message
+
+    ledgers = _ledger_over_keyed_turns(turns, keyed)
+    assert len(seen) == 1 + 2 * 64
+    plain = _ledger_over_keyed_turns(turns)
     for mode in (MODE_CACHED, MODE_UNCACHED):
-        seen = []
-
-        def keyed(message):
-            seen.append(message)
-            return message
-
-        ledger = _ledger_over_keyed_turns(turns, mode, keyed)
-        assert len(seen) == 1 + 2 * 64
-        assert _entries(ledger) == _entries(_ledger_over_keyed_turns(turns, mode))
+        assert _entries(ledgers[mode]) == _entries(plain[mode])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import threading
 import time
 from collections import Counter
@@ -16,6 +17,7 @@ from docturn.corpus import Exemplar
 from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
 from docturn.gateway import BackendConfig
 from docturn.metrics import report as report_module
+from docturn.runner import executor
 from docturn.runner.config import RunPlan, ScoringConfig, load_run_config, plan_from_dict
 from docturn.runner.executor import execute, load_artifacts, load_testsets
 from docturn.runner.reports import emit_reports
@@ -680,6 +682,10 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
     """(class, field) -> the plan with only that field changed."""
     copy = tmp_path / "copy.jsonl"
     copy.write_bytes(Path(plan.testsets[0]).read_bytes())
+    dictionary = tmp_path / "dict.json"
+    dictionary.write_text('{"One": "Eins"}', "utf-8")
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"One": 1}', "utf-8")
     return {
         (RunPlan, "run_id"): dataclasses.replace(plan, run_id="other-run"),
         (RunPlan, "testsets"): dataclasses.replace(plan, testsets=[str(copy)]),
@@ -689,7 +695,7 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
         (RunPlan, "strategies"): dataclasses.replace(plan, strategies=plan.strategies[:1]),
         (RunPlan, "tokenizer"): dataclasses.replace(plan, tokenizer="whitespace"),
         (RunPlan, "tokenizer_external_path"): dataclasses.replace(
-            plan, tokenizer_external_path="counts.json"
+            plan, tokenizer_external_path=str(counts)
         ),
         (RunPlan, "scoring"): dataclasses.replace(plan, scoring=ScoringConfig(top_n=3)),
         (RunPlan, "fail_policy"): dataclasses.replace(plan, fail_policy="halt"),
@@ -706,7 +712,7 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
         (BackendConfig, "api_key_env_var"): _with_backend(plan, api_key_env_var="OTHER_KEY"),
         (BackendConfig, "max_retries"): _with_backend(plan, max_retries=9),
         (BackendConfig, "requests_per_minute"): _with_backend(plan, requests_per_minute=10),
-        (BackendConfig, "dictionary_path"): _with_backend(plan, dictionary_path="dict.json"),
+        (BackendConfig, "dictionary_path"): _with_backend(plan, dictionary_path=str(dictionary)),
         (BackendConfig, "drop_fraction"): _with_backend(plan, drop_fraction=0.5),
         (BackendConfig, "timeout_s"): _with_backend(plan, timeout_s=5.0),
         (StrategyConfig, "mode"): _with_strategy(plan, 0, mode=Mode.SINGLE_TURN),
@@ -764,6 +770,47 @@ class TestResumeIdentity:
         assert edited.testsets == plan.testsets
         with pytest.raises(ResumeMismatchError, match="config_hash"):
             execute(edited)
+
+    def test_edited_dictionary_refuses_resume(self, tmp_path):
+        """A mock dictionary edited between an interrupted run and its resume
+        would translate the remaining documents differently."""
+        dictionary = tmp_path / "dict.json"
+        dictionary.write_text('{"One": "Eins"}', "utf-8")
+        record = minimal_plan_dict(tmp_path, backends=[
+            {"kind": "mock_dictionary", "name": "dict", "dictionary_path": str(dictionary)}
+        ])
+        plan = plan_from_dict(record)
+
+        def interrupted_after_doc_1(request, backend):
+            if request.request_tag.startswith("doc-2"):
+                raise RuntimeError("simulated interrupt")
+            return gateway.complete(request, backend)
+
+        with pytest.raises(RuntimeError):
+            execute(plan, complete_fn=interrupted_after_doc_1)
+        dictionary.write_text('{"One": "Uno"}', "utf-8")
+        edited = plan_from_dict(record)
+        assert edited.backends == plan.backends
+        sent: list[str] = []
+        with pytest.raises(ResumeMismatchError, match="config_hash"):
+            execute(edited, complete_fn=recording(sent))
+        assert sent == []
+
+    @pytest.mark.parametrize("key", ["backends[0].dictionary_path", "tokenizer.path"])
+    def test_missing_file_is_a_config_error_before_any_request(self, tmp_path, key):
+        record = minimal_plan_dict(tmp_path)
+        if key == "tokenizer.path":
+            record["tokenizer"] = {"id": "external", "path": "missing.json"}
+        else:
+            record["backends"] = [
+                {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "missing.json"}
+            ]
+        plan = plan_from_dict(record, base_dir=tmp_path)
+        sent: list[str] = []
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: cannot read")):
+            execute(plan, complete_fn=recording(sent))
+        assert sent == []
+        assert not (Path(plan.output_dir) / plan.run_id).exists()
 
 
 def count_tokens_calls(monkeypatch) -> list[str]:
@@ -841,7 +888,7 @@ class TestCountOnce:
     def test_reference_side_built_once_per_document(self, tmp_path, monkeypatch):
         plan = plan_from_dict(mixed_plan_dict(tmp_path))
         artifacts = execute(plan)
-        testset = load_testsets(plan)
+        testset = artifacts.testset
         references = {id(doc.reference_segments): doc.id for doc in testset}
         built: Counter = Counter()
         original = report_module.document_side
@@ -851,6 +898,170 @@ class TestCountOnce:
             return original(segments, *args)
 
         monkeypatch.setattr(report_module, "document_side", document_side)
-        emit_reports(artifacts, testset)
+        emit_reports(artifacts)
         scored = len(plan.backends) * len(plan.strategies)
         assert built == Counter({"doc-1": 1, "doc-2": 1, "hypothesis": scored * len(testset)})
+
+
+MULTI_TURN_DOC_2 = ("identity", "multi_turn", "doc-2")
+ALL_CELLS = {
+    ("identity", strategy, doc) for strategy in ("segment_level", "multi_turn")
+    for doc in ("doc-1", "doc-2")
+}
+
+
+def failing_at_multi_turn_doc_2_turn_1(fault: BaseException, sent: list):
+    """A backend that raises fault at turn 1 of doc-2's multi-turn cell, the
+    last cell of the minimal plan, and records every request it answers."""
+
+    def complete(request, backend):
+        # Only a multi-turn request carries an earlier reply.
+        if request.request_tag == "doc-2:turn_1" and any(
+            m.role == "assistant" for m in request.messages
+        ):
+            raise fault
+        sent.append(request.request_tag)
+        return gateway.complete(request, backend)
+
+    return complete
+
+
+class TestInterruptedRun:
+    """A run that fails part-way, even a first run, leaves a manifest, so it
+    can be loaded, scored, refused under another config and resumed."""
+
+    @pytest.mark.parametrize(
+        "policy, fault",
+        [
+            ("skip_and_report", GatewayError("backend exploded")),
+            ("halt", GatewayError("backend exploded")),
+            ("skip_and_report", RuntimeError("process killed")),
+        ],
+        ids=["gateway_error_skipped", "gateway_error_halts", "runtime_error"],
+    )
+    def test_first_run_fault(self, tmp_path, policy, fault):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path, fail_policy=policy))
+        run_dir = Path(plan.output_dir) / plan.run_id
+        complete = failing_at_multi_turn_doc_2_turn_1(fault, [])
+        excluded = policy == "skip_and_report" and isinstance(fault, GatewayError)
+        if excluded:
+            execute(plan, complete_fn=complete)
+        else:
+            with pytest.raises(type(fault)):
+                execute(plan, complete_fn=complete)
+
+        manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
+        assert manifest["config_hash"] == plan.config_hash
+        listed = [(e["backend"], e["strategy"], e["doc_id"]) for e in manifest["exclusions"]]
+        assert listed == ([MULTI_TURN_DOC_2] if excluded else [])
+        loaded = load_artifacts(plan)
+        assert set(loaded.cells) == ALL_CELLS - {MULTI_TURN_DOC_2}
+        emit_reports(loaded)
+        assert (run_dir / "reports" / "main.csv").exists()
+
+        changed = dataclasses.replace(plan, scoring=ScoringConfig(top_n=3))
+        refused: list[str] = []
+        with pytest.raises(ResumeMismatchError, match="config_hash"):
+            load_artifacts(changed)
+        with pytest.raises(ResumeMismatchError, match="config_hash"):
+            execute(changed, complete_fn=recording(refused))
+        assert refused == []
+
+        resent: list[str] = []
+        artifacts = execute(plan, complete_fn=recording(resent))
+        assert resent == ["doc-2:turn_0", "doc-2:turn_1"]
+        assert set(artifacts.cells) == ALL_CELLS and artifacts.exclusions == []
+        manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
+        assert manifest["exclusions"] == [] and manifest["completed_cells"] == 4
+
+    def test_interrupted_resume_drops_exclusions_it_completed(self, tmp_path):
+        """The manifest keeps the first run's exclusions until a resume ends,
+        so loading must not list a cell the interrupted resume completed."""
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+
+        def doc_2_down(request, backend):
+            if request.request_tag.startswith("doc-2"):
+                raise GatewayError("down")
+            return gateway.complete(request, backend)
+
+        assert len(execute(plan, complete_fn=doc_2_down).exclusions) == 2
+        sent: list[str] = []
+
+        def interrupted_after_two(request, backend):
+            if len(sent) == 2:  # segment_level/doc-2 has completed
+                raise RuntimeError("simulated interrupt")
+            sent.append(request.request_tag)
+            return gateway.complete(request, backend)
+
+        with pytest.raises(RuntimeError):
+            execute(plan, complete_fn=interrupted_after_two)
+        loaded = load_artifacts(plan)
+        assert set(loaded.cells) == ALL_CELLS - {MULTI_TURN_DOC_2}
+        listed = [(e["backend"], e["strategy"], e["doc_id"]) for e in loaded.exclusions]
+        assert listed == [MULTI_TURN_DOC_2]
+
+    @pytest.mark.parametrize("layout", ["cells", "raw"])
+    def test_files_without_a_manifest_are_refused(self, tmp_path, layout):
+        """Files with no manifest can only come from an older version, which
+        wrote the manifest last: layouts 2 and 3 under cells/, layout 1
+        under raw/."""
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        run_dir = Path(plan.output_dir) / plan.run_id
+        if layout == "cells":
+            execute(plan)
+            (run_dir / "manifest.json").unlink()
+        else:
+            (run_dir / "raw" / "identity").mkdir(parents=True)
+            (run_dir / "raw" / "identity" / "turn_0.json").write_text("{}", "utf-8")
+        sent: list[str] = []
+        with pytest.raises(ResumeMismatchError, match="older version"):
+            execute(plan, complete_fn=recording(sent))
+        assert sent == []
+
+    def test_staged_manifest_alone_is_a_new_run(self, tmp_path):
+        """A crash while the first manifest is staged leaves only its
+        temporary file; the next execute starts the run afresh."""
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        run_dir = Path(plan.output_dir) / plan.run_id
+        run_dir.mkdir(parents=True)
+        (run_dir / "manifest.json.tmp").write_text('{"torn', "utf-8")
+        assert len(execute(plan).cells) == 4
+        assert sorted(p.name for p in run_dir.iterdir()) == ["cells", "manifest.json"]
+
+
+class TestOnePass:
+    def test_one_prefix_check_per_multi_turn_cell(self, tmp_path, monkeypatch):
+        checked: list[int] = []  # turns of each checked transcript
+        original = costing.check_prefix_stability
+
+        def check(requests, replies=None):
+            checked.append(len(requests))
+            return original(requests, replies)
+
+        for module in (costing, executor):
+            monkeypatch.setattr(module, "check_prefix_stability", check)
+        plan = plan_from_dict(minimal_plan_dict(tmp_path, strategies=[
+            {"mode": "segment_level"}, {"mode": "multi_turn"}, {"mode": "multi_turn_sp"}
+        ]))
+        execute(plan)
+        # doc-1 has 3 turns and doc-2 has 2, under each multi-turn strategy.
+        assert sorted(checked) == [2, 2, 3, 3]
+        checked.clear()
+        load_artifacts(plan)
+        assert sorted(checked) == [2, 2, 3, 3]
+
+    def test_test_set_parsed_once_per_run(self, tmp_path, monkeypatch):
+        parsed: list[str] = []
+        original = executor.load_corpus
+
+        def load_corpus(path):
+            parsed.append(path)
+            return original(path)
+
+        monkeypatch.setattr(executor, "load_corpus", load_corpus)
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        emit_reports(execute(plan))
+        assert parsed == plan.testsets
+        parsed.clear()
+        emit_reports(load_artifacts(plan))
+        assert parsed == plan.testsets
