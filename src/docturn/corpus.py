@@ -151,14 +151,12 @@ def _normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text).strip()
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> TestSet:
+def load_corpus(path: str | Path) -> TestSet:
     """Load and validate a JSONL test set.
 
     Raises CorpusError with the line number on parse failures and with the
     document id on invariant violations.
     """
-    if format != "jsonl":
-        raise CorpusError(f"unsupported corpus format: {format!r}")
     path = Path(path)
     documents: list[Document] = []
     with path.open("r", encoding="utf-8") as fh:

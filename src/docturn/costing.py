@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -43,7 +44,7 @@ class TokenizerSpec:
 
     id: 'whitespace' counts maximal non-whitespace runs; 'char' counts
     characters; 'external' looks texts up in a JSON file of precomputed
-    counts (exact-match, missing entries are errors).
+    counts (exact-match, missing entries are errors), read once per spec.
     """
 
     id: str = "whitespace"
@@ -55,15 +56,14 @@ class TokenizerSpec:
         if self.id == "external" and not self.external_path:
             raise ValueError("external tokenizer spec requires external_path")
 
-
-_external_cache: dict[str, dict[str, int]] = {}
-
-
-def _external_counts(path: str) -> dict[str, int]:
-    if path not in _external_cache:
-        data = json.loads(Path(path).read_text("utf-8"))
-        _external_cache[path] = {str(k): int(v) for k, v in data.items()}
-    return _external_cache[path]
+    @cached_property
+    def external_counts(self) -> dict[str, int]:
+        """The external file's text -> token count table. Raises OSError,
+        ValueError or TypeError when it is not a JSON object of counts."""
+        data = json.loads(Path(self.external_path or "").read_text("utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("token counts must be a JSON object")
+        return {str(k): int(v) for k, v in data.items()}
 
 
 def count_tokens(text: str, spec: TokenizerSpec) -> int:
@@ -71,17 +71,15 @@ def count_tokens(text: str, spec: TokenizerSpec) -> int:
         return len(text.split())
     if spec.id == "char":
         return len(text)
-    counts = _external_counts(spec.external_path or "")
+    counts = spec.external_counts
     if text not in counts:
         raise LedgerError(f"external tokenizer has no entry for text of length {len(text)}")
     return counts[text]
 
 
-def spec_for_target_language(tgt_lang: str, default: TokenizerSpec | None = None) -> TokenizerSpec:
+def spec_for_target_language(tgt_lang: str) -> TokenizerSpec:
     """Whitespace counting, except char counting for zh/ja targets."""
-    if base_language(tgt_lang) in ("zh", "ja"):
-        return TokenizerSpec("char")
-    return default if default is not None else TokenizerSpec("whitespace")
+    return TokenizerSpec("char" if base_language(tgt_lang) in ("zh", "ja") else "whitespace")
 
 
 @dataclass(frozen=True)

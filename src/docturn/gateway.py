@@ -1,7 +1,7 @@
 """Backend-agnostic chat-completion client.
 
 One real backend (OpenAI-compatible chat completions over HTTP, with retries,
-exponential backoff and a shared token-bucket rate limiter) plus three
+exponential backoff and a token-bucket rate limiter) plus three
 deterministic mock backends used throughout the test suite:
 
   mock_identity     echoes the source payload of the final user message.
@@ -12,7 +12,8 @@ deterministic mock backends used throughout the test suite:
                     a controllable stand-in for omission errors in long
                     documents.
 
-Mock backends are pure functions of the request. The harness's greedy
+Backend state belongs to a Gateway, which a run opens once; module-level
+complete opens one per call, so calls share nothing. The harness's greedy
 contract (temperature 0) is asserted here at the boundary for every backend.
 """
 
@@ -27,12 +28,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import requests
 
 from .chat import ChatRequest, ChatResponse
-from .errors import ContextOverflowError, GatewayError, TransportError
+from .errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from .prompts import extract_fenced_payload
 
 BACKEND_KINDS = ("openai_compatible", "mock_identity", "mock_dictionary", "mock_tail_dropper")
@@ -64,14 +65,6 @@ class BackendConfig:
             raise ValueError(f"drop_fraction must be in [0, 1), got {self.drop_fraction}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
-
-    def require_api_key(self) -> str:
-        key = os.environ.get(self.api_key_env_var, "")
-        if not key:
-            raise GatewayError(
-                f"backend '{self.name}' needs an API key in ${self.api_key_env_var}"
-            )
-        return key
 
 
 def _source_payload(message_text: str) -> str:
@@ -118,27 +111,19 @@ def _is_single_turn_shaped(req: ChatRequest) -> bool:
     return len(paragraphs) >= 2
 
 
-class _MockDictionary:
-    """Cached dictionary files for mock_dictionary backends."""
-
-    _lock = threading.Lock()
-    _cache: dict[str, dict[str, str]] = {}
-
-    @classmethod
-    def load(cls, path: str) -> dict[str, str]:
-        with cls._lock:
-            if path not in cls._cache:
-                data = json.loads(Path(path).read_text("utf-8"))
-                if not isinstance(data, dict):
-                    raise GatewayError(f"dictionary file {path} must hold a JSON object")
-                cls._cache[path] = {str(k): str(v) for k, v in data.items()}
-            return cls._cache[path]
+def _read_dictionary(path: str, key: str) -> dict[str, str]:
+    """A mock_dictionary file: a JSON object mapping source text to its
+    translation. key names the setting in ConfigError."""
+    try:
+        data = json.loads(Path(path).read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot read {path} as JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{key}: {path} must hold a JSON object")
+    return {str(k): str(v) for k, v in data.items()}
 
 
-def _dictionary_reply(req: ChatRequest, cfg: BackendConfig) -> str:
-    if cfg.dictionary_path is None:
-        raise GatewayError(f"backend '{cfg.name}' has no dictionary_path configured")
-    table = _MockDictionary.load(cfg.dictionary_path)
+def _dictionary_reply(req: ChatRequest, table: dict[str, str]) -> str:
     payload = _identity_reply(req)
     if payload in table:
         return table[payload]
@@ -155,7 +140,7 @@ def _tail_dropper_reply(req: ChatRequest, cfg: BackendConfig) -> str:
 
 
 class _RateLimiter:
-    """Token bucket shared by all callers of one backend name at one rate."""
+    """Token bucket shared by all callers of one backend."""
 
     def __init__(self, requests_per_minute: int):
         self.capacity = float(requests_per_minute)
@@ -177,41 +162,19 @@ class _RateLimiter:
             sleeper(wait)
 
 
-_limiters: dict[tuple[str, int], _RateLimiter] = {}
-_limiters_lock = threading.Lock()
-
-
-def _limiter_for(cfg: BackendConfig) -> _RateLimiter | None:
-    if cfg.requests_per_minute is None:
-        return None
-    key = (cfg.name, cfg.requests_per_minute)
-    with _limiters_lock:
-        if key not in _limiters:
-            _limiters[key] = _RateLimiter(cfg.requests_per_minute)
-        return _limiters[key]
-
-
 _CONTEXT_OVERFLOW_HINTS = ("context length", "context_length", "maximum context", "too many tokens")
 
 
-def _openai_complete(
-    req: ChatRequest,
-    cfg: BackendConfig,
-    *,
-    http_post: Callable[..., requests.Response] | None = None,
-    sleeper: Callable[[float], None] = time.sleep,
-    rng: random.Random | None = None,
-) -> ChatResponse:
+def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> ChatResponse:
     """POST /v1/chat/completions with bounded exponential backoff + full jitter."""
-    api_key = cfg.require_api_key()
-    post = http_post or requests.post
-    rng = rng or random
+    api_key = gateway.api_keys[cfg.name]
+    post, sleeper, rng = gateway.http_post, gateway.sleeper, gateway.rng
     url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
     payload = req.to_dict()
     payload["model"] = cfg.model
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
 
-    limiter = _limiter_for(cfg)
+    limiter = gateway.buckets.get(cfg.name)
     attempt = 0
     while True:
         if limiter is not None:
@@ -271,6 +234,75 @@ def _backoff_delay(attempt: int, rng) -> float:
     return rng.uniform(0.0, ceiling)  # full jitter
 
 
+class Gateway:
+    """The backend state of one run: each openai_compatible API key, each
+    mock_dictionary table, read once, and one token bucket per rate-limited
+    openai_compatible backend, shared by every caller. http_post, sleeper and
+    rng replace the transport, the sleep and the jitter source."""
+
+    def __init__(
+        self,
+        backends: Iterable[BackendConfig],
+        *,
+        http_post: Callable[..., requests.Response] | None = None,
+        sleeper: Callable[[float], None] = time.sleep,
+        rng: random.Random | None = None,
+    ):
+        self.http_post = http_post or requests.post
+        self.sleeper = sleeper
+        self.rng = rng or random
+        self.api_keys: dict[str, str] = {}
+        self.dictionaries: dict[str, dict[str, str]] = {}
+        self.buckets: dict[str, _RateLimiter] = {}
+        for i, cfg in enumerate(backends):
+            if cfg.kind == "openai_compatible":
+                self.api_keys[cfg.name] = os.environ.get(cfg.api_key_env_var, "")
+                if not self.api_keys[cfg.name]:
+                    raise GatewayError(
+                        f"backend '{cfg.name}' needs an API key in ${cfg.api_key_env_var}"
+                    )
+                if cfg.requests_per_minute is not None:
+                    self.buckets[cfg.name] = _RateLimiter(cfg.requests_per_minute)
+            elif cfg.kind == "mock_dictionary" and cfg.dictionary_path is not None:
+                self.dictionaries[cfg.name] = _read_dictionary(
+                    cfg.dictionary_path, f"backends[{i}].dictionary_path"
+                )
+
+    def complete(self, req: ChatRequest, cfg: BackendConfig) -> ChatResponse:
+        """Run one chat completion against one of the gateway's backends.
+
+        Mock responses report usage as whitespace token counts so downstream
+        accounting has something plausible to compare against.
+        """
+        if req.temperature != 0.0:
+            raise GatewayError(
+                f"greedy contract violated: temperature={req.temperature} for {req.request_tag}"
+            )
+
+        if cfg.kind == "openai_compatible":
+            return _openai_complete(req, cfg, self)
+
+        if cfg.kind == "mock_identity":
+            content = _identity_reply(req)
+        elif cfg.kind == "mock_dictionary":
+            if cfg.name not in self.dictionaries:
+                raise GatewayError(f"backend '{cfg.name}' has no dictionary_path configured")
+            content = _dictionary_reply(req, self.dictionaries[cfg.name])
+        elif cfg.kind == "mock_tail_dropper":
+            content = _tail_dropper_reply(req, cfg)
+        else:  # pragma: no cover - BackendConfig already validates
+            raise GatewayError(f"unknown backend kind {cfg.kind!r}")
+
+        prompt_tokens = sum(len(m.content.split()) for m in req.messages)
+        return ChatResponse(
+            content=content,
+            prompt_tokens=prompt_tokens,
+            completion_tokens=len(content.split()),
+            finish_reason="stop",
+            latency_ms=0.0,
+        )
+
+
 def complete(
     req: ChatRequest,
     cfg: BackendConfig,
@@ -279,33 +311,6 @@ def complete(
     sleeper: Callable[[float], None] = time.sleep,
     rng: random.Random | None = None,
 ) -> ChatResponse:
-    """Run one chat completion against the configured backend.
-
-    Mock responses report usage as whitespace token counts so downstream
-    accounting has something plausible to compare against.
-    """
-    if req.temperature != 0.0:
-        raise GatewayError(
-            f"greedy contract violated: temperature={req.temperature} for {req.request_tag}"
-        )
-
-    if cfg.kind == "openai_compatible":
-        return _openai_complete(req, cfg, http_post=http_post, sleeper=sleeper, rng=rng)
-
-    if cfg.kind == "mock_identity":
-        content = _identity_reply(req)
-    elif cfg.kind == "mock_dictionary":
-        content = _dictionary_reply(req, cfg)
-    elif cfg.kind == "mock_tail_dropper":
-        content = _tail_dropper_reply(req, cfg)
-    else:  # pragma: no cover - BackendConfig already validates
-        raise GatewayError(f"unknown backend kind {cfg.kind!r}")
-
-    prompt_tokens = sum(len(m.content.split()) for m in req.messages)
-    return ChatResponse(
-        content=content,
-        prompt_tokens=prompt_tokens,
-        completion_tokens=len(content.split()),
-        finish_reason="stop",
-        latency_ms=0.0,
-    )
+    """Run one chat completion through a gateway opened for it alone, so
+    calls share no state: neither a dictionary table nor a token bucket."""
+    return Gateway([cfg], http_post=http_post, sleeper=sleeper, rng=rng).complete(req, cfg)

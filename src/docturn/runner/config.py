@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Any
 
 from ..corpus import Exemplar
-from ..costing import TokenizerSpec, spec_for_target_language
 from ..errors import ConfigError
 from ..gateway import BackendConfig
 from ..prompts import DEFAULT_TEMPLATE_SET
@@ -96,14 +95,6 @@ class RunPlan:
         labels = [s.label for s in self.strategies]
         if len(labels) != len(set(labels)):
             raise ConfigError("strategies: (mode, icl) combinations must be unique")
-
-    def tokenizer_spec(self, tgt_lang: str) -> TokenizerSpec:
-        """Token counting spec for a direction under this plan."""
-        if self.tokenizer == "auto":
-            return spec_for_target_language(tgt_lang)
-        if self.tokenizer == "external":
-            return TokenizerSpec("external", external_path=self.tokenizer_external_path)
-        return TokenizerSpec(self.tokenizer)
 
     def canonical_dict(self) -> dict[str, Any]:
         """Stable dict representation used for the resume-identity hash.
@@ -299,7 +290,7 @@ def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
     ]
     # Resolve mock dictionary paths relative to the config file.
     backends = [
-        b if b.dictionary_path is None else _replace_backend_path(b, resolve(b.dictionary_path))
+        b if b.dictionary_path is None else replace(b, dictionary_path=resolve(b.dictionary_path))
         for b in backends
     ]
     strategies = [
@@ -320,10 +311,6 @@ def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
         template_set=template_set,
         max_context_tokens=record.get("max_context_tokens"),
     )
-
-
-def _replace_backend_path(backend: BackendConfig, path: str) -> BackendConfig:
-    return replace(backend, dictionary_path=path)
 
 
 def load_run_config(path: str | Path) -> RunPlan:

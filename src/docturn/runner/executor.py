@@ -39,7 +39,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -47,7 +47,8 @@ from .. import gateway
 from ..chat import ChatRequest, ChatResponse, Message, assistant, common_prefix_length
 from ..corpus import Document, TestSet, load_corpus
 from ..costing import Transcript, TranscriptTurn, ledger_for_session, message_tokens
-from ..errors import DocturnError, GatewayError, ResumeMismatchError
+from ..costing import TokenizerSpec, spec_for_target_language
+from ..errors import ConfigError, DocturnError, GatewayError, ResumeMismatchError
 from ..prompts import PromptTemplateSet, load_template_set
 from ..strategy import (
     DocumentTranslation,
@@ -86,6 +87,22 @@ class RunArtifacts:
     cells: dict[CellKey, CellArtifact] = field(default_factory=dict)
     exclusions: list[dict] = field(default_factory=list)
 
+    @cached_property
+    def token_spec(self) -> TokenizerSpec | None:
+        """The plan's token-counting spec, None under 'auto' (by target
+        language). The ledgers, the context budget and the length reports all
+        count with it, so a run reads an external token-count file once."""
+        tokenizer, path = self.plan.tokenizer, self.plan.tokenizer_external_path
+        if tokenizer == "auto":
+            return None
+        try:
+            spec = TokenizerSpec(tokenizer, path if tokenizer == "external" else None)
+            if spec.id == "external":
+                spec.external_counts  # read once, here
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"tokenizer.path: no token counts in {path} ({exc})") from None
+        return spec
+
     def translations_for(self, backend_name: str, strategy_label: str) -> dict[str, DocumentTranslation]:
         return {
             doc_id: cell.translation
@@ -118,7 +135,7 @@ class _Group:
 
 
 def _drive_cell(
-    plan: RunPlan,
+    artifacts: RunArtifacts,
     strategy: StrategyConfig,
     doc: Document,
     templates: PromptTemplateSet,
@@ -129,7 +146,8 @@ def _drive_cell(
     prefix stability, and the translation from its transcript."""
     session = init_session(strategy, doc, templates)
     transcript = Transcript(doc_id=doc.id, strategy_mode=strategy.mode)
-    spec = plan.tokenizer_spec(doc.tgt_lang)
+    plan = artifacts.plan
+    spec = artifacts.token_spec or spec_for_target_language(doc.tgt_lang)
     counts: dict[tuple[str, str], int] = {}  # every message counted once per cell
 
     state: tuple[Message, ...] = ()
@@ -161,7 +179,7 @@ def _drive_cell(
 
 
 def _run_cell(
-    plan: RunPlan,
+    artifacts: RunArtifacts,
     backend: gateway.BackendConfig,
     strategy: StrategyConfig,
     doc: Document,
@@ -184,13 +202,13 @@ def _run_cell(
         })
         return response
 
-    cell = _drive_cell(plan, strategy, doc, templates, reply)
+    cell = _drive_cell(artifacts, strategy, doc, templates, reply)
     record = json.dumps({"doc": doc.id, "turns": turns}, ensure_ascii=False, separators=(",", ":"))
     return cell, (record + "\n").encode("utf-8")
 
 
 def _replay_cell(
-    plan: RunPlan,
+    artifacts: RunArtifacts,
     strategy: StrategyConfig,
     doc: Document,
     templates: PromptTemplateSet,
@@ -220,7 +238,7 @@ def _replay_cell(
         return response
 
     try:
-        cell = _drive_cell(plan, strategy, doc, templates, reply)
+        cell = _drive_cell(artifacts, strategy, doc, templates, reply)
     except GatewayError as exc:
         raise ResumeMismatchError(f"{where}: replay failed: {exc}") from None
     sent = len(cell.transcript.turns)
@@ -266,6 +284,10 @@ def _read_manifest(run_dir: Path, config_hash: str) -> dict | None:
         manifest = json.loads((run_dir / MANIFEST).read_text("utf-8"))
     except FileNotFoundError:
         return None
+    except ValueError:
+        manifest = None
+    if not isinstance(manifest, dict):
+        raise ResumeMismatchError(f"{run_dir / MANIFEST} does not hold a JSON object")
     if manifest.get("layout_version") != LAYOUT_VERSION:
         raise ResumeMismatchError(
             f"{run_dir} has artifact layout {manifest.get('layout_version')!r}, "
@@ -303,7 +325,7 @@ def _load_completed(artifacts: RunArtifacts, templates: PromptTemplateSet) -> li
                 if doc.id in records:
                     number, turns = records[doc.id]
                     artifacts.cells[(backend.name, strategy.label, doc.id)] = _replay_cell(
-                        artifacts.plan, strategy, doc, templates, turns,
+                        artifacts, strategy, doc, templates, turns,
                         f"{log}: line {number}: doc '{doc.id}'",
                     )
                 else:
@@ -319,16 +341,13 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     plan.fail_policy: 'halt' re-raises immediately (completed cells remain
     for resume), 'skip_and_report' records an exclusion and continues.
     """
-    complete = complete_fn or gateway.complete
-
-    # Fail fast on missing API keys before any request is attempted.
-    for backend in plan.backends:
-        if backend.kind == "openai_compatible":
-            backend.require_api_key()
-
     run_dir = Path(plan.output_dir) / plan.run_id
-    artifacts = RunArtifacts(run_dir=run_dir, plan=plan, testset=load_testsets(plan))
     config_hash = plan.config_hash
+    # Each file and key the run reads is read once, before the run directory exists.
+    backends = gateway.Gateway(plan.backends)
+    complete = complete_fn or backends.complete
+    artifacts = RunArtifacts(run_dir=run_dir, plan=plan, testset=load_testsets(plan))
+    artifacts.token_spec  # reads an external token-count file
     templates = load_template_set(plan.template_set)
     run_dir.mkdir(parents=True, exist_ok=True)
     found = _read_manifest(run_dir, config_hash)
@@ -355,7 +374,7 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
             group.log.parent.mkdir(parents=True, exist_ok=True)
             with group.log.open("ab") as log:
                 log.truncate(group.complete_bytes)  # drop a record torn by a crash
-                _run_group(plan, artifacts, group, templates, complete, log)
+                _run_group(artifacts, group, templates, complete, log)
 
     manifest["exclusions"] = sorted(
         artifacts.exclusions, key=lambda e: (e["backend"], e["strategy"], e["doc_id"])
@@ -366,7 +385,6 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
 
 
 def _run_group(
-    plan: RunPlan,
     artifacts: RunArtifacts,
     group: _Group,
     templates: PromptTemplateSet,
@@ -375,7 +393,7 @@ def _run_group(
 ) -> None:
     """Run a group's pending cells, appending each completed cell's record to
     its log, up to plan.max_concurrent_documents at a time."""
-    backend, strategy = group.backend, group.strategy
+    plan, backend, strategy = artifacts.plan, group.backend, group.strategy
     write_lock = threading.Lock()
     run_ends = threading.Event()
 
@@ -385,7 +403,7 @@ def _run_group(
         if run_ends.is_set():
             return None
         try:
-            cell, record = _run_cell(plan, backend, strategy, doc, templates, complete)
+            cell, record = _run_cell(artifacts, backend, strategy, doc, templates, complete)
         except BaseException as exc:
             if plan.fail_policy == "halt" or not isinstance(exc, DocturnError):
                 run_ends.set()
@@ -399,7 +417,7 @@ def _run_group(
         try:
             artifacts.cells[(backend.name, strategy.label, doc.id)] = result()
         except DocturnError as exc:
-            _handle_failure(plan, artifacts, backend.name, strategy.label, doc.id, exc)
+            _handle_failure(artifacts, backend.name, strategy.label, doc.id, exc)
 
     if plan.max_concurrent_documents > 1 and len(group.pending) > 1:
         pool = ThreadPoolExecutor(max_workers=plan.max_concurrent_documents)
@@ -415,14 +433,13 @@ def _run_group(
 
 
 def _handle_failure(
-    plan: RunPlan,
     artifacts: RunArtifacts,
     backend: str,
     strategy: str,
     doc_id: str,
     exc: DocturnError,
 ) -> None:
-    if plan.fail_policy == "halt":
+    if artifacts.plan.fail_policy == "halt":
         raise exc
     logger.warning("skipping %s/%s/%s: %s", backend, strategy, doc_id, exc)
     artifacts.exclusions.append(

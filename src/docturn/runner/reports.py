@@ -71,7 +71,7 @@ def _strategy_scores(artifacts: RunArtifacts) -> dict[tuple[str, str], StrategyM
                 compute_blonde=plan.scoring.blonde,
                 # Single-turn outputs have no trusted segment alignment.
                 scorer=None if strategy.mode == Mode.SINGLE_TURN else scorer,
-                length_spec=None if plan.tokenizer == "auto" else plan.tokenizer_spec(""),
+                length_spec=artifacts.token_spec,
                 top_n=plan.scoring.top_n,
                 reference_sides=reference_sides,
             )

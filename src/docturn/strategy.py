@@ -125,13 +125,6 @@ class SessionState:
     warnings: list[str] = field(default_factory=list)
 
     @property
-    def total_requests(self) -> int:
-        """Requests this session will issue over its lifetime."""
-        if self.config.mode == Mode.SINGLE_TURN:
-            return 1
-        return self.document.num_segments
-
-    @property
     def icl_prefix(self) -> list[Message]:
         return exemplar_messages(self.config, self.templates)
 

@@ -129,6 +129,38 @@ class TestRun:
         assert "backends[0].dictionary_path" in result.output
         assert not (tmp_path / "runs" / "test-run").exists()
 
+    @pytest.mark.parametrize(
+        "key, content",
+        [
+            ("backends[0].dictionary_path", '{"First": '),
+            ("backends[0].dictionary_path", '["First"]'),
+            ("tokenizer.path", '{"First": '),
+        ],
+        ids=["dictionary_invalid_json", "dictionary_not_an_object", "token_counts_invalid_json"],
+    )
+    def test_malformed_file_exit_1_names_key(self, runner, tmp_path, key, content):
+        (tmp_path / "file.json").write_text(content, "utf-8")
+        record = minimal_plan_dict(tmp_path)
+        if key == "tokenizer.path":
+            record["tokenizer"] = {"id": "external", "path": "file.json"}
+        else:
+            record["backends"] = [
+                {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "file.json"}
+            ]
+        result = runner.invoke(main, ["run", "--config", self.write_config(tmp_path, record)])
+        assert result.exit_code == 1
+        assert key in result.output
+        assert not (tmp_path / "runs" / "test-run").exists()
+
+    def test_report_on_unreadable_manifest_exit_2(self, runner, tmp_path):
+        config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
+        assert runner.invoke(main, ["run", "--config", config]).exit_code == 0
+        (tmp_path / "runs" / "test-run" / "manifest.json").write_text('{"torn', "utf-8")
+        result = runner.invoke(main, ["report", "--config", config])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and "manifest.json" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
     def test_score_without_run_exit_2(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
         result = runner.invoke(main, ["score", "--config", config])

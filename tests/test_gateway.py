@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from docturn import gateway
 from docturn.chat import ChatRequest, Message, user
 from docturn.errors import ContextOverflowError, GatewayError, TransportError
-from docturn.gateway import BackendConfig, complete, drop_trailing_tokens
+from docturn.gateway import BackendConfig, Gateway, complete, drop_trailing_tokens
+from docturn.runner.config import plan_from_dict
+from docturn.runner.executor import execute
+
+from .test_runner import minimal_plan_dict
 
 
 def request_of(*messages: Message, temperature: float = 0.0) -> ChatRequest:
@@ -308,22 +314,67 @@ class TestRateLimiter:
         assert len(waits) == 1
         assert waits[0] == pytest.approx(1.0, abs=0.05)  # ~1s per token at 60 rpm
 
-    def test_limiter_shared_per_backend_name(self):
-        from docturn.gateway import _limiter_for
+    @staticmethod
+    def rate_limited(name: str = "fake", rpm: int | None = 3) -> BackendConfig:
+        return BackendConfig(kind="openai_compatible", name=name, base_url="http://fake",
+                             api_key_env_var="DOCTURN_TEST_KEY", requests_per_minute=rpm)
 
-        first = _limiter_for(BackendConfig(kind="mock_identity", name="shared-bucket",
-                                           requests_per_minute=10))
-        second = _limiter_for(BackendConfig(kind="mock_identity", name="shared-bucket",
-                                            requests_per_minute=10))
-        assert first is second
-        assert _limiter_for(BackendConfig(kind="mock_identity")) is None
+    @pytest.fixture(autouse=True)
+    def api_key(self, monkeypatch):
+        monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
 
-    def test_limiter_keyed_by_name_and_rate(self):
-        from docturn.gateway import _limiter_for
+    def test_one_bucket_per_run_shared_by_every_group_and_thread(self, tmp_path, monkeypatch):
+        plan = plan_from_dict(minimal_plan_dict(
+            tmp_path,
+            backends=[{"kind": "openai_compatible", "name": "fake", "base_url": "http://fake",
+                       "api_key_env_var": "DOCTURN_TEST_KEY", "requests_per_minute": 3}],
+            max_concurrent_documents=2,
+        ))
+        posted_from: set[int] = set()
+        waits: list[float] = []
+        opened: list[Gateway] = []
 
-        slow = _limiter_for(BackendConfig(kind="mock_identity", name="rate-changed",
-                                          requests_per_minute=60))
-        fast = _limiter_for(BackendConfig(kind="mock_identity", name="rate-changed",
-                                          requests_per_minute=6000))
-        assert fast is not slow
-        assert (slow.capacity, fast.capacity) == (60.0, 6000.0)
+        def post(url, json=None, headers=None, timeout=None):
+            posted_from.add(threading.get_ident())
+            return FakeHttpResponse(200, ok_payload("Übersetzt."))
+
+        def sleeper(wait: float) -> None:
+            waits.append(wait)
+            for each in opened:
+                each.buckets["fake"].tokens = 1.0  # simulate time passing
+
+        def open_gateway(backends):
+            opened.append(Gateway(backends, http_post=post, sleeper=sleeper))
+            return opened[-1]
+
+        monkeypatch.setattr(gateway, "Gateway", open_gateway)
+        artifacts = execute(plan)
+        assert len(artifacts.cells) == 4 and not artifacts.exclusions
+        assert len(opened) == 1 and set(opened[0].buckets) == {"fake"}
+        assert threading.main_thread().ident not in posted_from  # pool workers sent them all
+        # 10 requests over two (strategy) groups of 5 through one bucket of 3:
+        # every request after the third waited. A bucket per group would wait 4 times.
+        assert len(waits) >= 10 - 3
+
+    def test_second_gateway_starts_with_a_full_bucket(self):
+        cfg = self.rate_limited(rpm=2)
+
+        def post(url, json=None, headers=None, timeout=None):
+            return FakeHttpResponse(200, ok_payload())
+
+        def no_sleep(wait: float) -> None:
+            raise AssertionError(f"slept {wait} s")
+
+        first = Gateway([cfg], http_post=post, sleeper=no_sleep)
+        for _ in range(2):
+            first.complete(request_of(user("hi")), cfg)
+        assert first.buckets["fake"].tokens < 1.0
+        second = Gateway([cfg], http_post=post, sleeper=no_sleep)
+        assert second.buckets["fake"].tokens == second.buckets["fake"].capacity == 2.0
+        # Module-level complete opens a gateway per call: three calls, no wait.
+        for _ in range(3):
+            complete(request_of(user("hi")), cfg, http_post=post, sleeper=no_sleep)
+
+    def test_backend_without_rate_has_no_bucket(self):
+        opened = Gateway([self.rate_limited("limited"), self.rate_limited("open", rpm=None)])
+        assert set(opened.buckets) == {"limited"}

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import importlib
 import json
+import pkgutil
 import re
 import threading
 import time
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import docturn
 from docturn import costing, gateway
 from docturn.corpus import Exemplar
 from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
@@ -1000,6 +1004,28 @@ class TestInterruptedRun:
         listed = [(e["backend"], e["strategy"], e["doc_id"]) for e in loaded.exclusions]
         assert listed == [MULTI_TURN_DOC_2]
 
+    def test_truncated_turn_warns_its_cells_on_run_resume_and_load(self, tmp_path):
+        """A reply cut at the output limit at doc-2's turn 1 warns doc-2's
+        cells only, and the warning is rebuilt from the log on resume and load."""
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+
+        def truncating_doc_2_turn_1(request, backend):
+            response = gateway.complete(request, backend)
+            if request.request_tag == "doc-2:turn_1":
+                return dataclasses.replace(response, finish_reason="length")
+            return response
+
+        def warnings(artifacts) -> dict:
+            return {key: cell.translation.warnings for key, cell in artifacts.cells.items()}
+
+        fresh = warnings(execute(plan, complete_fn=truncating_doc_2_turn_1))
+        warning = "turn 1: output truncated (finish_reason=length)"
+        assert fresh == {key: (warning,) if key[2] == "doc-2" else () for key in ALL_CELLS}
+        sent: list[str] = []
+        assert warnings(execute(plan, complete_fn=recording(sent))) == fresh
+        assert sent == []
+        assert warnings(load_artifacts(plan)) == fresh
+
     @pytest.mark.parametrize("layout", ["cells", "raw"])
     def test_files_without_a_manifest_are_refused(self, tmp_path, layout):
         """Files with no manifest can only come from an older version, which
@@ -1065,3 +1091,209 @@ class TestOnePass:
         parsed.clear()
         emit_reports(load_artifacts(plan))
         assert parsed == plan.testsets
+
+
+def first_paragraph_corpus(tmp_path: Path) -> None:
+    """The minimal plan's corpus file, holding one document: "First paragraph."."""
+    write_jsonl(tmp_path / "corpus.jsonl", [{
+        "id": "doc-1", "src_lang": "en", "tgt_lang": "de", "domain": "news",
+        "src": ["First paragraph."], "ref": ["Erster Absatz."],
+    }])
+
+
+def counted_texts(plan: RunPlan) -> set[str]:
+    """Every text a run and report of plan count: the messages sent, the
+    replies, the references and the hypotheses, found by running it once
+    under the whitespace tokenizer into another run directory."""
+    artifacts = execute(dataclasses.replace(
+        plan, run_id=f"{plan.run_id}-texts", tokenizer="whitespace", tokenizer_external_path=None
+    ))
+    texts = {seg for doc in artifacts.testset for seg in doc.reference_segments or ()}
+    for cell in artifacts.cells.values():
+        texts.update(cell.translation.hypothesis_segments)
+        for turn in cell.transcript.turns:
+            texts.update(m.content for m in turn.request_messages)
+            texts.add(turn.response_text)
+    return texts
+
+
+def write_token_counts(path: Path, texts: set[str], per_word: int) -> None:
+    path.write_text(json.dumps({t: per_word * len(t.split()) for t in texts}), "utf-8")
+
+
+def ledger_totals(artifacts) -> dict:
+    return {key: {mode: ledger["totals"] for mode, ledger in cell.ledgers.items()}
+            for key, cell in artifacts.cells.items()}
+
+
+class TestRunOwnsItsState:
+    """Each run reads its files once, when it starts: nothing read by an
+    earlier run in the same process is reused."""
+
+    def test_edited_dictionary_takes_effect_in_the_next_run(self, tmp_path):
+        first_paragraph_corpus(tmp_path)
+        dictionary = tmp_path / "dict.json"
+        dictionary.write_text('{"First": "Erster"}', "utf-8")
+        record = minimal_plan_dict(tmp_path, strategies=[{"mode": "segment_level"}], backends=[
+            {"kind": "mock_dictionary", "name": "dict", "dictionary_path": str(dictionary)}
+        ])
+        a = execute(plan_from_dict({**record, "run_id": "a"}))
+        dictionary.write_text('{"First": "UNO"}', "utf-8")
+        b = execute(plan_from_dict({**record, "run_id": "b"}))
+        key = ("dict", "segment_level", "doc-1")
+        assert a.cells[key].translation.hypothesis_segments == ("Erster paragraph.",)
+        assert b.cells[key].translation.hypothesis_segments == ("UNO paragraph.",)
+
+    def test_edited_token_counts_take_effect_in_the_next_run(self, tmp_path):
+        counts = tmp_path / "counts.json"
+        record = minimal_plan_dict(tmp_path, tokenizer={"id": "external", "path": str(counts)})
+        texts = counted_texts(plan_from_dict(record))
+        write_token_counts(counts, texts, per_word=1)
+        a = execute(plan_from_dict({**record, "run_id": "a"}))
+        write_token_counts(counts, texts, per_word=2)
+        b = execute(plan_from_dict({**record, "run_id": "b"}))
+        doubled = {key: {mode: {name: 2 * n for name, n in totals.items()}
+                         for mode, totals in modes.items()}
+                   for key, modes in ledger_totals(a).items()}
+        assert ledger_totals(b) == doubled
+        # The length report counts with the same table as the ledgers.
+        emit_reports(a)
+        emit_reports(b)
+        name = "reports/lengths_identity_segment_level.csv"
+        total_a = (a.run_dir / name).read_text("utf-8").splitlines()[-1].split(",")
+        total_b = (b.run_dir / name).read_text("utf-8").splitlines()[-1].split(",")
+        assert [int(total_b[1]), int(total_b[2])] == [2 * int(total_a[1]), 2 * int(total_a[2])]
+
+    def test_each_file_read_once_per_run(self, tmp_path, monkeypatch):
+        dictionary = tmp_path / "dict.json"
+        dictionary.write_text('{"One": "Eins"}', "utf-8")
+        counts = tmp_path / "counts.json"
+        record = minimal_plan_dict(
+            tmp_path,
+            tokenizer={"id": "external", "path": str(counts)},
+            backends=[{"kind": "mock_dictionary", "name": "dict", "dictionary_path": str(dictionary)}],
+        )
+        write_token_counts(counts, counted_texts(plan_from_dict(record)), per_word=1)
+        reads: Counter = Counter()
+        original = Path.read_text
+
+        def read_text(path, *args, **kwargs):
+            reads[path.name] += 1
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        plan = plan_from_dict(record)
+        emit_reports(execute(plan))
+        assert (reads["dict.json"], reads["counts.json"]) == (1, 1)
+        reads.clear()
+        emit_reports(load_artifacts(plan))
+        assert (reads["dict.json"], reads["counts.json"]) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "key, content",
+        [
+            ("backends[0].dictionary_path", '{"First": '),
+            ("backends[0].dictionary_path", '["First"]'),
+            ("tokenizer.path", '{"First": '),
+        ],
+        ids=["dictionary_invalid_json", "dictionary_not_an_object", "token_counts_invalid_json"],
+    )
+    def test_malformed_file_is_a_config_error_before_any_request(self, tmp_path, key, content):
+        first_paragraph_corpus(tmp_path)
+        (tmp_path / "file.json").write_text(content, "utf-8")
+        record = minimal_plan_dict(tmp_path)
+        if key == "tokenizer.path":
+            record["tokenizer"] = {"id": "external", "path": "file.json"}
+        else:
+            record["backends"] = [
+                {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "file.json"}
+            ]
+        plan = plan_from_dict(record, base_dir=tmp_path)
+        sent: list[str] = []
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            execute(plan, complete_fn=recording(sent))
+        assert sent == []
+        assert not (Path(plan.output_dir) / plan.run_id).exists()
+
+    @pytest.mark.parametrize("content", ['{"torn', '["not", "an", "object"]'],
+                             ids=["invalid_json", "not_an_object"])
+    def test_unreadable_manifest_is_refused(self, tmp_path, content):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        (Path(plan.output_dir) / plan.run_id / "manifest.json").write_text(content, "utf-8")
+        with pytest.raises(ResumeMismatchError, match="manifest.json"):
+            load_artifacts(plan)
+        sent: list[str] = []
+        with pytest.raises(ResumeMismatchError, match="manifest.json"):
+            execute(plan, complete_fn=recording(sent))
+        assert sent == []
+
+    def test_no_module_state_changes(self, tmp_path, monkeypatch):
+        """No module-level or class-level dict, list or set in docturn changes
+        over a run and its reports, with every backend kind that keeps state:
+        a mock dictionary, an external tokenizer and a rate-limited HTTP
+        backend."""
+        monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
+        dictionary = tmp_path / "dict.json"
+        dictionary.write_text('{"One": "Eins"}', "utf-8")
+        counts = tmp_path / "counts.json"
+        record = minimal_plan_dict(
+            tmp_path,
+            tokenizer={"id": "external", "path": str(counts)},
+            backends=[
+                {"kind": "mock_dictionary", "name": "dict", "dictionary_path": str(dictionary)},
+                {"kind": "openai_compatible", "name": "http", "base_url": "http://fake",
+                 "api_key_env_var": "DOCTURN_TEST_KEY", "requests_per_minute": 600},
+            ],
+        )
+
+        def post(url, json=None, headers=None, timeout=None):
+            return FakeResponse({"choices": [{"message": {"content": "Übersetzt."}}]})
+
+        monkeypatch.setattr(gateway.requests, "post", post)
+        before = module_state()
+        write_token_counts(counts, counted_texts(plan_from_dict(record)), per_word=1)
+        artifacts = execute(plan_from_dict(record))
+        emit_reports(artifacts)
+        assert len(artifacts.cells) == 8 and not artifacts.exclusions
+        assert module_state() == before
+
+
+class FakeResponse:
+    status_code = 200
+
+    def __init__(self, payload: dict):
+        self.payload = payload
+        self.text = json.dumps(payload)
+
+    def json(self):
+        return self.payload
+
+
+def module_state() -> dict[str, object]:
+    """A copy of every module-level and class-level dict, list and set in the
+    docturn package, by qualified name; dunder names are left out."""
+
+    def copied(value):
+        try:
+            return copy.deepcopy(value)
+        except TypeError:  # holds something that cannot be copied, e.g. a lock
+            return copy.copy(value)
+
+    def containers(namespace: dict, prefix: str):
+        for name, value in namespace.items():
+            if not (name.startswith("__") and name.endswith("__")):
+                if isinstance(value, (dict, list, set)):
+                    yield f"{prefix}.{name}", copied(value)
+
+    modules = [docturn] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(docturn.__path__, "docturn.")
+    ]
+    state: dict[str, object] = {}
+    for module in modules:
+        state.update(containers(vars(module), module.__name__))
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                state.update(containers(vars(value), f"{module.__name__}.{name}"))
+    return state
