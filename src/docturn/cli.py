@@ -86,7 +86,11 @@ def run(config_path: str, no_reports: bool) -> None:
     if artifacts.exclusions:
         click.echo(f"excluded {len(artifacts.exclusions)} cells (see manifest.json)")
     if not no_reports:
-        written = emit_reports(artifacts)
+        try:
+            written = emit_reports(artifacts)
+        except DocturnError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_RUNTIME)
         click.echo(f"wrote {len(written)} report files under {artifacts.run_dir / 'reports'}")
 
 

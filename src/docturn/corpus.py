@@ -13,6 +13,7 @@ Unknown top-level keys are tolerated with a warning; structural problems
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
@@ -158,8 +159,15 @@ def load_corpus(path: str | Path) -> TestSet:
     document id on invariant violations.
     """
     path = Path(path)
+    return parse_corpus(path.read_bytes(), path)
+
+
+def parse_corpus(data: bytes, path: str | Path) -> TestSet:
+    """The test set in data, the bytes of the JSONL file at path, which names
+    the test set and its warnings. Raises as load_corpus does."""
+    path = Path(path)
     documents: list[Document] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -60,10 +60,24 @@ class TokenizerSpec:
     def external_counts(self) -> dict[str, int]:
         """The external file's text -> token count table. Raises OSError,
         ValueError or TypeError when it is not a JSON object of counts."""
-        data = json.loads(Path(self.external_path or "").read_text("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("token counts must be a JSON object")
-        return {str(k): int(v) for k, v in data.items()}
+        return token_counts(Path(self.external_path or "").read_bytes())
+
+    @classmethod
+    def external(cls, path: str, data: bytes) -> TokenizerSpec:
+        """The 'external' spec of the file at path, counting with the table
+        in data, the bytes a run read from it, never with a second read."""
+        spec = cls("external", path)
+        vars(spec)["external_counts"] = token_counts(data)  # where cached_property keeps it
+        return spec
+
+
+def token_counts(data: bytes) -> dict[str, int]:
+    """The text -> token count table in the bytes of a token-count file.
+    Raises ValueError or TypeError when it is not a JSON object of counts."""
+    table = json.loads(data.decode("utf-8"))
+    if not isinstance(table, dict):
+        raise ValueError("token counts must be a JSON object")
+    return {str(k): int(v) for k, v in table.items()}
 
 
 def count_tokens(text: str, spec: TokenizerSpec) -> int:

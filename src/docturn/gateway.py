@@ -63,6 +63,12 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         if not (0.0 <= self.drop_fraction < 1.0):
             raise ValueError(f"drop_fraction must be in [0, 1), got {self.drop_fraction}")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries: must be >= 0")
+        if self.requests_per_minute is not None and self.requests_per_minute < 1:
+            raise ConfigError("requests_per_minute: must be >= 1")
+        if self.timeout_s <= 0:
+            raise ConfigError("timeout_s: must be > 0")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
@@ -111,11 +117,14 @@ def _is_single_turn_shaped(req: ChatRequest) -> bool:
     return len(paragraphs) >= 2
 
 
-def _read_dictionary(path: str, key: str) -> dict[str, str]:
+def _read_dictionary(path: str, key: str, files: dict[str, bytes]) -> dict[str, str]:
     """A mock_dictionary file: a JSON object mapping source text to its
-    translation. key names the setting in ConfigError."""
+    translation, parsed from the bytes files holds for path, which are read
+    and added if it holds none. key names the setting in ConfigError."""
     try:
-        data = json.loads(Path(path).read_text("utf-8"))
+        if path not in files:
+            files[path] = Path(path).read_bytes()
+        data = json.loads(files[path].decode("utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{key}: cannot read {path} as JSON ({exc})") from None
     if not isinstance(data, dict):
@@ -237,8 +246,10 @@ def _backoff_delay(attempt: int, rng) -> float:
 class Gateway:
     """The backend state of one run: each openai_compatible API key, each
     mock_dictionary table, read once, and one token bucket per rate-limited
-    openai_compatible backend, shared by every caller. http_post, sleeper and
-    rng replace the transport, the sleep and the jitter source."""
+    openai_compatible backend, shared by every caller. files keeps the bytes
+    each dictionary table was parsed from, by path, for the config hash.
+    http_post, sleeper and rng replace the transport, the sleep and the
+    jitter source."""
 
     def __init__(
         self,
@@ -253,6 +264,7 @@ class Gateway:
         self.rng = rng or random
         self.api_keys: dict[str, str] = {}
         self.dictionaries: dict[str, dict[str, str]] = {}
+        self.files: dict[str, bytes] = {}
         self.buckets: dict[str, _RateLimiter] = {}
         for i, cfg in enumerate(backends):
             if cfg.kind == "openai_compatible":
@@ -265,7 +277,7 @@ class Gateway:
                     self.buckets[cfg.name] = _RateLimiter(cfg.requests_per_minute)
             elif cfg.kind == "mock_dictionary" and cfg.dictionary_path is not None:
                 self.dictionaries[cfg.name] = _read_dictionary(
-                    cfg.dictionary_path, f"backends[{i}].dictionary_path"
+                    cfg.dictionary_path, f"backends[{i}].dictionary_path", self.files
                 )
 
     def complete(self, req: ChatRequest, cfg: BackendConfig) -> ChatResponse:

@@ -80,12 +80,6 @@ class StrategyMetrics:
     flags: set[str] = field(default_factory=set)
 
 
-def _direction_bleu_config(cfg: BleuConfig, tgt_lang: str, auto_tokenizer: bool) -> BleuConfig:
-    if not auto_tokenizer:
-        return cfg
-    return replace(cfg, tokenizer=tokenizer_for_language(tgt_lang))
-
-
 @dataclass(frozen=True)
 class DocumentSide:
     """What scoring needs of one side of a document pair: its BLEU n-grams,
@@ -133,7 +127,6 @@ def score_strategy(
     translations: Mapping[str, DocumentTranslation],
     *,
     bleu_config: BleuConfig | None = None,
-    auto_tokenizer: bool = True,
     compute_blonde: bool = True,
     scorer: SegmentScorer | None = None,
     length_spec: TokenizerSpec | None = None,
@@ -186,7 +179,7 @@ def score_strategy(
     per_doc_blonde: dict[str, BlondeReport | None] = {}
     for doc, hyp in scored:
         dir_cfg = dir_cfgs.setdefault(
-            doc.direction, _direction_bleu_config(cfg, doc.tgt_lang, auto_tokenizer)
+            doc.direction, replace(cfg, tokenizer=tokenizer_for_language(doc.tgt_lang))
         )
         res = load_blonde_resources(doc.tgt_lang) if compute_blonde else None
         spec = length_spec or spec_for_target_language(doc.tgt_lang)

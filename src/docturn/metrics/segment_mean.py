@@ -51,13 +51,16 @@ class SubprocessScorer:
     command: tuple[str, ...]
 
     def score(self, pairs: Sequence[ScoreTriple]) -> list[float]:
-        proc = subprocess.run(
-            list(self.command),
-            input=pairs_to_tsv(pairs),
-            capture_output=True,
-            text=True,
-            encoding="utf-8",
-        )
+        try:
+            proc = subprocess.run(
+                list(self.command),
+                input=pairs_to_tsv(pairs),
+                capture_output=True,
+                text=True,
+                encoding="utf-8",
+            )
+        except OSError as exc:
+            raise ScorerError(f"cannot run scorer command {list(self.command)}: {exc}") from None
         if proc.returncode != 0:
             raise ScorerError(
                 f"scorer command failed with code {proc.returncode}: {proc.stderr[:500]}"

@@ -1,68 +1,53 @@
 """Run-plan schema: strict parsing and validation of experiment configs.
 
-The config file is JSON. Unknown keys are rejected with their full key path
-(a typo in a field name should never silently change an experiment), and
-nested component invariants (backend kinds, exemplar counts, ...) surface as
-ConfigError with the same path discipline.
+The config file is JSON, and the dataclasses are its schema: the keys of each
+JSON object are the fields of its class (RunPlan, BackendConfig,
+StrategyConfig, Exemplar, ScoringConfig), a field without a default is
+required, and each value must have its field's annotated type. An unknown or
+missing key, a value of the wrong type and a broken component invariant are
+all a ConfigError naming the full key path, so a typo or a mistyped value
+never silently changes an experiment.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+import types
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from ..corpus import Exemplar
-from ..errors import ConfigError
+from ..errors import ConfigError, CorpusError
 from ..gateway import BackendConfig
 from ..prompts import DEFAULT_TEMPLATE_SET
 from ..strategy import Mode, StrategyConfig
 
 FAIL_POLICIES = ("halt", "skip_and_report")
 
-_RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+# Fields that cannot change any output, left out of the config hash.
+OPERATIONAL = frozenset({"output_dir", "max_concurrent_documents", "timeout_s"})
 
-_PLAN_KEYS = {
-    "run_id",
-    "testsets",
-    "backends",
-    "strategies",
-    "tokenizer",
-    "scoring",
-    "output_dir",
-    "max_concurrent_documents",
-    "fail_policy",
-    "template_set",
-    "max_context_tokens",
-}
-_BACKEND_KEYS = {
-    "kind",
-    "name",
-    "model",
-    "base_url",
-    "api_key_env_var",
-    "max_retries",
-    "requests_per_minute",
-    "timeout_s",
-    "dictionary_path",
-    "drop_fraction",
-}
-_STRATEGY_KEYS = {"mode", "icl", "exemplars", "exemplar_count", "max_tokens"}
-_EXEMPLAR_KEYS = {"source", "target", "src_lang", "tgt_lang"}
-_SCORING_KEYS = {"blonde", "scorer_command", "top_n", "case_sensitive", "max_n"}
+_RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _TOKENIZER_IDS = ("auto", "whitespace", "char", "external")
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
     blonde: bool = True
-    scorer_command: tuple[str, ...] | None = None
+    scorer_command: tuple[str, ...] = ()
     top_n: int = 10
     case_sensitive: bool = True
     max_n: int = 4
+
+    def __post_init__(self) -> None:
+        if self.top_n < 0:
+            raise ConfigError("top_n: must be >= 0")
+        if self.max_n < 1:
+            raise ConfigError("max_n: must be >= 1")
 
 
 @dataclass
@@ -83,12 +68,20 @@ class RunPlan:
     def __post_init__(self) -> None:
         if not _RUN_ID_RE.match(self.run_id):
             raise ConfigError(f"run_id: {self.run_id!r} is not filesystem-safe")
+        if not self.backends:
+            raise ConfigError("backends: at least one backend required")
+        if not self.strategies:
+            raise ConfigError("strategies: at least one strategy required")
         if self.max_concurrent_documents < 1:
             raise ConfigError("max_concurrent_documents: must be >= 1")
         if self.fail_policy not in FAIL_POLICIES:
             raise ConfigError(f"fail_policy: unknown policy {self.fail_policy!r}")
         if self.tokenizer not in _TOKENIZER_IDS:
             raise ConfigError(f"tokenizer: unknown id {self.tokenizer!r}")
+        if self.tokenizer == "external" and not self.tokenizer_external_path:
+            raise ConfigError("tokenizer.path: required by the external tokenizer")
+        if self.max_context_tokens is not None and self.max_context_tokens < 1:
+            raise ConfigError("max_context_tokens: must be >= 1")
         names = [b.name for b in self.backends]
         if len(names) != len(set(names)):
             raise ConfigError("backends: names must be unique")
@@ -96,151 +89,127 @@ class RunPlan:
         if len(labels) != len(set(labels)):
             raise ConfigError("strategies: (mode, icl) combinations must be unique")
 
-    def canonical_dict(self) -> dict[str, Any]:
+    def canonical_dict(self, files: dict[str, bytes] | None = None) -> dict[str, Any]:
         """Stable dict representation used for the resume-identity hash.
 
-        It holds every setting that can change a run's outputs, and the
-        SHA-256 of the bytes of each file a run reads (test sets, mock
-        dictionaries, the external token-count file), so an edited file is a
-        different run. Left out, as operational only: output_dir (it locates
-        the run), max_concurrent_documents and each backend's timeout_s.
+        It holds every field but the OPERATIONAL ones, which only locate or
+        pace a run, and it holds each file a run reads (test sets, mock
+        dictionaries, the external token-count file) as its path and the
+        SHA-256 of its bytes, so an edited file is a different run. files
+        maps a path to the bytes a run has read from it; each file not in it
+        is read and added.
         """
-        return {
-            "run_id": self.run_id,
-            "testsets": [
-                _file_identity(path, f"testsets[{i}]") for i, path in enumerate(self.testsets)
-            ],
-            "backends": [
-                {
-                    "kind": b.kind,
-                    "name": b.name,
-                    "model": b.model,
-                    "base_url": b.base_url,
-                    "api_key_env_var": b.api_key_env_var,
-                    "max_retries": b.max_retries,
-                    "requests_per_minute": b.requests_per_minute,
-                    "dictionary_path": _file_identity(
-                        b.dictionary_path, f"backends[{i}].dictionary_path"
-                    ),
-                    "drop_fraction": b.drop_fraction,
-                }
-                for i, b in enumerate(self.backends)
-            ],
-            "strategies": [
-                {
-                    "mode": s.mode.value,
-                    "icl": s.icl,
-                    "exemplars": [
-                        {
-                            "source": e.source,
-                            "target": e.target,
-                            "src_lang": e.src_lang,
-                            "tgt_lang": e.tgt_lang,
-                        }
-                        for e in s.exemplars
-                    ],
-                    "exemplar_count": s.exemplar_count,
-                    "template_set": s.template_set,
-                    "model_id": s.model_id,
-                    "max_tokens": s.max_tokens,
-                }
-                for s in self.strategies
-            ],
-            "tokenizer": self.tokenizer,
-            "tokenizer_external_path": _file_identity(
-                self.tokenizer_external_path, "tokenizer.path"
-            ),
-            "scoring": {
-                "blonde": self.scoring.blonde,
-                "scorer_command": list(self.scoring.scorer_command or ()),
-                "top_n": self.scoring.top_n,
-                "case_sensitive": self.scoring.case_sensitive,
-                "max_n": self.scoring.max_n,
-            },
-            "fail_policy": self.fail_policy,
-            "template_set": self.template_set,
-            "max_context_tokens": self.max_context_tokens,
-        }
+        files = {} if files is None else files
+        record = dataclasses.asdict(
+            self, dict_factory=lambda items: {k: v for k, v in items if k not in OPERATIONAL}
+        )
+        record["testsets"] = [
+            _file_identity(path, f"testsets[{i}]", files) for i, path in enumerate(self.testsets)
+        ]
+        for i, backend in enumerate(record["backends"]):
+            backend["dictionary_path"] = _file_identity(
+                backend["dictionary_path"], f"backends[{i}].dictionary_path", files
+            )
+        record["tokenizer_external_path"] = _file_identity(
+            self.tokenizer_external_path, "tokenizer.path", files
+        )
+        return record
+
+    def config_hash_of(self, files: dict[str, bytes]) -> str:
+        """The config hash over the bytes in files, reading and adding any
+        file a run reads that files lacks."""
+        payload = json.dumps(self.canonical_dict(files), sort_keys=True, ensure_ascii=False)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     @property
     def config_hash(self) -> str:
-        payload = json.dumps(self.canonical_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return self.config_hash_of({})
 
 
-def _file_identity(path: str | None, key: str) -> dict[str, str] | None:
+def _file_identity(path: str | None, key: str, files: dict[str, bytes]) -> dict[str, str] | None:
     """A file a run reads, as its path and the SHA-256 of its bytes."""
     if path is None:
         return None
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"{key}: cannot read {path} ({exc.strerror})") from None
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _reject_unknown(record: dict, allowed: set[str], path: str) -> None:
-    unknown = set(record) - allowed
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path}{key}: unknown key")
-
-
-def _backend_from_dict(record: dict, path: str) -> BackendConfig:
-    _reject_unknown(record, _BACKEND_KEYS, path)
-    if "kind" not in record:
-        raise ConfigError(f"{path}kind: required")
-    try:
-        return BackendConfig(
-            kind=record["kind"],
-            name=record.get("name", ""),
-            model=record.get("model", "default"),
-            base_url=record.get("base_url", ""),
-            api_key_env_var=record.get("api_key_env_var", "OPENAI_API_KEY"),
-            max_retries=int(record.get("max_retries", 3)),
-            requests_per_minute=record.get("requests_per_minute"),
-            timeout_s=float(record.get("timeout_s", 120.0)),
-            dictionary_path=record.get("dictionary_path"),
-            drop_fraction=float(record.get("drop_fraction", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}{exc}") from exc
-
-
-def _strategy_from_dict(record: dict, path: str, template_set: str) -> StrategyConfig:
-    _reject_unknown(record, _STRATEGY_KEYS, path)
-    if "mode" not in record:
-        raise ConfigError(f"{path}mode: required")
-    try:
-        mode = Mode(record["mode"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}mode: unknown mode {record['mode']!r}") from exc
-    exemplars = []
-    for i, ex in enumerate(record.get("exemplars", [])):
-        ex_path = f"{path}exemplars[{i}]."
-        _reject_unknown(ex, _EXEMPLAR_KEYS, ex_path)
+    if path not in files:
         try:
-            exemplars.append(
-                Exemplar(
-                    source=ex["source"],
-                    target=ex["target"],
-                    src_lang=ex["src_lang"],
-                    tgt_lang=ex["tgt_lang"],
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{ex_path}{exc.args[0]}: required") from exc
+            files[path] = Path(path).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"{key}: cannot read {path} ({exc.strerror})") from None
+    return {"path": path, "sha256": hashlib.sha256(files[path]).hexdigest()}
+
+
+def _schema(cls: type, set_elsewhere: frozenset[str] = frozenset()) -> dict[str, tuple]:
+    """The JSON keys of cls: field name -> (annotated type less any
+    `| None`, whether it is nullable, whether it is required)."""
+    hints = get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if f.name in set_elsewhere:
+            continue
+        hint, nullable = hints[f.name], False
+        if get_origin(hint) in (Union, types.UnionType):  # X | None
+            (hint,), nullable = [a for a in get_args(hint) if a is not type(None)], True
+        schema[f.name] = (hint, nullable, f.default is MISSING and f.default_factory is MISSING)
+    return schema
+
+
+# Resolved once, here: resolving type hints costs far more than a parse.
+_SCHEMAS = {
+    # tokenizer_external_path is the "path" of a "tokenizer" object.
+    RunPlan: _schema(RunPlan, frozenset({"tokenizer_external_path"})),
+    BackendConfig: _schema(BackendConfig),
+    # A strategy's template_set is the plan's, and its model_id keeps its default.
+    StrategyConfig: _schema(StrategyConfig, frozenset({"template_set", "model_id"})),
+    Exemplar: _schema(Exemplar),
+    ScoringConfig: _schema(ScoringConfig),
+}
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _value(hint: Any, value: Any, key: str) -> Any:
+    """A JSON value as a field of the annotated type hint; key names it in errors."""
+    if hint in _JSON_TYPES:
+        if isinstance(value, bool) == (hint is bool):  # a JSON boolean is no number
+            if hint is float and isinstance(value, int):
+                return float(value)  # so that 0 and 0.0 hash alike
+            if isinstance(value, hint):
+                return value
+        raise ConfigError(f"{key}: expected {_JSON_TYPES[hint]}, got {value!r}")
+    if hint in _SCHEMAS:
+        return _build(hint, value, f"{key}.")
+    if hint is Mode:
+        try:
+            return Mode(value)
+        except ValueError:
+            raise ConfigError(f"{key}: unknown mode {value!r}") from None
+    # list[X] or tuple[X, ...]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    item = get_args(hint)[0]
+    return get_origin(hint)(_value(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _build(cls: type, record: Any, path: str, **given: Any) -> Any:
+    """An instance of cls from its JSON object record. path prefixes every
+    key path in errors; given holds the fields set from elsewhere."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{path[:-1]}: expected an object, got {record!r}")
+    schema = _SCHEMAS[cls]
+    if not record.keys() <= schema.keys():
+        raise ConfigError(f"{path}{min(record.keys() - schema.keys())}: unknown key")
+    for name, (hint, nullable, required) in schema.items():
+        if name in record:
+            value = record[name]
+            given[name] = None if value is None and nullable else _value(hint, value, path + name)
+        elif required:
+            raise ConfigError(f"{path}{name}: required")
     try:
-        return StrategyConfig(
-            mode=mode,
-            icl=bool(record.get("icl", False)),
-            exemplars=tuple(exemplars),
-            template_set=template_set,
-            exemplar_count=int(record.get("exemplar_count", 3)),
-            max_tokens=record.get("max_tokens"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}{exc}") from exc
+        return cls(**given)
+    except ConfigError as exc:  # a check naming its own key
+        raise ConfigError(f"{path}{exc}") from None
+    except (ValueError, CorpusError) as exc:
+        raise ConfigError(f"{path[:-1]}: {exc}") from None
 
 
 def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
@@ -249,14 +218,6 @@ def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
     Relative paths are resolved against base_dir (the config file's parent)
     when given.
     """
-    _reject_unknown(record, _PLAN_KEYS, "")
-    for required in ("run_id", "testsets", "backends", "strategies", "output_dir"):
-        if required not in record:
-            raise ConfigError(f"{required}: required")
-    if not record["backends"]:
-        raise ConfigError("backends: at least one backend required")
-    if not record["strategies"]:
-        raise ConfigError("strategies: at least one strategy required")
 
     def resolve(p: str) -> str:
         path = Path(p)
@@ -264,53 +225,26 @@ def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
             path = base_dir / path
         return str(path)
 
-    template_set = record.get("template_set", DEFAULT_TEMPLATE_SET)
-    tokenizer = record.get("tokenizer", "auto")
-    tokenizer_external_path = None
+    # "tokenizer" is an id, or an object {"id": ..., "path": ...}.
+    tokenizer = record.get("tokenizer")
+    external_path = None
     if isinstance(tokenizer, dict):
-        _reject_unknown(tokenizer, {"id", "path"}, "tokenizer.")
-        tokenizer_external_path = tokenizer.get("path")
-        tokenizer = tokenizer.get("id", "auto")
-        if tokenizer_external_path:
-            tokenizer_external_path = resolve(tokenizer_external_path)
+        unknown = tokenizer.keys() - {"id", "path"}
+        if unknown:
+            raise ConfigError(f"tokenizer.{min(unknown)}: unknown key")
+        if tokenizer.get("path") is not None:
+            external_path = resolve(_value(str, tokenizer["path"], "tokenizer.path"))
+        record = {**record, "tokenizer": _value(str, tokenizer.get("id", "auto"), "tokenizer.id")}
 
-    scoring_record = record.get("scoring", {})
-    _reject_unknown(scoring_record, _SCORING_KEYS, "scoring.")
-    scorer_command = scoring_record.get("scorer_command")
-    scoring = ScoringConfig(
-        blonde=bool(scoring_record.get("blonde", True)),
-        scorer_command=tuple(scorer_command) if scorer_command else None,
-        top_n=int(scoring_record.get("top_n", 10)),
-        case_sensitive=bool(scoring_record.get("case_sensitive", True)),
-        max_n=int(scoring_record.get("max_n", 4)),
-    )
-
-    backends = [
-        _backend_from_dict(b, f"backends[{i}].") for i, b in enumerate(record["backends"])
-    ]
-    # Resolve mock dictionary paths relative to the config file.
-    backends = [
+    plan = _build(RunPlan, record, "", tokenizer_external_path=external_path)
+    plan.testsets = [resolve(t) for t in plan.testsets]
+    plan.output_dir = resolve(plan.output_dir)
+    plan.backends = [
         b if b.dictionary_path is None else replace(b, dictionary_path=resolve(b.dictionary_path))
-        for b in backends
+        for b in plan.backends
     ]
-    strategies = [
-        _strategy_from_dict(s, f"strategies[{i}].", template_set)
-        for i, s in enumerate(record["strategies"])
-    ]
-    return RunPlan(
-        run_id=record["run_id"],
-        testsets=[resolve(t) for t in record["testsets"]],
-        backends=backends,
-        strategies=strategies,
-        output_dir=resolve(record["output_dir"]),
-        tokenizer=tokenizer,
-        tokenizer_external_path=tokenizer_external_path,
-        scoring=scoring,
-        max_concurrent_documents=int(record.get("max_concurrent_documents", 1)),
-        fail_policy=record.get("fail_policy", "skip_and_report"),
-        template_set=template_set,
-        max_context_tokens=record.get("max_context_tokens"),
-    )
+    plan.strategies = [replace(s, template_set=plan.template_set) for s in plan.strategies]
+    return plan
 
 
 def load_run_config(path: str | Path) -> RunPlan:

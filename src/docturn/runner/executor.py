@@ -39,13 +39,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable
 
 from .. import gateway
 from ..chat import ChatRequest, ChatResponse, Message, assistant, common_prefix_length
-from ..corpus import Document, TestSet, load_corpus
+from ..corpus import Document, TestSet, parse_corpus
 from ..costing import Transcript, TranscriptTurn, ledger_for_session, message_tokens
 from ..costing import TokenizerSpec, spec_for_target_language
 from ..errors import ConfigError, DocturnError, GatewayError, ResumeMismatchError
@@ -84,24 +84,11 @@ class RunArtifacts:
     run_dir: Path
     plan: RunPlan
     testset: TestSet
+    # The plan's token-counting spec, None under 'auto' (by target language).
+    # The ledgers, the context budget and the length reports all count with it.
+    token_spec: TokenizerSpec | None
     cells: dict[CellKey, CellArtifact] = field(default_factory=dict)
     exclusions: list[dict] = field(default_factory=list)
-
-    @cached_property
-    def token_spec(self) -> TokenizerSpec | None:
-        """The plan's token-counting spec, None under 'auto' (by target
-        language). The ledgers, the context budget and the length reports all
-        count with it, so a run reads an external token-count file once."""
-        tokenizer, path = self.plan.tokenizer, self.plan.tokenizer_external_path
-        if tokenizer == "auto":
-            return None
-        try:
-            spec = TokenizerSpec(tokenizer, path if tokenizer == "external" else None)
-            if spec.id == "external":
-                spec.external_counts  # read once, here
-        except (OSError, ValueError, TypeError) as exc:
-            raise ConfigError(f"tokenizer.path: no token counts in {path} ({exc})") from None
-        return spec
 
     def translations_for(self, backend_name: str, strategy_label: str) -> dict[str, DocumentTranslation]:
         return {
@@ -111,12 +98,50 @@ class RunArtifacts:
         }
 
 
-def load_testsets(plan: RunPlan) -> TestSet:
-    """All plan test sets merged; document ids must be globally unique."""
+def load_corpus(path: str) -> tuple[TestSet, bytes]:
+    """The test set at path and the bytes it was parsed from, read once."""
+    data = Path(path).read_bytes()
+    return parse_corpus(data, path), data
+
+
+def load_testsets(plan: RunPlan, files: dict[str, bytes] | None = None) -> TestSet:
+    """All plan test sets merged; document ids must be globally unique. The
+    bytes read from each test set are added to files, by path."""
     documents = []
-    for path in plan.testsets:
-        documents.extend(load_corpus(path).documents)
+    for i, path in enumerate(plan.testsets):
+        try:
+            testset, data = load_corpus(path)
+        except OSError as exc:
+            raise ConfigError(f"testsets[{i}]: cannot read {path} ({exc.strerror})") from None
+        documents.extend(testset.documents)
+        if files is not None:
+            files[path] = data
     return TestSet(name=plan.run_id, documents=documents)
+
+
+def _token_spec(plan: RunPlan, files: dict[str, bytes]) -> TokenizerSpec | None:
+    """The plan's token-counting spec, an external one counting with the
+    table in the bytes files holds for its path."""
+    tokenizer, path = plan.tokenizer, plan.tokenizer_external_path
+    if tokenizer == "auto":
+        return None
+    if tokenizer != "external":
+        return TokenizerSpec(tokenizer)
+    try:
+        return TokenizerSpec.external(path, files[path])
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"tokenizer.path: no token counts in {path} ({exc})") from None
+
+
+def _open_run(plan: RunPlan, files: dict[str, bytes]) -> tuple[RunArtifacts, str]:
+    """A run's artifacts, with no cell loaded yet, and its config hash. files
+    holds the bytes already read, by path; each other file the run reads is
+    read once and added, so the hash covers exactly the bytes that are
+    parsed. Nothing is written."""
+    testset = load_testsets(plan, files)
+    config_hash = plan.config_hash_of(files)
+    run_dir = Path(plan.output_dir) / plan.run_id
+    return RunArtifacts(run_dir, plan, testset, _token_spec(plan, files)), config_hash
 
 
 def _group_log(run_dir: Path, backend: str, strategy: str) -> Path:
@@ -341,14 +366,12 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     plan.fail_policy: 'halt' re-raises immediately (completed cells remain
     for resume), 'skip_and_report' records an exclusion and continues.
     """
-    run_dir = Path(plan.output_dir) / plan.run_id
-    config_hash = plan.config_hash
     # Each file and key the run reads is read once, before the run directory exists.
     backends = gateway.Gateway(plan.backends)
+    artifacts, config_hash = _open_run(plan, dict(backends.files))
     complete = complete_fn or backends.complete
-    artifacts = RunArtifacts(run_dir=run_dir, plan=plan, testset=load_testsets(plan))
-    artifacts.token_spec  # reads an external token-count file
     templates = load_template_set(plan.template_set)
+    run_dir = artifacts.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
     found = _read_manifest(run_dir, config_hash)
     if found is None and any(p.name != f"{MANIFEST}.tmp" for p in run_dir.iterdir()):
@@ -449,11 +472,10 @@ def _handle_failure(
 
 def load_artifacts(plan: RunPlan) -> RunArtifacts:
     """Load previously executed cells from disk (for score/report commands)."""
-    run_dir = Path(plan.output_dir) / plan.run_id
-    manifest = _read_manifest(run_dir, plan.config_hash)
+    artifacts, config_hash = _open_run(plan, {})
+    manifest = _read_manifest(artifacts.run_dir, config_hash)
     if manifest is None:
-        raise DocturnError(f"no run found at {run_dir} (missing {MANIFEST})")
-    artifacts = RunArtifacts(run_dir=run_dir, plan=plan, testset=load_testsets(plan))
+        raise DocturnError(f"no run found at {artifacts.run_dir} (missing {MANIFEST})")
     _load_completed(artifacts, load_template_set(plan.template_set))
     # An interrupted resume leaves stale exclusions for cells it completed.
     artifacts.exclusions = [

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .chat import ChatRequest, Message, assistant, user
 from .corpus import Document, Exemplar
-from .errors import PrefixStabilityError, SessionContractError
+from .errors import ConfigError, PrefixStabilityError, SessionContractError
 from .prompts import (
     DEFAULT_TEMPLATE_SET,
     PromptTemplateSet,
@@ -88,6 +88,8 @@ class StrategyConfig:
                 f"icl=True requires exactly {self.exemplar_count} exemplars, "
                 f"got {len(self.exemplars)}"
             )
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ConfigError("max_tokens: must be >= 1")
 
     @property
     def label(self) -> str:

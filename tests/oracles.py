@@ -8,7 +8,9 @@ against something it does not share code with.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from pathlib import Path
 
 from docturn.costing import count_tokens
 
@@ -161,3 +163,65 @@ def naive_connectives(tokens: list[str], phrases: tuple[tuple[str, ...], ...]) -
                 key = " ".join(phrase)
                 found[key] = found.get(key, 0) + 1
     return found
+
+
+def _reference_file_identity(path: str | None) -> dict[str, str] | None:
+    if path is None:
+        return None
+    return {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+
+
+def reference_canonical_dict(plan) -> dict:
+    """A run plan's config-hash payload, every key listed by hand, as the
+    config hash was computed before it was derived from the dataclass
+    fields. Existing run directories resume only while the two agree."""
+    return {
+        "run_id": plan.run_id,
+        "testsets": [_reference_file_identity(path) for path in plan.testsets],
+        "backends": [
+            {
+                "kind": b.kind,
+                "name": b.name,
+                "model": b.model,
+                "base_url": b.base_url,
+                "api_key_env_var": b.api_key_env_var,
+                "max_retries": b.max_retries,
+                "requests_per_minute": b.requests_per_minute,
+                "dictionary_path": _reference_file_identity(b.dictionary_path),
+                "drop_fraction": b.drop_fraction,
+            }
+            for b in plan.backends
+        ],
+        "strategies": [
+            {
+                "mode": s.mode.value,
+                "icl": s.icl,
+                "exemplars": [
+                    {
+                        "source": e.source,
+                        "target": e.target,
+                        "src_lang": e.src_lang,
+                        "tgt_lang": e.tgt_lang,
+                    }
+                    for e in s.exemplars
+                ],
+                "exemplar_count": s.exemplar_count,
+                "template_set": s.template_set,
+                "model_id": s.model_id,
+                "max_tokens": s.max_tokens,
+            }
+            for s in plan.strategies
+        ],
+        "tokenizer": plan.tokenizer,
+        "tokenizer_external_path": _reference_file_identity(plan.tokenizer_external_path),
+        "scoring": {
+            "blonde": plan.scoring.blonde,
+            "scorer_command": list(plan.scoring.scorer_command or ()),
+            "top_n": plan.scoring.top_n,
+            "case_sensitive": plan.scoring.case_sensitive,
+            "max_n": plan.scoring.max_n,
+        },
+        "fail_policy": plan.fail_policy,
+        "template_set": plan.template_set,
+        "max_context_tokens": plan.max_context_tokens,
+    }

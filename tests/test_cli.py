@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,24 @@ class TestRun:
         result = runner.invoke(main, ["report", "--config", config])
         assert result.exit_code == 2
         assert result.output.startswith("error: ") and "manifest.json" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
+    @pytest.mark.parametrize("command", ["run", "score"])
+    @pytest.mark.parametrize("scorer", ["missing", "failing"])
+    def test_scorer_failure_exit_2(self, runner, tmp_path, command, scorer):
+        scorer_command = (
+            [str(tmp_path / "no-such-scorer")] if scorer == "missing"
+            else [sys.executable, "-c", "raise SystemExit(3)"]
+        )
+        record = minimal_plan_dict(tmp_path, scoring={"scorer_command": scorer_command})
+        config = self.write_config(tmp_path, record)
+        if command == "score":
+            assert runner.invoke(main, ["run", "--config", config, "--no-reports"]).exit_code == 0
+        result = runner.invoke(main, [command, "--config", config])
+        assert result.exit_code == 2
+        error = result.output.splitlines()[-1]
+        assert error.startswith("error: ")
+        assert ("no-such-scorer" if scorer == "missing" else "code 3") in error
         assert isinstance(result.exception, SystemExit)  # no traceback
 
     def test_score_without_run_exit_2(self, runner, tmp_path):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import builtins
 import copy
 import dataclasses
 import importlib
+import io
 import json
+import os
 import pkgutil
 import re
 import threading
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -1121,6 +1125,18 @@ def write_token_counts(path: Path, texts: set[str], per_word: int) -> None:
     path.write_text(json.dumps({t: per_word * len(t.split()) for t in texts}), "utf-8")
 
 
+def file_name(file) -> str | None:
+    return Path(file).name if isinstance(file, (str, os.PathLike)) else None
+
+
+def patch_open(monkeypatch, wrapper) -> None:
+    """Send every file open, through pathlib or the open builtin, to
+    wrapper(open_file, file, *args, **kwargs)."""
+    original = io.open
+    monkeypatch.setattr(io, "open", partial(wrapper, original))
+    monkeypatch.setattr(builtins, "open", partial(wrapper, original))
+
+
 def ledger_totals(artifacts) -> dict:
     return {key: {mode: ledger["totals"] for mode, ledger in cell.ledgers.items()}
             for key, cell in artifacts.cells.items()}
@@ -1175,19 +1191,48 @@ class TestRunOwnsItsState:
         )
         write_token_counts(counts, counted_texts(plan_from_dict(record)), per_word=1)
         reads: Counter = Counter()
-        original = Path.read_text
 
-        def read_text(path, *args, **kwargs):
-            reads[path.name] += 1
-            return original(path, *args, **kwargs)
+        def counted(open_file, file, *args, **kwargs):
+            reads[file_name(file)] += 1
+            return open_file(file, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", read_text)
+        patch_open(monkeypatch, counted)
         plan = plan_from_dict(record)
         emit_reports(execute(plan))
-        assert (reads["dict.json"], reads["counts.json"]) == (1, 1)
+        assert (reads["corpus.jsonl"], reads["dict.json"], reads["counts.json"]) == (1, 1, 1)
         reads.clear()
         emit_reports(load_artifacts(plan))
-        assert (reads["dict.json"], reads["counts.json"]) == (0, 1)
+        assert (reads["corpus.jsonl"], reads["dict.json"], reads["counts.json"]) == (1, 1, 1)
+
+    def test_file_edited_after_its_one_read_runs_as_hashed(self, tmp_path, monkeypatch):
+        """The config hash and the translations come from one read of the
+        dictionary, so an edit landing right after it changes neither."""
+        first_paragraph_corpus(tmp_path)
+        dictionary = tmp_path / "dict.json"
+        dictionary.write_text('{"First": "Erster"}', "utf-8")
+        plan = plan_from_dict(minimal_plan_dict(tmp_path, strategies=[{"mode": "segment_level"}], backends=[
+            {"kind": "mock_dictionary", "name": "dict", "dictionary_path": str(dictionary)}
+        ]))
+        hashed = plan.config_hash
+
+        def edited_after_read(open_file, file, mode="r", *args, **kwargs):
+            handle = open_file(file, mode, *args, **kwargs)
+            if file_name(file) != "dict.json" or "r" not in mode:
+                return handle
+            with handle:
+                content = handle.read()
+            with open_file(file, "w", encoding="utf-8") as out:
+                out.write('{"First": "UNO"}')
+            return io.BytesIO(content) if "b" in mode else io.StringIO(content)
+
+        patch_open(monkeypatch, edited_after_read)
+        artifacts = execute(plan)
+        monkeypatch.undo()
+        assert dictionary.read_text("utf-8") == '{"First": "UNO"}'
+        key = ("dict", "segment_level", "doc-1")
+        assert artifacts.cells[key].translation.hypothesis_segments == ("Erster paragraph.",)
+        manifest = json.loads((artifacts.run_dir / "manifest.json").read_text("utf-8"))
+        assert manifest["config_hash"] == hashed
 
     @pytest.mark.parametrize(
         "key, content",

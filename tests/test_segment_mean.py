@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 
 import pytest
@@ -76,6 +77,11 @@ class TestSubprocessScorer:
         scorer = SubprocessScorer((sys.executable, "-c", "raise SystemExit(3)"))
         with pytest.raises(ScorerError, match="code 3"):
             segment_mean_score(scorer, PAIRS)
+
+    def test_missing_command_rejected_by_name(self, tmp_path):
+        missing = str(tmp_path / "no-such-scorer")
+        with pytest.raises(ScorerError, match=re.escape(missing)):
+            segment_mean_score(SubprocessScorer((missing, "--fast")), PAIRS)
 
 
 class TestPrecomputedScorer:
