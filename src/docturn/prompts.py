@@ -20,6 +20,7 @@ from importlib import resources
 from .errors import TemplateError
 
 DEFAULT_TEMPLATE_SET = "wmt24-style-v1"
+_TEMPLATES = "docturn.resources.templates"
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 _HEADER_RE = re.compile(r"^\[([a-z_]+)\]$")
@@ -111,13 +112,21 @@ def _parse_template_file(text: str) -> dict[str, str]:
     return slots
 
 
+def _template_filename(set_id: str) -> str:
+    """The resource file of a template set id ('-' separated ids map to '_' files)."""
+    return set_id.replace("-", "_") + ".txt"
+
+
+def is_template_set(set_id: str) -> bool:
+    """Whether set_id names one of the template sets shipped as resources."""
+    shipped = {path.name for path in resources.files(_TEMPLATES).iterdir()}
+    return _template_filename(set_id) in shipped
+
+
 def load_template_set(set_id: str = DEFAULT_TEMPLATE_SET) -> PromptTemplateSet:
-    """Load a template set resource by id ('-' separated ids map to '_' files)."""
-    filename = set_id.replace("-", "_") + ".txt"
+    """Load a template set resource by id."""
     try:
-        raw = (
-            resources.files("docturn.resources.templates").joinpath(filename).read_text("utf-8")
-        )
+        raw = resources.files(_TEMPLATES).joinpath(_template_filename(set_id)).read_text("utf-8")
     except FileNotFoundError as exc:
         raise TemplateError(f"unknown template set: {set_id!r}") from exc
     return PromptTemplateSet(

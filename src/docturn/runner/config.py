@@ -23,7 +23,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 from ..corpus import Exemplar
 from ..errors import ConfigError, CorpusError
 from ..gateway import BackendConfig
-from ..prompts import DEFAULT_TEMPLATE_SET
+from ..prompts import DEFAULT_TEMPLATE_SET, is_template_set
 from ..strategy import Mode, StrategyConfig
 
 FAIL_POLICIES = ("halt", "skip_and_report")
@@ -68,6 +68,8 @@ class RunPlan:
     def __post_init__(self) -> None:
         if not _RUN_ID_RE.match(self.run_id):
             raise ConfigError(f"run_id: {self.run_id!r} is not filesystem-safe")
+        if not self.testsets:
+            raise ConfigError("testsets: at least one test set required")
         if not self.backends:
             raise ConfigError("backends: at least one backend required")
         if not self.strategies:
@@ -237,6 +239,8 @@ def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
         record = {**record, "tokenizer": _value(str, tokenizer.get("id", "auto"), "tokenizer.id")}
 
     plan = _build(RunPlan, record, "", tokenizer_external_path=external_path)
+    if not is_template_set(plan.template_set):
+        raise ConfigError(f"template_set: unknown template set {plan.template_set!r}")
     plan.testsets = [resolve(t) for t in plan.testsets]
     plan.output_dir = resolve(plan.output_dir)
     plan.backends = [

@@ -9,15 +9,26 @@ the messages after those, the `response` and `elapsed_ms`. Translations and
 ledgers are pure functions of the transcript, so loading a cell replays its
 record through the strategy and recomputes them.
 
+Line 1 of a group log is its header, `{"prefix": [...]}`: the exemplar
+messages every request of the group starts with, stored once per group the
+way a prefix cache keeps them once. Turn 0 counts from it, so its `keep` is
+the header's length and its `append` holds only what follows the exemplars.
+The header is built once per group and its one tuple is shared by the
+group's sessions and by each cell's first state, so comparing a request with
+that state stops at the shared messages by identity. Loading checks the
+header against the prefix the strategy rebuilds, and replay starts from it.
+
 A record is built in memory while its cell runs and appended, with one write
 and a flush, only once the cell has completed, so a failed or interrupted
 cell leaves nothing and re-executing the run executes exactly the missing
-cells. Bytes after a log's last newline are a record torn by a crash: loading
-ignores them and execute truncates them away before it appends.
-ResumeMismatchError refuses a line that does not parse, a second record for
-one document, a record for a document outside the test set, a record whose
-requests differ from the rebuilt ones or that has a missing or extra turn,
-and a directory from a different configuration or another layout.
+cells. Bytes after a log's last newline are a record, or a header, torn by a
+crash: loading ignores them and execute truncates them away before it
+appends, writing the header first when nothing complete is left.
+ResumeMismatchError refuses a header that is missing, does not parse or
+differs from the rebuilt prefix, a line that does not parse, a second record
+for one document, a record for a document outside the test set, a record
+whose requests differ from the rebuilt ones or that has a missing or extra
+turn, and a directory from a different configuration or another layout.
 
 The manifest is written before the first request, so an interrupted first
 run can be loaded, scored and resumed, and is replaced whole at the end with
@@ -56,6 +67,7 @@ from ..strategy import (
     assemble_hypothesis,
     # ledger_for_session runs the check; bench/harness.py's tracer patches this name.
     check_prefix_stability,  # noqa: F401
+    exemplar_messages,
     ingest_response,
     init_session,
     next_request,
@@ -64,7 +76,7 @@ from .config import RunPlan
 
 logger = logging.getLogger(__name__)
 
-LAYOUT_VERSION = 3
+LAYOUT_VERSION = 4
 MANIFEST = "manifest.json"
 
 CompleteFn = Callable[[ChatRequest, gateway.BackendConfig], ChatResponse]
@@ -155,27 +167,30 @@ class _Group:
     backend: gateway.BackendConfig
     strategy: StrategyConfig
     log: Path
-    complete_bytes: int  # length of the log up to its last newline
-    pending: list[Document]  # documents without a record
+    prefix: tuple[Message, ...]  # the strategy's exemplar messages, the log's header
+    complete_bytes: int = 0  # length of the log up to its last newline
+    pending: list[Document] = field(default_factory=list)  # documents without a record
 
 
 def _drive_cell(
     artifacts: RunArtifacts,
-    strategy: StrategyConfig,
+    group: _Group,
     doc: Document,
     templates: PromptTemplateSet,
     reply: Callable[[int, ChatRequest, tuple[Message, ...]], ChatResponse],
 ) -> CellArtifact:
     """Run one document session, taking each reply from reply(turn, request,
-    previous request-plus-reply), then derive both ledgers, which checks its
-    prefix stability, and the translation from its transcript."""
-    session = init_session(strategy, doc, templates)
+    previous request-plus-reply), the group's prefix before turn 0, then
+    derive both ledgers, which checks its prefix stability, and the
+    translation from its transcript."""
+    strategy = group.strategy
+    session = init_session(strategy, doc, templates, group.prefix)
     transcript = Transcript(doc_id=doc.id, strategy_mode=strategy.mode)
     plan = artifacts.plan
     spec = artifacts.token_spec or spec_for_target_language(doc.tgt_lang)
     counts: dict[tuple[str, str], int] = {}  # every message counted once per cell
 
-    state: tuple[Message, ...] = ()
+    state = group.prefix
     turn = 0
     while (request := next_request(session)) is not None:
         if plan.max_context_tokens is not None:
@@ -205,8 +220,7 @@ def _drive_cell(
 
 def _run_cell(
     artifacts: RunArtifacts,
-    backend: gateway.BackendConfig,
-    strategy: StrategyConfig,
+    group: _Group,
     doc: Document,
     templates: PromptTemplateSet,
     complete: CompleteFn,
@@ -217,7 +231,7 @@ def _run_cell(
 
     def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
         started = time.monotonic()
-        response = complete(request, backend)
+        response = complete(request, group.backend)
         keep = common_prefix_length(request.messages, state)
         turns.append({
             "keep": keep,
@@ -227,22 +241,26 @@ def _run_cell(
         })
         return response
 
-    cell = _drive_cell(artifacts, strategy, doc, templates, reply)
-    record = json.dumps({"doc": doc.id, "turns": turns}, ensure_ascii=False, separators=(",", ":"))
-    return cell, (record + "\n").encode("utf-8")
+    cell = _drive_cell(artifacts, group, doc, templates, reply)
+    return cell, _json_line({"doc": doc.id, "turns": turns})
+
+
+def _json_line(value: dict) -> bytes:
+    return (json.dumps(value, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _replay_cell(
     artifacts: RunArtifacts,
-    strategy: StrategyConfig,
+    group: _Group,
     doc: Document,
     templates: PromptTemplateSet,
     turns: list,
     where: str,
 ) -> CellArtifact:
-    """A completed cell: replies come from its record's turns, whose every
-    request must equal the one the session rebuilds. `where` names the record
-    in errors. The transcript is dropped."""
+    """A completed cell: replies come from its record's turns, chained from
+    the group's logged header, whose every request must equal the one the
+    session rebuilds. `where` names the record in errors. The transcript is
+    dropped."""
 
     def mismatch(turn: int, problem: str) -> ResumeMismatchError:
         return ResumeMismatchError(f"{where}: turn {turn}: {problem}")
@@ -263,7 +281,7 @@ def _replay_cell(
         return response
 
     try:
-        cell = _drive_cell(artifacts, strategy, doc, templates, reply)
+        cell = _drive_cell(artifacts, group, doc, templates, reply)
     except GatewayError as exc:
         raise ResumeMismatchError(f"{where}: replay failed: {exc}") from None
     sent = len(cell.transcript.turns)
@@ -273,17 +291,24 @@ def _replay_cell(
     return cell
 
 
-def _read_group_log(log: Path, doc_ids: set[str]) -> tuple[dict[str, tuple[int, list]], int]:
+def _read_group_log(
+    log: Path, doc_ids: set[str], prefix: tuple[Message, ...]
+) -> tuple[dict[str, tuple[int, list]], int]:
     """The records of a group log as doc id -> (line number, turns), and the
-    length of the log up to its last newline. Bytes after it are a record
-    torn by a crash and are ignored."""
+    length of the log up to its last newline. Its header must equal prefix.
+    Bytes after the last newline are a record, or the header, torn by a
+    crash and are ignored."""
     try:
         data = log.read_bytes()
     except FileNotFoundError:
         return {}, 0
     complete_bytes = data.rfind(b"\n") + 1
+    if complete_bytes == 0:
+        return {}, 0
+    header, *lines = data[:complete_bytes].split(b"\n")[:-1]
+    _check_header(log, header, prefix)
     records: dict[str, tuple[int, list]] = {}
-    for number, line in enumerate(data[:complete_bytes].split(b"\n")[:-1], start=1):
+    for number, line in enumerate(lines, start=2):
         try:
             record = json.loads(line)
             doc_id, turns = record["doc"], record["turns"]
@@ -300,6 +325,20 @@ def _read_group_log(log: Path, doc_ids: set[str]) -> tuple[dict[str, tuple[int, 
             raise ResumeMismatchError(f"{log}: line {number}: doc '{doc_id}' is not in the test set")
         records[doc_id] = (number, turns)
     return records, complete_bytes
+
+
+def _check_header(log: Path, line: bytes, prefix: tuple[Message, ...]) -> None:
+    """Refuse a group log's header unless it holds exactly prefix; a record
+    whose turn 0 keeps its messages would otherwise point at a stale one."""
+    try:
+        header = json.loads(line)
+        if not isinstance(header, dict) or not isinstance(header.get("prefix"), list):
+            raise TypeError("not an object whose prefix is a list")
+        logged = tuple(Message.from_dict(m) for m in header["prefix"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ResumeMismatchError(f"{log}: line 1: unparseable prefix header ({exc})") from None
+    if logged != prefix:
+        raise ResumeMismatchError(f"{log}: line 1: logged prefix differs from the rebuilt one")
 
 
 def _read_manifest(run_dir: Path, config_hash: str) -> dict | None:
@@ -344,18 +383,18 @@ def _load_completed(artifacts: RunArtifacts, templates: PromptTemplateSet) -> li
     for backend in artifacts.plan.backends:
         for strategy in artifacts.plan.strategies:
             log = _group_log(artifacts.run_dir, backend.name, strategy.label)
-            records, complete_bytes = _read_group_log(log, doc_ids)
-            pending: list[Document] = []
+            group = _Group(backend, strategy, log, exemplar_messages(strategy, templates))
+            records, group.complete_bytes = _read_group_log(log, doc_ids, group.prefix)
             for doc in artifacts.testset:
                 if doc.id in records:
                     number, turns = records[doc.id]
                     artifacts.cells[(backend.name, strategy.label, doc.id)] = _replay_cell(
-                        artifacts, strategy, doc, templates, turns,
+                        artifacts, group, doc, templates, turns,
                         f"{log}: line {number}: doc '{doc.id}'",
                     )
                 else:
-                    pending.append(doc)
-            groups.append(_Group(backend, strategy, log, complete_bytes, pending))
+                    group.pending.append(doc)
+            groups.append(group)
     return groups
 
 
@@ -396,7 +435,9 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
         if group.pending:
             group.log.parent.mkdir(parents=True, exist_ok=True)
             with group.log.open("ab") as log:
-                log.truncate(group.complete_bytes)  # drop a record torn by a crash
+                log.truncate(group.complete_bytes)  # drop a record or header torn by a crash
+                if group.complete_bytes == 0:
+                    log.write(_json_line({"prefix": [m.to_dict() for m in group.prefix]}))
                 _run_group(artifacts, group, templates, complete, log)
 
     manifest["exclusions"] = sorted(
@@ -426,7 +467,7 @@ def _run_group(
         if run_ends.is_set():
             return None
         try:
-            cell, record = _run_cell(artifacts, backend, strategy, doc, templates, complete)
+            cell, record = _run_cell(artifacts, group, doc, templates, complete)
         except BaseException as exc:
             if plan.fail_policy == "halt" or not isinstance(exc, DocturnError):
                 run_ends.set()

@@ -14,7 +14,8 @@ Modes:
 In-context exemplars (icl=True) are encoded as alternating user/assistant
 message pairs placed before any document content; the exemplar prefix is a
 pure function of the strategy config, so it is byte-identical across
-documents and therefore cache-stable.
+documents and therefore cache-stable. A session builds it once, or takes the
+tuple its caller built for every session of the strategy.
 
 Driver loop:
 
@@ -117,6 +118,7 @@ class SessionState:
     config: StrategyConfig
     document: Document
     templates: PromptTemplateSet
+    icl_prefix: tuple[Message, ...] = ()  # exemplar_messages(config, templates)
     cursor: int = 0
     conversation: list[Message] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
@@ -126,20 +128,16 @@ class SessionState:
     requests_issued: int = 0
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def icl_prefix(self) -> list[Message]:
-        return exemplar_messages(self.config, self.templates)
-
     def fail(self, reason: str) -> None:
         self.status = STATUS_FAILED
         self.failure_reason = reason
         self.pending = False
 
 
-def exemplar_messages(config: StrategyConfig, templates: PromptTemplateSet) -> list[Message]:
+def exemplar_messages(config: StrategyConfig, templates: PromptTemplateSet) -> tuple[Message, ...]:
     """Fixed alternating user/assistant exemplar pairs; empty when icl=False."""
     if not config.icl:
-        return []
+        return ()
     messages: list[Message] = []
     for ex in config.exemplars:
         prompt = templates.render(
@@ -152,7 +150,7 @@ def exemplar_messages(config: StrategyConfig, templates: PromptTemplateSet) -> l
         )
         messages.append(user(prompt))
         messages.append(assistant(ex.target))
-    return messages
+    return tuple(messages)
 
 
 def _segment_prompt(s: SessionState, index: int) -> str:
@@ -196,11 +194,16 @@ def init_session(
     config: StrategyConfig,
     doc: Document,
     templates: PromptTemplateSet | None = None,
+    prefix: tuple[Message, ...] | None = None,
 ) -> SessionState:
-    """Create a session with its first request pending."""
+    """Create a session with its first request pending. prefix is the
+    strategy's exemplar_messages, when the caller holds them already: every
+    request of the session then starts with that very tuple's messages."""
     if templates is None:
         templates = load_template_set(config.template_set)
-    s = SessionState(config=config, document=doc, templates=templates)
+    if prefix is None:
+        prefix = exemplar_messages(config, templates)
+    s = SessionState(config=config, document=doc, templates=templates, icl_prefix=prefix)
     if config.icl:
         mismatched = [
             f"{ex.src_lang}-{ex.tgt_lang}"
@@ -241,9 +244,9 @@ def next_request(s: SessionState) -> ChatRequest | None:
     if s.config.mode.is_multi_turn:
         messages = tuple(s.conversation)
     elif s.config.mode == Mode.SEGMENT_LEVEL:
-        messages = tuple(s.icl_prefix) + (user(_segment_prompt(s, s.cursor)),)
+        messages = s.icl_prefix + (user(_segment_prompt(s, s.cursor)),)
     else:  # single turn
-        messages = tuple(s.icl_prefix) + (user(_document_prompt(s)),)
+        messages = s.icl_prefix + (user(_document_prompt(s)),)
 
     return ChatRequest(
         model_id=s.config.model_id,

@@ -9,6 +9,7 @@ against something it does not share code with.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -146,6 +147,26 @@ def conversation_token_count(transcript, spec) -> int:
     last = transcript.turns[-1]
     total = sum(count_tokens(m.content, spec) for m in last.request_messages)
     return total + count_tokens(last.response_text, spec)
+
+
+# A group log decoded with json alone: line 1's prefix header, then each
+# record's turns chained from it, every request being the first `keep`
+# messages of the previous request-plus-reply (the header before turn 0) and
+# then `append`. Returns doc id -> each turn's request messages as
+# role/content dicts.
+
+
+def decode_group_log(text: str) -> dict[str, list[list[dict]]]:
+    header, *records = (json.loads(line) for line in text.splitlines())
+    requests = {}
+    for record in records:
+        state, turns = header["prefix"], []
+        for turn in record["turns"]:
+            request = state[: turn["keep"]] + turn["append"]
+            turns.append(request)
+            state = request + [{"role": "assistant", "content": turn["response"]["content"]}]
+        requests[record["doc"]] = turns
+    return requests
 
 
 # BlonDE-lite connectives by the plain scan: every listed phrase tried at

@@ -61,6 +61,8 @@ BAD_VALUES = {
     "max_retries_float": ("backends[0].max_retries", _backend(max_retries=2.7)),
     "scorer_command_string": ("scoring.scorer_command", _scoring(scorer_command="comet-score")),
     "testsets_string": ("testsets", _plan(testsets="a.jsonl")),
+    "testsets_empty": ("testsets", _plan(testsets=[])),
+    "template_set_unknown": ("template_set", _plan(template_set="nope")),
     "exemplar_empty_source": ("strategies[0].exemplars[0]", _empty_source),
     "requests_per_minute_0": ("backends[0].requests_per_minute", _backend(requests_per_minute=0)),
     "max_retries_negative": ("backends[0].max_retries", _backend(max_retries=-1)),

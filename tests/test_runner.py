@@ -21,10 +21,12 @@ import pytest
 
 import docturn
 from docturn import costing, gateway
+from docturn import strategy as strategy_module
 from docturn.corpus import Exemplar
 from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
 from docturn.gateway import BackendConfig
 from docturn.metrics import report as report_module
+from docturn.prompts import load_template_set
 from docturn.runner import executor
 from docturn.runner.config import RunPlan, ScoringConfig, load_run_config, plan_from_dict
 from docturn.runner.executor import execute, load_artifacts, load_testsets
@@ -32,6 +34,7 @@ from docturn.runner.reports import emit_reports
 from docturn.strategy import Mode, StrategyConfig
 
 from .conftest import write_jsonl
+from .oracles import decode_group_log
 
 
 def minimal_plan_dict(tmp_path: Path, **overrides) -> dict:
@@ -299,18 +302,18 @@ def group_log(plan, backend: str, strategy: str) -> Path:
 
 
 def read_records(log: Path) -> dict[str, dict]:
-    """A group log's records by doc id, in file order."""
-    records = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
+    """A group log's records by doc id, in file order, after its header."""
+    records = [json.loads(line) for line in log.read_text("utf-8").splitlines()[1:]]
     return {record["doc"]: record for record in records}
 
 
 def edit_turns(edit):
-    """A log edit that rewrites the turns of line 1's record (doc-1)."""
+    """A log edit that rewrites the turns of line 2's record (doc-1)."""
 
     def apply(lines: list[str]) -> list[str]:
-        record = json.loads(lines[0])
+        record = json.loads(lines[1])
         record["turns"] = edit(record["turns"])
-        return [json.dumps(record, ensure_ascii=False) + "\n"] + lines[1:]
+        return lines[:1] + [json.dumps(record, ensure_ascii=False) + "\n"] + lines[2:]
 
     return apply
 
@@ -375,21 +378,23 @@ class TestCellLog:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (edit_turns(lambda turns: turns[:-1]), "line 1: doc 'doc-1': turn 2: turn missing"),
-            (edit_turns(lambda turns: turns + turns[-1:]), "line 1: doc 'doc-1': turn 3: extra turn"),
-            (lambda lines: ["{not json\n"] + lines[1:], "line 1: unparseable record"),
+            (edit_turns(lambda turns: turns[:-1]), "line 2: doc 'doc-1': turn 2: turn missing"),
+            (edit_turns(lambda turns: turns + turns[-1:]), "line 2: doc 'doc-1': turn 3: extra turn"),
+            (lambda lines: lines[:1] + ["{not json\n"] + lines[2:], "line 2: unparseable record"),
             (
-                lambda lines: [lines[0].replace("Four five six.", "Four five seven.")] + lines[1:],
-                "line 1: doc 'doc-1': turn 1: logged request differs",
+                lambda lines: lines[:1] + [lines[1].replace("Four five six.", "Four five seven.")]
+                + lines[2:],
+                "line 2: doc 'doc-1': turn 1: logged request differs",
             ),
             (
                 edit_turns(lambda turns: turns[:1] + [{"keep": 2}] + turns[2:]),
-                "line 1: doc 'doc-1': turn 1: unparseable turn",
+                "line 2: doc 'doc-1': turn 1: unparseable turn",
             ),
-            (lambda lines: lines + lines[:1], "line 3: duplicate record for doc 'doc-1'"),
+            (lambda lines: lines + lines[1:2], "line 4: duplicate record for doc 'doc-1'"),
             (
-                lambda lines: [lines[0].replace('"doc":"doc-1"', '"doc":"doc-9"')] + lines[1:],
-                "line 1: doc 'doc-9' is not in the test set",
+                lambda lines: lines[:1] + [lines[1].replace('"doc":"doc-1"', '"doc":"doc-9"')]
+                + lines[2:],
+                "line 2: doc 'doc-9' is not in the test set",
             ),
         ],
         ids=["truncated", "extra_line", "unparseable", "tampered_append", "unparseable_turn",
@@ -421,7 +426,18 @@ class TestCellLog:
         manifest["layout_version"] = 2
         manifest_path.write_text(json.dumps(manifest), "utf-8")
         for load in (load_artifacts, execute):
-            with pytest.raises(ResumeMismatchError, match="artifact layout 2, this version reads layout 3"):
+            with pytest.raises(ResumeMismatchError, match="artifact layout 2, this version reads layout 4"):
+                load(plan)
+
+    def test_layout_3_directory_rejected(self, tmp_path):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        manifest_path = Path(plan.output_dir) / plan.run_id / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest["layout_version"] = 3
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        for load in (load_artifacts, execute):
+            with pytest.raises(ResumeMismatchError, match="artifact layout 3, this version reads layout 4"):
                 load(plan)
 
     def test_interrupt_mid_cell_leaves_no_log_and_resume_reruns_it(self, tmp_path):
@@ -468,9 +484,9 @@ class TestCellLog:
         plan = plan_from_dict(minimal_plan_dict(tmp_path, run_id="torn"))
         execute(plan)
         log = group_log(plan, "identity", "multi_turn")
-        first, second = log.read_bytes().splitlines(keepends=True)
+        header, first, second = log.read_bytes().splitlines(keepends=True)
         torn = second[: len(second) // 2] if cut == "half" else second[:-1]
-        log.write_bytes(first + torn)
+        log.write_bytes(header + first + torn)
 
         loaded = load_artifacts(plan)
         assert set(loaded.cells) == set(full.cells) - {
@@ -479,13 +495,152 @@ class TestCellLog:
         resent: list[str] = []
         artifacts = execute(plan, complete_fn=recording(resent))
         assert resent == ["doc-2:turn_0", "doc-2:turn_1"]
-        assert log.read_bytes().startswith(first) and log.read_bytes().endswith(b"\n")
+        assert log.read_bytes().startswith(header + first) and log.read_bytes().endswith(b"\n")
         assert [len(r["turns"]) for r in read_records(log).values()] == [3, 2]
         emit_reports(artifacts)
         assert report_bytes(artifacts.run_dir) == report_bytes(
             Path(uninterrupted.output_dir) / uninterrupted.run_id
         )
         assert set(load_artifacts(plan).cells) == set(artifacts.cells)
+
+
+def icl_plan_dict(tmp_path: Path, **overrides) -> dict:
+    return minimal_plan_dict(
+        tmp_path,
+        strategies=[{"mode": "segment_level"}, {"mode": "multi_turn", "icl": True, "exemplars": EXEMPLARS}],
+        **overrides,
+    )
+
+
+def header_line(messages: list[dict]) -> str:
+    return json.dumps({"prefix": messages}, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+class TestPrefixHeader:
+    """Line 1 of each group log holds the prefix shared by every request."""
+
+    def test_log_alone_rebuilds_every_request(self, tmp_path):
+        plan = plan_from_dict(mixed_plan_dict(tmp_path))
+        artifacts = execute(plan)
+        decoded = {}
+        for backend in plan.backends:
+            for strategy in plan.strategies:
+                log = group_log(plan, backend.name, strategy.label)
+                for doc_id, requests in decode_group_log(log.read_text("utf-8")).items():
+                    decoded[(backend.name, strategy.label, doc_id)] = requests
+        assert decoded == {
+            key: [[m.to_dict() for m in turn.request_messages] for turn in cell.transcript.turns]
+            for key, cell in artifacts.cells.items()
+        }
+
+    @pytest.mark.parametrize("documents", [1, 6])
+    def test_each_exemplar_message_logged_once_per_group(self, tmp_path, documents):
+        corpus = tmp_path / "many.jsonl"
+        write_jsonl(corpus, [
+            {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de",
+             "src": [f"Segment {i} one.", f"Segment {i} two."]}
+            for i in range(documents)
+        ])
+        plan = plan_from_dict(mixed_plan_dict(tmp_path, testsets=[str(corpus)]))
+        artifacts = execute(plan)
+        templates = load_template_set(plan.template_set)
+        for backend in plan.backends:
+            for strategy in plan.strategies:
+                text = group_log(plan, backend.name, strategy.label).read_text("utf-8")
+                prefix = strategy_module.exemplar_messages(strategy, templates)
+                assert len(prefix) == (6 if strategy.icl else 0)
+                for message in prefix:
+                    assert text.count(json.dumps(message.content, ensure_ascii=False)) == 1
+                assert text.splitlines()[0] == header_line([m.to_dict() for m in prefix])[:-1]
+        assert len(artifacts.cells) == 2 * 8 * documents
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda lines: lines[1:], "unparseable prefix header"),
+            (lambda lines: ["{not json\n"] + lines[1:], "unparseable prefix header"),
+            (lambda lines: ['{"prefix":"Example 0."}\n'] + lines[1:], "unparseable prefix header"),
+            (
+                lambda lines: [header_line([{"role": "narrator", "content": "x"}])] + lines[1:],
+                "unparseable prefix header",
+            ),
+            (
+                lambda lines: [lines[0].replace("Beispiel 1.", "Beispiel eins.")] + lines[1:],
+                "logged prefix differs from the rebuilt one",
+            ),
+            (
+                lambda lines: [lines[0].replace("Beispiel 1.", "Beispiel eins.")],
+                "logged prefix differs from the rebuilt one",
+            ),
+            (lambda lines: [header_line([])], "logged prefix differs from the rebuilt one"),
+        ],
+        ids=["missing", "unparseable", "not_a_list", "not_messages", "stale", "stale_header_only",
+             "empty_header_only"],
+    )
+    def test_bad_header_refused_on_load_and_resume(self, tmp_path, edit, problem):
+        plan = plan_from_dict(icl_plan_dict(tmp_path))
+        execute(plan)
+        log = group_log(plan, "identity", "multi_turn+icl")
+        lines = log.read_text("utf-8").splitlines(keepends=True)
+        log.write_text("".join(edit(lines)), "utf-8")
+        sent: list[str] = []
+        for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
+            with pytest.raises(ResumeMismatchError, match=f"line 1: {problem}") as info:
+                load(plan)
+            assert str(log) in str(info.value)
+        assert sent == []
+
+    @pytest.mark.parametrize("cut", ["half", "before_newline"])
+    def test_torn_header_rewritten_and_group_rerun(self, tmp_path, cut):
+        """A crash while writing a new log's header leaves no complete line:
+        the group has no record, and the next run writes the header again."""
+        uninterrupted = plan_from_dict(icl_plan_dict(tmp_path, run_id="uninterrupted"))
+        emit_reports(execute(uninterrupted))
+        expected = group_log(uninterrupted, "identity", "multi_turn+icl").read_bytes()
+        plan = plan_from_dict(icl_plan_dict(tmp_path, run_id="torn"))
+        execute(plan)
+        log = group_log(plan, "identity", "multi_turn+icl")
+        header = log.read_bytes().splitlines(keepends=True)[0]
+        log.write_bytes(header[: len(header) // 2] if cut == "half" else header[:-1])
+
+        loaded = load_artifacts(plan)
+        assert {key[1] for key in loaded.cells} == {"segment_level"}
+        resent: list[str] = []
+        artifacts = execute(plan, complete_fn=recording(resent))
+        assert resent == ["doc-1:turn_0", "doc-1:turn_1", "doc-1:turn_2", "doc-2:turn_0", "doc-2:turn_1"]
+        assert log.read_bytes().splitlines(keepends=True)[0] == expected.splitlines(keepends=True)[0]
+        assert [len(r["turns"]) for r in read_records(log).values()] == [3, 2]
+        emit_reports(artifacts)
+        assert report_bytes(artifacts.run_dir) == report_bytes(
+            Path(uninterrupted.output_dir) / uninterrupted.run_id
+        )
+        assert set(load_artifacts(plan).cells) == set(artifacts.cells)
+
+    def test_turn_0_keeps_the_header(self, tmp_path):
+        plan = plan_from_dict(icl_plan_dict(tmp_path))
+        execute(plan)
+        record = read_records(group_log(plan, "identity", "multi_turn+icl"))["doc-1"]
+        assert [(t["keep"], len(t["append"])) for t in record["turns"]] == [(6, 1), (8, 1), (10, 1)]
+
+    def test_prefix_built_once_per_group(self, tmp_path, monkeypatch):
+        """exemplar_messages runs once per (backend, strategy), never per
+        document or per request, on a run and on a load."""
+        calls = []
+        original = strategy_module.exemplar_messages
+
+        def counted(config, templates):
+            calls.append(config.label)
+            return original(config, templates)
+
+        monkeypatch.setattr(strategy_module, "exemplar_messages", counted)
+        monkeypatch.setattr(executor, "exemplar_messages", counted)
+        plan = plan_from_dict(mixed_plan_dict(tmp_path))
+        groups = Counter(s.label for _ in plan.backends for s in plan.strategies)
+        execute(plan)
+        assert Counter(calls) == groups
+        calls.clear()
+        load_artifacts(plan)
+        assert Counter(calls) == groups
 
 
 def report_bytes(run_dir: Path) -> dict[str, bytes]:

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from docturn import strategy as strategy_module
 from docturn.errors import PrefixStabilityError, SessionContractError
 from docturn.prompts import load_template_set
 from docturn.strategy import (
@@ -131,6 +132,26 @@ class TestIclPrefix:
         s_a = init_session(config, doc_a, templates)
         s_b = init_session(config, doc_b, templates)
         assert s_a.conversation[:6] == s_b.conversation[:6]
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_prefix_built_once_per_session(self, mode, monkeypatch, exemplars_en_de):
+        """The exemplars are rendered once per session, not once per request,
+        and every request starts with the session's own prefix objects."""
+        calls = []
+        original = strategy_module.exemplar_messages
+
+        def counted(config, templates):
+            calls.append(config.label)
+            return original(config, templates)
+
+        monkeypatch.setattr(strategy_module, "exemplar_messages", counted)
+        config = StrategyConfig(mode=mode, icl=True, exemplars=exemplars_en_de)
+        session, requests = drive(config, make_random_document(random.Random(5), "d", 5), TEMPLATES)
+        assert calls == [config.label]
+        assert len(requests) == (1 if mode == Mode.SINGLE_TURN else 5)
+        assert len(session.icl_prefix) == 6
+        for request in requests:
+            assert all(a is b for a, b in zip(request.messages[:6], session.icl_prefix))
 
     def test_direction_mismatch_recorded_as_warning(self, templates, exemplars_en_de):
         config = StrategyConfig(mode=Mode.MULTI_TURN, icl=True, exemplars=exemplars_en_de)
