@@ -1,0 +1,66 @@
+"""Golden-file test for the requests a run sends.
+
+A fixed plan (mock_identity, every mode with and without ICL) runs over a
+small corpus holding a four-segment document, a one-segment document and a
+zh target. Each group log is decoded with json alone and the requests of
+every cell are compared, message by message, with the frozen file. Any
+change to prompt rendering or to how a request is assembled from history
+shows up here as a diff.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from docturn.runner.config import plan_from_dict
+from docturn.runner.executor import execute
+
+from .conftest import write_jsonl
+from .oracles import decode_group_log
+
+GOLDEN = Path(__file__).parent / "data" / "golden" / "requests.json"
+
+CORPUS = [
+    {"id": "four", "src_lang": "en", "tgt_lang": "de", "domain": "news",
+     "src": ["The council met on Monday.", "It approved the {budget} plan.",
+             "Critics said the vote was rushed.", "A second vote is due in May."]},
+    {"id": "one", "src_lang": "en", "tgt_lang": "de", "domain": "literary",
+     "src": ["She closed the book and smiled."]},
+    {"id": "zh", "src_lang": "en", "tgt_lang": "zh", "domain": "news",
+     "src": ["Prices rose again.", "Markets fell."]},
+]
+
+EXEMPLARS = [
+    {"source": f"Example {i}.", "target": f"Beispiel {i}.", "src_lang": "en", "tgt_lang": "de"}
+    for i in range(3)
+]
+
+
+def decoded_requests(tmp_path: Path) -> dict[str, dict[str, list[list[dict]]]]:
+    """Every cell's requests by strategy label and doc id, from the logs alone."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, CORPUS)
+    strategies = []
+    for mode in ("single_turn", "segment_level", "multi_turn", "multi_turn_sp"):
+        strategies.append({"mode": mode})
+        strategies.append({"mode": mode, "icl": True, "exemplars": EXEMPLARS})
+    plan = plan_from_dict({
+        "run_id": "golden-requests",
+        "testsets": [str(corpus)],
+        "backends": [{"kind": "mock_identity", "name": "identity"}],
+        "strategies": strategies,
+        "output_dir": str(tmp_path / "runs"),
+    })
+    artifacts = execute(plan)
+    assert len(artifacts.cells) == len(strategies) * len(CORPUS)
+    logs = artifacts.run_dir / "cells" / "identity"
+    return {
+        strategy.label: decode_group_log((logs / f"{strategy.label}.jsonl").read_text("utf-8"))
+        for strategy in plan.strategies
+    }
+
+
+def test_requests_match_golden(tmp_path):
+    expected = json.loads(GOLDEN.read_text("utf-8"))
+    assert decoded_requests(tmp_path) == expected
