@@ -14,13 +14,7 @@ import click
 
 from .corpus import load_corpus
 from .costing import DocShape, compare_strategies, comparison_csv
-from .errors import (
-    ConfigError,
-    CorpusError,
-    DocturnError,
-    GatewayError,
-    ResumeMismatchError,
-)
+from .errors import ConfigError, CorpusError, DocturnError, ResumeMismatchError
 from .runner.config import load_run_config
 from .runner.executor import execute, load_artifacts
 from .runner.reports import emit_reports
@@ -70,15 +64,9 @@ def run(config_path: str, no_reports: bool) -> None:
     try:
         artifacts = execute(plan)
     except (ConfigError, CorpusError, ResumeMismatchError) as exc:
+        # Missing API keys are ConfigErrors, raised before any request.
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    except GatewayError as exc:
-        # Missing API keys are caught before any request; report as validation.
-        if "API key" in str(exc):
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        click.echo(f"run failed: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
     except DocturnError as exc:
         click.echo(f"run failed: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)

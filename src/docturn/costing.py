@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .chat import Message, assistant, common_prefix_length
 from .errors import LedgerError
-from .prompts import base_language
-from .strategy import Mode, check_prefix_stability
+from .prompts import is_char_counted
+from .strategy import Mode, check_prefix_stability, request_messages
 
 MODE_CACHED = "cached"
 MODE_UNCACHED = "uncached"
@@ -93,7 +93,7 @@ def count_tokens(text: str, spec: TokenizerSpec) -> int:
 
 def spec_for_target_language(tgt_lang: str) -> TokenizerSpec:
     """Whitespace counting, except char counting for zh/ja targets."""
-    return TokenizerSpec("char" if base_language(tgt_lang) in ("zh", "ja") else "whitespace")
+    return TokenizerSpec("char" if is_char_counted(tgt_lang) else "whitespace")
 
 
 @dataclass(frozen=True)
@@ -300,44 +300,25 @@ class DocShape:
 
 def _synthetic_turns(
     strategy: Mode, shape: DocShape
-) -> list[tuple[list[_KeyedMessage], _KeyedMessage]]:
-    shared: list[_KeyedMessage] = []
-    if shape.shared_prefix_tokens:
-        shared = [("shared", shape.shared_prefix_tokens)]
-
-    def u(i: int) -> _KeyedMessage:
-        return (f"u{i}", shape.instruction_overhead + shape.source_tokens[i])
-
-    def a(i: int) -> _KeyedMessage:
-        return (f"a{i}", shape.target_tokens[i])
-
+) -> list[tuple[tuple[_KeyedMessage, ...], _KeyedMessage]]:
+    """The (request, reply) turns of a synthetic session: the mode's keyed
+    turn prompts and replies, assembled into requests by the rule the
+    harness's sessions use."""
+    shared = (("shared", shape.shared_prefix_tokens),) if shape.shared_prefix_tokens else ()
+    overhead, source = shape.instruction_overhead, shape.source_tokens
     if strategy == Mode.SINGLE_TURN:
-        request = shared + [
-            ("u_doc", shape.instruction_overhead + sum(shape.source_tokens))
-        ]
-        return [(request, ("a_doc", sum(shape.target_tokens)))]
-
-    if strategy == Mode.SEGMENT_LEVEL:
-        return [(shared + [u(i)], a(i)) for i in range(shape.k)]
-
-    # Multi-turn variants share one growing conversation.
-    turns: list[tuple[list[_KeyedMessage], _KeyedMessage]] = []
-    history: list[_KeyedMessage] = list(shared)
-    for i in range(shape.k):
-        if i == 0 and strategy == Mode.MULTI_TURN_SP:
-            first = (
-                "u0_primed",
-                shape.primer_intro_overhead
-                + sum(shape.source_tokens)
-                + shape.instruction_overhead
-                + shape.source_tokens[0],
-            )
-            history.append(first)
-        else:
-            history.append(u(i))
-        turns.append((list(history), a(i)))
-        history.append(a(i))
-    return turns
+        prompts = [("u_doc", overhead + sum(source))]
+        replies = [("a_doc", sum(shape.target_tokens))]
+    else:
+        prompts = [(f"u{i}", overhead + tokens) for i, tokens in enumerate(source)]
+        replies = [(f"a{i}", tokens) for i, tokens in enumerate(shape.target_tokens)]
+        if strategy == Mode.MULTI_TURN_SP:
+            primer = shape.primer_intro_overhead + sum(source)
+            prompts[0] = ("u0_primed", primer + prompts[0][1])
+    return [
+        (request_messages(strategy, shared, prompts, replies[:i]), reply)
+        for i, reply in enumerate(replies)
+    ]
 
 
 def simulate_strategy_costs(strategy: Mode, shape: DocShape) -> dict[str, CostLedger]:

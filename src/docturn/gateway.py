@@ -33,6 +33,7 @@ from typing import Callable, Iterable
 import requests
 
 from .chat import ChatRequest, ChatResponse
+from .corpus import split_into_segments
 from .errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from .prompts import extract_fenced_payload
 
@@ -112,9 +113,7 @@ def _is_single_turn_shaped(req: ChatRequest) -> bool:
     user_messages = [m for m in req.messages if m.role == "user"]
     if len(user_messages) != 1:
         return False
-    payload = _source_payload(user_messages[0].content)
-    paragraphs = [p for p in re.split(r"\n\s*\n", payload) if p.strip()]
-    return len(paragraphs) >= 2
+    return len(split_into_segments(_source_payload(user_messages[0].content))) >= 2
 
 
 def _read_dictionary(path: str, key: str, files: dict[str, bytes]) -> dict[str, str]:
@@ -270,8 +269,9 @@ class Gateway:
             if cfg.kind == "openai_compatible":
                 self.api_keys[cfg.name] = os.environ.get(cfg.api_key_env_var, "")
                 if not self.api_keys[cfg.name]:
-                    raise GatewayError(
-                        f"backend '{cfg.name}' needs an API key in ${cfg.api_key_env_var}"
+                    raise ConfigError(
+                        f"backends[{i}].api_key_env_var: backend '{cfg.name}' needs an "
+                        f"API key in ${cfg.api_key_env_var}"
                     )
                 if cfg.requests_per_minute is not None:
                     self.buckets[cfg.name] = _RateLimiter(cfg.requests_per_minute)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import regex
 
-from ..prompts import base_language
+from ..prompts import is_char_counted
 
 TOKENIZER_IDS = ("intl_13a_like", "char")
 
@@ -41,4 +41,4 @@ def tokenize(text: str, tokenizer: str = "intl_13a_like") -> list[str]:
 
 def tokenizer_for_language(lang: str) -> str:
     """char for zh/ja, the 13a-like rule for space-delimited languages."""
-    return "char" if base_language(lang) in ("zh", "ja") else "intl_13a_like"
+    return "char" if is_char_counted(lang) else "intl_13a_like"

@@ -55,6 +55,12 @@ def base_language(code: str) -> str:
     return code.split("-")[0].split("_")[0].lower()
 
 
+def is_char_counted(code: str) -> bool:
+    """Whether text in the language is counted by character: zh and ja write
+    no spaces between words."""
+    return base_language(code) in ("zh", "ja")
+
+
 def language_name(code: str) -> str:
     return LANGUAGE_NAMES.get(base_language(code), code)
 
@@ -68,6 +74,7 @@ class PromptTemplateSet:
     content_hash: str
 
     def render(self, slot: str, variables: dict[str, str]) -> str:
+        """Render one slot; byte-identical output for identical inputs."""
         if slot not in self.slots:
             raise TemplateError(
                 f"template set '{self.set_id}' has no slot '{slot}' "
@@ -134,11 +141,6 @@ def load_template_set(set_id: str = DEFAULT_TEMPLATE_SET) -> PromptTemplateSet:
         slots=_parse_template_file(raw),
         content_hash=hashlib.sha256(raw.encode("utf-8")).hexdigest(),
     )
-
-
-def render_prompt(template_set: PromptTemplateSet, slot: str, variables: dict[str, str]) -> str:
-    """Render one slot; byte-identical output for identical inputs."""
-    return template_set.render(slot, variables)
 
 
 def extract_fenced_payload(message_text: str) -> str | None:

@@ -196,7 +196,6 @@ def _drive_cell(
         if plan.max_context_tokens is not None:
             request_tokens = sum(message_tokens(m, spec, counts) for m in request.messages)
             if request_tokens > plan.max_context_tokens:
-                session.fail("context_overflow")
                 raise GatewayError(
                     f"context_overflow: request of {request_tokens} tokens exceeds "
                     f"budget {plan.max_context_tokens} for document '{doc.id}'"

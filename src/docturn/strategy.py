@@ -1,15 +1,25 @@
-"""Conversation state machines for the four document-translation strategies.
+"""Document-translation sessions for the four strategies.
 
-Modes:
+The four strategies are two choices. The first is what each turn's user
+message carries: the whole document (single_turn), one segment
+(segment_level, multi_turn), or the whole source ahead of the first segment
+(multi_turn_sp, "source-primed"). The second is whether earlier turns stay
+in the request: the multi-turn modes keep them, so every request extends the
+previous one by its reply and the next prompt, which is what lets a prefix
+(KV) cache be reused.
+
   single_turn     -- whole document in one request.
   segment_level   -- one independent request per segment, no shared history.
-  multi_turn      -- one growing conversation, one segment per turn; earlier
-                     turns are never edited, so every request extends the
-                     previous one (the property that makes prefix caching
-                     valid).
+  multi_turn      -- one growing conversation, one segment per turn.
   multi_turn_sp   -- multi_turn whose first user message additionally carries
                      the full source document as context before the segment-0
                      instruction.
+
+A session holds its turn prompts, rendered once by turn_prompts, and the
+replies ingested so far; nothing else about its progress is stored. Turn
+len(replies)'s request is request_messages(mode, prefix, prompts, replies),
+the one rule the cost simulator (costing.simulate_strategy_costs) also
+assembles its synthetic requests with.
 
 In-context exemplars (icl=True) are encoded as alternating user/assistant
 message pairs placed before any document content; the exemplar prefix is a
@@ -31,10 +41,11 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import Sequence, TypeVar
 
 from .chat import ChatRequest, Message, assistant, user
-from .corpus import Document, Exemplar
+from .corpus import Document, Exemplar, segment_separator, split_into_segments
 from .errors import ConfigError, PrefixStabilityError, SessionContractError
 from .prompts import (
     DEFAULT_TEMPLATE_SET,
@@ -44,6 +55,8 @@ from .prompts import (
 )
 
 DEFAULT_EXEMPLAR_COUNT = 3
+
+_M = TypeVar("_M")  # a message: a chat Message, or the cost simulator's (key, tokens)
 
 
 class Mode(str, enum.Enum):
@@ -111,27 +124,38 @@ STATUS_FAILED = "failed"
 class SessionState:
     """Per-document translation session.
 
-    Strictly sequential: turn i+1 may only be built after turn i's response
-    has been ingested. cursor == len(outputs) while in progress.
+    prompts holds every turn's user message, rendered once; replies and
+    outputs grow by one per ingested reply, so the turn in progress is
+    len(outputs). Strictly sequential: turn i+1's request exists only once
+    turn i's reply has been ingested.
     """
 
     config: StrategyConfig
     document: Document
-    templates: PromptTemplateSet
+    prompts: tuple[Message, ...]  # turn_prompts(config, document, templates)
     icl_prefix: tuple[Message, ...] = ()  # exemplar_messages(config, templates)
-    cursor: int = 0
-    conversation: list[Message] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
-    status: str = STATUS_IN_PROGRESS
+    replies: list[Message] = field(default_factory=list)  # raw replies, as sent back
+    outputs: list[str] = field(default_factory=list)  # the replies after strip_wrapping
     failure_reason: str | None = None
-    pending: bool = False
-    requests_issued: int = 0
     warnings: list[str] = field(default_factory=list)
 
-    def fail(self, reason: str) -> None:
-        self.status = STATUS_FAILED
-        self.failure_reason = reason
-        self.pending = False
+    @property
+    def requests_issued(self) -> int:
+        return len(self.outputs)
+
+    @property
+    def status(self) -> str:
+        if self.failure_reason is not None:
+            return STATUS_FAILED
+        return STATUS_DONE if len(self.outputs) == len(self.prompts) else STATUS_IN_PROGRESS
+
+
+def _render(
+    templates: PromptTemplateSet, slot: str, src_lang: str, tgt_lang: str, **payload: str
+) -> str:
+    return templates.render(
+        slot, {"src_lang": language_name(src_lang), "tgt_lang": language_name(tgt_lang), **payload}
+    )
 
 
 def exemplar_messages(config: StrategyConfig, templates: PromptTemplateSet) -> tuple[Message, ...]:
@@ -140,54 +164,43 @@ def exemplar_messages(config: StrategyConfig, templates: PromptTemplateSet) -> t
         return ()
     messages: list[Message] = []
     for ex in config.exemplars:
-        prompt = templates.render(
-            "segment",
-            {
-                "src_lang": language_name(ex.src_lang),
-                "tgt_lang": language_name(ex.tgt_lang),
-                "segment": ex.source,
-            },
-        )
+        prompt = _render(templates, "segment", ex.src_lang, ex.tgt_lang, segment=ex.source)
         messages.append(user(prompt))
         messages.append(assistant(ex.target))
     return tuple(messages)
 
 
-def _segment_prompt(s: SessionState, index: int) -> str:
-    doc = s.document
-    return s.templates.render(
-        "segment",
-        {
-            "src_lang": language_name(doc.src_lang),
-            "tgt_lang": language_name(doc.tgt_lang),
-            "segment": doc.source_segments[index],
-        },
-    )
+def turn_prompts(
+    config: StrategyConfig, doc: Document, templates: PromptTemplateSet
+) -> tuple[Message, ...]:
+    """Each turn's user message: the whole document for single_turn, else one
+    segment per turn, the first of multi_turn_sp also carrying the whole
+    source before its segment."""
+    segments = doc.source_segments
+
+    def render(slot: str, **payload: str) -> Message:
+        return user(_render(templates, slot, doc.src_lang, doc.tgt_lang, **payload))
+
+    joined = segment_separator("blank_line").join
+    if config.mode == Mode.SINGLE_TURN:
+        return (render("document", document=joined(segments)),)
+    if config.mode == Mode.MULTI_TURN_SP:
+        first = render("source_primed_first", document=joined(segments), segment=segments[0])
+    else:
+        first = render("segment", segment=segments[0])
+    return (first, *(render("segment", segment=segment) for segment in segments[1:]))
 
 
-def _document_prompt(s: SessionState) -> str:
-    doc = s.document
-    return s.templates.render(
-        "document",
-        {
-            "src_lang": language_name(doc.src_lang),
-            "tgt_lang": language_name(doc.tgt_lang),
-            "document": "\n\n".join(doc.source_segments),
-        },
-    )
-
-
-def _source_primed_first_prompt(s: SessionState) -> str:
-    doc = s.document
-    return s.templates.render(
-        "source_primed_first",
-        {
-            "src_lang": language_name(doc.src_lang),
-            "tgt_lang": language_name(doc.tgt_lang),
-            "document": "\n\n".join(doc.source_segments),
-            "segment": doc.source_segments[0],
-        },
-    )
+def request_messages(
+    mode: Mode, prefix: Sequence[_M], prompts: Sequence[_M], replies: Sequence[_M]
+) -> tuple[_M, ...]:
+    """The messages of turn len(replies)'s request: the prefix, then, for the
+    multi-turn modes only, each earlier prompt followed by its reply, then
+    the turn's own prompt. Multi-turn requests therefore only ever grow by
+    the previous reply and the next prompt, the property that makes prefix
+    caching valid."""
+    history = chain.from_iterable(zip(prompts, replies)) if mode.is_multi_turn else ()
+    return tuple(chain(prefix, history, (prompts[len(replies)],)))
 
 
 def init_session(
@@ -203,7 +216,7 @@ def init_session(
         templates = load_template_set(config.template_set)
     if prefix is None:
         prefix = exemplar_messages(config, templates)
-    s = SessionState(config=config, document=doc, templates=templates, icl_prefix=prefix)
+    s = SessionState(config, doc, turn_prompts(config, doc, templates), prefix)
     if config.icl:
         mismatched = [
             f"{ex.src_lang}-{ex.tgt_lang}"
@@ -215,21 +228,14 @@ def init_session(
                 f"exemplar direction(s) {sorted(set(mismatched))} differ from "
                 f"document direction {doc.direction}"
             )
-    if config.mode.is_multi_turn:
-        s.conversation = list(s.icl_prefix)
-        if config.mode == Mode.MULTI_TURN_SP:
-            s.conversation.append(user(_source_primed_first_prompt(s)))
-        else:
-            s.conversation.append(user(_segment_prompt(s, 0)))
-    s.pending = True
     return s
 
 
 def next_request(s: SessionState) -> ChatRequest | None:
     """The pending chat request, or None once the session has completed.
 
-    Idempotent between ingests: calling twice without ingesting returns the
-    same request. Raises on failed sessions.
+    Idempotent between ingests: calling twice without ingesting returns an
+    equal request. Raises on failed sessions.
     """
     if s.status == STATUS_FAILED:
         raise SessionContractError(
@@ -238,19 +244,9 @@ def next_request(s: SessionState) -> ChatRequest | None:
         )
     if s.status == STATUS_DONE:
         return None
-    if not s.pending:
-        raise SessionContractError("session is in progress but no request is pending")
-
-    if s.config.mode.is_multi_turn:
-        messages = tuple(s.conversation)
-    elif s.config.mode == Mode.SEGMENT_LEVEL:
-        messages = s.icl_prefix + (user(_segment_prompt(s, s.cursor)),)
-    else:  # single turn
-        messages = s.icl_prefix + (user(_document_prompt(s)),)
-
     return ChatRequest(
         model_id=s.config.model_id,
-        messages=messages,
+        messages=request_messages(s.config.mode, s.icl_prefix, s.prompts, s.replies),
         temperature=0.0,
         max_tokens=s.config.max_tokens,
         request_tag=f"{s.document.id}:turn_{s.requests_issued}",
@@ -277,44 +273,21 @@ def strip_wrapping(text: str) -> str:
 
 
 def ingest_response(s: SessionState, assistant_text: str) -> SessionState:
-    """Record one model reply, advance the cursor, arm the next request."""
+    """Record one model reply, which arms the next turn's request."""
     if s.status != STATUS_IN_PROGRESS:
         raise SessionContractError(f"ingest_response on a {s.status} session")
-    if not s.pending:
-        raise SessionContractError("ingest_response without an outstanding request")
 
     cleaned = strip_wrapping(assistant_text)
     if not cleaned:
-        s.fail("empty_output")
+        s.failure_reason = "empty_output"
         s.warnings.append(
             f"empty model output for document '{s.document.id}' at turn {s.requests_issued}"
         )
         return s
-
-    s.requests_issued += 1
-
-    if s.config.mode.is_multi_turn:
-        # History is append-only: the raw reply enters the conversation as-is
-        # so the transcript matches what the backend actually saw and said.
-        s.conversation.append(assistant(assistant_text))
-        s.outputs.append(cleaned)
-        s.cursor += 1
-        if s.cursor == s.document.num_segments:
-            s.status = STATUS_DONE
-            s.pending = False
-        else:
-            s.conversation.append(user(_segment_prompt(s, s.cursor)))
-    elif s.config.mode == Mode.SEGMENT_LEVEL:
-        s.outputs.append(cleaned)
-        s.cursor += 1
-        if s.cursor == s.document.num_segments:
-            s.status = STATUS_DONE
-            s.pending = False
-    else:  # single turn
-        s.outputs.append(cleaned)
-        s.cursor += 1
-        s.status = STATUS_DONE
-        s.pending = False
+    # History is append-only: the raw reply enters later requests as-is so
+    # the transcript matches what the backend actually saw and said.
+    s.replies.append(assistant(assistant_text))
+    s.outputs.append(cleaned)
     return s
 
 
@@ -356,17 +329,17 @@ def assemble_hypothesis(s: SessionState) -> DocumentTranslation:
 
     raw = s.outputs[0]
     k = s.document.num_segments
-    blank_split = [seg for seg in (p.strip() for p in re.split(r"\n\s*\n", raw)) if seg]
+    blank_split = split_into_segments(raw, "blank_line")
     if len(blank_split) == k:
         return DocumentTranslation(s.document.id, tuple(blank_split), True, raw, warnings)
-    newline_split = [seg for seg in (p.strip() for p in raw.split("\n")) if seg]
+    newline_split = split_into_segments(raw, "single_newline")
     if len(newline_split) == k:
         return DocumentTranslation(s.document.id, tuple(newline_split), True, raw, warnings)
     return DocumentTranslation(s.document.id, tuple(blank_split), False, raw, warnings)
 
 
 def check_prefix_stability(
-    request_messages: Sequence[tuple[Message, ...]],
+    requests: Sequence[tuple[Message, ...]],
     replies: Sequence[str] | None = None,
 ) -> None:
     """Verify the multi-turn cache contract over a session's request sequence.
@@ -377,8 +350,8 @@ def check_prefix_stability(
     appended assistant message must also equal the previous reply verbatim.
     Raises PrefixStabilityError.
     """
-    for i in range(1, len(request_messages)):
-        prev, cur = request_messages[i - 1], request_messages[i]
+    for i in range(1, len(requests)):
+        prev, cur = requests[i - 1], requests[i]
         if len(cur) != len(prev) + 2:
             raise PrefixStabilityError(
                 f"request {i} has {len(cur)} messages, expected {len(prev) + 2}"

@@ -173,7 +173,7 @@ def test_criterion_5_source_primed_completeness():
         k = rng.randint(1, 20)
         doc = make_random_document(rng, f"doc{trial}", k, min_tokens=1, max_tokens=10)
         session = init_session(StrategyConfig(mode=Mode.MULTI_TURN_SP), doc, TEMPLATES)
-        first_user = next(m for m in session.conversation if m.role == "user")
+        first_user = next(m for m in next_request(session).messages if m.role == "user")
         position = 0
         for segment in doc.source_segments:
             found = first_user.content.find(segment, position)

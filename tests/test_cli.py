@@ -77,6 +77,33 @@ class TestRun:
         assert "API key" in result.output
         assert not (tmp_path / "runs" / "test-run" / "cells").exists()
 
+    def test_rejected_api_key_exit_2_run_failed(self, runner, tmp_path, monkeypatch):
+        """A key the backend refuses is only known once a request was sent: a
+        halting run fails at run time, not as a validation error."""
+        monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-wrong")
+        sent = []
+
+        class Unauthorized:
+            status_code = 401
+            text = '{"error": {"message": "Incorrect API key provided: sk-wrong."}}'
+
+        def post(url, **kwargs):
+            sent.append(url)
+            return Unauthorized()
+
+        monkeypatch.setattr(gateway.requests, "post", post)
+        record = minimal_plan_dict(tmp_path, fail_policy="halt")
+        record["backends"] = [{
+            "kind": "openai_compatible", "name": "real", "base_url": "http://fake",
+            "api_key_env_var": "DOCTURN_TEST_KEY",
+        }]
+        config = self.write_config(tmp_path, record)
+        result = runner.invoke(main, ["run", "--config", config])
+        assert result.exit_code == 2, result.output
+        assert "run failed: HTTP 401" in result.output
+        assert "Incorrect API key" in result.output
+        assert len(sent) == 1
+
     def test_score_and_report_after_run(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
         assert runner.invoke(main, ["run", "--config", config]).exit_code == 0

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from docturn import gateway
 from docturn.chat import ChatRequest, Message, user
-from docturn.errors import ContextOverflowError, GatewayError, TransportError
+from docturn.errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from docturn.gateway import BackendConfig, Gateway, complete, drop_trailing_tokens
 from docturn.runner.config import plan_from_dict
 from docturn.runner.executor import execute
@@ -232,7 +232,7 @@ class TestOpenAiCompatible:
             calls.append(1)
             return FakeHttpResponse(200, ok_payload())
 
-        with pytest.raises(GatewayError, match="API key"):
+        with pytest.raises(ConfigError, match=r"backends\[0\]\.api_key_env_var: .*API key"):
             complete(request_of(user("hi")), self.backend(), http_post=post)
         assert calls == []
 

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from docturn.errors import TemplateError
-from docturn.prompts import (
-    extract_fenced_payload,
-    language_name,
-    load_template_set,
-    render_prompt,
-)
+from docturn.prompts import extract_fenced_payload, language_name, load_template_set
 
 
 def test_default_set_has_expected_slots(templates):
@@ -19,22 +14,20 @@ def test_default_set_has_expected_slots(templates):
 
 
 def test_segment_render_contains_text_verbatim(templates):
-    out = render_prompt(templates, "segment",
-                        {"src_lang": "English", "tgt_lang": "German", "segment": "Hello."})
+    out = templates.render(
+        "segment", {"src_lang": "English", "tgt_lang": "German", "segment": "Hello."}
+    )
     assert "Hello." in out
     assert "English" in out and "German" in out
 
 
 def test_render_deterministic(templates):
     variables = {"src_lang": "English", "tgt_lang": "German", "segment": "Same text."}
-    assert render_prompt(templates, "segment", variables) == render_prompt(
-        templates, "segment", variables
-    )
+    assert templates.render("segment", variables) == templates.render("segment", variables)
 
 
 def test_primer_contains_segments_in_order(templates):
-    out = render_prompt(
-        templates,
+    out = templates.render(
         "source_primed_first",
         {"src_lang": "English", "tgt_lang": "German",
          "document": "First piece.\n\nSecond piece.", "segment": "First piece."},
@@ -44,12 +37,12 @@ def test_primer_contains_segments_in_order(templates):
 
 def test_unbound_placeholder_names_it(templates):
     with pytest.raises(TemplateError, match="segment"):
-        render_prompt(templates, "segment", {"src_lang": "English", "tgt_lang": "German"})
+        templates.render("segment", {"src_lang": "English", "tgt_lang": "German"})
 
 
 def test_unknown_slot_rejected(templates):
     with pytest.raises(TemplateError, match="no slot"):
-        render_prompt(templates, "nope", {})
+        templates.render("nope", {})
 
 
 def test_unknown_template_set_rejected():
@@ -58,9 +51,10 @@ def test_unknown_template_set_rejected():
 
 
 def test_payload_braces_are_inert(templates):
-    out = render_prompt(templates, "segment",
-                        {"src_lang": "English", "tgt_lang": "German",
-                         "segment": "code {x} and {unbound}"})
+    out = templates.render(
+        "segment",
+        {"src_lang": "English", "tgt_lang": "German", "segment": "code {x} and {unbound}"},
+    )
     assert "code {x} and {unbound}" in out
 
 
@@ -81,16 +75,19 @@ class TestPayloadExtraction:
 
     def test_rendered_templates_round_trip(self, templates):
         segment = "A paragraph with several words."
-        out = render_prompt(templates, "segment",
-                            {"src_lang": "English", "tgt_lang": "German", "segment": segment})
+        out = templates.render(
+            "segment", {"src_lang": "English", "tgt_lang": "German", "segment": segment}
+        )
         assert extract_fenced_payload(out) == segment
         doc = "One.\n\nTwo.\n\nThree."
-        out = render_prompt(templates, "document",
-                            {"src_lang": "English", "tgt_lang": "German", "document": doc})
+        out = templates.render(
+            "document", {"src_lang": "English", "tgt_lang": "German", "document": doc}
+        )
         assert extract_fenced_payload(out) == doc
-        out = render_prompt(templates, "source_primed_first",
-                            {"src_lang": "English", "tgt_lang": "German",
-                             "document": doc, "segment": "One."})
+        out = templates.render(
+            "source_primed_first",
+            {"src_lang": "English", "tgt_lang": "German", "document": doc, "segment": "One."},
+        )
         assert extract_fenced_payload(out) == "One."
 
 

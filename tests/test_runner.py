@@ -26,7 +26,7 @@ from docturn.corpus import Exemplar
 from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
 from docturn.gateway import BackendConfig
 from docturn.metrics import report as report_module
-from docturn.prompts import load_template_set
+from docturn.prompts import extract_fenced_payload, load_template_set
 from docturn.runner import executor
 from docturn.runner.config import RunPlan, ScoringConfig, load_run_config, plan_from_dict
 from docturn.runner.executor import execute, load_artifacts, load_testsets
@@ -252,7 +252,7 @@ class TestExecute:
             "api_key_env_var": "DOCTURN_NO_SUCH_KEY",
         }]
         plan = plan_from_dict(record)
-        with pytest.raises(GatewayError, match="API key"):
+        with pytest.raises(ConfigError, match=r"backends\[0\]\.api_key_env_var: .*API key"):
             execute(plan)
         assert not (Path(plan.output_dir) / plan.run_id / "cells").exists()
 
@@ -743,6 +743,44 @@ class TestReports:
         artifacts = execute(plan, complete_fn=truncating)
         cell = artifacts.cells[("identity", "multi_turn", "doc-1")]
         assert any("finish_reason=length" in w for w in cell.translation.warnings)
+
+
+class TestWallClockFields:
+    def test_cell_logs_equal_without_the_two_wall_clock_fields(self, tmp_path, monkeypatch):
+        """Two runs of one plan, on a mock and on an HTTP backend, write the
+        same cell logs once each turn's elapsed_ms and response.latency_ms,
+        the only wall-clock fields, are dropped."""
+        monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
+
+        def post(url, json=None, headers=None, timeout=None):
+            payload = extract_fenced_payload(json["messages"][-1]["content"])
+            return FakeResponse({
+                "choices": [{"message": {"content": f"[de] {payload}"}, "finish_reason": "stop"}],
+                "usage": {"prompt_tokens": len(json["messages"]), "completion_tokens": 2},
+            })
+
+        def without_wall_clock(log: Path) -> list:
+            header, *records = (json.loads(line) for line in log.read_text("utf-8").splitlines())
+            for record in records:
+                for turn in record["turns"]:
+                    del turn["elapsed_ms"], turn["response"]["latency_ms"]
+            return [header, *records]
+
+        logs = []
+        for run_id in ("first", "second"):
+            record = mixed_plan_dict(tmp_path, run_id=run_id)
+            record["backends"][1] = {"kind": "openai_compatible", "name": "http",
+                                     "base_url": "http://fake", "api_key_env_var": "DOCTURN_TEST_KEY"}
+            plan = plan_from_dict(record)
+            backends = gateway.Gateway(plan.backends, http_post=post)
+            artifacts = execute(plan, complete_fn=backends.complete)
+            assert len(artifacts.cells) == 2 * 8 * 2 and not artifacts.exclusions
+            cells = artifacts.run_dir / "cells"
+            logs.append({
+                log.relative_to(cells): without_wall_clock(log) for log in sorted(cells.rglob("*.jsonl"))
+            })
+        assert len(logs[0]) == 2 * 8
+        assert logs[0] == logs[1]
 
 
 class TestMalformedBackendReply:

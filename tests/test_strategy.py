@@ -44,9 +44,10 @@ def drive(config, doc, templates, reply=lambda req, i: f"reply {i}"):
 class TestInitSession:
     def test_multi_turn_starts_with_segment0_instruction(self, doc3, templates):
         s = init_session(StrategyConfig(mode=Mode.MULTI_TURN), doc3, templates)
-        assert len(s.conversation) == 1
-        assert s.conversation[0].role == "user"
-        assert doc3.source_segments[0] in s.conversation[0].content
+        messages = next_request(s).messages
+        assert len(messages) == 1
+        assert messages[0].role == "user"
+        assert doc3.source_segments[0] in messages[0].content
 
     def test_icl_prepends_three_exemplar_pairs(self, doc3, templates, exemplars_en_de):
         s = init_session(
@@ -54,16 +55,17 @@ class TestInitSession:
             doc3,
             templates,
         )
-        assert len(s.conversation) == 7  # 3 user/assistant pairs + segment-0 user message
-        roles = [m.role for m in s.conversation]
+        messages = next_request(s).messages
+        assert len(messages) == 7  # 3 user/assistant pairs + segment-0 user message
+        roles = [m.role for m in messages]
         assert roles == ["user", "assistant"] * 3 + ["user"]
         for i, ex in enumerate(exemplars_en_de):
-            assert ex.source in s.conversation[2 * i].content
-            assert s.conversation[2 * i + 1].content == ex.target
+            assert ex.source in messages[2 * i].content
+            assert messages[2 * i + 1].content == ex.target
 
     def test_source_primed_first_message_embeds_all_segments(self, doc3, templates):
         s = init_session(StrategyConfig(mode=Mode.MULTI_TURN_SP), doc3, templates)
-        first = s.conversation[-1].content
+        first = next_request(s).messages[-1].content
         position = -1
         for segment in doc3.source_segments:
             assert segment in first
@@ -131,7 +133,7 @@ class TestIclPrefix:
         doc_b = make_random_document(rng, "b", 5)
         s_a = init_session(config, doc_a, templates)
         s_b = init_session(config, doc_b, templates)
-        assert s_a.conversation[:6] == s_b.conversation[:6]
+        assert next_request(s_a).messages[:6] == next_request(s_b).messages[:6]
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_prefix_built_once_per_session(self, mode, monkeypatch, exemplars_en_de):
