@@ -134,17 +134,18 @@ def simulate_cost(
     out_path: str | None,
 ) -> None:
     """Cached vs uncached prefill/generation totals per strategy (CSV)."""
-    if segments < 1 or seg_tokens < 0 or out_tokens < 0:
-        click.echo("error: --segments must be >= 1 and token counts >= 0", err=True)
+    try:
+        shape = DocShape.uniform(
+            segments,
+            seg_tokens,
+            out_tokens,
+            instruction_overhead=overhead,
+            primer_intro_overhead=primer_overhead,
+            shared_prefix_tokens=shared_prefix,
+        )
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    shape = DocShape.uniform(
-        segments,
-        seg_tokens,
-        out_tokens,
-        instruction_overhead=overhead,
-        primer_intro_overhead=primer_overhead,
-        shared_prefix_tokens=shared_prefix,
-    )
     csv = comparison_csv(compare_strategies(shape))
     if out_path:
         Path(out_path).write_text(csv, "utf-8")

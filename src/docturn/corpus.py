@@ -183,22 +183,28 @@ def parse_corpus(data: bytes, path: str | Path) -> TestSet:
                     "%s line %d: ignoring unknown keys %s", path, lineno, sorted(unknown)
                 )
             try:
-                documents.append(_document_from_record(record))
+                documents.append(_document_from_record(record, lineno))
             except KeyError as exc:
                 raise CorpusError(f"missing required key {exc.args[0]!r}", line=lineno) from exc
     return TestSet(name=path.stem, documents=documents)
 
 
-def _document_from_record(record: dict) -> Document:
+def _document_from_record(record: dict, line: int) -> Document:
     ref = record.get("ref")
     return Document(
         id=str(record["id"]),
         src_lang=str(record["src_lang"]),
         tgt_lang=str(record["tgt_lang"]),
         domain=str(record.get("domain", "unknown")),
-        source_segments=tuple(_normalize(s) for s in record["src"]),
-        reference_segments=tuple(_normalize(s) for s in ref) if ref is not None else None,
+        source_segments=_segments(record["src"], "src", line),
+        reference_segments=None if ref is None else _segments(ref, "ref", line),
     )
+
+
+def _segments(value: object, key: str, line: int) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise CorpusError(f"{key!r} must be a list of strings", line=line)
+    return tuple(_normalize(s) for s in value)
 
 
 def save_corpus(testset: TestSet, path: str | Path) -> None:

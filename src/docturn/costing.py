@@ -273,6 +273,12 @@ class DocShape:
             raise ValueError("source_tokens and target_tokens must have equal length")
         if not self.source_tokens:
             raise ValueError("DocShape needs at least one segment")
+        for name in ("source_tokens", "target_tokens"):
+            if min(getattr(self, name)) < 0:
+                raise ValueError(f"{name}: token counts must be >= 0")
+        for name in ("instruction_overhead", "primer_intro_overhead", "shared_prefix_tokens"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0")
 
     @property
     def k(self) -> int:

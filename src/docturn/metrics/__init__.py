@@ -3,8 +3,8 @@ segment-mean external scoring, and length/omission statistics."""
 
 from .bleu import BleuConfig, brevity_penalty, doc_bleu, ngram_clipped_counts
 from .blonde import BlondeResources, blonde_lite, load_blonde_resources
-from .lengths import LengthReport, LengthRow, length_report
-from .report import DocumentMetrics, StrategyMetrics, score_strategy
+from .lengths import LengthReport, LengthRow
+from .report import StrategyMetrics, length_report, score_strategy
 from .segment_mean import (
     CallableScorer,
     PrecomputedScorer,
@@ -17,7 +17,6 @@ __all__ = [
     "BleuConfig",
     "BlondeResources",
     "CallableScorer",
-    "DocumentMetrics",
     "LengthReport",
     "LengthRow",
     "PrecomputedScorer",

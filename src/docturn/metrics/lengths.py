@@ -3,17 +3,14 @@
 Omission errors concentrate in long documents: when a translation silently
 drops content, its token count falls visibly short of the reference's. This
 report ranks documents by reference length and tabulates both counts so the
-deficit is measurable per document and in aggregate.
+deficit is measurable per document and in aggregate. The counts come from
+the document sides that metrics.report.score_strategy builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-from ..corpus import TestSet
-from ..costing import TokenizerSpec, count_tokens, spec_for_target_language
-from ..strategy import DocumentTranslation
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -57,31 +54,3 @@ class LengthReport:
         )
         return "\n".join(lines) + "\n"
 
-
-def length_report(
-    testset: TestSet,
-    translations: Mapping[str, DocumentTranslation],
-    spec: TokenizerSpec | None = None,
-    top_n: int = 10,
-) -> LengthReport:
-    """Top-N longest documents by reference tokens, ties broken by doc id.
-
-    Without a spec, each document is counted by spec_for_target_language of
-    its target language (characters for zh/ja). Documents without references
-    or without a translation are skipped. A top_n larger than the corpus
-    returns the full corpus.
-    """
-    rows: list[LengthRow] = []
-    for doc in testset:
-        if doc.reference_segments is None or doc.id not in translations:
-            continue
-        doc_spec = spec or spec_for_target_language(doc.tgt_lang)
-        hyp_segments = translations[doc.id].hypothesis_segments
-        rows.append(
-            LengthRow(
-                doc.id,
-                sum(count_tokens(seg, doc_spec) for seg in doc.reference_segments),
-                sum(count_tokens(seg, doc_spec) for seg in hyp_segments),
-            )
-        )
-    return LengthReport.from_rows(rows, top_n)

@@ -10,9 +10,10 @@ BlonDE-lite markers and its length. When the direction's BLEU tokens are
 13a-like and case-sensitive, BlonDE-lite reuses them instead of tokenizing
 again. A reference side does not depend on the hypothesis, so callers that
 score several strategies against one test set pass one reference_sides table
-to every call. The per-direction, per-domain and per-document dBLEU are
-computed from sums of per-document statistics, which is exact: corpus BLEU
-depends on the summed statistics alone.
+to every call. The per-direction and per-domain dBLEU are computed from
+sums of per-document statistics, which is exact: corpus BLEU depends on the
+summed statistics alone. The length table is counted from the same sides,
+and length_report is a view of it.
 """
 
 from __future__ import annotations
@@ -45,25 +46,11 @@ from .bleu import (
 )
 from .bleu import doc_bleu  # noqa: F401  (re-exported for existing importers)
 from .lengths import LengthReport, LengthRow
-from .lengths import length_report  # noqa: F401  (re-exported for existing importers)
 from .segment_mean import SegmentScorer, segment_mean_score
 from .tokenizers import tokenizer_for_language
 
 FLAG_SEGMENT_METRICS_SKIPPED = "segment_metrics_skipped"
 FLAG_NO_REFERENCE = "no_reference"
-
-
-@dataclass(frozen=True)
-class DocumentMetrics:
-    doc_id: str
-    direction: str
-    domain: str
-    dbleu: float | None
-    blonde: BlondeReport | None
-    ref_tokens: int | None
-    hyp_tokens: int | None
-    alignment_ok: bool
-    flags: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -76,7 +63,6 @@ class StrategyMetrics:
     blonde: BlondeReport | None = None  # pooled over supported-language documents
     segment_mean: float | None = None
     lengths: LengthReport | None = None
-    documents: list[DocumentMetrics] = field(default_factory=list)
     flags: set[str] = field(default_factory=set)
 
 
@@ -152,19 +138,6 @@ def score_strategy(
             continue
         if doc.reference_segments is None:
             metrics.flags.add(FLAG_NO_REFERENCE)
-            metrics.documents.append(
-                DocumentMetrics(
-                    doc_id=doc.id,
-                    direction=doc.direction,
-                    domain=doc.domain,
-                    dbleu=None,
-                    blonde=None,
-                    ref_tokens=None,
-                    hyp_tokens=None,
-                    alignment_ok=translations[doc.id].alignment_ok,
-                    flags=frozenset({FLAG_NO_REFERENCE}),
-                )
-            )
             continue
         scored.append((doc, translations[doc.id]))
 
@@ -173,10 +146,8 @@ def score_strategy(
     dir_cfgs: dict[str, BleuConfig] = {}
     direction_stats: dict[str, BleuStats] = {}
     slice_stats: dict[str, dict[str, BleuStats]] = {}  # direction -> domain -> stats
-    doc_stats: list[BleuStats] = []
     length_rows: list[LengthRow] = []
     blonde_counts = []
-    per_doc_blonde: dict[str, BlondeReport | None] = {}
     for doc, hyp in scored:
         dir_cfg = dir_cfgs.setdefault(
             doc.direction, replace(cfg, tokenizer=tokenizer_for_language(doc.tgt_lang))
@@ -192,16 +163,13 @@ def score_strategy(
         )
 
         stats = stats_against(side.ngrams, ref.ngrams)
-        doc_stats.append(stats)
         _accumulate(direction_stats, doc.direction, stats)
         _accumulate(slice_stats.setdefault(doc.direction, {}), doc.domain, stats)
         length_rows.append(LengthRow(doc.id, ref.tokens, side.tokens))
         # BlonDE-lite: pooled over aligned documents whose target language
         # has resources.
         if side.markers is not None and ref.markers is not None:
-            counts = counts_against(side.markers, ref.markers)
-            blonde_counts.append(counts)
-            per_doc_blonde[doc.id] = pooled_report([counts])
+            blonde_counts.append(counts_against(side.markers, ref.markers))
     if blonde_counts:
         metrics.blonde = pooled_report(blonde_counts)
 
@@ -228,7 +196,6 @@ def score_strategy(
         pairs = []
         for doc, hyp in scored:
             if not hyp.alignment_ok:
-                metrics.flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
                 continue
             refs = doc.reference_segments or ()
             for src, h, ref in zip(doc.source_segments, hyp.hypothesis_segments, refs):
@@ -239,23 +206,23 @@ def score_strategy(
         metrics.flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
 
     metrics.lengths = LengthReport.from_rows(length_rows, top_n)
-
-    # Per-document detail rows.
-    for (doc, hyp), stats, lengths in zip(scored, doc_stats, length_rows):
-        flags: set[str] = set()
-        if not hyp.alignment_ok:
-            flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
-        metrics.documents.append(
-            DocumentMetrics(
-                doc_id=doc.id,
-                direction=doc.direction,
-                domain=doc.domain,
-                dbleu=bleu_from_stats(stats, dir_cfgs[doc.direction]),
-                blonde=per_doc_blonde.get(doc.id),
-                ref_tokens=lengths.ref_tokens,
-                hyp_tokens=lengths.hyp_tokens,
-                alignment_ok=hyp.alignment_ok,
-                flags=frozenset(flags),
-            )
-        )
     return metrics
+
+
+def length_report(
+    testset: TestSet,
+    translations: Mapping[str, DocumentTranslation],
+    spec: TokenizerSpec | None = None,
+    top_n: int = 10,
+) -> LengthReport:
+    """score_strategy's length table: the top-N longest documents by
+    reference tokens, ties broken by doc id.
+
+    Without a spec, each document is counted by spec_for_target_language of
+    its target language (characters for zh/ja). Documents without references
+    or without a translation are skipped. A top_n larger than the corpus
+    returns the full corpus.
+    """
+    return score_strategy(
+        testset, translations, compute_blonde=False, length_spec=spec, top_n=top_n
+    ).lengths

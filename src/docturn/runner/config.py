@@ -31,7 +31,9 @@ FAIL_POLICIES = ("halt", "skip_and_report")
 # Fields that cannot change any output, left out of the config hash.
 OPERATIONAL = frozenset({"output_dir", "max_concurrent_documents", "timeout_s"})
 
-_RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+# A run id or a backend name names one directory or file of a run: not empty,
+# not "." or "..", and without a path separator.
+_RUN_ID_RE = re.compile(r"^(?!\.\.?$)[A-Za-z0-9._-]+$")
 _TOKENIZER_IDS = ("auto", "whitespace", "char", "external")
 
 
@@ -85,6 +87,9 @@ class RunPlan:
         if self.max_context_tokens is not None and self.max_context_tokens < 1:
             raise ConfigError("max_context_tokens: must be >= 1")
         names = [b.name for b in self.backends]
+        for i, name in enumerate(names):
+            if not _RUN_ID_RE.match(name):
+                raise ConfigError(f"backends[{i}].name: {name!r} is not filesystem-safe")
         if len(names) != len(set(names)):
             raise ConfigError("backends: names must be unique")
         labels = [s.label for s in self.strategies]

@@ -29,7 +29,7 @@ from docturn.costing import (
 )
 from docturn.metrics.blonde import blonde_lite, load_blonde_resources
 from docturn.metrics.bleu import BleuConfig, doc_bleu
-from docturn.metrics.lengths import length_report
+from docturn.metrics.report import length_report
 from docturn.prompts import load_template_set
 from docturn.runner.config import plan_from_dict
 from docturn.runner.executor import execute, load_testsets

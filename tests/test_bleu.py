@@ -18,7 +18,7 @@ from docturn.metrics.bleu import (
     doc_bleu,
     ngram_clipped_counts,
 )
-from docturn.metrics.report import score_strategy
+from docturn.metrics.report import FLAG_NO_REFERENCE, score_strategy
 from docturn.strategy import DocumentTranslation
 
 from . import oracles
@@ -252,8 +252,29 @@ class TestPooledStatistics:
             assert score == pytest.approx(sum(per_direction) / len(per_direction), rel=1e-9,
                                           abs=1e-12)
         assert set(metrics.per_domain_dbleu) == {dom for _, dom in by_slice}
-        for row, (_, _, hyp, ref) in zip(metrics.documents, docs):
-            assert row.dbleu == _approx_oracle([(hyp, ref)])
+
+    def test_reference_less_document_is_flagged_and_left_out(self):
+        referenced = Document(
+            id="ref", src_lang="de", tgt_lang="en", domain="news",
+            source_segments=("Er kam.", "Er ging jedoch."),
+            reference_segments=("He came home.", "However, he left early."),
+        )
+        unreferenced = Document(id="noref", src_lang="de", tgt_lang="en", domain="news",
+                                source_segments=("Sie blieben.",))
+        translations = {
+            "ref": DocumentTranslation("ref", ("He came.", "However, he left."), True),
+            "noref": DocumentTranslation("noref", ("They stayed.",), True),
+        }
+        both = score_strategy(TestSet("t", [unreferenced, referenced]), translations)
+        alone = score_strategy(TestSet("t", [referenced]), translations)
+        assert both.flags == {FLAG_NO_REFERENCE} and not alone.flags
+        assert 0 < alone.dbleu < 100
+        assert alone.blonde is not None and alone.lengths.total_ref_tokens > 0
+        assert (both.dbleu, both.per_direction_dbleu, both.per_domain_dbleu) == (
+            alone.dbleu, alone.per_direction_dbleu, alone.per_domain_dbleu
+        )
+        assert both.blonde == alone.blonde
+        assert both.lengths == alone.lengths
 
     def test_stats_of_different_orders_do_not_add(self):
         one = bleu_stats(["a b"], ["a b"], BleuConfig(max_n=1))

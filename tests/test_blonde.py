@@ -246,8 +246,6 @@ def test_score_strategy_blonde_equals_per_pair_scores(pairs, case_sensitive):
         d.id: DocumentTranslation(d.id, (hyp,), True) for d, (hyp, _) in zip(documents, pairs)
     }
     metrics = score_strategy(testset, translations, bleu_config=cfg, reference_sides=sides)
-    for row, (hyp, ref) in zip(metrics.documents, pairs):
-        assert row.blonde == blonde_lite([hyp], [ref], RES)
     assert metrics.blonde == pooled_report(category_counts([h], [r], RES) for h, r in pairs)
 
 

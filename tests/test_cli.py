@@ -43,6 +43,22 @@ class TestValidateCorpus:
         assert result.exit_code == 1
         assert "bad-doc" in result.output
 
+    @pytest.mark.parametrize("command", ["validate-corpus", "run"])
+    def test_segments_not_a_list_of_strings_exit_1(self, runner, tmp_path, command):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"id": "d", "src_lang": "en", "tgt_lang": "de", "src": [1, 2]}])
+        args = [str(path)]
+        if command == "run":
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps(minimal_plan_dict(tmp_path)), "utf-8")
+            args = ["--config", str(plan)]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 1
+        prefix = "error: " if command == "run" else "invalid corpus: "
+        assert result.output.startswith(prefix + "line 1: "), result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert not (tmp_path / "runs").exists()
+
 
 class TestRun:
     def write_config(self, tmp_path, record) -> str:
@@ -241,8 +257,20 @@ class TestSimulateCost:
         assert result.exit_code == 0
         assert out.read_text("utf-8").startswith("strategy,cache_mode,")
 
-    def test_invalid_segments_exit_1(self, runner):
-        result = runner.invoke(
-            main, ["simulate-cost", "--segments", "0", "--seg-tokens", "5", "--out-tokens", "5"]
-        )
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [("--segments", "0", "at least one segment"),
+         ("--seg-tokens", "-1", "source_tokens"),
+         ("--out-tokens", "-1", "target_tokens"),
+         ("--overhead", "-50", "instruction_overhead"),
+         ("--primer-overhead", "-1", "primer_intro_overhead"),
+         ("--shared-prefix", "-7", "shared_prefix_tokens")],
+        ids=["segments", "seg_tokens", "out_tokens", "overhead", "primer_overhead",
+             "shared_prefix"],
+    )
+    def test_invalid_segments_exit_1(self, runner, option, value, field):
+        args = {"--segments": "3", "--seg-tokens": "10", "--out-tokens": "10", option: value}
+        result = runner.invoke(main, ["simulate-cost", *(x for kv in args.items() for x in kv)])
         assert result.exit_code == 1
+        assert result.output.startswith("error: ") and field in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback

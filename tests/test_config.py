@@ -71,6 +71,10 @@ BAD_VALUES = {
     "top_n_negative": ("scoring.top_n", _scoring(top_n=-1)),
     "max_tokens_0": ("strategies[0].max_tokens", _strategy(max_tokens=0)),
     "max_context_tokens_0": ("max_context_tokens", _plan(max_context_tokens=0)),
+    "run_id_dotdot": ("run_id", _plan(run_id="..")),
+    "name_escapes": ("backends[0].name", _backend(name="../../escaped")),
+    "name_dot": ("backends[0].name", _backend(name=".")),
+    "name_dotdot": ("backends[0].name", _backend(name="..")),
 }
 
 

@@ -62,6 +62,19 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "change, key",
+        [({"src": "Hi", "ref": "Yo"}, "src"), ({"src": [1, 2]}, "src"),
+         ({"ref": "Yo"}, "ref")],
+        ids=["string_src", "number_src", "string_ref"],
+    )
+    def test_segments_must_be_a_list_of_strings(self, tmp_path, change, key):
+        path = tmp_path / "bad.jsonl"
+        record = {"id": "ok", "src_lang": "en", "tgt_lang": "de", "src": ["Hi"]}
+        write_jsonl(path, [record, {**record, "id": "bad", **change}])
+        with pytest.raises(CorpusError, match=f"line 2: '{key}' must be a list of strings"):
+            load_corpus(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         record = {"id": "same", "src_lang": "en", "tgt_lang": "de", "domain": "x", "src": ["a"]}

@@ -1,0 +1,98 @@
+"""Source hygiene checks that need nothing beyond the standard library."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+NOQA = "# noqa: F401"
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names in an annotation, including those inside string annotations."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            used |= _annotation_names(annotation)
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level import whose bound name the module
+    never uses, unless the alias's own line carries the F401 noqa comment."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = _used_names(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and NOQA not in lines[alias.lineno - 1]:
+                unused.append((alias.lineno, name))
+    return unused
+
+
+def test_no_unused_module_level_imports():
+    found = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in unused_imports(path.read_text("utf-8"))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import os\n", [(1, "os")]),
+        ("import os.path\nos.sep\n", []),
+        ("from a import (\n    b,\n    c,\n)\nb\n", [(3, "c")]),
+        ("from a import b as c\nb\n", [(1, "c")]),
+        ("from a import b  # noqa: F401\n", []),
+        ("from a import (\n    b,  # noqa: F401\n    c,\n)\n", [(3, "c")]),
+        ("from a import b\n__all__ = ['b']\n", []),
+        ("from a import b\ndef f(x: 'list[b]') -> None: ...\n", []),
+        ("from a import b\nx: 'b | None' = None\n", []),
+        ("from __future__ import annotations\n", []),
+        ("def f():\n    import os\n", []),  # not module-level
+    ],
+)
+def test_unused_import_check(source, expected):
+    assert unused_imports(source) == expected

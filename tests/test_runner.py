@@ -11,6 +11,7 @@ import json
 import os
 import pkgutil
 import re
+import sys
 import threading
 import time
 from collections import Counter
@@ -719,13 +720,27 @@ class TestReports:
             [{"id": "only-src", "src_lang": "en", "tgt_lang": "de", "domain": "news",
               "src": ["Some text here.", "More text there."]}],
         )
-        record = minimal_plan_dict(tmp_path, testsets=[str(corpus)])
+        # A scorer that fails when called: no segment has a reference to score.
+        record = minimal_plan_dict(
+            tmp_path, testsets=[str(corpus)],
+            scoring={"scorer_command": [sys.executable, "-c", "raise SystemExit(3)"]},
+        )
         plan = plan_from_dict(record)
         artifacts = execute(plan)
         emit_reports(artifacts)
-        main = (artifacts.run_dir / "reports" / "main.csv").read_text("utf-8").splitlines()
+        reports = artifacts.run_dir / "reports"
+        main = (reports / "main.csv").read_text("utf-8").splitlines()
+        assert len(main) == 3
         for line in main[1:]:
             assert line.endswith(",-,-,-")  # dbleu, segment_mean, blonde all missing
+        for strategy in ("segment_level", "multi_turn"):
+            lengths = (reports / f"lengths_identity_{strategy}.csv").read_text("utf-8")
+            assert lengths == "doc_id,ref_tokens,hyp_tokens,ratio\nTOTAL,0,0,nan\n"
+        scores = json.loads((reports / "scores.json").read_text("utf-8"))
+        assert {cell: m["flags"] for cell, m in scores.items()} == {
+            "identity/segment_level": ["no_reference"], "identity/multi_turn": ["no_reference"]
+        }
+        assert all(m["dbleu"] is None and m["blonde"] is None for m in scores.values())
 
     def test_length_truncation_warning_attached(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
