@@ -89,6 +89,12 @@ class ChatRequest:
         return d
 
 
+# The keys ChatResponse.to_dict writes, each with the type it writes.
+_RESPONSE_FIELDS = {
+    "content": str, "prompt_tokens": int, "completion_tokens": int, "finish_reason": str,
+}
+
+
 @dataclass(frozen=True)
 class ChatResponse:
     """A chat-completion response with backend-reported usage."""
@@ -97,7 +103,6 @@ class ChatResponse:
     prompt_tokens: int = 0
     completion_tokens: int = 0
     finish_reason: str = "stop"  # stop | length | other
-    latency_ms: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -105,15 +110,17 @@ class ChatResponse:
             "prompt_tokens": self.prompt_tokens,
             "completion_tokens": self.completion_tokens,
             "finish_reason": self.finish_reason,
-            "latency_ms": self.latency_ms,
         }
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ChatResponse":
-        return cls(
-            content=d["content"],
-            prompt_tokens=int(d.get("prompt_tokens", 0)),
-            completion_tokens=int(d.get("completion_tokens", 0)),
-            finish_reason=d.get("finish_reason", "stop"),
-            latency_ms=float(d.get("latency_ms", 0.0)),
-        )
+    def from_dict(cls, d: Any) -> "ChatResponse":
+        """The response to_dict wrote: exactly its keys, each of its type.
+        Anything else is a ValueError or TypeError, never a default."""
+        if not isinstance(d, dict):
+            raise TypeError(f"response is a {type(d).__name__}, not an object")
+        if d.keys() != _RESPONSE_FIELDS.keys():
+            raise ValueError(f"response keys are {sorted(d)}, not {sorted(_RESPONSE_FIELDS)}")
+        for key, kind in _RESPONSE_FIELDS.items():
+            if type(d[key]) is not kind:  # a JSON true is not a token count
+                raise TypeError(f"response {key} is a {type(d[key]).__name__}, not {kind.__name__}")
+        return cls(**d)

@@ -3,12 +3,13 @@
 A test set is a JSONL file, one document per line:
 
     {"id": str, "src_lang": str, "tgt_lang": str, "domain": str,
-     "src": [str, ...], "ref": [str, ...]}    # "ref" optional
+     "src": [str, ...], "ref": [str, ...]}    # "domain" and "ref" optional
 
 Documents arrive pre-segmented at the paragraph level. Text is NFC-normalized
 and trimmed at load time so token counts and n-gram matching are stable.
-Unknown top-level keys are tolerated with a warning; structural problems
-(misaligned references, duplicate ids, empty segments) are hard errors.
+Unknown top-level keys are tolerated with a warning; a value of another
+JSON type and structural problems (misaligned references, duplicate ids,
+empty segments) are hard errors.
 """
 
 from __future__ import annotations
@@ -192,13 +193,19 @@ def parse_corpus(data: bytes, path: str | Path) -> TestSet:
 def _document_from_record(record: dict, line: int) -> Document:
     ref = record.get("ref")
     return Document(
-        id=str(record["id"]),
-        src_lang=str(record["src_lang"]),
-        tgt_lang=str(record["tgt_lang"]),
-        domain=str(record.get("domain", "unknown")),
+        id=_string(record["id"], "id", line),
+        src_lang=_string(record["src_lang"], "src_lang", line),
+        tgt_lang=_string(record["tgt_lang"], "tgt_lang", line),
+        domain=_string(record.get("domain", "unknown"), "domain", line),
         source_segments=_segments(record["src"], "src", line),
         reference_segments=None if ref is None else _segments(ref, "ref", line),
     )
+
+
+def _string(value: object, key: str, line: int) -> str:
+    if not isinstance(value, str):
+        raise CorpusError(f"{key!r} must be a string", line=line)
+    return value
 
 
 def _segments(value: object, key: str, line: int) -> tuple[str, ...]:

@@ -187,7 +187,6 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
     while True:
         if limiter is not None:
             limiter.acquire(sleeper)
-        started = time.monotonic()
         try:
             resp = post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
         except requests.RequestException as exc:
@@ -196,7 +195,6 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
             sleeper(_backoff_delay(attempt, rng))
             attempt += 1
             continue
-        latency_ms = (time.monotonic() - started) * 1000.0
 
         if resp.status_code == 429 or resp.status_code >= 500:
             if attempt >= cfg.max_retries:
@@ -233,7 +231,6 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
             finish_reason=finish,
-            latency_ms=latency_ms,
         )
 
 
@@ -311,7 +308,6 @@ class Gateway:
             prompt_tokens=prompt_tokens,
             completion_tokens=len(content.split()),
             finish_reason="stop",
-            latency_ms=0.0,
         )
 
 

@@ -5,12 +5,7 @@ from .bleu import BleuConfig, brevity_penalty, doc_bleu, ngram_clipped_counts
 from .blonde import BlondeResources, blonde_lite, load_blonde_resources
 from .lengths import LengthReport, LengthRow
 from .report import StrategyMetrics, length_report, score_strategy
-from .segment_mean import (
-    CallableScorer,
-    PrecomputedScorer,
-    SubprocessScorer,
-    segment_mean_score,
-)
+from .segment_mean import CallableScorer, SubprocessScorer, segment_mean_score
 from .tokenizers import tokenize, tokenizer_for_language
 
 __all__ = [
@@ -19,7 +14,6 @@ __all__ = [
     "CallableScorer",
     "LengthReport",
     "LengthRow",
-    "PrecomputedScorer",
     "StrategyMetrics",
     "SubprocessScorer",
     "blonde_lite",

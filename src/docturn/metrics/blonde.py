@@ -54,7 +54,6 @@ class BlondeResources:
     connectives: tuple[tuple[str, ...], ...]  # each entry tokenized, case-folded
     tense_auxiliaries: frozenset[str]
     tense_suffixes: tuple[str, ...]  # longest first
-    entity_rule: str = "capitalized_sequence"
 
     def __post_init__(self) -> None:
         if not self.pronouns or not self.connectives or not self.tense_auxiliaries:

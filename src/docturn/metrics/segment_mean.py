@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 from ..errors import ScorerError
@@ -66,16 +65,6 @@ class SubprocessScorer:
                 f"scorer command failed with code {proc.returncode}: {proc.stderr[:500]}"
             )
         return parse_score_lines(proc.stdout, len(pairs))
-
-
-@dataclass(frozen=True)
-class PrecomputedScorer:
-    """Reads line-aligned scores from a file written by an offline scorer run."""
-
-    scores_path: str
-
-    def score(self, pairs: Sequence[ScoreTriple]) -> list[float]:
-        return parse_score_lines(Path(self.scores_path).read_text("utf-8"), len(pairs))
 
 
 @dataclass(frozen=True)

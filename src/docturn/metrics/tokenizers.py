@@ -13,8 +13,6 @@ import regex
 
 from ..prompts import is_char_counted
 
-TOKENIZER_IDS = ("intl_13a_like", "char")
-
 _NONDIGIT_PUNCT = regex.compile(r"(\P{N})(\p{P})")
 _PUNCT_NONDIGIT = regex.compile(r"(\p{P})(\P{N})")
 _SYMBOL = regex.compile(r"(\p{S})")

@@ -5,9 +5,9 @@ resume. Its transcript is logged as one record, one JSON line in the
 append-only log of its (backend, strategy) group: `doc`, the document id,
 and `turns`, one object per request sent. A turn holds `keep`, how many
 messages of the previous request-plus-reply the request reuses, `append`,
-the messages after those, the `response` and `elapsed_ms`. Translations and
-ledgers are pure functions of the transcript, so loading a cell replays its
-record through the strategy and recomputes them.
+the messages after those, and the `response`; no field holds wall-clock
+time. Translations and ledgers are pure functions of the transcript, so
+loading a cell replays its record through the strategy and recomputes them.
 
 Line 1 of a group log is its header, `{"prefix": [...]}`: the exemplar
 messages every request of the group starts with, stored once per group the
@@ -19,9 +19,9 @@ that state stops at the shared messages by identity. Loading checks the
 header against the prefix the strategy rebuilds, and replay starts from it.
 
 A record is built in memory while its cell runs and appended, with one write
-and a flush, only once the cell has completed, so a failed or interrupted
-cell leaves nothing and re-executing the run executes exactly the missing
-cells. Bytes after a log's last newline are a record, or a header, torn by a
+and a flush, only once the cell has completed: concurrent cells append in
+the order they complete, and a failed or interrupted cell leaves nothing, so
+re-executing the run executes exactly the missing cells. Bytes after a log's last newline are a record, or a header, torn by a
 crash: loading ignores them and execute truncates them away before it
 appends, writing the header first when nothing complete is left.
 ResumeMismatchError refuses a header that is missing, does not parse or
@@ -47,7 +47,6 @@ import json
 import logging
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -76,7 +75,7 @@ from .config import RunPlan
 
 logger = logging.getLogger(__name__)
 
-LAYOUT_VERSION = 4
+LAYOUT_VERSION = 5
 MANIFEST = "manifest.json"
 
 CompleteFn = Callable[[ChatRequest, gateway.BackendConfig], ChatResponse]
@@ -225,22 +224,27 @@ def _run_cell(
     complete: CompleteFn,
 ) -> tuple[CellArtifact, bytes]:
     """A fresh cell: replies come from the backend. Returns the cell and its
-    record, one line for the group log."""
+    record, one line for the group log. A completed cell with a reply cut at
+    the output limit is logged as a warning."""
     turns: list[dict] = []
 
     def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
-        started = time.monotonic()
         response = complete(request, group.backend)
         keep = common_prefix_length(request.messages, state)
         turns.append({
             "keep": keep,
             "append": [m.to_dict() for m in request.messages[keep:]],
             "response": response.to_dict(),
-            "elapsed_ms": round((time.monotonic() - started) * 1000.0, 3),
         })
         return response
 
     cell = _drive_cell(artifacts, group, doc, templates, reply)
+    truncated = [str(i) for i, t in enumerate(turns) if t["response"]["finish_reason"] == "length"]
+    if truncated:
+        logger.warning(
+            "%s/%s/%s: output truncated (finish_reason=length) at turn %s",
+            group.backend.name, group.strategy.label, doc.id, ", ".join(truncated),
+        )
     return cell, _json_line({"doc": doc.id, "turns": turns})
 
 
@@ -271,8 +275,6 @@ def _replay_cell(
             entry = turns[turn]
             logged = state[: entry["keep"]] + tuple(Message.from_dict(m) for m in entry["append"])
             response = ChatResponse.from_dict(entry["response"])
-            if not isinstance(response.content, str):
-                raise TypeError("response content is not a string")
         except (ValueError, KeyError, TypeError) as exc:
             raise mismatch(turn, f"unparseable turn ({exc})") from None
         if logged != request.messages:
@@ -417,14 +419,12 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
             f"{run_dir} has files but no {MANIFEST}: an older version wrote it; "
             "re-run into a new directory"
         )
-    now = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     manifest = {
         "run_id": plan.run_id,
         "layout_version": LAYOUT_VERSION,
         "config_hash": config_hash,
         "template_set": plan.template_set,
         "template_set_hash": templates.content_hash,
-        "created_at": now if found is None else found.get("created_at", ""),
         "exclusions": [],
     }
     if found is None:

@@ -63,16 +63,24 @@ class TestLoadCorpus:
             load_corpus(path)
 
     @pytest.mark.parametrize(
-        "change, key",
-        [({"src": "Hi", "ref": "Yo"}, "src"), ({"src": [1, 2]}, "src"),
-         ({"ref": "Yo"}, "ref")],
-        ids=["string_src", "number_src", "string_ref"],
+        "change, problem",
+        [({"src": "Hi", "ref": "Yo"}, "'src' must be a list of strings"),
+         ({"src": [1, 2]}, "'src' must be a list of strings"),
+         ({"ref": "Yo"}, "'ref' must be a list of strings"),
+         ({"id": ["x"]}, "'id' must be a string"),
+         ({"src_lang": ["en"]}, "'src_lang' must be a string"),
+         ({"tgt_lang": 7}, "'tgt_lang' must be a string"),
+         ({"domain": None}, "'domain' must be a string")],
+        ids=["string_src", "number_src", "string_ref", "list_id", "list_src_lang",
+             "number_tgt_lang", "null_domain"],
     )
-    def test_segments_must_be_a_list_of_strings(self, tmp_path, change, key):
+    def test_segments_must_be_a_list_of_strings(self, tmp_path, change, problem):
+        """Each key must hold its JSON type: a list of strings for the
+        segments, a string for every other key."""
         path = tmp_path / "bad.jsonl"
         record = {"id": "ok", "src_lang": "en", "tgt_lang": "de", "src": ["Hi"]}
         write_jsonl(path, [record, {**record, "id": "bad", **change}])
-        with pytest.raises(CorpusError, match=f"line 2: '{key}' must be a list of strings"):
+        with pytest.raises(CorpusError, match=f"line 2: {problem}"):
             load_corpus(path)
 
     def test_duplicate_id_rejected(self, tmp_path):

@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import io
 import json
+import logging
 import os
 import pkgutil
 import re
@@ -366,7 +367,10 @@ class TestCellLog:
         # Each later request reuses the whole previous request plus its reply.
         turns = record["turns"]
         assert [(t["keep"], len(t["append"])) for t in turns] == [(0, 1), (2, 1), (4, 1)]
-        assert set(turns[0]) == {"keep", "append", "response", "elapsed_ms"}
+        assert set(turns[0]) == {"keep", "append", "response"}
+        assert set(turns[0]["response"]) == {
+            "content", "prompt_tokens", "completion_tokens", "finish_reason",
+        }
 
     def _tamper(self, tmp_path, edit):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -391,6 +395,21 @@ class TestCellLog:
                 edit_turns(lambda turns: turns[:1] + [{"keep": 2}] + turns[2:]),
                 "line 2: doc 'doc-1': turn 1: unparseable turn",
             ),
+            (
+                edit_turns(lambda turns: [
+                    {**turn, "response": {k: v for k, v in turn["response"].items()
+                                          if k != "finish_reason"}}
+                    if i == 1 else turn for i, turn in enumerate(turns)
+                ]),
+                "line 2: doc 'doc-1': turn 1: unparseable turn",
+            ),
+            (
+                edit_turns(lambda turns: [
+                    {**turn, "response": {**turn["response"], "prompt_tokens": "5"}}
+                    if i == 2 else turn for i, turn in enumerate(turns)
+                ]),
+                "line 2: doc 'doc-1': turn 2: unparseable turn .*prompt_tokens",
+            ),
             (lambda lines: lines + lines[1:2], "line 4: duplicate record for doc 'doc-1'"),
             (
                 lambda lines: lines[:1] + [lines[1].replace('"doc":"doc-1"', '"doc":"doc-9"')]
@@ -399,7 +418,7 @@ class TestCellLog:
             ),
         ],
         ids=["truncated", "extra_line", "unparseable", "tampered_append", "unparseable_turn",
-             "duplicate_doc", "unknown_doc"],
+             "no_finish_reason", "string_prompt_tokens", "duplicate_doc", "unknown_doc"],
     )
     def test_tampered_log_rejected_on_load_and_resume(self, tmp_path, edit, problem):
         plan, log = self._tamper(tmp_path, edit)
@@ -419,27 +438,32 @@ class TestCellLog:
             with pytest.raises(ResumeMismatchError, match="layout"):
                 load(plan)
 
-    def test_layout_2_directory_rejected(self, tmp_path):
+    def _assert_layout_rejected(self, tmp_path, version: int) -> None:
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         execute(plan)
         manifest_path = Path(plan.output_dir) / plan.run_id / "manifest.json"
         manifest = json.loads(manifest_path.read_text("utf-8"))
-        manifest["layout_version"] = 2
+        manifest["layout_version"] = version
         manifest_path.write_text(json.dumps(manifest), "utf-8")
+        problem = f"artifact layout {version}, this version reads layout {executor.LAYOUT_VERSION}"
         for load in (load_artifacts, execute):
-            with pytest.raises(ResumeMismatchError, match="artifact layout 2, this version reads layout 4"):
+            with pytest.raises(ResumeMismatchError, match=problem):
                 load(plan)
 
+    def test_layout_2_directory_rejected(self, tmp_path):
+        self._assert_layout_rejected(tmp_path, 2)
+
     def test_layout_3_directory_rejected(self, tmp_path):
-        plan = plan_from_dict(minimal_plan_dict(tmp_path))
-        execute(plan)
-        manifest_path = Path(plan.output_dir) / plan.run_id / "manifest.json"
-        manifest = json.loads(manifest_path.read_text("utf-8"))
-        manifest["layout_version"] = 3
-        manifest_path.write_text(json.dumps(manifest), "utf-8")
-        for load in (load_artifacts, execute):
-            with pytest.raises(ResumeMismatchError, match="artifact layout 3, this version reads layout 4"):
-                load(plan)
+        self._assert_layout_rejected(tmp_path, 3)
+
+    def test_layout_4_directory_rejected(self, tmp_path):
+        """Layout 4 logged each turn's elapsed_ms and response latency_ms."""
+        assert executor.LAYOUT_VERSION == 5
+        self._assert_layout_rejected(tmp_path, 4)
+
+    def test_readme_names_the_layout_version(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        assert f"`layout_version: {executor.LAYOUT_VERSION}`" in readme
 
     def test_interrupt_mid_cell_leaves_no_log_and_resume_reruns_it(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -752,7 +776,6 @@ class TestReports:
                 prompt_tokens=response.prompt_tokens,
                 completion_tokens=response.completion_tokens,
                 finish_reason="length",
-                latency_ms=response.latency_ms,
             )
 
         artifacts = execute(plan, complete_fn=truncating)
@@ -760,42 +783,83 @@ class TestReports:
         assert any("finish_reason=length" in w for w in cell.translation.warnings)
 
 
+def run_dir_bytes(run_dir: Path) -> dict[Path, bytes]:
+    return {p.relative_to(run_dir): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
 class TestWallClockFields:
-    def test_cell_logs_equal_without_the_two_wall_clock_fields(self, tmp_path, monkeypatch):
-        """Two runs of one plan, on a mock and on an HTTP backend, write the
-        same cell logs once each turn's elapsed_ms and response.latency_ms,
-        the only wall-clock fields, are dropped."""
+    """A run directory holds no wall-clock field: it is a function of the
+    plan and the backend's replies alone."""
+
+    def test_two_runs_write_byte_identical_run_directories(self, tmp_path, monkeypatch):
+        """Two runs of one plan into two output directories, on mocks and on
+        an HTTP backend whose every request is refused with 429, then 503,
+        before it succeeds, write the same bytes at every path."""
         monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
+        attempts = []
 
         def post(url, json=None, headers=None, timeout=None):
+            attempts.append(url)
+            status = (429, 503, 200)[(len(attempts) - 1) % 3]
             payload = extract_fenced_payload(json["messages"][-1]["content"])
-            return FakeResponse({
+            response = FakeResponse({
                 "choices": [{"message": {"content": f"[de] {payload}"}, "finish_reason": "stop"}],
                 "usage": {"prompt_tokens": len(json["messages"]), "completion_tokens": 2},
             })
+            response.status_code = status
+            return response
 
-        def without_wall_clock(log: Path) -> list:
-            header, *records = (json.loads(line) for line in log.read_text("utf-8").splitlines())
-            for record in records:
-                for turn in record["turns"]:
-                    del turn["elapsed_ms"], turn["response"]["latency_ms"]
-            return [header, *records]
+        runs = []
+        for output_dir in ("first", "second"):
+            mocks = mixed_plan_dict(tmp_path, output_dir=str(tmp_path / output_dir))
+            http = mixed_plan_dict(tmp_path, output_dir=str(tmp_path / f"{output_dir}-http"))
+            http["backends"][1] = {"kind": "openai_compatible", "name": "http",
+                                   "base_url": "http://fake", "api_key_env_var": "DOCTURN_TEST_KEY"}
+            for plan in map(plan_from_dict, (mocks, http)):
+                backends = gateway.Gateway(plan.backends, http_post=post, sleeper=lambda s: None)
+                artifacts = execute(plan, complete_fn=backends.complete)
+                assert len(artifacts.cells) == 2 * 8 * 2 and not artifacts.exclusions
+                emit_reports(artifacts)
+                runs.append(run_dir_bytes(artifacts.run_dir))
+        for first, second in (runs[0], runs[2]), (runs[1], runs[3]):
+            assert {p.parts[0] for p in first} == {"manifest.json", "cells", "reports"}
+            assert first == second
+        # One logged turn per request, whatever its attempts.
+        logged = [
+            turn for path, data in runs[3].items() if path.parts[:2] == ("cells", "http")
+            for line in data.splitlines()[1:] for turn in json.loads(line)["turns"]
+        ]
+        assert len(attempts) == 2 * 3 * len(logged)
 
-        logs = []
-        for run_id in ("first", "second"):
-            record = mixed_plan_dict(tmp_path, run_id=run_id)
-            record["backends"][1] = {"kind": "openai_compatible", "name": "http",
-                                     "base_url": "http://fake", "api_key_env_var": "DOCTURN_TEST_KEY"}
-            plan = plan_from_dict(record)
-            backends = gateway.Gateway(plan.backends, http_post=post)
-            artifacts = execute(plan, complete_fn=backends.complete)
-            assert len(artifacts.cells) == 2 * 8 * 2 and not artifacts.exclusions
-            cells = artifacts.run_dir / "cells"
-            logs.append({
-                log.relative_to(cells): without_wall_clock(log) for log in sorted(cells.rglob("*.jsonl"))
-            })
-        assert len(logs[0]) == 2 * 8
-        assert logs[0] == logs[1]
+    def test_concurrent_run_writes_the_same_lines(self, tmp_path):
+        """At max_concurrent_documents 4 records are appended in the order
+        their cells complete: each log holds the same lines as a sequential
+        run's, the header first, and every other file is byte-identical."""
+        documents = [
+            {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": "news",
+             "src": [f"Paragraph {j} of {i}." for j in range(1 + i % 3)]}
+            for i in range(8)
+        ]
+        write_jsonl(tmp_path / "corpus.jsonl", documents)
+        runs = []
+        for output_dir, concurrency in (("sequential", 1), ("concurrent", 4)):
+            plan = plan_from_dict(mixed_plan_dict(
+                tmp_path, output_dir=str(tmp_path / output_dir),
+                max_concurrent_documents=concurrency,
+            ))
+            artifacts = execute(plan)
+            emit_reports(artifacts)
+            runs.append(run_dir_bytes(artifacts.run_dir))
+        sequential, concurrent = runs
+        assert sequential.keys() == concurrent.keys()
+        for path, data in sequential.items():
+            if path.parts[0] == "cells":
+                header, *records = data.splitlines()
+                lines = concurrent[path].splitlines()
+                assert lines[0] == header and Counter(lines[1:]) == Counter(records)
+                assert len(records) == len(documents)
+            else:
+                assert concurrent[path] == data
 
 
 class TestMalformedBackendReply:
@@ -1216,9 +1280,10 @@ class TestInterruptedRun:
         listed = [(e["backend"], e["strategy"], e["doc_id"]) for e in loaded.exclusions]
         assert listed == [MULTI_TURN_DOC_2]
 
-    def test_truncated_turn_warns_its_cells_on_run_resume_and_load(self, tmp_path):
+    def test_truncated_turn_warns_its_cells_on_run_resume_and_load(self, tmp_path, caplog):
         """A reply cut at the output limit at doc-2's turn 1 warns doc-2's
-        cells only, and the warning is rebuilt from the log on resume and load."""
+        cells only, and the warning is rebuilt from the log on resume and load.
+        Each of those cells is logged as a warning once, when it runs."""
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
 
         def truncating_doc_2_turn_1(request, backend):
@@ -1230,13 +1295,24 @@ class TestInterruptedRun:
         def warnings(artifacts) -> dict:
             return {key: cell.translation.warnings for key, cell in artifacts.cells.items()}
 
-        fresh = warnings(execute(plan, complete_fn=truncating_doc_2_turn_1))
-        warning = "turn 1: output truncated (finish_reason=length)"
-        assert fresh == {key: (warning,) if key[2] == "doc-2" else () for key in ALL_CELLS}
-        sent: list[str] = []
-        assert warnings(execute(plan, complete_fn=recording(sent))) == fresh
-        assert sent == []
-        assert warnings(load_artifacts(plan)) == fresh
+        def logged() -> list[str]:
+            messages = [r.getMessage() for r in caplog.records if r.name == executor.__name__]
+            caplog.clear()
+            return messages
+
+        with caplog.at_level(logging.WARNING):
+            fresh = warnings(execute(plan, complete_fn=truncating_doc_2_turn_1))
+            assert logged() == [
+                f"identity/{strategy}/doc-2: output truncated (finish_reason=length) at turn 1"
+                for strategy in ("segment_level", "multi_turn")
+            ]
+            warning = "turn 1: output truncated (finish_reason=length)"
+            assert fresh == {key: (warning,) if key[2] == "doc-2" else () for key in ALL_CELLS}
+            sent: list[str] = []
+            assert warnings(execute(plan, complete_fn=recording(sent))) == fresh
+            assert sent == []
+            assert warnings(load_artifacts(plan)) == fresh
+            assert logged() == []  # a replayed cell is not logged again
 
     @pytest.mark.parametrize("layout", ["cells", "raw"])
     def test_files_without_a_manifest_are_refused(self, tmp_path, layout):

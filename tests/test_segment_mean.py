@@ -10,7 +10,6 @@ import pytest
 from docturn.errors import ScorerError
 from docturn.metrics.segment_mean import (
     CallableScorer,
-    PrecomputedScorer,
     SubprocessScorer,
     pairs_to_tsv,
     segment_mean_score,
@@ -82,17 +81,3 @@ class TestSubprocessScorer:
         missing = str(tmp_path / "no-such-scorer")
         with pytest.raises(ScorerError, match=re.escape(missing)):
             segment_mean_score(SubprocessScorer((missing, "--fast")), PAIRS)
-
-
-class TestPrecomputedScorer:
-    def test_reads_score_file(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text("0.25\n0.75\n", "utf-8")
-        scorer = PrecomputedScorer(str(path))
-        assert segment_mean_score(scorer, PAIRS[:2]) == pytest.approx(0.5)
-
-    def test_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "scores.txt"
-        path.write_text("0.25\n", "utf-8")
-        with pytest.raises(ScorerError):
-            segment_mean_score(PrecomputedScorer(str(path)), PAIRS)
