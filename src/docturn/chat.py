@@ -89,19 +89,23 @@ class ChatRequest:
         return d
 
 
-# The keys ChatResponse.to_dict writes, each with the type it writes.
+# The keys ChatResponse.to_dict writes, each with the types it writes.
 _RESPONSE_FIELDS = {
-    "content": str, "prompt_tokens": int, "completion_tokens": int, "finish_reason": str,
+    "content": (str,),
+    "prompt_tokens": (int, type(None)),
+    "completion_tokens": (int, type(None)),
+    "finish_reason": (str,),
 }
 
 
 @dataclass(frozen=True)
 class ChatResponse:
-    """A chat-completion response with backend-reported usage."""
+    """A chat-completion response with backend-reported usage; a count the
+    backend did not report is None."""
 
     content: str
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
+    prompt_tokens: int | None = 0
+    completion_tokens: int | None = 0
     finish_reason: str = "stop"  # stop | length | other
 
     def to_dict(self) -> dict[str, Any]:
@@ -120,7 +124,8 @@ class ChatResponse:
             raise TypeError(f"response is a {type(d).__name__}, not an object")
         if d.keys() != _RESPONSE_FIELDS.keys():
             raise ValueError(f"response keys are {sorted(d)}, not {sorted(_RESPONSE_FIELDS)}")
-        for key, kind in _RESPONSE_FIELDS.items():
-            if type(d[key]) is not kind:  # a JSON true is not a token count
-                raise TypeError(f"response {key} is a {type(d[key]).__name__}, not {kind.__name__}")
+        for key, kinds in _RESPONSE_FIELDS.items():
+            if type(d[key]) not in kinds:  # a JSON true is not a token count
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                raise TypeError(f"response {key} is a {type(d[key]).__name__}, not {expected}")
         return cls(**d)

@@ -217,9 +217,9 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
             content = choice["message"]["content"] or ""
             if not isinstance(content, str):
                 raise TypeError(f"message content is a {type(content).__name__}")
-            finish = choice.get("finish_reason", "stop")
-            prompt_tokens = int(usage.get("prompt_tokens", 0))
-            completion_tokens = int(usage.get("completion_tokens", 0))
+            finish = choice.get("finish_reason")
+            prompt_tokens = _reported_count(usage, "prompt_tokens")
+            completion_tokens = _reported_count(usage, "completion_tokens")
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise GatewayError(
                 f"malformed response for {req.request_tag}: {type(exc).__name__}: {exc}"
@@ -232,6 +232,12 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
             completion_tokens=completion_tokens,
             finish_reason=finish,
         )
+
+
+def _reported_count(usage: dict, key: str) -> int | None:
+    """A usage count of a reply, or None when the reply omits it."""
+    value = usage.get(key)
+    return None if value is None else int(value)
 
 
 def _backoff_delay(attempt: int, rng) -> float:

@@ -8,12 +8,15 @@ Each side of a scored document is tokenized and counted once, into one
 DocumentSide: its BLEU n-grams under its direction's tokenizer, its
 BlonDE-lite markers and its length. When the direction's BLEU tokens are
 13a-like and case-sensitive, BlonDE-lite reuses them instead of tokenizing
-again. A reference side does not depend on the hypothesis, so callers that
-score several strategies against one test set pass one reference_sides table
-to every call. The per-direction and per-domain dBLEU are computed from
-sums of per-document statistics, which is exact: corpus BLEU depends on the
-summed statistics alone. The length table is counted from the same sides,
-and length_report is a view of it.
+again. A reference side does not depend on the hypothesis, and a document's
+scores depend only on its reference side, its hypothesis segments and whether
+they are aligned, so callers that score several strategies against one test
+set pass one ScoringTable to every call: each reference side is built once
+per report run, and each distinct hypothesis is tokenized and clipped once.
+The per-direction and per-domain dBLEU are computed from sums of
+per-document statistics, which is exact: corpus BLEU depends on the summed
+statistics alone. The length table is counted from the same records, and
+length_report is a view of it.
 """
 
 from __future__ import annotations
@@ -96,8 +99,69 @@ def document_side(
     )
 
 
-# (doc id, direction BLEU config, BlonDE-lite scored, length spec) -> side
-ReferenceSides = dict[tuple[str, BleuConfig, bool, TokenizerSpec], DocumentSide]
+@dataclass(frozen=True)
+class DocumentScore:
+    """What one scored document adds to a strategy's aggregates: its BLEU
+    statistics, its reference and hypothesis token counts, and its BlonDE-lite
+    counts (None when not scored)."""
+
+    bleu: BleuStats
+    ref_tokens: int
+    hyp_tokens: int
+    blonde: dict[str, tuple[int, int, int]] | None
+
+
+# (doc id, direction BLEU config, BlonDE-lite scored, length spec)
+SideKey = tuple[str, BleuConfig, bool, TokenizerSpec]
+
+
+@dataclass
+class ScoringTable:
+    """The scoring work shared by the score_strategy calls of one report run,
+    all against one test set: each document's reference side, and the score of
+    each distinct (reference side, hypothesis segments, alignment_ok). The
+    alignment belongs to the key because BlonDE-lite skips a misaligned
+    hypothesis."""
+
+    references: dict[SideKey, DocumentSide] = field(default_factory=dict)
+    scores: dict[tuple[SideKey, tuple[str, ...], bool], DocumentScore] = field(
+        default_factory=dict
+    )
+
+    def score(
+        self,
+        doc: Document,
+        hyp: DocumentTranslation,
+        dir_cfg: BleuConfig,
+        res: BlondeResources | None,
+        spec: TokenizerSpec,
+    ) -> DocumentScore:
+        """hyp scored against doc's reference, built on first use."""
+        side_key = (doc.id, dir_cfg, res is not None, spec)
+        key = (side_key, hyp.hypothesis_segments, hyp.alignment_ok)
+        score = self.scores.get(key)
+        if score is not None:
+            return score
+        ref = self.references.get(side_key)
+        if ref is None:
+            ref = self.references[side_key] = document_side(
+                doc.reference_segments or (), dir_cfg, res, spec
+            )
+        side = document_side(
+            hyp.hypothesis_segments, dir_cfg, res if hyp.alignment_ok else None, spec
+        )
+        # BlonDE-lite: pooled over aligned documents whose target language
+        # has resources.
+        blonde_counts = None
+        if side.markers is not None and ref.markers is not None:
+            blonde_counts = counts_against(side.markers, ref.markers)
+        score = self.scores[key] = DocumentScore(
+            bleu=stats_against(side.ngrams, ref.ngrams),
+            ref_tokens=ref.tokens,
+            hyp_tokens=side.tokens,
+            blonde=blonde_counts,
+        )
+        return score
 
 
 def _accumulate(totals: dict[str, BleuStats], key: str, stats: BleuStats) -> None:
@@ -117,7 +181,7 @@ def score_strategy(
     scorer: SegmentScorer | None = None,
     length_spec: TokenizerSpec | None = None,
     top_n: int = 10,
-    reference_sides: ReferenceSides | None = None,
+    table: ScoringTable | None = None,
 ) -> StrategyMetrics:
     """Score every translated document of one strategy against the test set.
 
@@ -125,12 +189,12 @@ def score_strategy(
     tokenizer and averaged (unweighted) across directions; the per-domain
     table averages each domain's per-direction scores the same way. Lengths
     are counted with length_spec, or without one by the spec of each
-    document's target language. Reference sides are taken from, and added
-    to, reference_sides.
+    document's target language. Reference sides and document scores are
+    taken from, and added to, table.
     """
     cfg = bleu_config or BleuConfig()
     metrics = StrategyMetrics()
-    sides: ReferenceSides = {} if reference_sides is None else reference_sides
+    table = ScoringTable() if table is None else table
 
     scored: list[tuple[Document, DocumentTranslation]] = []
     for doc in testset:
@@ -141,8 +205,9 @@ def score_strategy(
             continue
         scored.append((doc, translations[doc.id]))
 
-    # One side per hypothesis, one per reference (shared through sides); the
-    # document's BLEU statistics, BlonDE-lite counts and lengths come from them.
+    # One score per distinct hypothesis of a document, from one side per
+    # reference (both shared through table); the BLEU statistics, BlonDE-lite
+    # counts and lengths are summed from the scores.
     dir_cfgs: dict[str, BleuConfig] = {}
     direction_stats: dict[str, BleuStats] = {}
     slice_stats: dict[str, dict[str, BleuStats]] = {}  # direction -> domain -> stats
@@ -154,22 +219,12 @@ def score_strategy(
         )
         res = load_blonde_resources(doc.tgt_lang) if compute_blonde else None
         spec = length_spec or spec_for_target_language(doc.tgt_lang)
-        key = (doc.id, dir_cfg, res is not None, spec)
-        ref = sides.get(key)
-        if ref is None:
-            ref = sides[key] = document_side(doc.reference_segments or (), dir_cfg, res, spec)
-        side = document_side(
-            hyp.hypothesis_segments, dir_cfg, res if hyp.alignment_ok else None, spec
-        )
-
-        stats = stats_against(side.ngrams, ref.ngrams)
-        _accumulate(direction_stats, doc.direction, stats)
-        _accumulate(slice_stats.setdefault(doc.direction, {}), doc.domain, stats)
-        length_rows.append(LengthRow(doc.id, ref.tokens, side.tokens))
-        # BlonDE-lite: pooled over aligned documents whose target language
-        # has resources.
-        if side.markers is not None and ref.markers is not None:
-            blonde_counts.append(counts_against(side.markers, ref.markers))
+        score = table.score(doc, hyp, dir_cfg, res, spec)
+        _accumulate(direction_stats, doc.direction, score.bleu)
+        _accumulate(slice_stats.setdefault(doc.direction, {}), doc.domain, score.bleu)
+        length_rows.append(LengthRow(doc.id, score.ref_tokens, score.hyp_tokens))
+        if score.blonde is not None:
+            blonde_counts.append(score.blonde)
     if blonde_counts:
         metrics.blonde = pooled_report(blonde_counts)
 

@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 
 from ..metrics.bleu import BleuConfig
-from ..metrics.report import ReferenceSides, StrategyMetrics, score_strategy
+from ..metrics.report import ScoringTable, StrategyMetrics, score_strategy
 from ..metrics.segment_mean import SubprocessScorer
 from ..strategy import Mode, StrategyConfig
 from .config import RunPlan
@@ -60,7 +60,7 @@ def _strategy_scores(artifacts: RunArtifacts) -> dict[tuple[str, str], StrategyM
         else None
     )
     out: dict[tuple[str, str], StrategyMetrics] = {}
-    reference_sides: ReferenceSides = {}  # every strategy is scored against one test set
+    table = ScoringTable()  # every strategy is scored against one test set
     for backend in plan.backends:
         for strategy in plan.strategies:
             translations = artifacts.translations_for(backend.name, strategy.label)
@@ -73,7 +73,7 @@ def _strategy_scores(artifacts: RunArtifacts) -> dict[tuple[str, str], StrategyM
                 scorer=None if strategy.mode == Mode.SINGLE_TURN else scorer,
                 length_spec=artifacts.token_spec,
                 top_n=plan.scoring.top_n,
-                reference_sides=reference_sides,
+                table=table,
             )
     return out
 

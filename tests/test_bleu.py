@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docturn.corpus import Document, TestSet
+from docturn.costing import TokenizerSpec
 from docturn.errors import DocturnError
 from docturn.metrics.bleu import (
     BleuConfig,
@@ -18,7 +19,7 @@ from docturn.metrics.bleu import (
     doc_bleu,
     ngram_clipped_counts,
 )
-from docturn.metrics.report import FLAG_NO_REFERENCE, score_strategy
+from docturn.metrics.report import FLAG_NO_REFERENCE, ScoringTable, score_strategy
 from docturn.strategy import DocumentTranslation
 
 from . import oracles
@@ -223,17 +224,21 @@ class TestPooledStatistics:
                 doc_id=doc.id, hypothesis_segments=(" ".join(hyp),), alignment_ok=True
             )
         testset = TestSet("t", documents)
-        sides: dict = {}
+        table = ScoringTable()
+        hypotheses = {(doc.id, translations[doc.id].hypothesis_segments) for doc in documents}
         if shared_sides:
             # Another strategy scored first builds every reference side.
             references = {
                 doc.id: DocumentTranslation(doc.id, doc.reference_segments, True)
                 for doc in documents
             }
-            score_strategy(testset, references, compute_blonde=False, reference_sides=sides)
-            assert len(sides) == len(documents)
-        metrics = score_strategy(testset, translations, compute_blonde=False, reference_sides=sides)
-        assert len(sides) == len(documents)
+            score_strategy(testset, references, compute_blonde=False, table=table)
+            assert len(table.references) == len(table.scores) == len(documents)
+            hypotheses |= {(doc.id, doc.reference_segments) for doc in documents}
+        metrics = score_strategy(testset, translations, compute_blonde=False, table=table)
+        # One reference side per document, one score per distinct hypothesis.
+        assert len(table.references) == len(documents)
+        assert len(table.scores) == len(hypotheses)
 
         by_direction: dict = {}
         by_slice: dict = {}
@@ -275,6 +280,54 @@ class TestPooledStatistics:
         )
         assert both.blonde == alone.blonde
         assert both.lengths == alone.lengths
+
+    @pytest.mark.parametrize("length_spec", [None, TokenizerSpec("char")], ids=["auto", "char"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_shared_table_equals_fresh_tables(self, length_spec, order):
+        """Strategies scored through one ScoringTable get the metrics each
+        gets from a fresh table, whatever the order they are scored in."""
+        en = "He came home. However, she left early because they had worked."
+        documents = [
+            Document(id="en", src_lang="de", tgt_lang="en", domain="news",
+                     source_segments=("a", "b"),
+                     reference_segments=("He came home.", "However, she left early.")),
+            Document(id="zh", src_lang="en", tgt_lang="zh", domain="news",
+                     source_segments=("a",), reference_segments=("他回家了。",)),
+            Document(id="de", src_lang="en", tgt_lang="de", domain="speech",
+                     source_segments=("a",), reference_segments=("Er kam nach Hause.",)),
+            Document(id="noref", src_lang="de", tgt_lang="en", domain="news",
+                     source_segments=("a",)),
+        ]
+        testset = TestSet("t", documents)
+
+        def strategy(en_segments, en_aligned, zh, de):
+            return {
+                "en": DocumentTranslation("en", en_segments, en_aligned),
+                "zh": DocumentTranslation("zh", zh, True),
+                "de": DocumentTranslation("de", de, True),
+                "noref": DocumentTranslation("noref", ("They stayed.",), True),
+            }
+
+        segments = (en, "They will go.")
+        strategies = [
+            # The same en segments, aligned and misaligned: only the aligned
+            # one is scored by BlonDE-lite.
+            strategy(segments, True, ("他回家了。",), ("Er kam nach Hause.",)),
+            strategy(segments, False, ("他回家。",), ("Er kam.",)),
+            # Every hypothesis equal to its reference.
+            strategy(documents[0].reference_segments, True, ("他回家了。",),
+                     ("Er kam nach Hause.",)),
+            strategy(segments, True, ("他回家。",), ("Er kam nach Hause.",)),
+        ][::order]
+
+        def score(translations, table=None):
+            return score_strategy(testset, translations, length_spec=length_spec, table=table)
+
+        table = ScoringTable()
+        shared = [score(translations, table) for translations in strategies]
+        assert shared == [score(translations) for translations in strategies]
+        assert [m.blonde is None for m in shared[::order]] == [False, True, False, False]
+        assert len(table.references) == 3 and len(table.scores) == 7
 
     def test_stats_of_different_orders_do_not_add(self):
         one = bleu_stats(["a b"], ["a b"], BleuConfig(max_n=1))

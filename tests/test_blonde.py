@@ -25,7 +25,7 @@ from docturn.metrics.blonde import (
     marker_counts,
     pooled_report,
 )
-from docturn.metrics.report import score_strategy
+from docturn.metrics.report import ScoringTable, score_strategy
 from docturn.metrics.tokenizers import tokenize_13a_like
 from docturn.strategy import DocumentTranslation
 
@@ -239,13 +239,13 @@ def test_score_strategy_blonde_equals_per_pair_scores(pairs, case_sensitive):
     ]
     testset = TestSet("t", documents)
     cfg = BleuConfig(case_sensitive=case_sensitive)
-    sides: dict = {}
+    table = ScoringTable()
     references = {d.id: DocumentTranslation(d.id, d.reference_segments, True) for d in documents}
-    score_strategy(testset, references, bleu_config=cfg, reference_sides=sides)
+    score_strategy(testset, references, bleu_config=cfg, table=table)
     translations = {
         d.id: DocumentTranslation(d.id, (hyp,), True) for d, (hyp, _) in zip(documents, pairs)
     }
-    metrics = score_strategy(testset, translations, bleu_config=cfg, reference_sides=sides)
+    metrics = score_strategy(testset, translations, bleu_config=cfg, table=table)
     assert metrics.blonde == pooled_report(category_counts([h], [r], RES) for h, r in pairs)
 
 

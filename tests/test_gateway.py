@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docturn import gateway
-from docturn.chat import ChatRequest, Message, user
+from docturn.chat import ChatRequest, ChatResponse, Message, user
 from docturn.errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from docturn.gateway import BackendConfig, Gateway, complete, drop_trailing_tokens
 from docturn.runner.config import plan_from_dict
@@ -286,7 +286,39 @@ class TestOpenAiCompatible:
                                           "usage": None})
 
         response = complete(request_of(user("hi")), self.backend(), http_post=post)
-        assert (response.content, response.prompt_tokens, response.finish_reason) == ("", 0, "stop")
+        assert (response.content, response.prompt_tokens, response.finish_reason) == (
+            "", None, "other"
+        )
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            ({k: v for k, v in ok_payload().items() if k != "usage"}, (None, None, "stop")),
+            (ok_payload() | {"usage": {"completion_tokens": 3}}, (None, 3, "stop")),
+            (ok_payload() | {"usage": {"prompt_tokens": 7}}, (7, None, "stop")),
+            ({"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": 7,
+              "completion_tokens": 3}}, (7, 3, "other")),
+        ],
+        ids=["no_usage", "no_prompt_tokens", "no_completion_tokens", "no_finish_reason"],
+    )
+    def test_missing_reply_field_is_not_invented(self, payload, expected):
+        def post(url, json=None, headers=None, timeout=None):
+            return FakeHttpResponse(200, payload)
+
+        response = complete(request_of(user("hi")), self.backend(), http_post=post)
+        assert (response.prompt_tokens, response.completion_tokens, response.finish_reason) == (
+            expected
+        )
+        assert ChatResponse.from_dict(response.to_dict()) == response
+
+
+@pytest.mark.parametrize("count", [True, "5", 5.0], ids=["bool", "string", "float"])
+def test_logged_response_refuses_a_count_of_another_type(count):
+    logged = ChatResponse("x", prompt_tokens=None, completion_tokens=None).to_dict()
+    assert ChatResponse.from_dict(logged).prompt_tokens is None
+    for key in ("prompt_tokens", "completion_tokens"):
+        with pytest.raises(TypeError, match=f"response {key} is a .*, not int or NoneType"):
+            ChatResponse.from_dict(logged | {key: count})
 
 
 def test_greedy_contract_enforced_at_boundary():

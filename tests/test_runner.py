@@ -1166,6 +1166,8 @@ class TestCountOnce:
         assert len(counted) == distinct
 
     def test_reference_side_built_once_per_document(self, tmp_path, monkeypatch):
+        """One reference side per document, one hypothesis side per distinct
+        (document, hypothesis segments, alignment_ok) over every cell."""
         plan = plan_from_dict(mixed_plan_dict(tmp_path))
         artifacts = execute(plan)
         testset = artifacts.testset
@@ -1179,8 +1181,43 @@ class TestCountOnce:
 
         monkeypatch.setattr(report_module, "document_side", document_side)
         emit_reports(artifacts)
-        scored = len(plan.backends) * len(plan.strategies)
-        assert built == Counter({"doc-1": 1, "doc-2": 1, "hypothesis": scored * len(testset)})
+        distinct = distinct_hypotheses(artifacts)
+        assert len(distinct) < len(artifacts.cells)
+        assert built == Counter({"doc-1": 1, "doc-2": 1, "hypothesis": len(distinct)})
+
+    def test_each_distinct_pair_clipped_once(self, tmp_path, monkeypatch):
+        """Two strategies that send the identity backend the same segments
+        produce identical translations; each pair is clipped once, for BLEU
+        and for BlonDE-lite (English targets have its resources)."""
+        write_jsonl(tmp_path / "corpus.jsonl", [
+            {"id": "doc-1", "src_lang": "de", "tgt_lang": "en", "domain": "news",
+             "src": ["He came.", "However, she left."], "ref": ["He came.", "She left."]},
+            {"id": "doc-2", "src_lang": "de", "tgt_lang": "en", "domain": "news",
+             "src": ["They will go."], "ref": ["They went."]},
+        ])
+        artifacts = execute(plan_from_dict(minimal_plan_dict(
+            tmp_path, strategies=[{"mode": "segment_level"}, {"mode": "multi_turn"}]
+        )))
+        calls: Counter = Counter()
+        for name in ("stats_against", "counts_against"):
+            original = getattr(report_module, name)
+
+            def counted(hyp, ref, name=name, original=original):
+                calls[name] += 1
+                return original(hyp, ref)
+
+            monkeypatch.setattr(report_module, name, counted)
+        emit_reports(artifacts)
+        distinct = distinct_hypotheses(artifacts)
+        assert len(distinct) == len(artifacts.testset) < len(artifacts.cells)
+        assert calls == Counter({"stats_against": len(distinct), "counts_against": len(distinct)})
+
+
+def distinct_hypotheses(artifacts) -> set[tuple[str, tuple[str, ...], bool]]:
+    return {
+        (doc_id, cell.translation.hypothesis_segments, cell.translation.alignment_ok)
+        for (_, _, doc_id), cell in artifacts.cells.items()
+    }
 
 
 MULTI_TURN_DOC_2 = ("identity", "multi_turn", "doc-2")
