@@ -8,6 +8,7 @@ assistant text plus usage accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 ROLE_SYSTEM = "system"
@@ -27,6 +28,13 @@ class Message:
     def __post_init__(self) -> None:
         if self.role not in _VALID_ROLES:
             raise ValueError(f"unknown message role: {self.role!r}")
+
+    @cached_property
+    def whitespace_tokens(self) -> int:
+        """The number of whitespace-separated tokens in content, counted on
+        first use and kept on this object. It is not a field, so ==, hash,
+        to_dict and from_dict never see it."""
+        return len(self.content.split())
 
     def to_dict(self) -> dict[str, str]:
         return {"role": self.role, "content": self.content}

@@ -12,6 +12,12 @@ deterministic mock backends used throughout the test suite:
                     a controllable stand-in for omission errors in long
                     documents.
 
+Mock usage is whitespace-token counts: prompt_tokens is the count of the
+whole request and completion_tokens that of the reply. Each message's count
+is kept on the Message (Message.whitespace_tokens), and a session builds
+every request from the same prompt and reply objects, so a multi-turn
+session splits each distinct message once, not once per request carrying it.
+
 Backend state belongs to a Gateway, which a run opens once; module-level
 complete opens one per call, so calls share nothing. The harness's greedy
 contract (temperature 0) is asserted here at the boundary for every backend.
@@ -32,7 +38,7 @@ from typing import Callable, Iterable
 
 import requests
 
-from .chat import ChatRequest, ChatResponse
+from .chat import ROLE_USER, ChatRequest, ChatResponse
 from .corpus import split_into_segments
 from .errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from .prompts import extract_fenced_payload
@@ -109,11 +115,14 @@ def drop_trailing_tokens(text: str, drop_fraction: float) -> str:
     return text[: spans[kept - 1][1]]
 
 
-def _is_single_turn_shaped(req: ChatRequest) -> bool:
-    user_messages = [m for m in req.messages if m.role == "user"]
-    if len(user_messages) != 1:
+def _is_single_turn_shaped(req: ChatRequest, payload: str) -> bool:
+    """Whether req holds one user message only, whose source payload (given,
+    as the caller has extracted it already) holds two or more paragraphs.
+    The scan stops at the second user message."""
+    users = (m for m in req.messages if m.role == ROLE_USER)
+    if next(users, None) is None or next(users, None) is not None:
         return False
-    return len(split_into_segments(_source_payload(user_messages[0].content))) >= 2
+    return len(split_into_segments(payload)) >= 2
 
 
 def _read_dictionary(path: str, key: str, files: dict[str, bytes]) -> dict[str, str]:
@@ -142,7 +151,7 @@ def _dictionary_reply(req: ChatRequest, table: dict[str, str]) -> str:
 
 def _tail_dropper_reply(req: ChatRequest, cfg: BackendConfig) -> str:
     payload = _identity_reply(req)
-    if cfg.drop_fraction > 0.0 and _is_single_turn_shaped(req):
+    if cfg.drop_fraction > 0.0 and _is_single_turn_shaped(req, payload):
         return drop_trailing_tokens(payload, cfg.drop_fraction)
     return payload
 
@@ -308,7 +317,7 @@ class Gateway:
         else:  # pragma: no cover - BackendConfig already validates
             raise GatewayError(f"unknown backend kind {cfg.kind!r}")
 
-        prompt_tokens = sum(len(m.content.split()) for m in req.messages)
+        prompt_tokens = sum(m.whitespace_tokens for m in req.messages)
         return ChatResponse(
             content=content,
             prompt_tokens=prompt_tokens,

@@ -121,7 +121,7 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
                     _blonde_cell(m),
                 ]
             )
-    written.append(_write_pair(reports_dir, "main", header, rows))
+    written.extend(_write_pair(reports_dir, "main", header, rows))
 
     # (b) Per-direction dBLEU table.
     directions = sorted(
@@ -136,7 +136,7 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
                 [backend.name, strategy.display_name]
                 + [_fmt(m.per_direction_dbleu.get(d)) for d in directions]
             )
-    written.append(_write_pair(reports_dir, "per_direction", header, rows))
+    written.extend(_write_pair(reports_dir, "per_direction", header, rows))
 
     # (c) Per-domain dBLEU with signed deltas against the segment-level baseline.
     baseline = _baseline_label(plan)
@@ -162,7 +162,7 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
                 else:
                     row.append(f"{value:.2f} ({value - base_score:+.2f})")
             rows.append(row)
-    written.append(_write_pair(reports_dir, "per_domain", header, rows))
+    written.extend(_write_pair(reports_dir, "per_domain", header, rows))
 
     # (d) Top-N length CSVs for plotting, one per (backend, strategy).
     for backend in plan.backends:
@@ -204,7 +204,10 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
     return written
 
 
-def _write_pair(reports_dir: Path, name: str, header: list[str], rows: list[list[str]]) -> Path:
+def _write_pair(
+    reports_dir: Path, name: str, header: list[str], rows: list[list[str]]
+) -> tuple[Path, Path]:
+    """Write the table as <name>.csv and <name>.md; returns both paths."""
     csv_path = reports_dir / f"{name}.csv"
     csv_lines = [_csv_line(header)] + [
         _csv_line([cell.replace(",", ";") for cell in row]) for row in rows
@@ -212,4 +215,4 @@ def _write_pair(reports_dir: Path, name: str, header: list[str], rows: list[list
     csv_path.write_text("\n".join(csv_lines) + "\n", "utf-8")
     md_path = reports_dir / f"{name}.md"
     md_path.write_text(_markdown_table(header, rows), "utf-8")
-    return csv_path
+    return csv_path, md_path

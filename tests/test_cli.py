@@ -70,7 +70,9 @@ class TestRun:
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
         result = runner.invoke(main, ["run", "--config", config])
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "runs" / "test-run" / "reports" / "main.csv").exists()
+        reports = tmp_path / "runs" / "test-run" / "reports"
+        assert (reports / "main.csv").exists()
+        assert f"wrote {len(list(reports.iterdir()))} report files" in result.output
 
     def test_unknown_config_key_exit_1(self, runner, tmp_path):
         record = minimal_plan_dict(tmp_path)
@@ -128,7 +130,7 @@ class TestRun:
         assert "dbleu=100.00" in score.output
         report = runner.invoke(main, ["report", "--config", config])
         assert report.exit_code == 0
-        assert "per_domain.csv" in report.output
+        assert "per_domain.csv" in report.output and "per_domain.md" in report.output
 
     def test_report_after_interrupted_first_run_exit_0(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import functools
 import json
+import pickle
 import random
 import threading
 
@@ -15,8 +19,11 @@ from docturn.errors import ConfigError, ContextOverflowError, GatewayError, Tran
 from docturn.gateway import BackendConfig, Gateway, complete, drop_trailing_tokens
 from docturn.runner.config import plan_from_dict
 from docturn.runner.executor import execute
+from docturn.strategy import Mode, StrategyConfig, ingest_response, init_session, next_request
 
-from .test_runner import minimal_plan_dict
+from .conftest import make_random_document, write_jsonl
+from .oracles import decode_group_log
+from .test_runner import minimal_plan_dict, mixed_plan_dict
 
 
 def request_of(*messages: Message, temperature: float = 0.0) -> ChatRequest:
@@ -132,9 +139,151 @@ def test_mocks_are_pure_functions_of_the_request(kind, seed):
     request = request_of(user(fenced(text)))
     backend = BackendConfig(kind=kind, drop_fraction=0.3)
     first = complete(request, backend)
-    second = complete(request, backend)
-    assert first.content == second.content
-    assert first.prompt_tokens == second.prompt_tokens
+    # Equal messages, new objects: a count kept on the first request's
+    # messages must not be what makes the second response equal.
+    second = complete(request_of(*fresh_copies(request.messages)), backend)
+    assert first == second
+
+
+def fresh_copies(messages) -> tuple[Message, ...]:
+    """Equal messages as new objects, holding no cached token count."""
+    return tuple(Message(m.role, m.content) for m in messages)
+
+
+def brute_force_tokens(messages) -> int:
+    return sum(len(m.content.split()) for m in messages)
+
+
+class TestMockUsage:
+    """Mock usage is the whitespace-token count of the whole request and of
+    the reply, whichever message objects carry the count."""
+
+    @pytest.mark.parametrize("kind", ["mock_identity", "mock_dictionary", "mock_tail_dropper"])
+    @pytest.mark.parametrize("icl", [False, True], ids=["plain", "icl"])
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_every_turn_reports_the_brute_force_counts(
+        self, tmp_path, exemplars_en_de, mode, icl, kind
+    ):
+        # One source word becomes two target words, so a dictionary reply's
+        # count differs from its payload's.
+        dictionary = tmp_path / "dict.json"
+        dictionary.write_text('{"w1": "v1 v1", "w2": "v2 v2"}', "utf-8")
+        backend = BackendConfig(kind=kind, dictionary_path=str(dictionary), drop_fraction=0.4)
+        config = StrategyConfig(mode=mode, icl=icl, exemplars=exemplars_en_de if icl else ())
+        document = make_random_document(random.Random(7), "usage", 4, min_tokens=4)
+        session = init_session(config, document)
+        turns = 0
+        while (request := next_request(session)) is not None:
+            response = complete(request, backend)
+            assert response.prompt_tokens == brute_force_tokens(fresh_copies(request.messages))
+            assert response.completion_tokens == len(response.content.split())
+            rebuilt = ChatRequest(request.model_id, fresh_copies(request.messages),
+                                  request_tag=request.request_tag)
+            assert complete(rebuilt, backend) == response
+            ingest_response(session, response.content)
+            turns += 1
+        assert turns == (1 if mode == Mode.SINGLE_TURN else 4)
+        # Only a request with one user message is single-turn shaped; ICL
+        # exemplars add three.
+        if kind == "mock_tail_dropper" and mode == Mode.SINGLE_TURN and not icl:
+            source = " ".join(document.source_segments)
+            assert len(session.outputs[0].split()) < len(source.split())
+        if kind == "mock_dictionary":
+            assert "v1" in " ".join(session.outputs) or "v2" in " ".join(session.outputs)
+
+    def test_multi_turn_session_counts_each_message_once(self, monkeypatch):
+        """A 64-segment multi-turn session through gateway.complete counts
+        each distinct message once, 2k - 1 counts in all, where a recount
+        of every message of every request would take about k * k."""
+        counted: list[Message] = []
+        original = Message.whitespace_tokens.func
+
+        def spy(message: Message) -> int:
+            counted.append(message)
+            return original(message)
+
+        counting = functools.cached_property(spy)
+        counting.__set_name__(Message, "whitespace_tokens")
+        monkeypatch.setattr(Message, "whitespace_tokens", counting)
+
+        k = 64
+        document = make_random_document(random.Random(3), "long", k)
+        session = init_session(StrategyConfig(mode=Mode.MULTI_TURN), document)
+        backend = BackendConfig(kind="mock_identity")
+        sent: dict[int, Message] = {}
+        while (request := next_request(session)) is not None:
+            response = complete(request, backend)
+            assert response.prompt_tokens == brute_force_tokens(request.messages)
+            sent.update((id(m), m) for m in request.messages)
+            ingest_response(session, response.content)
+        assert len(sent) == 2 * k - 1  # every prompt, and every reply but the last
+        assert len(counted) == len(sent)
+        assert {id(m) for m in counted} == sent.keys()
+        assert all("whitespace_tokens" in vars(m) for m in sent.values())
+
+
+class TestMessageValue:
+    """A cached token count is not part of a message's value."""
+
+    def test_cached_count_is_invisible_to_value_semantics(self):
+        counted = user("Guten Tag, Welt.")
+        assert counted.whitespace_tokens == 3
+        fresh = user("Guten Tag, Welt.")
+        assert "whitespace_tokens" in vars(counted) and "whitespace_tokens" not in vars(fresh)
+        assert counted == fresh and hash(counted) == hash(fresh)
+        assert counted.to_dict() == fresh.to_dict() == {"role": "user", "content": "Guten Tag, Welt."}
+        assert [f.name for f in dataclasses.fields(Message)] == ["role", "content"]
+        restored = Message.from_dict(counted.to_dict())
+        assert restored == counted and "whitespace_tokens" not in vars(restored)
+        assert user("a b") != user("a  b") and user("a b").whitespace_tokens == 2
+        assert request_of(counted).to_dict() == request_of(fresh).to_dict()
+        assert request_of(counted) == request_of(fresh)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal(self, copier):
+        counted = Message("assistant", "eins zwei\n\ndrei")
+        assert counted.whitespace_tokens == 3
+        duplicate = copier(counted)
+        assert duplicate == counted and hash(duplicate) == hash(counted)
+        assert duplicate.whitespace_tokens == 3
+
+
+def test_concurrent_run_logs_the_sequential_usage(tmp_path):
+    """At max_concurrent_documents 4 every document's turns log the usage a
+    sequential run logs, and it is the brute-force count of each logged
+    request and reply, on every mode, with and without ICL."""
+    documents = [
+        {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": "news",
+         "src": [f"Paragraph {j} of document {i} here." for j in range(3 + i % 3)]}
+        for i in range(6)
+    ]
+    write_jsonl(tmp_path / "corpus.jsonl", documents)
+    usage = []
+    for output_dir, concurrency in (("sequential", 1), ("concurrent", 4)):
+        plan = plan_from_dict(mixed_plan_dict(
+            tmp_path, output_dir=str(tmp_path / output_dir), max_concurrent_documents=concurrency,
+        ))
+        artifacts = execute(plan)
+        logged = {}
+        for log in sorted((artifacts.run_dir / "cells").rglob("*.jsonl")):
+            text = log.read_text("utf-8")
+            requests = decode_group_log(text)
+            for line in text.splitlines()[1:]:
+                record = json.loads(line)
+                counts = [(t["response"]["prompt_tokens"], t["response"]["completion_tokens"])
+                          for t in record["turns"]]
+                expected = [
+                    (sum(len(m["content"].split()) for m in request),
+                     len(t["response"]["content"].split()))
+                    for request, t in zip(requests[record["doc"]], record["turns"])
+                ]
+                assert counts == expected
+                logged[(log.parent.name, log.stem, record["doc"])] = counts
+        assert len(logged) == 2 * 8 * len(documents)
+        usage.append(logged)
+    assert usage[0] == usage[1]
 
 
 class FakeHttpResponse:

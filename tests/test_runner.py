@@ -698,6 +698,14 @@ class TestReports:
         single_row = next(line for line in main if line.startswith("identity,Single-turn"))
         assert single_row.split(",")[3] == "-"
 
+    def test_returns_every_file_it_writes(self, tmp_path):
+        """Each csv table's Markdown twin is returned beside it."""
+        artifacts = execute(plan_from_dict(mixed_plan_dict(tmp_path)))
+        written = emit_reports(artifacts)
+        assert len(set(written)) == len(written)
+        assert set(written) == set((artifacts.run_dir / "reports").iterdir())
+        assert {"main.md", "per_direction.md", "per_domain.md"} <= {p.name for p in written}
+
     def test_determinism_byte_identical_reports(self, tmp_path):
         plan_a = plan_from_dict(minimal_plan_dict(tmp_path, run_id="run-a"))
         plan_b = plan_from_dict(minimal_plan_dict(tmp_path, run_id="run-b"))
