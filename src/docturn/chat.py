@@ -1,8 +1,9 @@
 """Chat-completion record types shared by the strategy layer and the gateway.
 
-These are plain value objects mirroring the OpenAI-style wire shape: a request
-is a list of role/content messages plus decoding parameters, a response is the
-assistant text plus usage accounting.
+These are plain value objects: a request is a list of role/content messages
+plus an optional completion-length cap, a response is the assistant text plus
+usage accounting. A request names neither a model nor a temperature: the
+gateway sends every request greedily to its backend's model.
 """
 
 from __future__ import annotations
@@ -67,11 +68,10 @@ def common_prefix_length(a: tuple, b: tuple) -> int:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """A chat-completion request. Harness-generated requests pin temperature to 0."""
+    """A chat-completion request: the conversation, an optional cap on the
+    completion's length, and a tag naming it in errors."""
 
-    model_id: str
     messages: tuple[Message, ...]
-    temperature: float = 0.0
     max_tokens: int | None = None
     request_tag: str = ""
 
@@ -85,16 +85,6 @@ class ChatRequest:
             if msg.role == ROLE_USER:
                 return msg
         return None
-
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "model": self.model_id,
-            "messages": [m.to_dict() for m in self.messages],
-            "temperature": self.temperature,
-        }
-        if self.max_tokens is not None:
-            d["max_tokens"] = self.max_tokens
-        return d
 
 
 # The keys ChatResponse.to_dict writes, each with the types it writes.

@@ -6,8 +6,9 @@ deterministic mock backends used throughout the test suite:
 
   mock_identity     echoes the source payload of the final user message.
   mock_dictionary   maps the payload through a lookup table.
-  mock_tail_dropper identity, except that single-turn-shaped requests (one
-                    user message whose payload holds two or more paragraphs)
+  mock_tail_dropper identity, except that single-turn-shaped requests (the
+                    final user message's payload holds two or more
+                    paragraphs, whatever exemplars or history precede it)
                     lose the trailing fraction of their whitespace tokens --
                     a controllable stand-in for omission errors in long
                     documents.
@@ -19,8 +20,9 @@ every request from the same prompt and reply objects, so a multi-turn
 session splits each distinct message once, not once per request carrying it.
 
 Backend state belongs to a Gateway, which a run opens once; module-level
-complete opens one per call, so calls share nothing. The harness's greedy
-contract (temperature 0) is asserted here at the boundary for every backend.
+complete opens one per call, so calls share nothing. Requests are greedy by
+construction: the openai_compatible body is built here alone, always with
+temperature 0 and the backend's model, and a request carries neither.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Iterable
 
 import requests
 
-from .chat import ROLE_USER, ChatRequest, ChatResponse
+from .chat import ChatRequest, ChatResponse
 from .corpus import split_into_segments
 from .errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from .prompts import extract_fenced_payload
@@ -115,16 +117,6 @@ def drop_trailing_tokens(text: str, drop_fraction: float) -> str:
     return text[: spans[kept - 1][1]]
 
 
-def _is_single_turn_shaped(req: ChatRequest, payload: str) -> bool:
-    """Whether req holds one user message only, whose source payload (given,
-    as the caller has extracted it already) holds two or more paragraphs.
-    The scan stops at the second user message."""
-    users = (m for m in req.messages if m.role == ROLE_USER)
-    if next(users, None) is None or next(users, None) is not None:
-        return False
-    return len(split_into_segments(payload)) >= 2
-
-
 def _read_dictionary(path: str, key: str, files: dict[str, bytes]) -> dict[str, str]:
     """A mock_dictionary file: a JSON object mapping source text to its
     translation, parsed from the bytes files holds for path, which are read
@@ -151,7 +143,10 @@ def _dictionary_reply(req: ChatRequest, table: dict[str, str]) -> str:
 
 def _tail_dropper_reply(req: ChatRequest, cfg: BackendConfig) -> str:
     payload = _identity_reply(req)
-    if cfg.drop_fraction > 0.0 and _is_single_turn_shaped(req, payload):
+    # Single-turn shaped: the final user message carries two or more
+    # paragraphs. Exemplar pairs look just like history, so the number of
+    # user messages cannot tell a single-turn request from a multi-turn one.
+    if cfg.drop_fraction > 0.0 and len(split_into_segments(payload)) >= 2:
         return drop_trailing_tokens(payload, cfg.drop_fraction)
     return payload
 
@@ -187,8 +182,13 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
     api_key = gateway.api_keys[cfg.name]
     post, sleeper, rng = gateway.http_post, gateway.sleeper, gateway.rng
     url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
-    payload = req.to_dict()
-    payload["model"] = cfg.model
+    payload = {
+        "model": cfg.model,
+        "messages": [m.to_dict() for m in req.messages],
+        "temperature": 0.0,
+    }
+    if req.max_tokens is not None:
+        payload["max_tokens"] = req.max_tokens
     headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
 
     limiter = gateway.buckets.get(cfg.name)
@@ -298,11 +298,6 @@ class Gateway:
         Mock responses report usage as whitespace token counts so downstream
         accounting has something plausible to compare against.
         """
-        if req.temperature != 0.0:
-            raise GatewayError(
-                f"greedy contract violated: temperature={req.temperature} for {req.request_tag}"
-            )
-
         if cfg.kind == "openai_compatible":
             return _openai_complete(req, cfg, self)
 

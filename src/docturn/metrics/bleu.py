@@ -31,16 +31,12 @@ from .tokenizers import tokenize
 @dataclass(frozen=True)
 class BleuConfig:
     max_n: int = 4
-    smoothing: str = "none"  # none | add_k
-    smoothing_k: float = 1.0
     tokenizer: str = "intl_13a_like"  # intl_13a_like | char
     case_sensitive: bool = True
 
     def __post_init__(self) -> None:
         if self.max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if self.smoothing not in ("none", "add_k"):
-            raise ValueError(f"unknown smoothing: {self.smoothing!r}")
 
 
 class ClippedCounts(NamedTuple):
@@ -166,14 +162,9 @@ def bleu_from_stats(stats: BleuStats, cfg: BleuConfig) -> float:
         return 0.0
     precisions: list[float] = []
     for i in usable:
-        if cfg.smoothing == "add_k":
-            precisions.append(
-                (stats.matched[i] + cfg.smoothing_k) / (stats.total[i] + cfg.smoothing_k)
-            )
-        else:
-            if stats.matched[i] == 0:
-                return 0.0
-            precisions.append(stats.matched[i] / stats.total[i])
+        if stats.matched[i] == 0:
+            return 0.0
+        precisions.append(stats.matched[i] / stats.total[i])
     if len(precisions) == 1:
         geo_mean = precisions[0]
     else:

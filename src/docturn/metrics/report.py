@@ -214,9 +214,10 @@ def score_strategy(
     length_rows: list[LengthRow] = []
     blonde_counts = []
     for doc, hyp in scored:
-        dir_cfg = dir_cfgs.setdefault(
-            doc.direction, replace(cfg, tokenizer=tokenizer_for_language(doc.tgt_lang))
-        )
+        dir_cfg = dir_cfgs.get(doc.direction)
+        if dir_cfg is None:
+            dir_cfg = replace(cfg, tokenizer=tokenizer_for_language(doc.tgt_lang))
+            dir_cfgs[doc.direction] = dir_cfg
         res = load_blonde_resources(doc.tgt_lang) if compute_blonde else None
         spec = length_spec or spec_for_target_language(doc.tgt_lang)
         score = table.score(doc, hyp, dir_cfg, res, spec)

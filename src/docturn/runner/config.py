@@ -165,8 +165,7 @@ _SCHEMAS = {
     # tokenizer_external_path is the "path" of a "tokenizer" object.
     RunPlan: _schema(RunPlan, frozenset({"tokenizer_external_path"})),
     BackendConfig: _schema(BackendConfig),
-    # A strategy's template_set is the plan's, and its model_id keeps its default.
-    StrategyConfig: _schema(StrategyConfig, frozenset({"template_set", "model_id"})),
+    StrategyConfig: _schema(StrategyConfig),
     Exemplar: _schema(Exemplar),
     ScoringConfig: _schema(ScoringConfig),
 }
@@ -252,7 +251,6 @@ def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
         b if b.dictionary_path is None else replace(b, dictionary_path=resolve(b.dictionary_path))
         for b in plan.backends
     ]
-    plan.strategies = [replace(s, template_set=plan.template_set) for s in plan.strategies]
     return plan
 
 

@@ -47,12 +47,7 @@ from typing import Sequence, TypeVar
 from .chat import ChatRequest, Message, assistant, user
 from .corpus import Document, Exemplar, segment_separator, split_into_segments
 from .errors import ConfigError, PrefixStabilityError, SessionContractError
-from .prompts import (
-    DEFAULT_TEMPLATE_SET,
-    PromptTemplateSet,
-    language_name,
-    load_template_set,
-)
+from .prompts import PromptTemplateSet, language_name, load_template_set
 
 DEFAULT_EXEMPLAR_COUNT = 3
 
@@ -89,9 +84,7 @@ class StrategyConfig:
     mode: Mode
     icl: bool = False
     exemplars: tuple[Exemplar, ...] = ()
-    template_set: str = DEFAULT_TEMPLATE_SET
     exemplar_count: int = DEFAULT_EXEMPLAR_COUNT
-    model_id: str = "default"
     max_tokens: int | None = None
 
     def __post_init__(self) -> None:
@@ -209,11 +202,12 @@ def init_session(
     templates: PromptTemplateSet | None = None,
     prefix: tuple[Message, ...] | None = None,
 ) -> SessionState:
-    """Create a session with its first request pending. prefix is the
-    strategy's exemplar_messages, when the caller holds them already: every
-    request of the session then starts with that very tuple's messages."""
+    """Create a session with its first request pending. templates defaults
+    to the default template set. prefix is the strategy's exemplar_messages,
+    when the caller holds them already: every request of the session then
+    starts with that very tuple's messages."""
     if templates is None:
-        templates = load_template_set(config.template_set)
+        templates = load_template_set()
     if prefix is None:
         prefix = exemplar_messages(config, templates)
     s = SessionState(config, doc, turn_prompts(config, doc, templates), prefix)
@@ -245,9 +239,7 @@ def next_request(s: SessionState) -> ChatRequest | None:
     if s.status == STATUS_DONE:
         return None
     return ChatRequest(
-        model_id=s.config.model_id,
         messages=request_messages(s.config.mode, s.icl_prefix, s.prompts, s.replies),
-        temperature=0.0,
         max_tokens=s.config.max_tokens,
         request_tag=f"{s.document.id}:turn_{s.requests_issued}",
     )

@@ -37,14 +37,13 @@ def naive_clipped(hyp: list[str], ref: list[str], n: int) -> tuple[int, int]:
 def oracle_corpus_bleu(
     doc_pairs: list[tuple[list[str], list[str]]],
     max_n: int = 4,
-    smoothing_k: float | None = None,
 ) -> float:
     """Corpus BLEU over (hyp_tokens, ref_tokens) document pairs.
 
     Conventions mirror the declared scoring rules: statistics pooled over
     documents, n-gram orders with zero hypothesis n-grams excluded from the
     geometric mean, brevity penalty from pooled lengths, 0 when any included
-    precision is 0 without smoothing.
+    precision is 0 (no smoothing).
     """
     matched = [0] * max_n
     total = [0] * max_n
@@ -63,13 +62,9 @@ def oracle_corpus_bleu(
         return 0.0
     log_sum = 0.0
     for i in orders:
-        if smoothing_k is not None:
-            p = (matched[i] + smoothing_k) / (total[i] + smoothing_k)
-        else:
-            if matched[i] == 0:
-                return 0.0
-            p = matched[i] / total[i]
-        log_sum += math.log(p)
+        if matched[i] == 0:
+            return 0.0
+        log_sum += math.log(matched[i] / total[i])
 
     if hyp_len == 0:
         bp = 0.0 if ref_len > 0 else 1.0
@@ -227,8 +222,6 @@ def reference_canonical_dict(plan) -> dict:
                     for e in s.exemplars
                 ],
                 "exemplar_count": s.exemplar_count,
-                "template_set": s.template_set,
-                "model_id": s.model_id,
                 "max_tokens": s.max_tokens,
             }
             for s in plan.strategies

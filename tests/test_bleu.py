@@ -118,11 +118,6 @@ class TestDocBleuBoundaries:
         relaxed = BleuConfig(max_n=1, case_sensitive=False)
         assert doc_bleu([hyp], [ref], relaxed) == pytest.approx(100.0)
 
-    def test_smoothing_add_k(self):
-        hyp, ref = doc_pair("a", ["aaa bbb"], ["ccc ddd"])
-        score = doc_bleu([hyp], [ref], BleuConfig(max_n=1, smoothing="add_k", smoothing_k=1.0))
-        # Direct formula: p1 = (0+1)/(2+1); BP = 1.
-        assert score == pytest.approx(100.0 / 3.0, rel=1e-9)
 
 
 class TestDocBleuProperties:
@@ -157,7 +152,7 @@ class TestDocBleuProperties:
             score = doc_bleu([h for h, _ in pairs], [r for _, r in pairs])
             assert 0.0 <= score <= 100.0
 
-    def test_oracle_equivalence_smoothed_and_plain(self):
+    def test_oracle_equivalence(self):
         rng = random.Random(7)
         for trial in range(50):
             pairs = self._random_corpus(rng, rng.randint(1, 5))
@@ -167,12 +162,8 @@ class TestDocBleuProperties:
                 (" ".join(h.hypothesis_segments).split(), " ".join(r.reference_segments).split())
                 for h, r in pairs
             ]
-            plain = doc_bleu(hyps, refs)
-            assert plain == pytest.approx(oracles.oracle_corpus_bleu(token_pairs), rel=1e-9, abs=1e-12)
-            smoothed = doc_bleu(hyps, refs, BleuConfig(smoothing="add_k", smoothing_k=1.0))
-            assert smoothed == pytest.approx(
-                oracles.oracle_corpus_bleu(token_pairs, smoothing_k=1.0), rel=1e-9, abs=1e-12
-            )
+            score = doc_bleu(hyps, refs)
+            assert score == pytest.approx(oracles.oracle_corpus_bleu(token_pairs), rel=1e-9, abs=1e-12)
 
 
 # Random token documents, each assigned to a direction and a domain.
@@ -191,15 +182,15 @@ random_docs = st.lists(
 )
 
 
-def _approx_oracle(pairs, **kwargs):
-    return pytest.approx(oracles.oracle_corpus_bleu(pairs, **kwargs), rel=1e-9, abs=1e-12)
+def _approx_oracle(pairs):
+    return pytest.approx(oracles.oracle_corpus_bleu(pairs), rel=1e-9, abs=1e-12)
 
 
 class TestPooledStatistics:
     @settings(max_examples=150, deadline=None)
-    @given(docs=random_docs, smoothed=st.booleans())
-    def test_slice_scores_from_summed_stats_equal_oracle(self, docs, smoothed):
-        cfg = BleuConfig(smoothing="add_k") if smoothed else BleuConfig()
+    @given(docs=random_docs)
+    def test_slice_scores_from_summed_stats_equal_oracle(self, docs):
+        cfg = BleuConfig()
         slices: dict = {}
         for direction, domain, hyp, ref in docs:
             stats = bleu_stats([" ".join(hyp)], [" ".join(ref)], cfg)
@@ -207,9 +198,7 @@ class TestPooledStatistics:
                 pooled, pairs = slices.get(key, (None, []))
                 slices[key] = (stats if pooled is None else pooled + stats, pairs + [(hyp, ref)])
         for pooled, pairs in slices.values():
-            assert bleu_from_stats(pooled, cfg) == _approx_oracle(
-                pairs, smoothing_k=1.0 if smoothed else None
-            )
+            assert bleu_from_stats(pooled, cfg) == _approx_oracle(pairs)
 
     @settings(max_examples=100, deadline=None)
     @given(docs=random_docs, shared_sides=st.booleans())

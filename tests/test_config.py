@@ -3,6 +3,7 @@ paths of its errors, the config hash and the README's table of keys."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -168,6 +169,21 @@ def test_canonical_dict_serializes_as_the_hand_listed_reference(tmp_path, build)
         return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
     assert serialized(plan.canonical_dict()) == serialized(reference_canonical_dict(plan))
+
+
+def test_every_field_but_the_tokenizer_path_is_a_config_key():
+    """A field that no config key sets keeps its default in every run, so
+    the schemas leave out only tokenizer_external_path, which the "path" of
+    a "tokenizer" object sets."""
+    assert set(config._SCHEMAS) == {RunPlan, BackendConfig, StrategyConfig, Exemplar,
+                                    ScoringConfig}
+    left_out = {
+        (cls.__name__, f.name)
+        for cls, schema in config._SCHEMAS.items()
+        for f in dataclasses.fields(cls)
+        if f.name not in schema
+    }
+    assert left_out == {("RunPlan", "tokenizer_external_path")}
 
 
 # The README's config-key table: its "object" column -> the class it documents.

@@ -1,4 +1,4 @@
-"""Backend dispatch, mock determinism, retry/backoff, greedy contract."""
+"""Backend dispatch, mock determinism, retry/backoff, the wire body."""
 
 from __future__ import annotations
 
@@ -6,17 +6,20 @@ import copy
 import dataclasses
 import functools
 import json
+import math
 import pickle
 import random
 import threading
 
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
 from docturn import gateway
 from docturn.chat import ChatRequest, ChatResponse, Message, user
 from docturn.errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from docturn.gateway import BackendConfig, Gateway, complete, drop_trailing_tokens
+from docturn.prompts import extract_fenced_payload
 from docturn.runner.config import plan_from_dict
 from docturn.runner.executor import execute
 from docturn.strategy import Mode, StrategyConfig, ingest_response, init_session, next_request
@@ -26,9 +29,8 @@ from .oracles import decode_group_log
 from .test_runner import minimal_plan_dict, mixed_plan_dict
 
 
-def request_of(*messages: Message, temperature: float = 0.0) -> ChatRequest:
-    return ChatRequest(model_id="m", messages=tuple(messages), temperature=temperature,
-                       request_tag="t:0")
+def request_of(*messages: Message, max_tokens: int | None = None) -> ChatRequest:
+    return ChatRequest(messages=tuple(messages), max_tokens=max_tokens, request_tag="t:0")
 
 
 def fenced(text: str, instruction: str = "Translate this.") -> str:
@@ -47,7 +49,7 @@ class TestMockIdentity:
         assert response.content == "Guten Tag."
 
     def test_request_without_user_message_rejected(self):
-        request = ChatRequest(model_id="m", messages=(Message("system", "x"),))
+        request = ChatRequest(messages=(Message("system", "x"),))
         with pytest.raises(GatewayError):
             complete(request, BackendConfig(kind="mock_identity"))
 
@@ -106,14 +108,39 @@ class TestMockTailDropper:
         assert response.content == segment
 
     def test_multi_turn_request_is_identity(self):
-        document = "one two three\n\nfour five six"
+        # History, then a one-paragraph payload: what every multi-turn turn sends.
         request = request_of(
             user(fenced("one two three")),
             Message("assistant", "eins zwei drei"),
-            user(fenced(document)),
+            user(fenced("four five six seven eight")),
         )
         response = complete(request, self.backend())
-        assert response.content == document
+        assert response.content == "four five six seven eight"
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=[m.value for m in Mode])
+    def test_icl_requests_dropped_only_when_single_turn(self, exemplars_en_de, mode):
+        """Exemplar pairs precede the document like history does; only the
+        single-turn request, whose payload is the whole document, loses
+        floor(n * f) of its n tokens."""
+        fraction = 0.3
+        config = StrategyConfig(mode=mode, icl=True, exemplars=exemplars_en_de)
+        document = make_random_document(random.Random(11), "icl", 5, min_tokens=4)
+        session = init_session(config, document)
+        while (request := next_request(session)) is not None:
+            assert request.messages[: len(exemplars_en_de) * 2] == session.icl_prefix
+            payload = extract_fenced_payload(request.messages[-1].content)
+            response = complete(request, self.backend(fraction))
+            n = len(payload.split())
+            expected = n - math.floor(n * fraction) if mode == Mode.SINGLE_TURN else n
+            assert len(response.content.split()) == expected
+            assert payload.startswith(response.content)
+            ingest_response(session, response.content)
+        source_tokens = sum(len(s.split()) for s in document.source_segments)
+        output_tokens = sum(len(s.split()) for s in session.outputs)
+        if mode == Mode.SINGLE_TURN:
+            assert output_tokens == source_tokens - math.floor(source_tokens * fraction) > 0
+        else:
+            assert output_tokens == source_tokens
 
     def test_zero_fraction_identity_everywhere(self):
         document = "a b\n\nc d"
@@ -177,15 +204,14 @@ class TestMockUsage:
             response = complete(request, backend)
             assert response.prompt_tokens == brute_force_tokens(fresh_copies(request.messages))
             assert response.completion_tokens == len(response.content.split())
-            rebuilt = ChatRequest(request.model_id, fresh_copies(request.messages),
-                                  request_tag=request.request_tag)
+            rebuilt = ChatRequest(fresh_copies(request.messages), request_tag=request.request_tag)
             assert complete(rebuilt, backend) == response
             ingest_response(session, response.content)
             turns += 1
         assert turns == (1 if mode == Mode.SINGLE_TURN else 4)
-        # Only a request with one user message is single-turn shaped; ICL
-        # exemplars add three.
-        if kind == "mock_tail_dropper" and mode == Mode.SINGLE_TURN and not icl:
+        # Only the single-turn request's payload holds several paragraphs,
+        # with or without ICL exemplars ahead of it.
+        if kind == "mock_tail_dropper" and mode == Mode.SINGLE_TURN:
             source = " ".join(document.source_segments)
             assert len(session.outputs[0].split()) < len(source.split())
         if kind == "mock_dictionary":
@@ -236,7 +262,6 @@ class TestMessageValue:
         restored = Message.from_dict(counted.to_dict())
         assert restored == counted and "whitespace_tokens" not in vars(restored)
         assert user("a b") != user("a  b") and user("a b").whitespace_tokens == 2
-        assert request_of(counted).to_dict() == request_of(fresh).to_dict()
         assert request_of(counted) == request_of(fresh)
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
@@ -392,16 +417,29 @@ class TestOpenAiCompatible:
         response = complete(request_of(user("hi")), self.backend(), http_post=post)
         assert response.finish_reason == "length"
 
-    def test_model_taken_from_backend_config(self):
-        seen = {}
+    @pytest.mark.parametrize("max_tokens, tail", [(None, b""), (64, b', "max_tokens": 64')],
+                             ids=["no_max_tokens", "max_tokens"])
+    def test_wire_body_bytes(self, max_tokens, tail):
+        """The exact bytes a json= body becomes on the wire: the backend's
+        model, the messages, temperature 0 and any max_tokens, in that order.
+        A real endpoint receives them, and the benchmark's fake server keys
+        its fault draws on them."""
+        bodies = []
 
         def post(url, json=None, headers=None, timeout=None):
-            seen.update(json)
+            bodies.append(requests.Request("POST", url, json=json).prepare().body)
             return FakeHttpResponse(200, ok_payload())
 
-        complete(request_of(user("hi")), self.backend(model="real-model"), http_post=post)
-        assert seen["model"] == "real-model"
-        assert seen["temperature"] == 0.0
+        request = request_of(user("Grüße"), Message("assistant", "Hi"), user("a\n\nb"),
+                             max_tokens=max_tokens)
+        complete(request, self.backend(model="real-model"), http_post=post)
+        assert bodies == [
+            b'{"model": "real-model", "messages": ['
+            b'{"role": "user", "content": "Gr\\u00fc\\u00dfe"}, '
+            b'{"role": "assistant", "content": "Hi"}, '
+            b'{"role": "user", "content": "a\\n\\nb"}], '
+            b'"temperature": 0.0' + tail + b'}'
+        ]
 
     @pytest.mark.parametrize(
         "reply",
@@ -424,7 +462,7 @@ class TestOpenAiCompatible:
             calls.append(1)
             return reply
 
-        request = ChatRequest(model_id="m", messages=(user("hi"),), request_tag="doc-7:turn_2")
+        request = ChatRequest(messages=(user("hi"),), request_tag="doc-7:turn_2")
         with pytest.raises(GatewayError, match="malformed response for doc-7:turn_2"):
             complete(request, self.backend(), http_post=post, sleeper=lambda s: None)
         assert len(calls) == 1  # not retried: the backend answered
@@ -468,12 +506,6 @@ def test_logged_response_refuses_a_count_of_another_type(count):
     for key in ("prompt_tokens", "completion_tokens"):
         with pytest.raises(TypeError, match=f"response {key} is a .*, not int or NoneType"):
             ChatResponse.from_dict(logged | {key: count})
-
-
-def test_greedy_contract_enforced_at_boundary():
-    request = request_of(user("hi"), temperature=0.7)
-    with pytest.raises(GatewayError, match="greedy"):
-        complete(request, BackendConfig(kind="mock_identity"))
 
 
 class TestRateLimiter:

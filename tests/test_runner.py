@@ -925,8 +925,7 @@ HASHED_FIELDS = {
               "max_context_tokens"},
     BackendConfig: {"kind", "name", "model", "base_url", "api_key_env_var", "max_retries",
                     "requests_per_minute", "dictionary_path", "drop_fraction"},
-    StrategyConfig: {"mode", "icl", "exemplars", "template_set", "exemplar_count", "model_id",
-                     "max_tokens"},
+    StrategyConfig: {"mode", "icl", "exemplars", "exemplar_count", "max_tokens"},
     Exemplar: {"source", "target", "src_lang", "tgt_lang"},
     ScoringConfig: {"blonde", "scorer_command", "top_n", "case_sensitive", "max_n"},
 }
@@ -1008,9 +1007,7 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
         (StrategyConfig, "exemplars"): _with_strategy(
             plan, 1, exemplars=plan.strategies[1].exemplars[::-1]
         ),
-        (StrategyConfig, "template_set"): _with_strategy(plan, 0, template_set="other-templates"),
         (StrategyConfig, "exemplar_count"): _with_strategy(plan, 0, exemplar_count=5),
-        (StrategyConfig, "model_id"): _with_strategy(plan, 0, model_id="other-model"),
         (StrategyConfig, "max_tokens"): _with_strategy(plan, 0, max_tokens=64),
         (Exemplar, "source"): _with_exemplar(plan, source="Other."),
         (Exemplar, "target"): _with_exemplar(plan, target="Andere."),

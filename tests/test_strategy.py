@@ -92,10 +92,6 @@ class TestRequestCounts:
         assert all(len(r.messages) == 1 for r in requests)
         assert len({r.messages[0].content for r in requests}) == 3
 
-    def test_temperature_pinned_to_zero(self, doc3, templates):
-        _, requests = drive(StrategyConfig(mode=Mode.MULTI_TURN), doc3, templates)
-        assert all(r.temperature == 0.0 for r in requests)
-
 
 class TestPrefixStability:
     @pytest.mark.parametrize("mode", MULTI_TURN_MODES)
