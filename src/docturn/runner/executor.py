@@ -6,8 +6,10 @@ append-only log of its (backend, strategy) group: `doc`, the document id,
 and `turns`, one object per request sent. A turn holds `keep`, how many
 messages of the previous request-plus-reply the request reuses, `append`,
 the messages after those, and the `response`; no field holds wall-clock
-time. Translations and ledgers are pure functions of the transcript, so
-loading a cell replays its record through the strategy and recomputes them.
+time. The translation and both cost ledgers are pure functions of the
+transcript, so none is stored: loading a cell replays its record through the
+strategy, which rebuilds its transcript and translation, and a cell walks its
+ledgers only when they are first read.
 
 Line 1 of a group log is its header, `{"prefix": [...]}`: the exemplar
 messages every request of the group starts with, stored once per group the
@@ -49,12 +51,12 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import BinaryIO, Callable
 
 from .. import gateway
-from ..chat import ChatRequest, ChatResponse, Message, assistant, common_prefix_length
+from ..chat import ChatRequest, ChatResponse, Message, common_prefix_length
 from ..corpus import Document, TestSet, parse_corpus
 from ..costing import Transcript, TranscriptTurn, ledger_for_session, message_tokens
 from ..costing import TokenizerSpec, spec_for_target_language
@@ -64,8 +66,7 @@ from ..strategy import (
     DocumentTranslation,
     StrategyConfig,
     assemble_hypothesis,
-    # ledger_for_session runs the check; bench/harness.py's tracer patches this name.
-    check_prefix_stability,  # noqa: F401
+    check_prefix_stability,
     exemplar_messages,
     ingest_response,
     init_session,
@@ -85,9 +86,22 @@ CellKey = tuple[str, str, str]  # (backend name, strategy label, doc id)
 
 @dataclass
 class CellArtifact:
+    """A completed cell: its translation, its transcript and what its ledgers
+    count with. A fresh cell and the same cell loaded from its record are
+    equal field for field."""
+
     translation: DocumentTranslation
-    ledgers: dict[str, dict]  # cache mode -> serialized ledger
-    transcript: Transcript | None = None
+    transcript: Transcript
+    spec: TokenizerSpec  # the cell's token-counting spec
+    # The cell's message_tokens memo, shared by its budget check and its ledgers.
+    counts: dict[tuple[str, str], int] = field(compare=False, repr=False)
+
+    @cached_property
+    def ledgers(self) -> dict[str, dict]:
+        """Cache mode -> serialized ledger, walked on first read and kept.
+        Raises LedgerError when the spec cannot count a message."""
+        ledgers = ledger_for_session(self.transcript, self.spec, self.counts)
+        return {mode: ledger.to_dict() for mode, ledger in ledgers.items()}
 
 
 @dataclass
@@ -179,9 +193,9 @@ def _drive_cell(
     reply: Callable[[int, ChatRequest, tuple[Message, ...]], ChatResponse],
 ) -> CellArtifact:
     """Run one document session, taking each reply from reply(turn, request,
-    previous request-plus-reply), the group's prefix before turn 0, then
-    derive both ledgers, which checks its prefix stability, and the
-    translation from its transcript."""
+    previous request-plus-reply), the group's prefix before turn 0, then check
+    a multi-turn transcript's prefix stability and assemble the translation.
+    The ledgers are left to the cell's first read of them."""
     strategy = group.strategy
     session = init_session(strategy, doc, templates, group.prefix)
     transcript = Transcript(doc_id=doc.id, strategy_mode=strategy.mode)
@@ -203,17 +217,21 @@ def _drive_cell(
         transcript.turns.append(
             TranscriptTurn(request_messages=request.messages, response_text=response.content)
         )
-        state = request.messages + (assistant(response.content),)
         if response.finish_reason == "length":
             session.warnings.append(f"turn {turn}: output truncated (finish_reason=length)")
         ingest_response(session, response.content)
         if session.status == "failed":
             raise GatewayError(f"{session.failure_reason}: document '{doc.id}' at turn {turn}")
+        # The session's own reply message, which the next request carries.
+        state = request.messages + (session.replies[-1],)
         turn += 1
 
-    ledgers = ledger_for_session(transcript, spec, counts)
-    serialized = {mode: ledger.to_dict() for mode, ledger in ledgers.items()}
-    return CellArtifact(assemble_hypothesis(session), serialized, transcript)
+    if strategy.mode.is_multi_turn:
+        check_prefix_stability(
+            [t.request_messages for t in transcript.turns],
+            [t.response_text for t in transcript.turns],
+        )
+    return CellArtifact(assemble_hypothesis(session), transcript, spec, counts)
 
 
 def _run_cell(
@@ -262,8 +280,8 @@ def _replay_cell(
 ) -> CellArtifact:
     """A completed cell: replies come from its record's turns, chained from
     the group's logged header, whose every request must equal the one the
-    session rebuilds. `where` names the record in errors. The transcript is
-    dropped."""
+    session rebuilds. `where` names the record in errors. The cell keeps the
+    rebuilt transcript, so it equals the cell the run produced."""
 
     def mismatch(turn: int, problem: str) -> ResumeMismatchError:
         return ResumeMismatchError(f"{where}: turn {turn}: {problem}")
@@ -288,7 +306,6 @@ def _replay_cell(
     sent = len(cell.transcript.turns)
     if len(turns) != sent:
         raise mismatch(sent, f"extra turn, the session sent {sent} requests")
-    cell.transcript = None
     return cell
 
 

@@ -48,13 +48,14 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each module-level import whose bound name the module
-    never uses, unless the alias's own line carries the F401 noqa comment."""
+def _imports(source: str) -> list[tuple[int, str, bool, bool]]:
+    """(line, name, used, noqa) of each name a module-level import binds:
+    whether the module uses it, and whether the alias's own line carries the
+    F401 noqa comment."""
     tree = ast.parse(source)
     lines = source.splitlines()
     used = _used_names(tree)
-    unused = []
+    found = []
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
@@ -64,18 +65,37 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             if alias.name == "*":
                 continue
             name = alias.asname or alias.name.split(".")[0]
-            if name not in used and NOQA not in lines[alias.lineno - 1]:
-                unused.append((alias.lineno, name))
-    return unused
+            found.append((alias.lineno, name, name in used, NOQA in lines[alias.lineno - 1]))
+    return found
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level import whose bound name the module
+    never uses, unless the alias's own line carries the F401 noqa comment."""
+    return [(line, name) for line, name, used, noqa in _imports(source) if not used and not noqa]
+
+
+def stale_noqa_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level import whose line carries the F401
+    noqa comment although the module uses the name: the comment outlived
+    the re-export it excused."""
+    return [(line, name) for line, name, used, noqa in _imports(source) if used and noqa]
+
+
+def _found_in_src(check) -> list[str]:
+    return [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in check(path.read_text("utf-8"))
+    ]
 
 
 def test_no_unused_module_level_imports():
-    found = [
-        f"{path.relative_to(SRC)}:{line}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
-        for line, name in unused_imports(path.read_text("utf-8"))
-    ]
-    assert found == []
+    assert _found_in_src(unused_imports) == []
+
+
+def test_no_stale_noqa_imports():
+    assert _found_in_src(stale_noqa_imports) == []
 
 
 @pytest.mark.parametrize(
@@ -96,3 +116,17 @@ def test_no_unused_module_level_imports():
 )
 def test_unused_import_check(source, expected):
     assert unused_imports(source) == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from a import b  # noqa: F401\n", []),  # a re-export the module never uses
+        ("from a import b  # noqa: F401\nb()\n", [(1, "b")]),
+        ("from a import (\n    b,  # noqa: F401\n    c,  # noqa: F401\n)\nc\n", [(3, "c")]),
+        ("from a import b\nb()\n", []),
+        ("def f():\n    from a import b  # noqa: F401\n    b()\n", []),  # not module-level
+    ],
+)
+def test_stale_noqa_check(source, expected):
+    assert stale_noqa_imports(source) == expected

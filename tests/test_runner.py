@@ -25,7 +25,7 @@ import docturn
 from docturn import costing, gateway
 from docturn import strategy as strategy_module
 from docturn.corpus import Exemplar
-from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
+from docturn.errors import ConfigError, GatewayError, LedgerError, ResumeMismatchError
 from docturn.gateway import BackendConfig
 from docturn.metrics import report as report_module
 from docturn.prompts import extract_fenced_payload, load_template_set
@@ -336,8 +336,8 @@ class TestCellLog:
         assert len(executed.cells) == 2 * 8 * 2 and set(loaded.cells) == set(executed.cells)
         for key, cell in executed.cells.items():
             assert loaded.cells[key].translation == cell.translation
+            assert loaded.cells[key].transcript == cell.transcript
             assert loaded.cells[key].ledgers == cell.ledgers
-            assert loaded.cells[key].transcript is None
 
     def test_run_directory_holds_one_log_per_cell(self, tmp_path):
         """One record per cell, in one log per (backend, strategy)."""
@@ -1136,39 +1136,31 @@ class TestCountOnce:
         )
         assert [t for t in tags if t.startswith("doc-1:")] == ["doc-1:turn_0", "doc-1:turn_1"]
 
-    def test_nothing_counted_between_turns_without_a_budget(self, tmp_path, monkeypatch):
+    def test_execute_counts_nothing_without_a_budget(self, tmp_path, monkeypatch):
         counted = count_tokens_calls(monkeypatch)
-        calls: list[tuple[str, int]] = []  # (request tag, texts counted before it)
-
-        def complete(request, backend):
-            calls.append((request.request_tag, len(counted)))
-            return gateway.complete(request, backend)
-
-        execute(plan_from_dict(minimal_plan_dict(
+        artifacts = execute(plan_from_dict(minimal_plan_dict(
             tmp_path, strategies=[{"mode": "multi_turn"}, {"mode": "segment_level"}]
-        )), complete)
-        later_turns = [
-            (prev_count, count)
-            for (_, prev_count), (tag, count) in zip(calls, calls[1:])
-            if not tag.endswith(":turn_0")
-        ]
-        assert counted and len(later_turns) == 6
-        assert all(prev_count == count for prev_count, count in later_turns)
+        )))
+        assert len(artifacts.cells) == 4 and counted == []
 
-    def test_each_message_of_a_cell_counted_once_with_a_budget(self, tmp_path, monkeypatch):
+    def test_execute_counts_each_request_message_once_with_a_budget(self, tmp_path, monkeypatch):
         counted = count_tokens_calls(monkeypatch)
         artifacts = execute(plan_from_dict(minimal_plan_dict(
             tmp_path, strategies=[{"mode": "multi_turn"}, {"mode": "multi_turn_sp"}],
             max_context_tokens=10_000,
         )))
-        distinct = 0
+        requests = replies = 0
         for cell in artifacts.cells.values():
             turns = cell.transcript.turns
-            distinct += len(
-                {(m.role, m.content) for t in turns for m in t.request_messages}
-                | {("assistant", t.response_text) for t in turns}
-            )
-        assert len(counted) == distinct
+            sent = {(m.role, m.content) for t in turns for m in t.request_messages}
+            requests += len(sent)
+            replies += len({("assistant", t.response_text) for t in turns} - sent)
+        assert len(counted) == requests
+        # The ledgers count with each cell's memo, so reading them adds only
+        # the replies no request carried.
+        for cell in artifacts.cells.values():
+            cell.ledgers
+        assert len(counted) == requests + replies
 
     def test_reference_side_built_once_per_document(self, tmp_path, monkeypatch):
         """One reference side per document, one hypothesis side per distinct
@@ -1385,6 +1377,59 @@ class TestInterruptedRun:
         assert sorted(p.name for p in run_dir.iterdir()) == ["cells", "manifest.json"]
 
 
+def ledger_walks(monkeypatch) -> list[int]:
+    """The turns of every ledger walk from now on, in order."""
+    walks: list[int] = []
+    original = costing._ledger_over_keyed_turns
+
+    def walk(turns, keyed):
+        turns = list(turns)
+        walks.append(len(turns))
+        return original(turns, keyed)
+
+    monkeypatch.setattr(costing, "_ledger_over_keyed_turns", walk)
+    return walks
+
+
+class TestLedgersOnRead:
+    def test_run_load_and_reports_walk_no_ledger(self, tmp_path, monkeypatch):
+        walks = ledger_walks(monkeypatch)
+        plan = plan_from_dict(mixed_plan_dict(tmp_path))
+        emit_reports(execute(plan))
+        resumed = execute(plan)
+        emit_reports(load_artifacts(plan))
+        assert len(resumed.cells) == 2 * 8 * 2 and walks == []
+
+    def test_first_read_walks_the_cell_once(self, tmp_path, monkeypatch):
+        walks = ledger_walks(monkeypatch)
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        cell = load_artifacts(plan).cells[("identity", "multi_turn", "doc-1")]
+        first = cell.ledgers
+        assert walks == [3]
+        assert cell.ledgers is first and walks == [3]
+
+    def test_missing_prompt_count_fails_the_ledger_read_not_the_run(self, tmp_path):
+        counts = tmp_path / "counts.json"
+        record = minimal_plan_dict(tmp_path, tokenizer={"id": "external", "path": str(counts)})
+        texts = counted_texts(plan_from_dict(record))
+        # The prompt of doc-2's first paragraph, which both strategies send.
+        missing = next(t for t in texts if t.endswith("```\nTen eleven twelve.\n```"))
+        write_token_counts(counts, texts - {missing}, per_word=1)
+        artifacts = execute(plan_from_dict(record))
+        assert artifacts.exclusions == [] and len(artifacts.cells) == 4
+        lacking = set()
+        for key, cell in artifacts.cells.items():
+            sent = {m.content for t in cell.transcript.turns for m in t.request_messages}
+            if missing in sent:
+                lacking.add(key)
+                with pytest.raises(LedgerError):
+                    cell.ledgers
+            else:
+                assert set(cell.ledgers) == {"cached", "uncached"}
+        assert lacking == {("identity", "segment_level", "doc-2"), MULTI_TURN_DOC_2}
+
+
 class TestOnePass:
     def test_one_prefix_check_per_multi_turn_cell(self, tmp_path, monkeypatch):
         checked: list[int] = []  # turns of each checked transcript
@@ -1405,6 +1450,29 @@ class TestOnePass:
         checked.clear()
         load_artifacts(plan)
         assert sorted(checked) == [2, 2, 3, 3]
+
+    def test_one_reply_message_per_turn(self, tmp_path, monkeypatch):
+        """Each request carries the previous request-plus-reply's own message
+        objects, the reply included, so comparing them stops at identity."""
+        write_jsonl(tmp_path / "corpus.jsonl", [{
+            "id": "doc-1", "src_lang": "en", "tgt_lang": "de", "domain": "news",
+            "src": [f"Paragraph number {i}." for i in range(16)],
+            "ref": [f"Paragraph number {i}." for i in range(16)],
+        }])
+        compared: list[tuple[tuple, tuple]] = []  # (request, previous request-plus-reply)
+        original = executor.common_prefix_length
+
+        def common_prefix_length(request, state):
+            compared.append((request, state))
+            return original(request, state)
+
+        monkeypatch.setattr(executor, "common_prefix_length", common_prefix_length)
+        execute(plan_from_dict(minimal_plan_dict(tmp_path, strategies=[{"mode": "multi_turn"}])))
+        assert len(compared) == 16
+        for (previous, _), (request, state) in zip(compared, compared[1:]):
+            assert len(state) == len(previous) + 1 == len(request) - 1
+            assert all(a is b for a, b in zip(state, previous))
+            assert all(a is b for a, b in zip(request[:-1], state))
 
     def test_test_set_parsed_once_per_run(self, tmp_path, monkeypatch):
         parsed: list[str] = []
