@@ -11,7 +11,7 @@ statistics.
 
 __version__ = "0.1.0"
 
-from .corpus import Document, Exemplar, TestSet, filter_testset, load_corpus, split_into_segments
+from .corpus import Document, Exemplar, TestSet, load_corpus, split_into_segments
 from .strategy import (
     DocumentTranslation,
     Mode,
@@ -33,7 +33,6 @@ __all__ = [
     "TestSet",
     "__version__",
     "assemble_hypothesis",
-    "filter_testset",
     "ingest_response",
     "init_session",
     "load_corpus",

@@ -1,12 +1,11 @@
 """Command-line interface.
 
-Subcommands: validate-corpus, run, score, report, simulate-cost.
+Subcommands: validate-corpus, run, report, simulate-cost.
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -82,29 +81,10 @@ def run(config_path: str, no_reports: bool) -> None:
         click.echo(f"wrote {len(written)} report files under {artifacts.run_dir / 'reports'}")
 
 
-@main.command("score")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
-def score(config_path: str) -> None:
-    """Score an executed run and print the main table values."""
-    plan = _load_plan(config_path)
-    try:
-        artifacts = load_artifacts(plan)
-        emit_reports(artifacts)
-    except DocturnError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-    scores_path = artifacts.run_dir / "reports" / "scores.json"
-    payload = json.loads(scores_path.read_text("utf-8"))
-    for cell, values in payload.items():
-        dbleu = values["dbleu"]
-        click.echo(f"{cell}: dbleu={dbleu:.2f}" if dbleu is not None else f"{cell}: dbleu=-")
-    click.echo(f"full scores in {scores_path}")
-
-
 @main.command("report")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 def report(config_path: str) -> None:
-    """Re-emit report files from persisted artifacts."""
+    """Re-emit report files from persisted artifacts, then print the main table."""
     plan = _load_plan(config_path)
     try:
         artifacts = load_artifacts(plan)
@@ -114,6 +94,7 @@ def report(config_path: str) -> None:
         sys.exit(EXIT_RUNTIME)
     for path in written:
         click.echo(str(path))
+    click.echo((artifacts.run_dir / "reports" / "main.md").read_text("utf-8"), nl=False)
 
 
 @main.command("simulate-cost")

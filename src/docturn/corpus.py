@@ -1,4 +1,4 @@
-"""Loading, validation and filtering of paragraph-aligned document test sets.
+"""Loading and validation of paragraph-aligned document test sets.
 
 A test set is a JSONL file, one document per line:
 
@@ -21,7 +21,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .errors import CorpusError
 
@@ -248,32 +248,3 @@ def segment_separator(rule: str) -> str:
     if rule == "single_newline":
         return "\n"
     raise ValueError(f"unknown segmentation rule: {rule!r}")
-
-
-def filter_testset(ts: TestSet, predicate: Callable[[Document], bool]) -> TestSet:
-    """Order-preserving subset of a test set. An empty result is valid."""
-    return TestSet(name=ts.name, documents=[d for d in ts.documents if predicate(d)])
-
-
-def matching(
-    *,
-    src_lang: str | None = None,
-    tgt_lang: str | None = None,
-    domain: str | None = None,
-    ids: Iterable[str] | None = None,
-) -> Callable[[Document], bool]:
-    """Convenience predicate factory for filter_testset."""
-    id_set = set(ids) if ids is not None else None
-
-    def predicate(doc: Document) -> bool:
-        if src_lang is not None and doc.src_lang != src_lang:
-            return False
-        if tgt_lang is not None and doc.tgt_lang != tgt_lang:
-            return False
-        if domain is not None and doc.domain != domain:
-            return False
-        if id_set is not None and doc.id not in id_set:
-            return False
-        return True
-
-    return predicate

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from .chat import Message, assistant, common_prefix_length
 from .errors import LedgerError
 from .prompts import is_char_counted
-from .strategy import Mode, check_prefix_stability, request_messages
+from .strategy import Mode, request_messages
 
 MODE_CACHED = "cached"
 MODE_UNCACHED = "uncached"
@@ -110,11 +110,11 @@ class TranscriptTurn:
 
 @dataclass
 class Transcript:
-    """Ordered exchanges of one document session."""
+    """Ordered exchanges of one document session. It carries no strategy:
+    the runner checks a multi-turn session's prefix stability once, when the
+    session is driven, and the ledger walk is correct for any transcript."""
 
-    doc_id: str
     turns: list[TranscriptTurn] = field(default_factory=list)
-    strategy_mode: Mode | None = None
 
 
 @dataclass(frozen=True)
@@ -231,16 +231,12 @@ def ledger_for_session(
     """Cached and uncached token ledgers for one session transcript.
 
     Cached mode charges each conversation token's prefill exactly once across
-    the session; uncached mode charges every request in full. Multi-turn
-    transcripts that violate prefix stability are refused: their history was
-    rewritten, so no cache could have been reused. counts is the session's
+    the session; uncached mode charges every request in full. A request
+    reuses only the prefix it shares with some earlier request-plus-reply,
+    so a transcript whose history was rewritten is charged for the rewrite;
+    nothing here checks prefix stability. counts is the session's
     message_tokens memo, to share the counting with the caller.
     """
-    if transcript.strategy_mode is not None and transcript.strategy_mode.is_multi_turn:
-        check_prefix_stability(
-            [t.request_messages for t in transcript.turns],
-            [t.response_text for t in transcript.turns],
-        )
     counts = {} if counts is None else counts
 
     def keyed(message: Message) -> _KeyedMessage:

@@ -78,6 +78,8 @@ class BackendConfig:
             raise ConfigError("requests_per_minute: must be >= 1")
         if self.timeout_s <= 0:
             raise ConfigError("timeout_s: must be > 0")
+        if self.kind == "mock_dictionary" and self.dictionary_path is None:
+            raise ConfigError("dictionary_path: required by mock_dictionary")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
@@ -287,7 +289,7 @@ class Gateway:
                     )
                 if cfg.requests_per_minute is not None:
                     self.buckets[cfg.name] = _RateLimiter(cfg.requests_per_minute)
-            elif cfg.kind == "mock_dictionary" and cfg.dictionary_path is not None:
+            elif cfg.kind == "mock_dictionary":
                 self.dictionaries[cfg.name] = _read_dictionary(
                     cfg.dictionary_path, f"backends[{i}].dictionary_path", self.files
                 )
@@ -304,8 +306,6 @@ class Gateway:
         if cfg.kind == "mock_identity":
             content = _identity_reply(req)
         elif cfg.kind == "mock_dictionary":
-            if cfg.name not in self.dictionaries:
-                raise GatewayError(f"backend '{cfg.name}' has no dictionary_path configured")
             content = _dictionary_reply(req, self.dictionaries[cfg.name])
         elif cfg.kind == "mock_tail_dropper":
             content = _tail_dropper_reply(req, cfg)

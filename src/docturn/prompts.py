@@ -1,8 +1,9 @@
 """Versioned prompt templates and deterministic rendering.
 
-Template sets live as plain-text resource files under resources/templates/,
-one block per slot. Run artifacts record the file's content hash so an
-experiment is reproducible down to the exact instruction wording.
+The one template set ships as a plain-text resource file under
+resources/templates/, one block per slot. Run artifacts record the file's
+content hash so an experiment is reproducible down to the exact instruction
+wording.
 
 Every template wraps its source payload in a triple-backtick fence. That is
 both a prompt-engineering choice (the model sees an unambiguous boundary) and
@@ -19,8 +20,9 @@ from importlib import resources
 
 from .errors import TemplateError
 
-DEFAULT_TEMPLATE_SET = "wmt24-style-v1"
+TEMPLATE_SET_ID = "wmt24-style-v1"
 _TEMPLATES = "docturn.resources.templates"
+_TEMPLATE_FILE = "wmt24_style_v1.txt"
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 _HEADER_RE = re.compile(r"^\[([a-z_]+)\]$")
@@ -119,25 +121,11 @@ def _parse_template_file(text: str) -> dict[str, str]:
     return slots
 
 
-def _template_filename(set_id: str) -> str:
-    """The resource file of a template set id ('-' separated ids map to '_' files)."""
-    return set_id.replace("-", "_") + ".txt"
-
-
-def is_template_set(set_id: str) -> bool:
-    """Whether set_id names one of the template sets shipped as resources."""
-    shipped = {path.name for path in resources.files(_TEMPLATES).iterdir()}
-    return _template_filename(set_id) in shipped
-
-
-def load_template_set(set_id: str = DEFAULT_TEMPLATE_SET) -> PromptTemplateSet:
-    """Load a template set resource by id."""
-    try:
-        raw = resources.files(_TEMPLATES).joinpath(_template_filename(set_id)).read_text("utf-8")
-    except FileNotFoundError as exc:
-        raise TemplateError(f"unknown template set: {set_id!r}") from exc
+def load_template_set() -> PromptTemplateSet:
+    """Load the shipped template set."""
+    raw = resources.files(_TEMPLATES).joinpath(_TEMPLATE_FILE).read_text("utf-8")
     return PromptTemplateSet(
-        set_id=set_id,
+        set_id=TEMPLATE_SET_ID,
         slots=_parse_template_file(raw),
         content_hash=hashlib.sha256(raw.encode("utf-8")).hexdigest(),
     )

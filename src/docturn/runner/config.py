@@ -23,7 +23,6 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 from ..corpus import Exemplar
 from ..errors import ConfigError, CorpusError
 from ..gateway import BackendConfig
-from ..prompts import DEFAULT_TEMPLATE_SET, is_template_set
 from ..strategy import Mode, StrategyConfig
 
 FAIL_POLICIES = ("halt", "skip_and_report")
@@ -64,7 +63,6 @@ class RunPlan:
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     max_concurrent_documents: int = 1
     fail_policy: str = "skip_and_report"
-    template_set: str = DEFAULT_TEMPLATE_SET
     max_context_tokens: int | None = None
 
     def __post_init__(self) -> None:
@@ -243,8 +241,6 @@ def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
         record = {**record, "tokenizer": _value(str, tokenizer.get("id", "auto"), "tokenizer.id")}
 
     plan = _build(RunPlan, record, "", tokenizer_external_path=external_path)
-    if not is_template_set(plan.template_set):
-        raise ConfigError(f"template_set: unknown template set {plan.template_set!r}")
     plan.testsets = [resolve(t) for t in plan.testsets]
     plan.output_dir = resolve(plan.output_dir)
     plan.backends = [

@@ -198,7 +198,7 @@ def _drive_cell(
     The ledgers are left to the cell's first read of them."""
     strategy = group.strategy
     session = init_session(strategy, doc, templates, group.prefix)
-    transcript = Transcript(doc_id=doc.id, strategy_mode=strategy.mode)
+    transcript = Transcript()
     plan = artifacts.plan
     spec = artifacts.token_spec or spec_for_target_language(doc.tgt_lang)
     counts: dict[tuple[str, str], int] = {}  # every message counted once per cell
@@ -427,7 +427,7 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     backends = gateway.Gateway(plan.backends)
     artifacts, config_hash = _open_run(plan, dict(backends.files))
     complete = complete_fn or backends.complete
-    templates = load_template_set(plan.template_set)
+    templates = load_template_set()
     run_dir = artifacts.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
     found = _read_manifest(run_dir, config_hash)
@@ -440,7 +440,7 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
         "run_id": plan.run_id,
         "layout_version": LAYOUT_VERSION,
         "config_hash": config_hash,
-        "template_set": plan.template_set,
+        "template_set": templates.set_id,
         "template_set_hash": templates.content_hash,
         "exclusions": [],
     }
@@ -528,12 +528,12 @@ def _handle_failure(
 
 
 def load_artifacts(plan: RunPlan) -> RunArtifacts:
-    """Load previously executed cells from disk (for score/report commands)."""
+    """Load previously executed cells from disk (for the report command)."""
     artifacts, config_hash = _open_run(plan, {})
     manifest = _read_manifest(artifacts.run_dir, config_hash)
     if manifest is None:
         raise DocturnError(f"no run found at {artifacts.run_dir} (missing {MANIFEST})")
-    _load_completed(artifacts, load_template_set(plan.template_set))
+    _load_completed(artifacts, load_template_set())
     # An interrupted resume leaves stale exclusions for cells it completed.
     artifacts.exclusions = [
         e for e in manifest.get("exclusions", [])

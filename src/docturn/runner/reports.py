@@ -23,7 +23,7 @@ from pathlib import Path
 from ..metrics.bleu import BleuConfig
 from ..metrics.report import ScoringTable, StrategyMetrics, score_strategy
 from ..metrics.segment_mean import SubprocessScorer
-from ..strategy import Mode, StrategyConfig
+from ..strategy import Mode
 from .config import RunPlan
 from .executor import RunArtifacts
 
@@ -78,12 +78,6 @@ def _strategy_scores(artifacts: RunArtifacts) -> dict[tuple[str, str], StrategyM
     return out
 
 
-def _segment_mean_cell(strategy: StrategyConfig, metrics: StrategyMetrics) -> str:
-    if strategy.mode == Mode.SINGLE_TURN:
-        return MISSING
-    return _fmt(metrics.segment_mean, 4)
-
-
 def _blonde_cell(metrics: StrategyMetrics) -> str:
     if metrics.blonde is None:
         return MISSING
@@ -117,7 +111,7 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
                     backend.name,
                     strategy.display_name,
                     _fmt(m.dbleu),
-                    _segment_mean_cell(strategy, m),
+                    _fmt(m.segment_mean, 4),
                     _blonde_cell(m),
                 ]
             )

@@ -49,7 +49,7 @@ from .corpus import Document, Exemplar, segment_separator, split_into_segments
 from .errors import ConfigError, PrefixStabilityError, SessionContractError
 from .prompts import PromptTemplateSet, language_name, load_template_set
 
-DEFAULT_EXEMPLAR_COUNT = 3
+EXEMPLAR_COUNT = 3  # exemplars an icl strategy carries
 
 _M = TypeVar("_M")  # a message: a chat Message, or the cost simulator's (key, tokens)
 
@@ -84,15 +84,14 @@ class StrategyConfig:
     mode: Mode
     icl: bool = False
     exemplars: tuple[Exemplar, ...] = ()
-    exemplar_count: int = DEFAULT_EXEMPLAR_COUNT
     max_tokens: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.exemplars, tuple):
             object.__setattr__(self, "exemplars", tuple(self.exemplars))
-        if self.icl and len(self.exemplars) != self.exemplar_count:
+        if self.icl and len(self.exemplars) != EXEMPLAR_COUNT:
             raise ValueError(
-                f"icl=True requires exactly {self.exemplar_count} exemplars, "
+                f"icl=True requires exactly {EXEMPLAR_COUNT} exemplars, "
                 f"got {len(self.exemplars)}"
             )
         if self.max_tokens is not None and self.max_tokens < 1:
@@ -203,7 +202,7 @@ def init_session(
     prefix: tuple[Message, ...] | None = None,
 ) -> SessionState:
     """Create a session with its first request pending. templates defaults
-    to the default template set. prefix is the strategy's exemplar_messages,
+    to the shipped template set. prefix is the strategy's exemplar_messages,
     when the caller holds them already: every request of the session then
     starts with that very tuple's messages."""
     if templates is None:

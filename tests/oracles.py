@@ -221,7 +221,6 @@ def reference_canonical_dict(plan) -> dict:
                     }
                     for e in s.exemplars
                 ],
-                "exemplar_count": s.exemplar_count,
                 "max_tokens": s.max_tokens,
             }
             for s in plan.strategies
@@ -236,6 +235,5 @@ def reference_canonical_dict(plan) -> dict:
             "max_n": plan.scoring.max_n,
         },
         "fail_policy": plan.fail_policy,
-        "template_set": plan.template_set,
         "max_context_tokens": plan.max_context_tokens,
     }

@@ -122,15 +122,18 @@ class TestRun:
         assert "Incorrect API key" in result.output
         assert len(sent) == 1
 
-    def test_score_and_report_after_run(self, runner, tmp_path):
+    def test_report_prints_the_paths_then_the_main_table(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
         assert runner.invoke(main, ["run", "--config", config]).exit_code == 0
-        score = runner.invoke(main, ["score", "--config", config])
-        assert score.exit_code == 0
-        assert "dbleu=100.00" in score.output
         report = runner.invoke(main, ["report", "--config", config])
         assert report.exit_code == 0
-        assert "per_domain.csv" in report.output and "per_domain.md" in report.output
+        reports = tmp_path / "runs" / "test-run" / "reports"
+        main_md = (reports / "main.md").read_text("utf-8")
+        assert "| 100.00 |" in main_md
+        paths, table = report.output[: -len(main_md)], report.output[-len(main_md):]
+        assert table == main_md
+        assert str(reports / "per_domain.csv") in paths.splitlines()
+        assert str(reports / "per_domain.md") in paths.splitlines()
 
     def test_report_after_interrupted_first_run_exit_0(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
@@ -175,6 +178,16 @@ class TestRun:
         assert "backends[0].dictionary_path" in result.output
         assert not (tmp_path / "runs" / "test-run").exists()
 
+    def test_dictionary_backend_without_path_exit_1_names_key(self, runner, tmp_path):
+        record = minimal_plan_dict(tmp_path, backends=[{"kind": "mock_dictionary", "name": "dict"}])
+        config = self.write_config(tmp_path, record)
+        result = runner.invoke(main, ["run", "--config", config])
+        assert result.exit_code == 1
+        assert "invalid config: backends[0].dictionary_path: required by mock_dictionary" in (
+            result.output
+        )
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize(
         "key, content",
         [
@@ -207,7 +220,7 @@ class TestRun:
         assert result.output.startswith("error: ") and "manifest.json" in result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
 
-    @pytest.mark.parametrize("command", ["run", "score"])
+    @pytest.mark.parametrize("command", ["run", "report"])
     @pytest.mark.parametrize("scorer", ["missing", "failing"])
     def test_scorer_failure_exit_2(self, runner, tmp_path, command, scorer):
         scorer_command = (
@@ -216,7 +229,7 @@ class TestRun:
         )
         record = minimal_plan_dict(tmp_path, scoring={"scorer_command": scorer_command})
         config = self.write_config(tmp_path, record)
-        if command == "score":
+        if command == "report":
             assert runner.invoke(main, ["run", "--config", config, "--no-reports"]).exit_code == 0
         result = runner.invoke(main, [command, "--config", config])
         assert result.exit_code == 2
@@ -225,9 +238,9 @@ class TestRun:
         assert ("no-such-scorer" if scorer == "missing" else "code 3") in error
         assert isinstance(result.exception, SystemExit)  # no traceback
 
-    def test_score_without_run_exit_2(self, runner, tmp_path):
+    def test_report_without_run_exit_2(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
-        result = runner.invoke(main, ["score", "--config", config])
+        result = runner.invoke(main, ["report", "--config", config])
         assert result.exit_code == 2
 
 

@@ -63,8 +63,11 @@ BAD_VALUES = {
     "scorer_command_string": ("scoring.scorer_command", _scoring(scorer_command="comet-score")),
     "testsets_string": ("testsets", _plan(testsets="a.jsonl")),
     "testsets_empty": ("testsets", _plan(testsets=[])),
-    "template_set_unknown": ("template_set", _plan(template_set="nope")),
     "exemplar_empty_source": ("strategies[0].exemplars[0]", _empty_source),
+    # Unknown keys, even at the one value every run used: one template set
+    # ships, and ICL takes exactly three exemplars.
+    "template_set_key": ("template_set", _plan(template_set="wmt24-style-v1")),
+    "exemplar_count_key": ("strategies[0].exemplar_count", _strategy(exemplar_count=3)),
     "requests_per_minute_0": ("backends[0].requests_per_minute", _backend(requests_per_minute=0)),
     "max_retries_negative": ("backends[0].max_retries", _backend(max_retries=-1)),
     "timeout_s_0": ("backends[0].timeout_s", _backend(timeout_s=0)),
@@ -146,12 +149,11 @@ def _every_optional_key(tmp_path: Path) -> RunPlan:
                    "api_key_env_var": "KEY", "max_retries": 0, "requests_per_minute": 7,
                    "timeout_s": 3, "dictionary_path": "dict.json", "drop_fraction": 0}],
         strategies=[{"mode": "multi_turn_sp", "icl": True, "exemplars": EXEMPLARS,
-                     "exemplar_count": 3, "max_tokens": 64}],
+                     "max_tokens": 64}],
         tokenizer={"id": "external", "path": "counts.json"},
         scoring={"blonde": False, "scorer_command": ["score"], "top_n": 0,
                  "case_sensitive": False, "max_n": 2},
-        max_concurrent_documents=2, fail_policy="halt", template_set="wmt24-style-v1",
-        max_context_tokens=100,
+        max_concurrent_documents=2, fail_policy="halt", max_context_tokens=100,
     ), base_dir=tmp_path)
 
 

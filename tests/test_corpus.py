@@ -1,4 +1,4 @@
-"""Corpus loading, validation, segmentation and filtering."""
+"""Corpus loading, validation and segmentation."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from docturn.corpus import (
     Document,
     TestSet,
-    filter_testset,
     load_corpus,
-    matching,
     save_corpus,
     segment_separator,
     split_into_segments,
@@ -179,34 +177,3 @@ class TestSplitIntoSegments:
         assert all(seg.strip() for seg in blank)
         assert all(seg.strip() for seg in newline)
         assert len(newline) >= len(blank)
-
-
-class TestFilterTestset:
-    def _mixed(self):
-        return TestSet(
-            name="mixed",
-            documents=[
-                Document(id="a", src_lang="en", tgt_lang="de", domain="education",
-                         source_segments=("x",)),
-                Document(id="b", src_lang="en", tgt_lang="de", domain="news",
-                         source_segments=("y",)),
-                Document(id="c", src_lang="cs", tgt_lang="uk", domain="education",
-                         source_segments=("z",)),
-            ],
-        )
-
-    def test_filter_by_domain(self):
-        ts = filter_testset(self._mixed(), matching(domain="education"))
-        assert [d.id for d in ts] == ["a", "c"]
-
-    def test_filter_by_direction(self):
-        ts = filter_testset(self._mixed(), matching(src_lang="en", tgt_lang="de"))
-        assert [d.id for d in ts] == ["a", "b"]
-
-    def test_filter_matching_nothing_is_valid(self):
-        ts = filter_testset(self._mixed(), matching(domain="does-not-exist"))
-        assert len(ts) == 0
-
-    def test_filter_true_is_identity(self):
-        mixed = self._mixed()
-        assert filter_testset(mixed, lambda d: True).documents == mixed.documents

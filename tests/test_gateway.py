@@ -70,9 +70,8 @@ class TestMockDictionary:
         assert response.content == "le cat et dog"
 
     def test_missing_dictionary_path_rejected(self):
-        backend = BackendConfig(kind="mock_dictionary")
-        with pytest.raises(GatewayError, match="dictionary_path"):
-            complete(request_of(user("x")), backend)
+        with pytest.raises(ConfigError, match="^dictionary_path: required by mock_dictionary$"):
+            BackendConfig(kind="mock_dictionary")
 
 
 class TestDropTrailingTokens:

@@ -1,13 +1,20 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks that need no tool beyond the standard library, and
+a check that the README shows the CLI as it is."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+from docturn.cli import main
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
+# A command as the README shows it: at the start of a code line or in `...`.
+_COMMAND_RE = re.compile(r"(?:^|`)docturn ([a-z][a-z-]*)", re.MULTILINE)
 NOQA = "# noqa: F401"
 
 
@@ -130,3 +137,12 @@ def test_unused_import_check(source, expected):
 )
 def test_stale_noqa_check(source, expected):
     assert stale_noqa_imports(source) == expected
+
+
+def test_readme_shows_exactly_the_cli_commands():
+    """The README's CLI block, the bash block that runs `docturn run`, lists
+    every subcommand, and every `docturn <command>` the README names exists."""
+    text = README.read_text("utf-8")
+    (block,) = [b for b in re.findall(r"```bash\n(.*?)```", text, re.DOTALL) if "docturn run " in b]
+    assert set(_COMMAND_RE.findall(block)) == set(main.commands)
+    assert set(_COMMAND_RE.findall(text)) <= set(main.commands)

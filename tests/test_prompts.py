@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from docturn.errors import TemplateError
-from docturn.prompts import extract_fenced_payload, language_name, load_template_set
+from docturn.prompts import extract_fenced_payload, language_name
 
 
 def test_default_set_has_expected_slots(templates):
@@ -43,11 +43,6 @@ def test_unbound_placeholder_names_it(templates):
 def test_unknown_slot_rejected(templates):
     with pytest.raises(TemplateError, match="no slot"):
         templates.render("nope", {})
-
-
-def test_unknown_template_set_rejected():
-    with pytest.raises(TemplateError, match="unknown template set"):
-        load_template_set("does-not-exist")
 
 
 def test_payload_braces_are_inert(templates):

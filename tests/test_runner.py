@@ -5,6 +5,7 @@ from __future__ import annotations
 import builtins
 import copy
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -137,6 +138,14 @@ class TestExecute:
             assert cell.translation.alignment_ok
         log = artifacts.run_dir / "cells" / "identity" / "multi_turn.jsonl"
         assert len(read_records(log)["doc-1"]["turns"]) == 3
+
+    def test_manifest_records_the_shipped_template_set(self, tmp_path):
+        artifacts = execute(plan_from_dict(minimal_plan_dict(tmp_path)))
+        manifest = json.loads((artifacts.run_dir / "manifest.json").read_text("utf-8"))
+        shipped = (Path(docturn.__file__).parent / "resources" / "templates"
+                   / "wmt24_style_v1.txt").read_bytes()
+        assert manifest["template_set"] == "wmt24-style-v1"
+        assert manifest["template_set_hash"] == hashlib.sha256(shipped).hexdigest()
 
     def test_identity_run_translations_equal_sources(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -568,7 +577,7 @@ class TestPrefixHeader:
         ])
         plan = plan_from_dict(mixed_plan_dict(tmp_path, testsets=[str(corpus)]))
         artifacts = execute(plan)
-        templates = load_template_set(plan.template_set)
+        templates = load_template_set()
         for backend in plan.backends:
             for strategy in plan.strategies:
                 text = group_log(plan, backend.name, strategy.label).read_text("utf-8")
@@ -697,6 +706,17 @@ class TestReports:
         main = (artifacts.run_dir / "reports" / "main.csv").read_text("utf-8").splitlines()
         single_row = next(line for line in main if line.startswith("identity,Single-turn"))
         assert single_row.split(",")[3] == "-"
+
+    def test_single_turn_segment_mean_is_dash_with_a_scorer(self, tmp_path):
+        """Only single-turn is kept from the external scorer: its row is "-"
+        where every other row carries the scorer's mean."""
+        scorer = [sys.executable, "-c", "import sys\nfor _ in sys.stdin: print(0.25)"]
+        record = minimal_plan_dict(tmp_path, scoring={"scorer_command": scorer})
+        record["strategies"] = [{"mode": "single_turn"}, {"mode": "multi_turn"}]
+        artifacts = execute(plan_from_dict(record))
+        emit_reports(artifacts)
+        main = (artifacts.run_dir / "reports" / "main.csv").read_text("utf-8").splitlines()
+        assert [line.split(",")[3] for line in main[1:]] == ["-", "0.2500"]
 
     def test_returns_every_file_it_writes(self, tmp_path):
         """Each csv table's Markdown twin is returned beside it."""
@@ -921,11 +941,10 @@ class TestMalformedBackendReply:
 # added to one of the two sets.
 HASHED_FIELDS = {
     RunPlan: {"run_id", "testsets", "backends", "strategies", "tokenizer",
-              "tokenizer_external_path", "scoring", "fail_policy", "template_set",
-              "max_context_tokens"},
+              "tokenizer_external_path", "scoring", "fail_policy", "max_context_tokens"},
     BackendConfig: {"kind", "name", "model", "base_url", "api_key_env_var", "max_retries",
                     "requests_per_minute", "dictionary_path", "drop_fraction"},
-    StrategyConfig: {"mode", "icl", "exemplars", "exemplar_count", "max_tokens"},
+    StrategyConfig: {"mode", "icl", "exemplars", "max_tokens"},
     Exemplar: {"source", "target", "src_lang", "tgt_lang"},
     ScoringConfig: {"blonde", "scorer_command", "top_n", "case_sensitive", "max_n"},
 }
@@ -986,7 +1005,6 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
         ),
         (RunPlan, "scoring"): dataclasses.replace(plan, scoring=ScoringConfig(top_n=3)),
         (RunPlan, "fail_policy"): dataclasses.replace(plan, fail_policy="halt"),
-        (RunPlan, "template_set"): dataclasses.replace(plan, template_set="other-templates"),
         (RunPlan, "max_context_tokens"): dataclasses.replace(plan, max_context_tokens=100),
         (RunPlan, "output_dir"): dataclasses.replace(plan, output_dir=str(tmp_path / "elsewhere")),
         (RunPlan, "max_concurrent_documents"): dataclasses.replace(
@@ -1007,7 +1025,6 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
         (StrategyConfig, "exemplars"): _with_strategy(
             plan, 1, exemplars=plan.strategies[1].exemplars[::-1]
         ),
-        (StrategyConfig, "exemplar_count"): _with_strategy(plan, 0, exemplar_count=5),
         (StrategyConfig, "max_tokens"): _with_strategy(plan, 0, max_tokens=64),
         (Exemplar, "source"): _with_exemplar(plan, source="Other."),
         (Exemplar, "target"): _with_exemplar(plan, target="Andere."),
@@ -1432,23 +1449,31 @@ class TestLedgersOnRead:
 
 class TestOnePass:
     def test_one_prefix_check_per_multi_turn_cell(self, tmp_path, monkeypatch):
+        """Running a cell or loading it checks its transcript once; reading
+        its ledgers checks nothing."""
         checked: list[int] = []  # turns of each checked transcript
-        original = costing.check_prefix_stability
+        original = strategy_module.check_prefix_stability
 
         def check(requests, replies=None):
             checked.append(len(requests))
             return original(requests, replies)
 
-        for module in (costing, executor):
-            monkeypatch.setattr(module, "check_prefix_stability", check)
+        # Every docturn module that binds the checker, so no second caller hides.
+        for name, module in list(sys.modules.items()):
+            binds = vars(module).get("check_prefix_stability") is original
+            if name.startswith("docturn") and binds:
+                monkeypatch.setattr(module, "check_prefix_stability", check)
         plan = plan_from_dict(minimal_plan_dict(tmp_path, strategies=[
             {"mode": "segment_level"}, {"mode": "multi_turn"}, {"mode": "multi_turn_sp"}
         ]))
-        execute(plan)
+        fresh = execute(plan)
         # doc-1 has 3 turns and doc-2 has 2, under each multi-turn strategy.
         assert sorted(checked) == [2, 2, 3, 3]
         checked.clear()
-        load_artifacts(plan)
+        loaded = load_artifacts(plan)
+        assert sorted(checked) == [2, 2, 3, 3]
+        for cell in [*fresh.cells.values(), *loaded.cells.values()]:
+            assert set(cell.ledgers) == {"cached", "uncached"}
         assert sorted(checked) == [2, 2, 3, 3]
 
     def test_one_reply_message_per_turn(self, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docturn import strategy as strategy_module
+from docturn.chat import assistant
 from docturn.errors import PrefixStabilityError, SessionContractError
 from docturn.prompts import load_template_set
 from docturn.strategy import (
@@ -110,6 +111,19 @@ class TestPrefixStability:
         tampered[2][0] = tampered[2][1]
         with pytest.raises(PrefixStabilityError):
             check_prefix_stability([tuple(m) for m in tampered])
+
+    def test_check_rejects_reply_not_carried_verbatim(self, doc3, templates):
+        session, requests = drive(StrategyConfig(mode=Mode.MULTI_TURN), doc3, templates)
+        replies = [m.content for m in session.replies]
+        messages = [r.messages for r in requests]
+        check_prefix_stability(messages, replies)
+        # The last request carries an edited copy of the previous reply.
+        last = list(messages[-1])
+        last[-2] = assistant(last[-2].content + " edited")
+        messages[-1] = tuple(last)
+        check_prefix_stability(messages)  # the messages alone still extend by two
+        with pytest.raises(PrefixStabilityError, match="verbatim"):
+            check_prefix_stability(messages, replies)
 
     def test_conversation_grows_by_two_between_requests(self, doc3, templates):
         config = StrategyConfig(mode=Mode.MULTI_TURN)
