@@ -33,16 +33,12 @@ class Message:
     @cached_property
     def whitespace_tokens(self) -> int:
         """The number of whitespace-separated tokens in content, counted on
-        first use and kept on this object. It is not a field, so ==, hash,
-        to_dict and from_dict never see it."""
+        first use and kept on this object. It is not a field, so ==, hash
+        and to_dict never see it."""
         return len(self.content.split())
 
     def to_dict(self) -> dict[str, str]:
         return {"role": self.role, "content": self.content}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Message":
-        return cls(role=d["role"], content=d["content"])
 
 
 def user(content: str) -> Message:
@@ -116,8 +112,9 @@ class ChatResponse:
 
     @classmethod
     def from_dict(cls, d: Any) -> "ChatResponse":
-        """The response to_dict wrote: exactly its keys, each of its type.
-        Anything else is a ValueError or TypeError, never a default."""
+        """The response to_dict wrote: exactly its keys, each of its type, and
+        no negative count. Anything else is a ValueError or TypeError, never a
+        default."""
         if not isinstance(d, dict):
             raise TypeError(f"response is a {type(d).__name__}, not an object")
         if d.keys() != _RESPONSE_FIELDS.keys():
@@ -126,4 +123,6 @@ class ChatResponse:
             if type(d[key]) not in kinds:  # a JSON true is not a token count
                 expected = " or ".join(kind.__name__ for kind in kinds)
                 raise TypeError(f"response {key} is a {type(d[key]).__name__}, not {expected}")
+            if type(d[key]) is int and d[key] < 0:
+                raise ValueError(f"response {key} is negative: {d[key]}")
         return cls(**d)

@@ -79,18 +79,6 @@ class Document:
     def num_segments(self) -> int:
         return len(self.source_segments)
 
-    def to_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "src_lang": self.src_lang,
-            "tgt_lang": self.tgt_lang,
-            "domain": self.domain,
-            "src": list(self.source_segments),
-        }
-        if self.reference_segments is not None:
-            d["ref"] = list(self.reference_segments)
-        return d
-
 
 @dataclass
 class TestSet:
@@ -113,12 +101,6 @@ class TestSet:
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self.documents)
-
-    def by_id(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        raise KeyError(doc_id)
 
     @property
     def directions(self) -> list[str]:
@@ -212,14 +194,6 @@ def _segments(value: object, key: str, line: int) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise CorpusError(f"{key!r} must be a list of strings", line=line)
     return tuple(_normalize(s) for s in value)
-
-
-def save_corpus(testset: TestSet, path: str | Path) -> None:
-    """Serialize a test set back to JSONL (inverse of load_corpus)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for doc in testset.documents:
-            fh.write(json.dumps(doc.to_dict(), ensure_ascii=False) + "\n")
 
 
 _BLANK_LINE_RE = re.compile(r"\n\s*\n")

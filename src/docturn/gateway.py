@@ -246,9 +246,16 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
 
 
 def _reported_count(usage: dict, key: str) -> int | None:
-    """A usage count of a reply, or None when the reply omits it."""
+    """A usage count of a reply, or None when the reply omits it. Anything
+    but a non-negative integer is a malformed reply, never coerced."""
     value = usage.get(key)
-    return None if value is None else int(value)
+    if value is None:
+        return None
+    if type(value) is not int:  # a JSON true is not a token count
+        raise TypeError(f"usage {key} is a {type(value).__name__}, not int")
+    if value < 0:
+        raise ValueError(f"usage {key} is negative: {value}")
+    return value
 
 
 def _backoff_delay(attempt: int, rng) -> float:

@@ -3,34 +3,25 @@
 A cell is one (backend, strategy, document) combination and the unit of
 resume. Its transcript is logged as one record, one JSON line in the
 append-only log of its (backend, strategy) group: `doc`, the document id,
-and `turns`, one object per request sent. A turn holds `keep`, how many
-messages of the previous request-plus-reply the request reuses, `append`,
-the messages after those, and the `response`; no field holds wall-clock
-time. The translation and both cost ledgers are pure functions of the
-transcript, so none is stored: loading a cell replays its record through the
-strategy, which rebuilds its transcript and translation, and a cell walks its
-ledgers only when they are first read.
-
-Line 1 of a group log is its header, `{"prefix": [...]}`: the exemplar
-messages every request of the group starts with, stored once per group the
-way a prefix cache keeps them once. Turn 0 counts from it, so its `keep` is
-the header's length and its `append` holds only what follows the exemplars.
-The header is built once per group and its one tuple is shared by the
-group's sessions and by each cell's first state, so comparing a request with
-that state stops at the shared messages by identity. Loading checks the
-header against the prefix the strategy rebuilds, and replay starts from it.
+`requests`, the requests_digest of the requests the cell sent, and `turns`,
+the backend's response to each request. No field holds wall-clock time. The
+requests themselves are not stored: they are a function of the hashed plan,
+the shipped templates and the replies. Loading a cell replays its record
+through the strategy, which rebuilds its requests, transcript and
+translation, and refuses the record unless the rebuilt requests hash to its
+digest. The cost ledgers are pure functions of the transcript, so none is
+stored: a cell walks its ledgers only when they are first read.
 
 A record is built in memory while its cell runs and appended, with one write
 and a flush, only once the cell has completed: concurrent cells append in
 the order they complete, and a failed or interrupted cell leaves nothing, so
-re-executing the run executes exactly the missing cells. Bytes after a log's last newline are a record, or a header, torn by a
-crash: loading ignores them and execute truncates them away before it
-appends, writing the header first when nothing complete is left.
-ResumeMismatchError refuses a header that is missing, does not parse or
-differs from the rebuilt prefix, a line that does not parse, a second record
-for one document, a record for a document outside the test set, a record
-whose requests differ from the rebuilt ones or that has a missing or extra
-turn, and a directory from a different configuration or another layout.
+re-executing the run executes exactly the missing cells. Bytes after a log's
+last newline are a record torn by a crash: loading ignores them and execute
+truncates them away before it appends. ResumeMismatchError refuses a line
+that does not parse, a second record for one document, a record for a
+document outside the test set, a record whose requests differ from the
+rebuilt ones or that has a missing, extra or unparseable turn, and a
+directory from a different configuration or another layout.
 
 The manifest is written before the first request, so an interrupted first
 run can be loaded, scored and resumed, and is replaced whole at the end with
@@ -45,6 +36,7 @@ Layout under <output_dir>/<run_id>/:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -56,7 +48,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable
 
 from .. import gateway
-from ..chat import ChatRequest, ChatResponse, Message, common_prefix_length
+from ..chat import ChatRequest, ChatResponse, Message, assistant, common_prefix_length
 from ..corpus import Document, TestSet, parse_corpus
 from ..costing import Transcript, TranscriptTurn, ledger_for_session, message_tokens
 from ..costing import TokenizerSpec, spec_for_target_language
@@ -76,7 +68,7 @@ from .config import RunPlan
 
 logger = logging.getLogger(__name__)
 
-LAYOUT_VERSION = 5
+LAYOUT_VERSION = 6
 MANIFEST = "manifest.json"
 
 CompleteFn = Callable[[ChatRequest, gateway.BackendConfig], ChatResponse]
@@ -180,9 +172,30 @@ class _Group:
     backend: gateway.BackendConfig
     strategy: StrategyConfig
     log: Path
-    prefix: tuple[Message, ...]  # the strategy's exemplar messages, the log's header
+    prefix: tuple[Message, ...]  # the strategy's exemplar messages, shared by its sessions
     complete_bytes: int = 0  # length of the log up to its last newline
     pending: list[Document] = field(default_factory=list)  # documents without a record
+
+
+def requests_digest(transcript: Transcript) -> str:
+    """BLAKE2b-128 hex digest of a transcript's requests as deltas. Each turn
+    adds `keep`, the length of the prefix its request shares with the
+    previous request plus its reply (nothing before turn 0), in decimal and a
+    newline, then each message after those as its role, a space, the UTF-8
+    byte length of its content in decimal, a newline and the content's UTF-8
+    bytes. A request that extends the previous one shares its message
+    objects, so finding `keep` stops at them by identity."""
+    digest = hashlib.blake2b(digest_size=16)
+    state: tuple[Message, ...] = ()
+    for turn in transcript.turns:
+        request = turn.request_messages
+        keep = common_prefix_length(request, state)
+        digest.update(b"%d\n" % keep)
+        for message in request[keep:]:
+            content = message.content.encode("utf-8")
+            digest.update(b"%s %d\n%s" % (message.role.encode("ascii"), len(content), content))
+        state = request + (assistant(turn.response_text),)
+    return digest.hexdigest()
 
 
 def _drive_cell(
@@ -190,12 +203,11 @@ def _drive_cell(
     group: _Group,
     doc: Document,
     templates: PromptTemplateSet,
-    reply: Callable[[int, ChatRequest, tuple[Message, ...]], ChatResponse],
+    reply: Callable[[int, ChatRequest], ChatResponse],
 ) -> CellArtifact:
-    """Run one document session, taking each reply from reply(turn, request,
-    previous request-plus-reply), the group's prefix before turn 0, then check
-    a multi-turn transcript's prefix stability and assemble the translation.
-    The ledgers are left to the cell's first read of them."""
+    """Run one document session, taking each reply from reply(turn, request),
+    then check a multi-turn transcript's prefix stability and assemble the
+    translation. The ledgers are left to the cell's first read of them."""
     strategy = group.strategy
     session = init_session(strategy, doc, templates, group.prefix)
     transcript = Transcript()
@@ -203,7 +215,6 @@ def _drive_cell(
     spec = artifacts.token_spec or spec_for_target_language(doc.tgt_lang)
     counts: dict[tuple[str, str], int] = {}  # every message counted once per cell
 
-    state = group.prefix
     turn = 0
     while (request := next_request(session)) is not None:
         if plan.max_context_tokens is not None:
@@ -213,7 +224,7 @@ def _drive_cell(
                     f"context_overflow: request of {request_tokens} tokens exceeds "
                     f"budget {plan.max_context_tokens} for document '{doc.id}'"
                 )
-        response = reply(turn, request, state)
+        response = reply(turn, request)
         transcript.turns.append(
             TranscriptTurn(request_messages=request.messages, response_text=response.content)
         )
@@ -222,8 +233,6 @@ def _drive_cell(
         ingest_response(session, response.content)
         if session.status == "failed":
             raise GatewayError(f"{session.failure_reason}: document '{doc.id}' at turn {turn}")
-        # The session's own reply message, which the next request carries.
-        state = request.messages + (session.replies[-1],)
         turn += 1
 
     if strategy.mode.is_multi_turn:
@@ -246,24 +255,20 @@ def _run_cell(
     the output limit is logged as a warning."""
     turns: list[dict] = []
 
-    def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
+    def reply(turn: int, request: ChatRequest) -> ChatResponse:
         response = complete(request, group.backend)
-        keep = common_prefix_length(request.messages, state)
-        turns.append({
-            "keep": keep,
-            "append": [m.to_dict() for m in request.messages[keep:]],
-            "response": response.to_dict(),
-        })
+        turns.append(response.to_dict())
         return response
 
     cell = _drive_cell(artifacts, group, doc, templates, reply)
-    truncated = [str(i) for i, t in enumerate(turns) if t["response"]["finish_reason"] == "length"]
+    truncated = [str(i) for i, t in enumerate(turns) if t["finish_reason"] == "length"]
     if truncated:
         logger.warning(
             "%s/%s/%s: output truncated (finish_reason=length) at turn %s",
             group.backend.name, group.strategy.label, doc.id, ", ".join(truncated),
         )
-    return cell, _json_line({"doc": doc.id, "turns": turns})
+    record = {"doc": doc.id, "requests": requests_digest(cell.transcript), "turns": turns}
+    return cell, _json_line(record)
 
 
 def _json_line(value: dict) -> bytes:
@@ -275,29 +280,25 @@ def _replay_cell(
     group: _Group,
     doc: Document,
     templates: PromptTemplateSet,
-    turns: list,
+    record: dict,
     where: str,
 ) -> CellArtifact:
-    """A completed cell: replies come from its record's turns, chained from
-    the group's logged header, whose every request must equal the one the
-    session rebuilds. `where` names the record in errors. The cell keeps the
-    rebuilt transcript, so it equals the cell the run produced."""
+    """A completed cell: replies come from its record's turns, and the
+    requests the session rebuilds must hash to the record's digest. `where`
+    names the record in errors. The cell keeps the rebuilt transcript, so it
+    equals the cell the run produced."""
+    turns = record["turns"]
 
     def mismatch(turn: int, problem: str) -> ResumeMismatchError:
         return ResumeMismatchError(f"{where}: turn {turn}: {problem}")
 
-    def reply(turn: int, request: ChatRequest, state: tuple[Message, ...]) -> ChatResponse:
+    def reply(turn: int, request: ChatRequest) -> ChatResponse:
         if turn >= len(turns):
             raise mismatch(turn, f"turn missing, the record has {len(turns)}")
         try:
-            entry = turns[turn]
-            logged = state[: entry["keep"]] + tuple(Message.from_dict(m) for m in entry["append"])
-            response = ChatResponse.from_dict(entry["response"])
-        except (ValueError, KeyError, TypeError) as exc:
+            return ChatResponse.from_dict(turns[turn])
+        except (ValueError, TypeError) as exc:
             raise mismatch(turn, f"unparseable turn ({exc})") from None
-        if logged != request.messages:
-            raise mismatch(turn, "logged request differs from the rebuilt one")
-        return response
 
     try:
         cell = _drive_cell(artifacts, group, doc, templates, reply)
@@ -306,32 +307,29 @@ def _replay_cell(
     sent = len(cell.transcript.turns)
     if len(turns) != sent:
         raise mismatch(sent, f"extra turn, the session sent {sent} requests")
+    if requests_digest(cell.transcript) != record["requests"]:
+        raise ResumeMismatchError(f"{where}: logged requests differ from the rebuilt ones")
     return cell
 
 
-def _read_group_log(
-    log: Path, doc_ids: set[str], prefix: tuple[Message, ...]
-) -> tuple[dict[str, tuple[int, list]], int]:
-    """The records of a group log as doc id -> (line number, turns), and the
-    length of the log up to its last newline. Its header must equal prefix.
-    Bytes after the last newline are a record, or the header, torn by a
-    crash and are ignored."""
+def _read_group_log(log: Path, doc_ids: set[str]) -> tuple[dict[str, tuple[int, dict]], int]:
+    """The records of a group log as doc id -> (line number, record), and
+    the length of the log up to its last newline. Bytes after the last
+    newline are a record torn by a crash and are ignored."""
     try:
         data = log.read_bytes()
     except FileNotFoundError:
         return {}, 0
     complete_bytes = data.rfind(b"\n") + 1
-    if complete_bytes == 0:
-        return {}, 0
-    header, *lines = data[:complete_bytes].split(b"\n")[:-1]
-    _check_header(log, header, prefix)
-    records: dict[str, tuple[int, list]] = {}
-    for number, line in enumerate(lines, start=2):
+    records: dict[str, tuple[int, dict]] = {}
+    for number, line in enumerate(data[:complete_bytes].split(b"\n")[:-1], start=1):
         try:
             record = json.loads(line)
-            doc_id, turns = record["doc"], record["turns"]
-            if not isinstance(doc_id, str) or not isinstance(turns, list):
+            doc_id = record["doc"]
+            if not isinstance(doc_id, str) or not isinstance(record["turns"], list):
                 raise TypeError("doc is not a string or turns is not a list")
+            if not isinstance(record["requests"], str):
+                raise TypeError("requests is not a string")
         except (ValueError, KeyError, TypeError) as exc:
             raise ResumeMismatchError(f"{log}: line {number}: unparseable record ({exc})") from None
         if doc_id in records:
@@ -341,22 +339,8 @@ def _read_group_log(
             )
         if doc_id not in doc_ids:
             raise ResumeMismatchError(f"{log}: line {number}: doc '{doc_id}' is not in the test set")
-        records[doc_id] = (number, turns)
+        records[doc_id] = (number, record)
     return records, complete_bytes
-
-
-def _check_header(log: Path, line: bytes, prefix: tuple[Message, ...]) -> None:
-    """Refuse a group log's header unless it holds exactly prefix; a record
-    whose turn 0 keeps its messages would otherwise point at a stale one."""
-    try:
-        header = json.loads(line)
-        if not isinstance(header, dict) or not isinstance(header.get("prefix"), list):
-            raise TypeError("not an object whose prefix is a list")
-        logged = tuple(Message.from_dict(m) for m in header["prefix"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ResumeMismatchError(f"{log}: line 1: unparseable prefix header ({exc})") from None
-    if logged != prefix:
-        raise ResumeMismatchError(f"{log}: line 1: logged prefix differs from the rebuilt one")
 
 
 def _read_manifest(run_dir: Path, config_hash: str) -> dict | None:
@@ -402,12 +386,12 @@ def _load_completed(artifacts: RunArtifacts, templates: PromptTemplateSet) -> li
         for strategy in artifacts.plan.strategies:
             log = _group_log(artifacts.run_dir, backend.name, strategy.label)
             group = _Group(backend, strategy, log, exemplar_messages(strategy, templates))
-            records, group.complete_bytes = _read_group_log(log, doc_ids, group.prefix)
+            records, group.complete_bytes = _read_group_log(log, doc_ids)
             for doc in artifacts.testset:
                 if doc.id in records:
-                    number, turns = records[doc.id]
+                    number, record = records[doc.id]
                     artifacts.cells[(backend.name, strategy.label, doc.id)] = _replay_cell(
-                        artifacts, group, doc, templates, turns,
+                        artifacts, group, doc, templates, record,
                         f"{log}: line {number}: doc '{doc.id}'",
                     )
                 else:
@@ -451,9 +435,7 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
         if group.pending:
             group.log.parent.mkdir(parents=True, exist_ok=True)
             with group.log.open("ab") as log:
-                log.truncate(group.complete_bytes)  # drop a record or header torn by a crash
-                if group.complete_bytes == 0:
-                    log.write(_json_line({"prefix": [m.to_dict() for m in group.prefix]}))
+                log.truncate(group.complete_bytes)  # drop a record torn by a crash
                 _run_group(artifacts, group, templates, complete, log)
 
     manifest["exclusions"] = sorted(

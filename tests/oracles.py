@@ -9,7 +9,6 @@ against something it does not share code with.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from pathlib import Path
 
@@ -144,24 +143,29 @@ def conversation_token_count(transcript, spec) -> int:
     return total + count_tokens(last.response_text, spec)
 
 
-# A group log decoded with json alone: line 1's prefix header, then each
-# record's turns chained from it, every request being the first `keep`
-# messages of the previous request-plus-reply (the header before turn 0) and
-# then `append`. Returns doc id -> each turn's request messages as
-# role/content dicts.
+# A group log record's `requests` digest, from the requests as role/content
+# dicts and the replies' texts: BLAKE2b-128 over, for each turn, the length
+# of the prefix the request shares with the previous request plus its reply
+# (nothing before turn 0) in decimal and a newline, then each later message
+# as "<role> <UTF-8 byte length>\n" and its content.
 
 
-def decode_group_log(text: str) -> dict[str, list[list[dict]]]:
-    header, *records = (json.loads(line) for line in text.splitlines())
-    requests = {}
-    for record in records:
-        state, turns = header["prefix"], []
-        for turn in record["turns"]:
-            request = state[: turn["keep"]] + turn["append"]
-            turns.append(request)
-            state = request + [{"role": "assistant", "content": turn["response"]["content"]}]
-        requests[record["doc"]] = turns
-    return requests
+def _keyed(messages: list[dict]) -> list[tuple]:
+    """Messages in the shape longest_common_prefix compares: keyed first."""
+    return [((m["role"], m["content"]),) for m in messages]
+
+
+def requests_digest(requests: list[list[dict]], replies: list[str]) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    state: list[dict] = []
+    for request, reply in zip(requests, replies, strict=True):
+        keep = longest_common_prefix(_keyed(request), _keyed(state))
+        digest.update(f"{keep}\n".encode("ascii"))
+        for message in request[keep:]:
+            content = message["content"].encode("utf-8")
+            digest.update(f"{message['role']} {len(content)}\n".encode("ascii") + content)
+        state = request + [{"role": "assistant", "content": reply}]
+    return digest.hexdigest()
 
 
 # BlonDE-lite connectives by the plain scan: every listed phrase tried at

@@ -483,7 +483,7 @@ def test_criterion_12_live_smoke(tmp_path):
     persisted_turns = sum(
         len(json.loads(line)["turns"])
         for log in (artifacts.run_dir / "cells").rglob("*.jsonl")
-        for line in log.read_text("utf-8").splitlines()[1:]  # after the prefix header
+        for line in log.read_text("utf-8").splitlines()
     )
     # Per strategy: single-turn issues one request per document (3), the
     # segment-wise modes issue one per segment (2 + 3 + 1 = 6).

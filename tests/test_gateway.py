@@ -25,7 +25,6 @@ from docturn.runner.executor import execute
 from docturn.strategy import Mode, StrategyConfig, ingest_response, init_session, next_request
 
 from .conftest import make_random_document, write_jsonl
-from .oracles import decode_group_log
 from .test_runner import minimal_plan_dict, mixed_plan_dict
 
 
@@ -258,7 +257,7 @@ class TestMessageValue:
         assert counted == fresh and hash(counted) == hash(fresh)
         assert counted.to_dict() == fresh.to_dict() == {"role": "user", "content": "Guten Tag, Welt."}
         assert [f.name for f in dataclasses.fields(Message)] == ["role", "content"]
-        restored = Message.from_dict(counted.to_dict())
+        restored = Message(**counted.to_dict())
         assert restored == counted and "whitespace_tokens" not in vars(restored)
         assert user("a b") != user("a  b") and user("a b").whitespace_tokens == 2
         assert request_of(counted) == request_of(fresh)
@@ -292,19 +291,17 @@ def test_concurrent_run_logs_the_sequential_usage(tmp_path):
         artifacts = execute(plan)
         logged = {}
         for log in sorted((artifacts.run_dir / "cells").rglob("*.jsonl")):
-            text = log.read_text("utf-8")
-            requests = decode_group_log(text)
-            for line in text.splitlines()[1:]:
+            for line in log.read_text("utf-8").splitlines():
                 record = json.loads(line)
-                counts = [(t["response"]["prompt_tokens"], t["response"]["completion_tokens"])
-                          for t in record["turns"]]
+                key = (log.parent.name, log.stem, record["doc"])
+                counts = [(t["prompt_tokens"], t["completion_tokens"]) for t in record["turns"]]
                 expected = [
-                    (sum(len(m["content"].split()) for m in request),
-                     len(t["response"]["content"].split()))
-                    for request, t in zip(requests[record["doc"]], record["turns"])
+                    (sum(len(m.content.split()) for m in turn.request_messages),
+                     len(turn.response_text.split()))
+                    for turn in artifacts.cells[key].transcript.turns
                 ]
                 assert counts == expected
-                logged[(log.parent.name, log.stem, record["doc"])] = counts
+                logged[key] = counts
         assert len(logged) == 2 * 8 * len(documents)
         usage.append(logged)
     assert usage[0] == usage[1]
@@ -465,6 +462,23 @@ class TestOpenAiCompatible:
         with pytest.raises(GatewayError, match="malformed response for doc-7:turn_2"):
             complete(request, self.backend(), http_post=post, sleeper=lambda s: None)
         assert len(calls) == 1  # not retried: the backend answered
+
+    @pytest.mark.parametrize("count", [True, 12.7, "3", -5],
+                             ids=["bool", "float", "string", "negative"])
+    def test_usage_count_is_never_coerced(self, count):
+        """A usage count that is not a non-negative integer is a malformed
+        reply, and a logged turn holding one does not parse."""
+        for key in ("prompt_tokens", "completion_tokens"):
+            usage = {"prompt_tokens": 7, "completion_tokens": 3} | {key: count}
+
+            def post(url, json=None, headers=None, timeout=None):
+                return FakeHttpResponse(200, ok_payload() | {"usage": usage})
+
+            with pytest.raises(GatewayError, match=f"malformed response for .*usage {key}"):
+                complete(request_of(user("hi")), self.backend(), http_post=post)
+            logged = ChatResponse("x", prompt_tokens=7, completion_tokens=3).to_dict()
+            with pytest.raises((TypeError, ValueError), match=f"response {key} is"):
+                ChatResponse.from_dict(logged | {key: count})
 
     def test_null_content_and_usage_accepted(self):
         def post(url, json=None, headers=None, timeout=None):

@@ -2,10 +2,11 @@
 
 A fixed plan (mock_identity, every mode with and without ICL) runs over a
 small corpus holding a four-segment document, a one-segment document and a
-zh target. Each group log is decoded with json alone and the requests of
-every cell are compared, message by message, with the frozen file. Any
-change to prompt rendering or to how a request is assembled from history
-shows up here as a diff.
+zh target. The requests of every cell, as `load_artifacts` rebuilds them,
+are compared message by message with the frozen file, and each group log
+record's `requests` digest with the independent oracle's digest of the
+frozen requests. Any change to prompt rendering or to how a request is
+assembled from history shows up here as a diff.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import json
 from pathlib import Path
 
 from docturn.runner.config import plan_from_dict
-from docturn.runner.executor import execute
+from docturn.runner.executor import execute, load_artifacts
 
 from .conftest import write_jsonl
-from .oracles import decode_group_log
+from .oracles import requests_digest
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "requests.json"
 
@@ -37,8 +38,8 @@ EXEMPLARS = [
 ]
 
 
-def decoded_requests(tmp_path: Path) -> dict[str, dict[str, list[list[dict]]]]:
-    """Every cell's requests by strategy label and doc id, from the logs alone."""
+def test_requests_match_golden(tmp_path):
+    expected = json.loads(GOLDEN.read_text("utf-8"))
     corpus = tmp_path / "corpus.jsonl"
     write_jsonl(corpus, CORPUS)
     strategies = []
@@ -54,13 +55,21 @@ def decoded_requests(tmp_path: Path) -> dict[str, dict[str, list[list[dict]]]]:
     })
     artifacts = execute(plan)
     assert len(artifacts.cells) == len(strategies) * len(CORPUS)
-    logs = artifacts.run_dir / "cells" / "identity"
-    return {
-        strategy.label: decode_group_log((logs / f"{strategy.label}.jsonl").read_text("utf-8"))
-        for strategy in plan.strategies
-    }
 
+    loaded = load_artifacts(plan).cells
+    rebuilt: dict[str, dict[str, list[list[dict]]]] = {}
+    for (_, label, doc_id), cell in loaded.items():
+        requests = [[m.to_dict() for m in turn.request_messages] for turn in cell.transcript.turns]
+        rebuilt.setdefault(label, {})[doc_id] = requests
+    assert rebuilt == expected
 
-def test_requests_match_golden(tmp_path):
-    expected = json.loads(GOLDEN.read_text("utf-8"))
-    assert decoded_requests(tmp_path) == expected
+    digests = {}
+    for strategy in plan.strategies:
+        log = artifacts.run_dir / "cells" / "identity" / f"{strategy.label}.jsonl"
+        for line in log.read_text("utf-8").splitlines():
+            record = json.loads(line)
+            replies = [turn["content"] for turn in record["turns"]]
+            oracle = requests_digest(expected[strategy.label][record["doc"]], replies)
+            digests[(strategy.label, record["doc"])] = (record["requests"], oracle)
+    assert len(digests) == len(loaded)
+    assert all(logged == oracle for logged, oracle in digests.values())

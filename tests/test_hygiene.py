@@ -12,6 +12,7 @@ import pytest
 from docturn.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
 README = SRC.parent / "README.md"
 # A command as the README shows it: at the start of a code line or in `...`.
 _COMMAND_RE = re.compile(r"(?:^|`)docturn ([a-z][a-z-]*)", re.MULTILINE)
@@ -137,6 +138,87 @@ def test_unused_import_check(source, expected):
 )
 def test_stale_noqa_check(source, expected):
     assert stale_noqa_imports(source) == expected
+
+
+def mentioned_names(source: str) -> set[str]:
+    """Every name a module's code mentions: a name, an attribute, or a string
+    constant that is an identifier, as getattr and patch targets spell one."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def _is_click_command(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def unmentioned_definitions(source: str, mentioned: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each module-level function or class, and each method
+    of a module-level class, whose name is not in mentioned. Dunder methods,
+    which Python calls by protocol, and click commands are exempt."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        defined = [(node, node.name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                (sub, f"{node.name}.{sub.name}") for sub in node.body
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        for definition, name in defined:
+            short = definition.name
+            dunder = short.startswith("__") and short.endswith("__")
+            if not dunder and not _is_click_command(definition) and short not in mentioned:
+                found.append((definition.lineno, name))
+    return found
+
+
+def test_every_definition_in_src_is_mentioned():
+    """Nothing in src/ is defined that no code in src/ or bench/ mentions:
+    what only the tests reach is dead code."""
+    sources = {path: path.read_text("utf-8") for root in (SRC, BENCH) for path in root.rglob("*.py")}
+    mentioned = set().union(*map(mentioned_names, sources.values()))
+    found = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path, source in sorted(sources.items()) if path.is_relative_to(SRC)
+        for line, name in unmentioned_definitions(source, mentioned)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(): ...\n", [(1, "f")]),
+        ("def f(): ...\nf()\n", []),
+        ("class A:\n    def m(self): ...\n", [(1, "A"), (2, "A.m")]),
+        ("class A:\n    def m(self): ...\nA().m()\n", []),
+        ("class A:\n    def __init__(self): ...\nA()\n", []),  # called by protocol
+        ("def f(): ...\ngetattr(module, 'f')\n", []),
+        ("def f(): ...\n__all__ = ['f']\n", []),
+        ("def f(): ...\nprint('Call f first.')\n", [(1, "f")]),  # prose is no mention
+        ("def f(): ...\n# f()\n", [(1, "f")]),
+        ("@main.command('f')\ndef f(): ...\n", []),
+        ("@click.group()\ndef main(): ...\n", []),
+        ("@functools.cache\ndef f(): ...\n", [(2, "f")]),
+        ("def f():\n    def g(): ...\nf()\n", []),  # not module-level
+        ("x = 1\n", []),
+    ],
+)
+def test_unmentioned_definition_check(source, expected):
+    assert unmentioned_definitions(source, mentioned_names(source)) == expected
 
 
 def test_readme_shows_exactly_the_cli_commands():

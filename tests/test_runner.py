@@ -25,7 +25,9 @@ import pytest
 import docturn
 from docturn import costing, gateway
 from docturn import strategy as strategy_module
+from docturn.chat import Message, assistant, user
 from docturn.corpus import Exemplar
+from docturn.costing import Transcript, TranscriptTurn
 from docturn.errors import ConfigError, GatewayError, LedgerError, ResumeMismatchError
 from docturn.gateway import BackendConfig
 from docturn.metrics import report as report_module
@@ -37,7 +39,6 @@ from docturn.runner.reports import emit_reports
 from docturn.strategy import Mode, StrategyConfig
 
 from .conftest import write_jsonl
-from .oracles import decode_group_log
 
 
 def minimal_plan_dict(tmp_path: Path, **overrides) -> dict:
@@ -150,9 +151,9 @@ class TestExecute:
     def test_identity_run_translations_equal_sources(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         artifacts = execute(plan)
-        testset = load_testsets(plan)
+        docs = {doc.id: doc for doc in load_testsets(plan)}
         for (backend, strategy, doc_id), cell in artifacts.cells.items():
-            assert cell.translation.hypothesis_segments == testset.by_id(doc_id).source_segments
+            assert cell.translation.hypothesis_segments == docs[doc_id].source_segments
 
     def test_ledgers_persisted_for_both_modes(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -313,20 +314,24 @@ def group_log(plan, backend: str, strategy: str) -> Path:
 
 
 def read_records(log: Path) -> dict[str, dict]:
-    """A group log's records by doc id, in file order, after its header."""
-    records = [json.loads(line) for line in log.read_text("utf-8").splitlines()[1:]]
+    """A group log's records by doc id, in file order."""
+    records = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
     return {record["doc"]: record for record in records}
 
 
-def edit_turns(edit):
-    """A log edit that rewrites the turns of line 2's record (doc-1)."""
+def edit_record(edit):
+    """A log edit that rewrites line 1's record (doc-1)."""
 
     def apply(lines: list[str]) -> list[str]:
-        record = json.loads(lines[1])
-        record["turns"] = edit(record["turns"])
-        return lines[:1] + [json.dumps(record, ensure_ascii=False) + "\n"] + lines[2:]
+        record = edit(json.loads(lines[0]))
+        return [json.dumps(record, ensure_ascii=False) + "\n"] + lines[1:]
 
     return apply
+
+
+def edit_turns(edit):
+    """A log edit that rewrites the turns of line 1's record (doc-1)."""
+    return edit_record(lambda record: {**record, "turns": edit(record["turns"])})
 
 
 def recording(tags: list):
@@ -368,18 +373,19 @@ class TestCellLog:
         }
         assert recorded == {key: len(cell.transcript.turns) for key, cell in artifacts.cells.items()}
 
-    def test_log_line_stores_only_the_appended_messages(self, tmp_path):
+    def test_record_stores_the_replies_and_one_digest(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
-        execute(plan)
-        record = read_records(group_log(plan, "identity", "multi_turn"))["doc-1"]
-        assert set(record) == {"doc", "turns"}
-        # Each later request reuses the whole previous request plus its reply.
-        turns = record["turns"]
-        assert [(t["keep"], len(t["append"])) for t in turns] == [(0, 1), (2, 1), (4, 1)]
-        assert set(turns[0]) == {"keep", "append", "response"}
-        assert set(turns[0]["response"]) == {
-            "content", "prompt_tokens", "completion_tokens", "finish_reason",
-        }
+        artifacts = execute(plan)
+        log = group_log(plan, "identity", "multi_turn")
+        record = read_records(log)["doc-1"]
+        assert list(record) == ["doc", "requests", "turns"]
+        transcript = artifacts.cells[("identity", "multi_turn", "doc-1")].transcript
+        assert record["requests"] == executor.requests_digest(transcript)
+        assert re.fullmatch("[0-9a-f]{32}", record["requests"])
+        assert [set(turn) for turn in record["turns"]] == 3 * [
+            {"content", "prompt_tokens", "completion_tokens", "finish_reason"}
+        ]
+        assert "Translate" not in log.read_text("utf-8")  # no request text is stored
 
     def _tamper(self, tmp_path, edit):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -392,42 +398,56 @@ class TestCellLog:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (edit_turns(lambda turns: turns[:-1]), "line 2: doc 'doc-1': turn 2: turn missing"),
-            (edit_turns(lambda turns: turns + turns[-1:]), "line 2: doc 'doc-1': turn 3: extra turn"),
-            (lambda lines: lines[:1] + ["{not json\n"] + lines[2:], "line 2: unparseable record"),
+            (edit_turns(lambda turns: turns[:-1]), "line 1: doc 'doc-1': turn 2: turn missing"),
+            (edit_turns(lambda turns: turns + turns[-1:]), "line 1: doc 'doc-1': turn 3: extra turn"),
+            (lambda lines: ["{not json\n"] + lines[1:], "line 1: unparseable record"),
             (
-                lambda lines: lines[:1] + [lines[1].replace("Four five six.", "Four five seven.")]
-                + lines[2:],
-                "line 2: doc 'doc-1': turn 1: logged request differs",
+                edit_record(lambda record: {**record, "requests": "0" * 32}),
+                "line 1: doc 'doc-1': logged requests differ from the rebuilt ones",
             ),
             (
-                edit_turns(lambda turns: turns[:1] + [{"keep": 2}] + turns[2:]),
-                "line 2: doc 'doc-1': turn 1: unparseable turn",
+                edit_record(lambda record: {k: v for k, v in record.items() if k != "requests"}),
+                "line 1: unparseable record .*requests",
+            ),
+            (
+                edit_record(lambda record: {**record, "requests": None}),
+                "line 1: unparseable record .*requests is not a string",
+            ),
+            (
+                edit_turns(lambda turns: turns[:1] + [{"content": "x"}] + turns[2:]),
+                "line 1: doc 'doc-1': turn 1: unparseable turn",
             ),
             (
                 edit_turns(lambda turns: [
-                    {**turn, "response": {k: v for k, v in turn["response"].items()
-                                          if k != "finish_reason"}}
-                    if i == 1 else turn for i, turn in enumerate(turns)
+                    {k: v for k, v in turn.items() if k != "finish_reason"} if i == 1 else turn
+                    for i, turn in enumerate(turns)
                 ]),
-                "line 2: doc 'doc-1': turn 1: unparseable turn",
+                "line 1: doc 'doc-1': turn 1: unparseable turn",
             ),
             (
                 edit_turns(lambda turns: [
-                    {**turn, "response": {**turn["response"], "prompt_tokens": "5"}}
-                    if i == 2 else turn for i, turn in enumerate(turns)
+                    {**turn, "prompt_tokens": "5"} if i == 2 else turn
+                    for i, turn in enumerate(turns)
                 ]),
-                "line 2: doc 'doc-1': turn 2: unparseable turn .*prompt_tokens",
+                "line 1: doc 'doc-1': turn 2: unparseable turn .*prompt_tokens",
             ),
-            (lambda lines: lines + lines[1:2], "line 4: duplicate record for doc 'doc-1'"),
             (
-                lambda lines: lines[:1] + [lines[1].replace('"doc":"doc-1"', '"doc":"doc-9"')]
-                + lines[2:],
-                "line 2: doc 'doc-9' is not in the test set",
+                edit_turns(lambda turns: [
+                    {**turn, "completion_tokens": -5} if i == 2 else turn
+                    for i, turn in enumerate(turns)
+                ]),
+                "line 1: doc 'doc-1': turn 2: unparseable turn .*completion_tokens is negative",
+            ),
+            (lambda lines: lines + lines[:1], "line 3: duplicate record for doc 'doc-1'"),
+            (
+                lambda lines: [lines[0].replace('"doc":"doc-1"', '"doc":"doc-9"')] + lines[1:],
+                "line 1: doc 'doc-9' is not in the test set",
             ),
         ],
-        ids=["truncated", "extra_line", "unparseable", "tampered_append", "unparseable_turn",
-             "no_finish_reason", "string_prompt_tokens", "duplicate_doc", "unknown_doc"],
+        ids=["truncated", "extra_line", "unparseable", "tampered_digest", "no_digest",
+             "digest_not_a_string", "unparseable_turn", "no_finish_reason",
+             "string_prompt_tokens", "negative_completion_tokens", "duplicate_doc",
+             "unknown_doc"],
     )
     def test_tampered_log_rejected_on_load_and_resume(self, tmp_path, edit, problem):
         plan, log = self._tamper(tmp_path, edit)
@@ -467,8 +487,12 @@ class TestCellLog:
 
     def test_layout_4_directory_rejected(self, tmp_path):
         """Layout 4 logged each turn's elapsed_ms and response latency_ms."""
-        assert executor.LAYOUT_VERSION == 5
         self._assert_layout_rejected(tmp_path, 4)
+
+    def test_layout_5_directory_rejected(self, tmp_path):
+        """Layout 5 logged a prefix header and each request's messages."""
+        assert executor.LAYOUT_VERSION == 6
+        self._assert_layout_rejected(tmp_path, 5)
 
     def test_readme_names_the_layout_version(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
@@ -518,9 +542,9 @@ class TestCellLog:
         plan = plan_from_dict(minimal_plan_dict(tmp_path, run_id="torn"))
         execute(plan)
         log = group_log(plan, "identity", "multi_turn")
-        header, first, second = log.read_bytes().splitlines(keepends=True)
+        first, second = log.read_bytes().splitlines(keepends=True)
         torn = second[: len(second) // 2] if cut == "half" else second[:-1]
-        log.write_bytes(header + first + torn)
+        log.write_bytes(first + torn)
 
         loaded = load_artifacts(plan)
         assert set(loaded.cells) == set(full.cells) - {
@@ -529,8 +553,33 @@ class TestCellLog:
         resent: list[str] = []
         artifacts = execute(plan, complete_fn=recording(resent))
         assert resent == ["doc-2:turn_0", "doc-2:turn_1"]
-        assert log.read_bytes().startswith(header + first) and log.read_bytes().endswith(b"\n")
+        assert log.read_bytes().startswith(first) and log.read_bytes().endswith(b"\n")
         assert [len(r["turns"]) for r in read_records(log).values()] == [3, 2]
+        emit_reports(artifacts)
+        assert report_bytes(artifacts.run_dir) == report_bytes(
+            Path(uninterrupted.output_dir) / uninterrupted.run_id
+        )
+        assert set(load_artifacts(plan).cells) == set(artifacts.cells)
+
+    @pytest.mark.parametrize("cut", ["half", "before_newline"])
+    def test_torn_first_record_leaves_an_empty_log_and_group_rerun(self, tmp_path, cut):
+        """A crash while appending a log's first record leaves no complete
+        line: the group has no record, and the next run starts the log anew."""
+        uninterrupted = plan_from_dict(minimal_plan_dict(tmp_path, run_id="uninterrupted"))
+        emit_reports(execute(uninterrupted))
+        expected = group_log(uninterrupted, "identity", "multi_turn").read_bytes()
+        plan = plan_from_dict(minimal_plan_dict(tmp_path, run_id="torn"))
+        execute(plan)
+        log = group_log(plan, "identity", "multi_turn")
+        first = log.read_bytes().splitlines(keepends=True)[0]
+        log.write_bytes(first[: len(first) // 2] if cut == "half" else first[:-1])
+
+        loaded = load_artifacts(plan)
+        assert {key[1] for key in loaded.cells} == {"segment_level"}
+        resent: list[str] = []
+        artifacts = execute(plan, complete_fn=recording(resent))
+        assert resent == ["doc-1:turn_0", "doc-1:turn_1", "doc-1:turn_2", "doc-2:turn_0", "doc-2:turn_1"]
+        assert log.read_bytes() == expected
         emit_reports(artifacts)
         assert report_bytes(artifacts.run_dir) == report_bytes(
             Path(uninterrupted.output_dir) / uninterrupted.run_id
@@ -546,29 +595,13 @@ def icl_plan_dict(tmp_path: Path, **overrides) -> dict:
     )
 
 
-def header_line(messages: list[dict]) -> str:
-    return json.dumps({"prefix": messages}, ensure_ascii=False, separators=(",", ":")) + "\n"
-
-
-class TestPrefixHeader:
-    """Line 1 of each group log holds the prefix shared by every request."""
-
-    def test_log_alone_rebuilds_every_request(self, tmp_path):
-        plan = plan_from_dict(mixed_plan_dict(tmp_path))
-        artifacts = execute(plan)
-        decoded = {}
-        for backend in plan.backends:
-            for strategy in plan.strategies:
-                log = group_log(plan, backend.name, strategy.label)
-                for doc_id, requests in decode_group_log(log.read_text("utf-8")).items():
-                    decoded[(backend.name, strategy.label, doc_id)] = requests
-        assert decoded == {
-            key: [[m.to_dict() for m in turn.request_messages] for turn in cell.transcript.turns]
-            for key, cell in artifacts.cells.items()
-        }
+class TestExemplarPrefix:
+    """The exemplar messages every request of an ICL group starts with are
+    built once per group and logged nowhere: each record's digest covers
+    them."""
 
     @pytest.mark.parametrize("documents", [1, 6])
-    def test_each_exemplar_message_logged_once_per_group(self, tmp_path, documents):
+    def test_no_exemplar_message_is_logged(self, tmp_path, documents):
         corpus = tmp_path / "many.jsonl"
         write_jsonl(corpus, [
             {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de",
@@ -584,77 +617,9 @@ class TestPrefixHeader:
                 prefix = strategy_module.exemplar_messages(strategy, templates)
                 assert len(prefix) == (6 if strategy.icl else 0)
                 for message in prefix:
-                    assert text.count(json.dumps(message.content, ensure_ascii=False)) == 1
-                assert text.splitlines()[0] == header_line([m.to_dict() for m in prefix])[:-1]
+                    assert json.dumps(message.content, ensure_ascii=False) not in text
+                assert len(text.splitlines()) == documents
         assert len(artifacts.cells) == 2 * 8 * documents
-
-    @pytest.mark.parametrize(
-        "edit, problem",
-        [
-            (lambda lines: lines[1:], "unparseable prefix header"),
-            (lambda lines: ["{not json\n"] + lines[1:], "unparseable prefix header"),
-            (lambda lines: ['{"prefix":"Example 0."}\n'] + lines[1:], "unparseable prefix header"),
-            (
-                lambda lines: [header_line([{"role": "narrator", "content": "x"}])] + lines[1:],
-                "unparseable prefix header",
-            ),
-            (
-                lambda lines: [lines[0].replace("Beispiel 1.", "Beispiel eins.")] + lines[1:],
-                "logged prefix differs from the rebuilt one",
-            ),
-            (
-                lambda lines: [lines[0].replace("Beispiel 1.", "Beispiel eins.")],
-                "logged prefix differs from the rebuilt one",
-            ),
-            (lambda lines: [header_line([])], "logged prefix differs from the rebuilt one"),
-        ],
-        ids=["missing", "unparseable", "not_a_list", "not_messages", "stale", "stale_header_only",
-             "empty_header_only"],
-    )
-    def test_bad_header_refused_on_load_and_resume(self, tmp_path, edit, problem):
-        plan = plan_from_dict(icl_plan_dict(tmp_path))
-        execute(plan)
-        log = group_log(plan, "identity", "multi_turn+icl")
-        lines = log.read_text("utf-8").splitlines(keepends=True)
-        log.write_text("".join(edit(lines)), "utf-8")
-        sent: list[str] = []
-        for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
-            with pytest.raises(ResumeMismatchError, match=f"line 1: {problem}") as info:
-                load(plan)
-            assert str(log) in str(info.value)
-        assert sent == []
-
-    @pytest.mark.parametrize("cut", ["half", "before_newline"])
-    def test_torn_header_rewritten_and_group_rerun(self, tmp_path, cut):
-        """A crash while writing a new log's header leaves no complete line:
-        the group has no record, and the next run writes the header again."""
-        uninterrupted = plan_from_dict(icl_plan_dict(tmp_path, run_id="uninterrupted"))
-        emit_reports(execute(uninterrupted))
-        expected = group_log(uninterrupted, "identity", "multi_turn+icl").read_bytes()
-        plan = plan_from_dict(icl_plan_dict(tmp_path, run_id="torn"))
-        execute(plan)
-        log = group_log(plan, "identity", "multi_turn+icl")
-        header = log.read_bytes().splitlines(keepends=True)[0]
-        log.write_bytes(header[: len(header) // 2] if cut == "half" else header[:-1])
-
-        loaded = load_artifacts(plan)
-        assert {key[1] for key in loaded.cells} == {"segment_level"}
-        resent: list[str] = []
-        artifacts = execute(plan, complete_fn=recording(resent))
-        assert resent == ["doc-1:turn_0", "doc-1:turn_1", "doc-1:turn_2", "doc-2:turn_0", "doc-2:turn_1"]
-        assert log.read_bytes().splitlines(keepends=True)[0] == expected.splitlines(keepends=True)[0]
-        assert [len(r["turns"]) for r in read_records(log).values()] == [3, 2]
-        emit_reports(artifacts)
-        assert report_bytes(artifacts.run_dir) == report_bytes(
-            Path(uninterrupted.output_dir) / uninterrupted.run_id
-        )
-        assert set(load_artifacts(plan).cells) == set(artifacts.cells)
-
-    def test_turn_0_keeps_the_header(self, tmp_path):
-        plan = plan_from_dict(icl_plan_dict(tmp_path))
-        execute(plan)
-        record = read_records(group_log(plan, "identity", "multi_turn+icl"))["doc-1"]
-        assert [(t["keep"], len(t["append"])) for t in record["turns"]] == [(6, 1), (8, 1), (10, 1)]
 
     def test_prefix_built_once_per_group(self, tmp_path, monkeypatch):
         """exemplar_messages runs once per (backend, strategy), never per
@@ -675,6 +640,61 @@ class TestPrefixHeader:
         calls.clear()
         load_artifacts(plan)
         assert Counter(calls) == groups
+
+
+class TestRequestsDigest:
+    """A record's `requests` digest is the only trace of the requests its
+    cell sent, so a replay that rebuilds other requests is refused."""
+
+    def test_digest_hashes_the_documented_bytes(self):
+        prompt, reply, follow_up = user("Grüße, Welt."), "Hallo.", user("Und?")
+        transcript = Transcript([
+            TranscriptTurn((prompt,), reply),
+            TranscriptTurn((prompt, assistant(reply), follow_up), "Ja."),
+        ])
+        # Turn 0 keeps nothing; turn 1 keeps the first request and its reply.
+        payload = "0\nuser 14\nGrüße, Welt.2\nuser 4\nUnd?".encode("utf-8")
+        expected = hashlib.blake2b(payload, digest_size=16).hexdigest()
+        assert executor.requests_digest(transcript) == expected
+        assert executor.requests_digest(Transcript()) == hashlib.blake2b(digest_size=16).hexdigest()
+
+    def _assert_resume_refused(self, plan, log: Path) -> None:
+        sent: list[str] = []
+        for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
+            with pytest.raises(
+                ResumeMismatchError,
+                match="line 1: doc 'doc-1': logged requests differ from the rebuilt ones",
+            ) as info:
+                load(plan)
+            assert str(log) in str(info.value)
+        assert sent == []
+
+    def test_changed_template_text_refused_on_load_and_resume(self, tmp_path, monkeypatch):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        original = executor.load_template_set
+
+        def edited():
+            templates = original()
+            segment = templates.slots["segment"].replace("Reply with", "Answer with")
+            return dataclasses.replace(templates, slots={**templates.slots, "segment": segment})
+
+        monkeypatch.setattr(executor, "load_template_set", edited)
+        self._assert_resume_refused(plan, group_log(plan, "identity", "segment_level"))
+
+    def test_changed_exemplar_rendering_refused_on_load_and_resume(self, tmp_path, monkeypatch):
+        plan = plan_from_dict(icl_plan_dict(tmp_path))
+        execute(plan)
+        original = executor.exemplar_messages
+
+        def edited(config, templates):
+            return tuple(
+                Message(m.role, m.content.replace("Beispiel 1.", "Beispiel eins."))
+                for m in original(config, templates)
+            )
+
+        monkeypatch.setattr(executor, "exemplar_messages", edited)
+        self._assert_resume_refused(plan, group_log(plan, "identity", "multi_turn+icl"))
 
 
 def report_bytes(run_dir: Path) -> dict[str, bytes]:
@@ -855,14 +875,14 @@ class TestWallClockFields:
         # One logged turn per request, whatever its attempts.
         logged = [
             turn for path, data in runs[3].items() if path.parts[:2] == ("cells", "http")
-            for line in data.splitlines()[1:] for turn in json.loads(line)["turns"]
+            for line in data.splitlines() for turn in json.loads(line)["turns"]
         ]
         assert len(attempts) == 2 * 3 * len(logged)
 
     def test_concurrent_run_writes_the_same_lines(self, tmp_path):
         """At max_concurrent_documents 4 records are appended in the order
         their cells complete: each log holds the same lines as a sequential
-        run's, the header first, and every other file is byte-identical."""
+        run's, and every other file is byte-identical."""
         documents = [
             {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": "news",
              "src": [f"Paragraph {j} of {i}." for j in range(1 + i % 3)]}
@@ -882,9 +902,8 @@ class TestWallClockFields:
         assert sequential.keys() == concurrent.keys()
         for path, data in sequential.items():
             if path.parts[0] == "cells":
-                header, *records = data.splitlines()
-                lines = concurrent[path].splitlines()
-                assert lines[0] == header and Counter(lines[1:]) == Counter(records)
+                records = data.splitlines()
+                assert Counter(concurrent[path].splitlines()) == Counter(records)
                 assert len(records) == len(documents)
             else:
                 assert concurrent[path] == data
@@ -1477,8 +1496,10 @@ class TestOnePass:
         assert sorted(checked) == [2, 2, 3, 3]
 
     def test_one_reply_message_per_turn(self, tmp_path, monkeypatch):
-        """Each request carries the previous request-plus-reply's own message
-        objects, the reply included, so comparing them stops at identity."""
+        """The digest compares each request with the previous request plus
+        its reply. The request carries the previous request's own message
+        objects, and the reply's content is the very string the request's
+        reply message holds, so the comparison stops at identity."""
         write_jsonl(tmp_path / "corpus.jsonl", [{
             "id": "doc-1", "src_lang": "en", "tgt_lang": "de", "domain": "news",
             "src": [f"Paragraph number {i}." for i in range(16)],
@@ -1497,7 +1518,8 @@ class TestOnePass:
         for (previous, _), (request, state) in zip(compared, compared[1:]):
             assert len(state) == len(previous) + 1 == len(request) - 1
             assert all(a is b for a, b in zip(state, previous))
-            assert all(a is b for a, b in zip(request[:-1], state))
+            assert all(a is b for a, b in zip(request[:-2], state))
+            assert request[-2] == state[-1] and request[-2].content is state[-1].content
 
     def test_test_set_parsed_once_per_run(self, tmp_path, monkeypatch):
         parsed: list[str] = []
