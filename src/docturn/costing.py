@@ -12,21 +12,22 @@ both ledgers: the uncached entry of a turn is its cached entry with nothing
 reused.
 
 Each turn's walk resumes at the tree node of the longest prefix its request
-shares with the previous request-plus-reply state, and each distinct message
-is counted once per session, so a turn costs work in proportion to the
-messages it appends, not to the whole conversation.
+shares with the previous request-plus-reply state, so a turn costs work in
+proportion to the messages it appends, not to the whole conversation.
 
 Counting uses the harness's own tokenizer spec (whitespace by default, char
 for ideographic targets) so numbers are comparable across backends;
-backend-reported usage is stored separately by the runner.
+backend-reported usage is stored separately by the runner. A message's
+count is message_tokens(message, spec), a function of the two alone: a
+whitespace count is kept on the message, which a session's requests share,
+so each message object is split at most once; a char or external count is a
+len or one table lookup.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .chat import Message, assistant, common_prefix_length
@@ -43,12 +44,15 @@ class TokenizerSpec:
     """Deterministic token counting rule.
 
     id: 'whitespace' counts maximal non-whitespace runs; 'char' counts
-    characters; 'external' looks texts up in a JSON file of precomputed
-    counts (exact-match, missing entries are errors), read once per spec.
+    characters; 'external' looks texts up in the table of precomputed
+    counts read from external_path (exact-match, missing entries are
+    errors). Build an external spec with TokenizerSpec.external. The table
+    is not part of a spec's identity, which is (id, external_path).
     """
 
     id: str = "whitespace"
     external_path: str | None = None
+    external_counts: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.id not in ("whitespace", "char", "external"):
@@ -56,28 +60,15 @@ class TokenizerSpec:
         if self.id == "external" and not self.external_path:
             raise ValueError("external tokenizer spec requires external_path")
 
-    @cached_property
-    def external_counts(self) -> dict[str, int]:
-        """The external file's text -> token count table. Raises OSError,
-        ValueError or TypeError when it is not a JSON object of counts."""
-        return token_counts(Path(self.external_path or "").read_bytes())
-
     @classmethod
     def external(cls, path: str, data: bytes) -> TokenizerSpec:
         """The 'external' spec of the file at path, counting with the table
-        in data, the bytes a run read from it, never with a second read."""
-        spec = cls("external", path)
-        vars(spec)["external_counts"] = token_counts(data)  # where cached_property keeps it
-        return spec
-
-
-def token_counts(data: bytes) -> dict[str, int]:
-    """The text -> token count table in the bytes of a token-count file.
-    Raises ValueError or TypeError when it is not a JSON object of counts."""
-    table = json.loads(data.decode("utf-8"))
-    if not isinstance(table, dict):
-        raise ValueError("token counts must be a JSON object")
-    return {str(k): int(v) for k, v in table.items()}
+        in data, the bytes a run read from it. Raises ValueError or
+        TypeError when data is not a JSON object of counts."""
+        table = json.loads(data.decode("utf-8"))
+        if not isinstance(table, dict):
+            raise ValueError("token counts must be a JSON object")
+        return cls("external", path, {str(k): int(v) for k, v in table.items()})
 
 
 def count_tokens(text: str, spec: TokenizerSpec) -> int:
@@ -162,15 +153,13 @@ class CostLedger:
         }
 
 
-def message_tokens(
-    message: Message, spec: TokenizerSpec, counts: dict[tuple[str, str], int]
-) -> int:
-    """Tokens of one message; counts memoises them per distinct (role,
-    content), so a session's messages are each counted once under one spec."""
-    key = (message.role, message.content)
-    if key not in counts:
-        counts[key] = count_tokens(message.content, spec)
-    return counts[key]
+def message_tokens(message: Message, spec: TokenizerSpec) -> int:
+    """Tokens of one message under spec. A whitespace count is the one the
+    message keeps (Message.whitespace_tokens), so each message object is
+    split at most once; a char or external count is a len or a lookup."""
+    if spec.id == "whitespace":
+        return message.whitespace_tokens
+    return count_tokens(message.content, spec)
 
 
 # The ledger core works over abstract messages: (identity key, token count).
@@ -223,24 +212,18 @@ def _ledger_over_keyed_turns(
     return {MODE_CACHED: cached, MODE_UNCACHED: uncached}
 
 
-def ledger_for_session(
-    transcript: Transcript,
-    spec: TokenizerSpec,
-    counts: dict[tuple[str, str], int] | None = None,
-) -> dict[str, CostLedger]:
+def ledger_for_session(transcript: Transcript, spec: TokenizerSpec) -> dict[str, CostLedger]:
     """Cached and uncached token ledgers for one session transcript.
 
     Cached mode charges each conversation token's prefill exactly once across
     the session; uncached mode charges every request in full. A request
     reuses only the prefix it shares with some earlier request-plus-reply,
     so a transcript whose history was rewritten is charged for the rewrite;
-    nothing here checks prefix stability. counts is the session's
-    message_tokens memo, to share the counting with the caller.
+    nothing here checks prefix stability.
     """
-    counts = {} if counts is None else counts
 
     def keyed(message: Message) -> _KeyedMessage:
-        return (message.role, message.content), message_tokens(message, spec, counts)
+        return (message.role, message.content), message_tokens(message, spec)
 
     turns = ((t.request_messages, assistant(t.response_text)) for t in transcript.turns)
     return _ledger_over_keyed_turns(turns, keyed)
@@ -275,10 +258,6 @@ class DocShape:
         for name in ("instruction_overhead", "primer_intro_overhead", "shared_prefix_tokens"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
-
-    @property
-    def k(self) -> int:
-        return len(self.source_tokens)
 
     @classmethod
     def uniform(

@@ -69,9 +69,9 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"unknown backend kind: {self.kind!r}")
+            raise ConfigError(f"kind: unknown backend kind {self.kind!r}")
         if not (0.0 <= self.drop_fraction < 1.0):
-            raise ValueError(f"drop_fraction must be in [0, 1), got {self.drop_fraction}")
+            raise ConfigError(f"drop_fraction: must be in [0, 1), got {self.drop_fraction}")
         if self.max_retries < 0:
             raise ConfigError("max_retries: must be >= 0")
         if self.requests_per_minute is not None and self.requests_per_minute < 1:

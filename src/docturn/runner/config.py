@@ -212,7 +212,7 @@ def _build(cls: type, record: Any, path: str, **given: Any) -> Any:
         return cls(**given)
     except ConfigError as exc:  # a check naming its own key
         raise ConfigError(f"{path}{exc}") from None
-    except (ValueError, CorpusError) as exc:
+    except CorpusError as exc:  # an exemplar's own check
         raise ConfigError(f"{path[:-1]}: {exc}") from None
 
 

@@ -21,7 +21,7 @@ truncates them away before it appends. ResumeMismatchError refuses a line
 that does not parse, a second record for one document, a record for a
 document outside the test set, a record whose requests differ from the
 rebuilt ones or that has a missing, extra or unparseable turn, and a
-directory from a different configuration or another layout.
+directory from a different configuration, template set or layout.
 
 The manifest is written before the first request, so an interrupted first
 run can be loaded, scored and resumed, and is replaced whole at the end with
@@ -85,14 +85,12 @@ class CellArtifact:
     translation: DocumentTranslation
     transcript: Transcript
     spec: TokenizerSpec  # the cell's token-counting spec
-    # The cell's message_tokens memo, shared by its budget check and its ledgers.
-    counts: dict[tuple[str, str], int] = field(compare=False, repr=False)
 
     @cached_property
     def ledgers(self) -> dict[str, dict]:
         """Cache mode -> serialized ledger, walked on first read and kept.
         Raises LedgerError when the spec cannot count a message."""
-        ledgers = ledger_for_session(self.transcript, self.spec, self.counts)
+        ledgers = ledger_for_session(self.transcript, self.spec)
         return {mode: ledger.to_dict() for mode, ledger in ledgers.items()}
 
 
@@ -213,12 +211,11 @@ def _drive_cell(
     transcript = Transcript()
     plan = artifacts.plan
     spec = artifacts.token_spec or spec_for_target_language(doc.tgt_lang)
-    counts: dict[tuple[str, str], int] = {}  # every message counted once per cell
 
-    turn = 0
     while (request := next_request(session)) is not None:
+        turn = len(transcript.turns)
         if plan.max_context_tokens is not None:
-            request_tokens = sum(message_tokens(m, spec, counts) for m in request.messages)
+            request_tokens = sum(message_tokens(m, spec) for m in request.messages)
             if request_tokens > plan.max_context_tokens:
                 raise GatewayError(
                     f"context_overflow: request of {request_tokens} tokens exceeds "
@@ -231,16 +228,13 @@ def _drive_cell(
         if response.finish_reason == "length":
             session.warnings.append(f"turn {turn}: output truncated (finish_reason=length)")
         ingest_response(session, response.content)
-        if session.status == "failed":
-            raise GatewayError(f"{session.failure_reason}: document '{doc.id}' at turn {turn}")
-        turn += 1
 
     if strategy.mode.is_multi_turn:
         check_prefix_stability(
             [t.request_messages for t in transcript.turns],
             [t.response_text for t in transcript.turns],
         )
-    return CellArtifact(assemble_hypothesis(session), transcript, spec, counts)
+    return CellArtifact(assemble_hypothesis(session), transcript, spec)
 
 
 def _run_cell(
@@ -343,9 +337,12 @@ def _read_group_log(log: Path, doc_ids: set[str]) -> tuple[dict[str, tuple[int, 
     return records, complete_bytes
 
 
-def _read_manifest(run_dir: Path, config_hash: str) -> dict | None:
+def _read_manifest(
+    run_dir: Path, config_hash: str, templates: PromptTemplateSet
+) -> dict | None:
     """The run directory's manifest, None if it has none; refused unless its
-    layout is this version's and its config hash is config_hash."""
+    layout is this version's, its config hash is config_hash and its
+    template set hash is that of templates."""
     try:
         manifest = json.loads((run_dir / MANIFEST).read_text("utf-8"))
     except FileNotFoundError:
@@ -363,6 +360,12 @@ def _read_manifest(run_dir: Path, config_hash: str) -> dict | None:
         raise ResumeMismatchError(
             f"{run_dir} was produced by config_hash {manifest.get('config_hash')!r}, "
             f"current plan hashes to {config_hash!r}; refusing to mix runs"
+        )
+    if manifest.get("template_set_hash") != templates.content_hash:
+        raise ResumeMismatchError(
+            f"{run_dir} was produced by template set {templates.set_id!r} with hash "
+            f"{manifest.get('template_set_hash')!r}, the shipped set hashes to "
+            f"{templates.content_hash!r}; refusing to mix runs"
         )
     return manifest
 
@@ -414,7 +417,7 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     templates = load_template_set()
     run_dir = artifacts.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
-    found = _read_manifest(run_dir, config_hash)
+    found = _read_manifest(run_dir, config_hash, templates)
     if found is None and any(p.name != f"{MANIFEST}.tmp" for p in run_dir.iterdir()):
         raise ResumeMismatchError(
             f"{run_dir} has files but no {MANIFEST}: an older version wrote it; "
@@ -512,10 +515,11 @@ def _handle_failure(
 def load_artifacts(plan: RunPlan) -> RunArtifacts:
     """Load previously executed cells from disk (for the report command)."""
     artifacts, config_hash = _open_run(plan, {})
-    manifest = _read_manifest(artifacts.run_dir, config_hash)
+    templates = load_template_set()
+    manifest = _read_manifest(artifacts.run_dir, config_hash, templates)
     if manifest is None:
         raise DocturnError(f"no run found at {artifacts.run_dir} (missing {MANIFEST})")
-    _load_completed(artifacts, load_template_set())
+    _load_completed(artifacts, templates)
     # An interrupted resume leaves stale exclusions for cells it completed.
     artifacts.exclusions = [
         e for e in manifest.get("exclusions", [])

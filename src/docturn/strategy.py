@@ -46,7 +46,7 @@ from typing import Sequence, TypeVar
 
 from .chat import ChatRequest, Message, assistant, user
 from .corpus import Document, Exemplar, segment_separator, split_into_segments
-from .errors import ConfigError, PrefixStabilityError, SessionContractError
+from .errors import ConfigError, GatewayError, PrefixStabilityError, SessionContractError
 from .prompts import PromptTemplateSet, language_name, load_template_set
 
 EXEMPLAR_COUNT = 3  # exemplars an icl strategy carries
@@ -90,8 +90,8 @@ class StrategyConfig:
         if not isinstance(self.exemplars, tuple):
             object.__setattr__(self, "exemplars", tuple(self.exemplars))
         if self.icl and len(self.exemplars) != EXEMPLAR_COUNT:
-            raise ValueError(
-                f"icl=True requires exactly {EXEMPLAR_COUNT} exemplars, "
+            raise ConfigError(
+                f"exemplars: icl=True requires exactly {EXEMPLAR_COUNT} exemplars, "
                 f"got {len(self.exemplars)}"
             )
         if self.max_tokens is not None and self.max_tokens < 1:
@@ -109,7 +109,6 @@ class StrategyConfig:
 
 STATUS_IN_PROGRESS = "in_progress"
 STATUS_DONE = "done"
-STATUS_FAILED = "failed"
 
 
 @dataclass
@@ -128,7 +127,6 @@ class SessionState:
     icl_prefix: tuple[Message, ...] = ()  # exemplar_messages(config, templates)
     replies: list[Message] = field(default_factory=list)  # raw replies, as sent back
     outputs: list[str] = field(default_factory=list)  # the replies after strip_wrapping
-    failure_reason: str | None = None
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -137,8 +135,6 @@ class SessionState:
 
     @property
     def status(self) -> str:
-        if self.failure_reason is not None:
-            return STATUS_FAILED
         return STATUS_DONE if len(self.outputs) == len(self.prompts) else STATUS_IN_PROGRESS
 
 
@@ -228,13 +224,8 @@ def next_request(s: SessionState) -> ChatRequest | None:
     """The pending chat request, or None once the session has completed.
 
     Idempotent between ingests: calling twice without ingesting returns an
-    equal request. Raises on failed sessions.
+    equal request.
     """
-    if s.status == STATUS_FAILED:
-        raise SessionContractError(
-            f"next_request on failed session ({s.failure_reason}) "
-            f"for document '{s.document.id}'"
-        )
     if s.status == STATUS_DONE:
         return None
     return ChatRequest(
@@ -264,17 +255,16 @@ def strip_wrapping(text: str) -> str:
 
 
 def ingest_response(s: SessionState, assistant_text: str) -> SessionState:
-    """Record one model reply, which arms the next turn's request."""
+    """Record one model reply, which arms the next turn's request. A reply
+    that is empty once stripped fails the document: GatewayError."""
     if s.status != STATUS_IN_PROGRESS:
         raise SessionContractError(f"ingest_response on a {s.status} session")
 
     cleaned = strip_wrapping(assistant_text)
     if not cleaned:
-        s.failure_reason = "empty_output"
-        s.warnings.append(
-            f"empty model output for document '{s.document.id}' at turn {s.requests_issued}"
+        raise GatewayError(
+            f"empty_output: document '{s.document.id}' at turn {s.requests_issued}"
         )
-        return s
     # History is append-only: the raw reply enters later requests as-is so
     # the transcript matches what the backend actually saw and said.
     s.replies.append(assistant(assistant_text))
@@ -291,9 +281,6 @@ class DocumentTranslation:
     alignment_ok: bool
     raw_output: str | None = None
     warnings: tuple[str, ...] = ()
-
-    def joined(self) -> str:
-        return " ".join(self.hypothesis_segments)
 
 
 def assemble_hypothesis(s: SessionState) -> DocumentTranslation:

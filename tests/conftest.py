@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
 import pytest
 
+from docturn.chat import Message
 from docturn.corpus import Document, Exemplar, TestSet
 from docturn.prompts import load_template_set
 
@@ -119,3 +121,19 @@ def corpus_file(tmp_path):
 
 def make_testset(documents) -> TestSet:
     return TestSet(name="fixture", documents=list(documents))
+
+
+def whitespace_splits(monkeypatch) -> list[Message]:
+    """Every message whose content is split into whitespace tokens from now
+    on (Message.whitespace_tokens computed), in order."""
+    counted: list[Message] = []
+    original = Message.whitespace_tokens.func
+
+    def spy(message: Message) -> int:
+        counted.append(message)
+        return original(message)
+
+    counting = functools.cached_property(spy)
+    counting.__set_name__(Message, "whitespace_tokens")
+    monkeypatch.setattr(Message, "whitespace_tokens", counting)
+    return counted

@@ -79,6 +79,9 @@ BAD_VALUES = {
     "name_escapes": ("backends[0].name", _backend(name="../../escaped")),
     "name_dot": ("backends[0].name", _backend(name=".")),
     "name_dotdot": ("backends[0].name", _backend(name="..")),
+    "drop_fraction_1_5": ("backends[0].drop_fraction", _backend(drop_fraction=1.5)),
+    "kind_unknown": ("backends[0].kind", _backend(kind="nope")),
+    "icl_without_exemplars": ("strategies[0].exemplars", _strategy(icl=True)),
 }
 
 

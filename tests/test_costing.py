@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from docturn.errors import LedgerError
 from docturn.strategy import Mode
 
 from . import oracles
+from .conftest import whitespace_splits
 from .oracles import conversation_token_count
 
 WS = TokenizerSpec("whitespace")
@@ -44,13 +46,20 @@ class TestCountTokens:
     def test_char_spec(self):
         assert count_tokens("你好世界", TokenizerSpec("char")) == 4
 
-    def test_external_spec(self, tmp_path):
-        path = tmp_path / "counts.json"
-        path.write_text('{"hello world": 2}', "utf-8")
-        spec = TokenizerSpec("external", external_path=str(path))
+    def test_external_spec(self):
+        spec = TokenizerSpec.external("counts.json", b'{"hello world": 2}')
         assert count_tokens("hello world", spec) == 2
         with pytest.raises(LedgerError):
             count_tokens("missing", spec)
+        # The table is not part of a spec's identity.
+        other = TokenizerSpec.external("counts.json", b'{"hello world": 3}')
+        assert other == spec and hash(other) == hash(spec)
+        assert other != TokenizerSpec.external("other.json", b'{"hello world": 2}')
+
+    @pytest.mark.parametrize("data", [b"[1]", b'{"a": "x"}'], ids=["list", "count"])
+    def test_external_spec_refuses_a_file_without_counts(self, data):
+        with pytest.raises((ValueError, TypeError)):
+            TokenizerSpec.external("counts.json", data)
 
     def test_language_defaults(self):
         assert spec_for_target_language("zh").id == "char"
@@ -318,29 +327,41 @@ def segment_level_transcript(k: int) -> Transcript:
     ids=["multi_turn", "segment_level"],
 )
 def test_ledger_counts_each_distinct_message_once(monkeypatch, transcript):
-    counted: list[str] = []
-    original = costing.count_tokens
-
-    def count_tokens(text, spec):
-        counted.append(text)
-        return original(text, spec)
-
-    monkeypatch.setattr(costing, "count_tokens", count_tokens)
+    counted = whitespace_splits(monkeypatch)
     distinct = sorted(
         {m.content for t in transcript.turns for m in t.request_messages}
         | {t.response_text for t in transcript.turns}
     )
-    # One walk gives both ledgers and counts each message once.
-    counts: dict = {}
-    ledgers = ledger_for_session(transcript, WS, counts)
-    assert sorted(counted) == distinct
-    # A memo already filled, as the executor passes it, counts nothing more.
+    # One walk gives both ledgers and splits each distinct message once.
+    ledgers = ledger_for_session(transcript, WS)
+    assert sorted(m.content for m in counted) == distinct
+    assert len({id(m) for m in counted}) == len(counted)
+    # The request messages keep their counts, so a second walk splits only
+    # each turn's reply, which the walk builds afresh.
     counted.clear()
-    again = ledger_for_session(transcript, WS, counts)
-    assert counted == []
+    again = ledger_for_session(transcript, WS)
+    assert [m.content for m in counted] == [t.response_text for t in transcript.turns]
     assert {mode: _entries(ledger) for mode, ledger in again.items()} == {
         mode: _entries(ledger) for mode, ledger in ledgers.items()
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    role=st.sampled_from(["system", "user", "assistant"]),
+    content=st.text(alphabet=st.sampled_from("ab 你\n\t"), max_size=12),
+    spec_id=st.sampled_from(["whitespace", "char", "external"]),
+)
+def test_message_tokens_is_count_tokens_of_the_content(role, content, spec_id):
+    """Under every spec, message_tokens is count_tokens of the content, also
+    for a message that has counted itself before."""
+    if spec_id == "external":
+        spec = TokenizerSpec.external("counts.json", json.dumps({content: 7}).encode())
+    else:
+        spec = TokenizerSpec(spec_id)
+    message = Message(role, content)
+    for _ in range(2):
+        assert costing.message_tokens(message, spec) == count_tokens(content, spec)
 
 
 @pytest.mark.parametrize("strategy", [Mode.MULTI_TURN, Mode.SEGMENT_LEVEL])

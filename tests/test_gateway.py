@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import json
 import math
 import pickle
@@ -24,7 +23,7 @@ from docturn.runner.config import plan_from_dict
 from docturn.runner.executor import execute
 from docturn.strategy import Mode, StrategyConfig, ingest_response, init_session, next_request
 
-from .conftest import make_random_document, write_jsonl
+from .conftest import make_random_document, whitespace_splits, write_jsonl
 from .test_runner import minimal_plan_dict, mixed_plan_dict
 
 
@@ -146,7 +145,7 @@ class TestMockTailDropper:
         assert response.content == document
 
     def test_invalid_fraction_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="drop_fraction: must be in"):
             BackendConfig(kind="mock_tail_dropper", drop_fraction=1.0)
 
 
@@ -219,17 +218,7 @@ class TestMockUsage:
         """A 64-segment multi-turn session through gateway.complete counts
         each distinct message once, 2k - 1 counts in all, where a recount
         of every message of every request would take about k * k."""
-        counted: list[Message] = []
-        original = Message.whitespace_tokens.func
-
-        def spy(message: Message) -> int:
-            counted.append(message)
-            return original(message)
-
-        counting = functools.cached_property(spy)
-        counting.__set_name__(Message, "whitespace_tokens")
-        monkeypatch.setattr(Message, "whitespace_tokens", counting)
-
+        counted = whitespace_splits(monkeypatch)
         k = 64
         document = make_random_document(random.Random(3), "long", k)
         session = init_session(StrategyConfig(mode=Mode.MULTI_TURN), document)

@@ -142,16 +142,18 @@ def test_stale_noqa_check(source, expected):
 
 def mentioned_names(source: str) -> set[str]:
     """Every name a module's code mentions: a name, an attribute, or a string
-    constant that is an identifier, as getattr and patch targets spell one."""
+    constant that is an identifier, as getattr and patch targets spell one.
+    An attribute or a string is also added as "." and the name, the only
+    mention that reaches a method: a bare name is a local or a global."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names |= {node.attr, "." + node.attr}
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                names.add(node.value)
+                names |= {node.value, "." + node.value}
     return names
 
 
@@ -164,23 +166,24 @@ def _is_click_command(node: ast.AST) -> bool:
 
 
 def unmentioned_definitions(source: str, mentioned: set[str]) -> list[tuple[int, str]]:
-    """(line, name) of each module-level function or class, and each method
-    of a module-level class, whose name is not in mentioned. Dunder methods,
-    which Python calls by protocol, and click commands are exempt."""
+    """(line, name) of each module-level function or class whose name is not
+    in mentioned, and each method of a module-level class that mentioned
+    holds no attribute or string for. Dunder methods, which Python calls by
+    protocol, and click commands are exempt."""
     found = []
     for node in ast.parse(source).body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        defined = [(node, node.name)]
+        defined = [(node, node.name, node.name)]
         if isinstance(node, ast.ClassDef):
             defined += [
-                (sub, f"{node.name}.{sub.name}") for sub in node.body
+                (sub, f"{node.name}.{sub.name}", "." + sub.name) for sub in node.body
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
-        for definition, name in defined:
+        for definition, name, mention in defined:
             short = definition.name
             dunder = short.startswith("__") and short.endswith("__")
-            if not dunder and not _is_click_command(definition) and short not in mentioned:
+            if not dunder and not _is_click_command(definition) and mention not in mentioned:
                 found.append((definition.lineno, name))
     return found
 
@@ -205,6 +208,8 @@ def test_every_definition_in_src_is_mentioned():
         ("def f(): ...\nf()\n", []),
         ("class A:\n    def m(self): ...\n", [(1, "A"), (2, "A.m")]),
         ("class A:\n    def m(self): ...\nA().m()\n", []),
+        ("class A:\n    def m(self): ...\nm = 1\nA()\n", [(2, "A.m")]),  # a local m
+        ("class A:\n    def m(self): ...\ngetattr(A(), 'm')\n", []),
         ("class A:\n    def __init__(self): ...\nA()\n", []),  # called by protocol
         ("def f(): ...\ngetattr(module, 'f')\n", []),
         ("def f(): ...\n__all__ = ['f']\n", []),

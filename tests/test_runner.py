@@ -38,7 +38,7 @@ from docturn.runner.executor import execute, load_artifacts, load_testsets
 from docturn.runner.reports import emit_reports
 from docturn.strategy import Mode, StrategyConfig
 
-from .conftest import write_jsonl
+from .conftest import whitespace_splits, write_jsonl
 
 
 def minimal_plan_dict(tmp_path: Path, **overrides) -> dict:
@@ -274,6 +274,21 @@ class TestExecute:
         artifacts = execute(plan)
         assert any("context_overflow" in e["reason"] for e in artifacts.exclusions)
 
+    def test_empty_reply_excluded(self, tmp_path):
+        def complete(request, backend):
+            response = gateway.complete(request, backend)
+            if request.request_tag == "doc-1:turn_1":
+                return dataclasses.replace(response, content="Translation: ")
+            return response
+
+        plan = plan_from_dict(minimal_plan_dict(tmp_path, strategies=[{"mode": "multi_turn"}]))
+        artifacts = execute(plan, complete)
+        assert artifacts.exclusions == [{
+            "backend": "identity", "strategy": "multi_turn", "doc_id": "doc-1",
+            "reason": "empty_output: document 'doc-1' at turn 1",
+        }]
+        assert set(artifacts.cells) == {("identity", "multi_turn", "doc-2")}
+
     def test_concurrent_execution_matches_sequential(self, tmp_path):
         sequential = plan_from_dict(minimal_plan_dict(tmp_path, run_id="seq"))
         concurrent = plan_from_dict(
@@ -438,6 +453,12 @@ class TestCellLog:
                 ]),
                 "line 1: doc 'doc-1': turn 2: unparseable turn .*completion_tokens is negative",
             ),
+            (
+                edit_turns(lambda turns: [
+                    {**turn, "content": " "} if i == 1 else turn for i, turn in enumerate(turns)
+                ]),
+                "line 1: doc 'doc-1': replay failed: empty_output: document 'doc-1' at turn 1$",
+            ),
             (lambda lines: lines + lines[:1], "line 3: duplicate record for doc 'doc-1'"),
             (
                 lambda lines: [lines[0].replace('"doc":"doc-1"', '"doc":"doc-9"')] + lines[1:],
@@ -446,8 +467,8 @@ class TestCellLog:
         ],
         ids=["truncated", "extra_line", "unparseable", "tampered_digest", "no_digest",
              "digest_not_a_string", "unparseable_turn", "no_finish_reason",
-             "string_prompt_tokens", "negative_completion_tokens", "duplicate_doc",
-             "unknown_doc"],
+             "string_prompt_tokens", "negative_completion_tokens", "empty_reply",
+             "duplicate_doc", "unknown_doc"],
     )
     def test_tampered_log_rejected_on_load_and_resume(self, tmp_path, edit, problem):
         plan, log = self._tamper(tmp_path, edit)
@@ -681,6 +702,24 @@ class TestRequestsDigest:
 
         monkeypatch.setattr(executor, "load_template_set", edited)
         self._assert_resume_refused(plan, group_log(plan, "identity", "segment_level"))
+
+    def test_changed_template_set_hash_refused_before_any_replay(self, tmp_path, monkeypatch):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        shipped = load_template_set()
+        edited = dataclasses.replace(shipped, content_hash="0" * 64)
+        monkeypatch.setattr(executor, "load_template_set", lambda: edited)
+        replayed: list[str] = []
+        monkeypatch.setattr(executor, "_replay_cell", lambda *args: replayed.append(args[-1]))
+        sent: list[str] = []
+        message = (
+            f"template set 'wmt24-style-v1' with hash '{shipped.content_hash}', "
+            f"the shipped set hashes to '{'0' * 64}'"
+        )
+        for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
+            with pytest.raises(ResumeMismatchError, match=re.escape(message)):
+                load(plan)
+        assert sent == [] and replayed == []
 
     def test_changed_exemplar_rendering_refused_on_load_and_resume(self, tmp_path, monkeypatch):
         plan = plan_from_dict(icl_plan_dict(tmp_path))
@@ -1134,19 +1173,6 @@ class TestResumeIdentity:
         assert not (Path(plan.output_dir) / plan.run_id).exists()
 
 
-def count_tokens_calls(monkeypatch) -> list[str]:
-    """Every text the costing layer counts from now on, in order."""
-    counted: list[str] = []
-    original = costing.count_tokens
-
-    def count_tokens(text, spec):
-        counted.append(text)
-        return original(text, spec)
-
-    monkeypatch.setattr(costing, "count_tokens", count_tokens)
-    return counted
-
-
 class TestCountOnce:
     def test_overflow_fires_at_the_same_turn_with_the_same_text(self, tmp_path):
         free = execute(plan_from_dict(minimal_plan_dict(
@@ -1173,30 +1199,29 @@ class TestCountOnce:
         assert [t for t in tags if t.startswith("doc-1:")] == ["doc-1:turn_0", "doc-1:turn_1"]
 
     def test_execute_counts_nothing_without_a_budget(self, tmp_path, monkeypatch):
-        counted = count_tokens_calls(monkeypatch)
+        counted: list[Message] = []
+        monkeypatch.setattr(executor, "message_tokens", lambda m, spec: counted.append(m))
         artifacts = execute(plan_from_dict(minimal_plan_dict(
             tmp_path, strategies=[{"mode": "multi_turn"}, {"mode": "segment_level"}]
         )))
         assert len(artifacts.cells) == 4 and counted == []
 
     def test_execute_counts_each_request_message_once_with_a_budget(self, tmp_path, monkeypatch):
-        counted = count_tokens_calls(monkeypatch)
+        counted = whitespace_splits(monkeypatch)
         artifacts = execute(plan_from_dict(minimal_plan_dict(
             tmp_path, strategies=[{"mode": "multi_turn"}, {"mode": "multi_turn_sp"}],
             max_context_tokens=10_000,
         )))
-        requests = replies = 0
-        for cell in artifacts.cells.values():
-            turns = cell.transcript.turns
-            sent = {(m.role, m.content) for t in turns for m in t.request_messages}
-            requests += len(sent)
-            replies += len({("assistant", t.response_text) for t in turns} - sent)
-        assert len(counted) == requests
-        # The ledgers count with each cell's memo, so reading them adds only
-        # the replies no request carried.
-        for cell in artifacts.cells.values():
+        cells = artifacts.cells.values()
+        sent = {id(m): m for cell in cells for t in cell.transcript.turns for m in t.request_messages}
+        # The budget check and the mock split each message object once: a
+        # session's requests share their message objects.
+        assert len(counted) == len(sent) and {id(m) for m in counted} == sent.keys()
+        # Reading the ledgers adds one split per reply, for the fresh
+        # assistant message each ledger turn is given.
+        for cell in cells:
             cell.ledgers
-        assert len(counted) == requests + replies
+        assert len(counted) == len(sent) + sum(len(cell.transcript.turns) for cell in cells)
 
     def test_reference_side_built_once_per_document(self, tmp_path, monkeypatch):
         """One reference side per document, one hypothesis side per distinct

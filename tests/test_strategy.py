@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from docturn import strategy as strategy_module
 from docturn.chat import assistant
-from docturn.errors import PrefixStabilityError, SessionContractError
+from docturn.errors import ConfigError, GatewayError, PrefixStabilityError, SessionContractError
 from docturn.prompts import load_template_set
 from docturn.strategy import (
     Mode,
@@ -75,7 +75,7 @@ class TestInitSession:
             position = next_position
 
     def test_icl_requires_exactly_three_exemplars(self, exemplars_en_de):
-        with pytest.raises(ValueError, match="3 exemplars"):
+        with pytest.raises(ConfigError, match="exemplars: icl=True requires exactly 3 exemplars"):
             StrategyConfig(mode=Mode.MULTI_TURN, icl=True, exemplars=exemplars_en_de[:2])
 
 
@@ -178,18 +178,15 @@ class TestIclPrefix:
 class TestIngestResponse:
     def test_empty_output_fails_session(self, doc3, templates):
         session = init_session(StrategyConfig(mode=Mode.MULTI_TURN), doc3, templates)
-        next_request(session)
-        ingest_response(session, "   ")
-        assert session.status == "failed"
-        assert session.failure_reason == "empty_output"
-        with pytest.raises(SessionContractError):
-            next_request(session)
+        ingest_response(session, "Eins.")
+        with pytest.raises(GatewayError, match="^empty_output: document 'd1' at turn 1$"):
+            ingest_response(session, "   ")
+        assert session.outputs == ["Eins."] and len(session.replies) == 1
 
     def test_label_only_output_is_empty(self, doc3, templates):
         session = init_session(StrategyConfig(mode=Mode.MULTI_TURN), doc3, templates)
-        next_request(session)
-        ingest_response(session, "Translation: ")
-        assert session.status == "failed"
+        with pytest.raises(GatewayError, match="^empty_output: document 'd1' at turn 0$"):
+            ingest_response(session, "Translation: ")
 
     def test_label_stripped_from_stored_segment(self, doc3, templates):
         session, _ = drive(
