@@ -4,6 +4,11 @@ These are plain value objects: a request is a list of role/content messages
 plus an optional completion-length cap, a response is the assistant text plus
 usage accounting. A request names neither a model nor a temperature: the
 gateway sends every request greedily to its backend's model.
+
+A response is logged as one JSON array in its field order, [content,
+prompt_tokens, cached_tokens, completion_tokens, finish_reason]: to_row
+writes it and from_row refuses anything to_row cannot have written. No code
+outside this module reads a row by position.
 """
 
 from __future__ import annotations
@@ -83,46 +88,68 @@ class ChatRequest:
         return None
 
 
-# The keys ChatResponse.to_dict writes, each with the types it writes.
-_RESPONSE_FIELDS = {
-    "content": (str,),
-    "prompt_tokens": (int, type(None)),
-    "completion_tokens": (int, type(None)),
-    "finish_reason": (str,),
-}
+# ChatResponse's fields in order, each with the JSON types its row item may
+# hold: a logged turn is the row [content, prompt_tokens, cached_tokens,
+# completion_tokens, finish_reason].
+_ROW_FIELDS = (
+    ("content", (str,)),
+    ("prompt_tokens", (int, type(None))),
+    ("cached_tokens", (int, type(None))),
+    ("completion_tokens", (int, type(None))),
+    ("finish_reason", (str,)),
+)
+FINISH_REASONS = ("stop", "length", "other")
 
 
 @dataclass(frozen=True)
 class ChatResponse:
     """A chat-completion response with backend-reported usage; a count the
-    backend did not report is None."""
+    backend did not report is None. cached_tokens is the part of
+    prompt_tokens the backend served from its prefix cache.
+
+    A response holds only what its row can carry back: each field of its
+    type (a count is an int of at least 0 or None, never a bool), no more
+    cached than prompt tokens and a finish reason in FINISH_REASONS. Anything
+    else is a TypeError or ValueError when it is built, so every response a
+    run logs can be read back."""
 
     content: str
-    prompt_tokens: int | None = 0
-    completion_tokens: int | None = 0
-    finish_reason: str = "stop"  # stop | length | other
+    prompt_tokens: int | None = None
+    cached_tokens: int | None = None
+    completion_tokens: int | None = None
+    finish_reason: str = "stop"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "content": self.content,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "finish_reason": self.finish_reason,
-        }
+    def __post_init__(self) -> None:
+        for (name, kinds), value in zip(_ROW_FIELDS, self.to_row()):
+            if type(value) not in kinds:  # a JSON true is not a token count
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                raise TypeError(f"response {name} is a {type(value).__name__}, not {expected}")
+            if type(value) is int and value < 0:
+                raise ValueError(f"response {name} is negative: {value}")
+        if None not in (self.prompt_tokens, self.cached_tokens) and (
+            self.cached_tokens > self.prompt_tokens
+        ):
+            raise ValueError(
+                f"response cached_tokens {self.cached_tokens} exceeds "
+                f"prompt_tokens {self.prompt_tokens}"
+            )
+        if self.finish_reason not in FINISH_REASONS:
+            raise ValueError(f"response finish_reason is {self.finish_reason!r}")
+
+    def to_row(self) -> tuple[Any, ...]:
+        """The fields in _ROW_FIELDS order; json writes a tuple as an array."""
+        return (
+            self.content, self.prompt_tokens, self.cached_tokens,
+            self.completion_tokens, self.finish_reason,
+        )
 
     @classmethod
-    def from_dict(cls, d: Any) -> "ChatResponse":
-        """The response to_dict wrote: exactly its keys, each of its type, and
-        no negative count. Anything else is a ValueError or TypeError, never a
-        default."""
-        if not isinstance(d, dict):
-            raise TypeError(f"response is a {type(d).__name__}, not an object")
-        if d.keys() != _RESPONSE_FIELDS.keys():
-            raise ValueError(f"response keys are {sorted(d)}, not {sorted(_RESPONSE_FIELDS)}")
-        for key, kinds in _RESPONSE_FIELDS.items():
-            if type(d[key]) not in kinds:  # a JSON true is not a token count
-                expected = " or ".join(kind.__name__ for kind in kinds)
-                raise TypeError(f"response {key} is a {type(d[key]).__name__}, not {expected}")
-            if type(d[key]) is int and d[key] < 0:
-                raise ValueError(f"response {key} is negative: {d[key]}")
-        return cls(**d)
+    def from_row(cls, row: Any) -> "ChatResponse":
+        """The response to_row wrote, or its JSON array read back: exactly
+        its items, which the response checks as it is built. Anything else is
+        a ValueError or TypeError, never a default."""
+        if not isinstance(row, (list, tuple)):
+            raise TypeError(f"response is a {type(row).__name__}, not an array")
+        if len(row) != len(_ROW_FIELDS):
+            raise ValueError(f"response has {len(row)} items, not {len(_ROW_FIELDS)}")
+        return cls(*row)

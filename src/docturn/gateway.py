@@ -13,11 +13,15 @@ deterministic mock backends used throughout the test suite:
                     a controllable stand-in for omission errors in long
                     documents.
 
-Mock usage is whitespace-token counts: prompt_tokens is the count of the
-whole request and completion_tokens that of the reply. Each message's count
-is kept on the Message (Message.whitespace_tokens), and a session builds
-every request from the same prompt and reply objects, so a multi-turn
-session splits each distinct message once, not once per request carrying it.
+An openai_compatible reply's cached_tokens is its
+usage.prompt_tokens_details.cached_tokens, None when the reply omits it, and
+never more than its prompt_tokens. Mock usage is whitespace-token counts:
+prompt_tokens is the count of the whole request and completion_tokens that
+of the reply. A mock has no prefix cache, so its cached_tokens is None. Each
+message's count is kept on the Message (Message.whitespace_tokens), and a
+session builds every request from the same prompt and reply objects, so a
+multi-turn session splits each distinct message once, not once per request
+carrying it.
 
 Backend state belongs to a Gateway, which a run opens once; module-level
 complete opens one per call, so calls share nothing. Requests are greedy by
@@ -40,7 +44,7 @@ from typing import Callable, Iterable
 
 import requests
 
-from .chat import ChatRequest, ChatResponse
+from .chat import FINISH_REASONS, ChatRequest, ChatResponse
 from .corpus import split_into_segments
 from .errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from .prompts import extract_fenced_payload
@@ -224,25 +228,31 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
         try:
             data = resp.json()
             choice = data["choices"][0]
-            usage = data.get("usage") or {}
-            content = choice["message"]["content"] or ""
-            if not isinstance(content, str):
-                raise TypeError(f"message content is a {type(content).__name__}")
+            usage = _reported_object(data, "usage")
+            details = _reported_object(usage, "prompt_tokens_details")
             finish = choice.get("finish_reason")
-            prompt_tokens = _reported_count(usage, "prompt_tokens")
-            completion_tokens = _reported_count(usage, "completion_tokens")
+            return ChatResponse(
+                content=choice["message"]["content"] or "",
+                prompt_tokens=_reported_count(usage, "prompt_tokens"),
+                cached_tokens=_reported_count(details, "cached_tokens"),
+                completion_tokens=_reported_count(usage, "completion_tokens"),
+                finish_reason=finish if finish in FINISH_REASONS else "other",
+            )
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise GatewayError(
                 f"malformed response for {req.request_tag}: {type(exc).__name__}: {exc}"
             ) from exc
-        if finish not in ("stop", "length"):
-            finish = "other"
-        return ChatResponse(
-            content=content,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            finish_reason=finish,
-        )
+
+
+def _reported_object(parent: dict, key: str) -> dict:
+    """An object of a reply, empty when the reply omits it or sends null.
+    Anything else is a malformed reply: a 0 or [] is not an absent object."""
+    value = parent.get(key)
+    if value is None:
+        return {}
+    if type(value) is not dict:
+        raise TypeError(f"{key} is a {type(value).__name__}, not an object")
+    return value
 
 
 def _reported_count(usage: dict, key: str) -> int | None:
@@ -305,7 +315,8 @@ class Gateway:
         """Run one chat completion against one of the gateway's backends.
 
         Mock responses report usage as whitespace token counts so downstream
-        accounting has something plausible to compare against.
+        accounting has something plausible to compare against, and no
+        cached_tokens.
         """
         if cfg.kind == "openai_compatible":
             return _openai_complete(req, cfg, self)

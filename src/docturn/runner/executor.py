@@ -4,13 +4,15 @@ A cell is one (backend, strategy, document) combination and the unit of
 resume. Its transcript is logged as one record, one JSON line in the
 append-only log of its (backend, strategy) group: `doc`, the document id,
 `requests`, the requests_digest of the requests the cell sent, and `turns`,
-the backend's response to each request. No field holds wall-clock time. The
-requests themselves are not stored: they are a function of the hashed plan,
-the shipped templates and the replies. Loading a cell replays its record
-through the strategy, which rebuilds its requests, transcript and
-translation, and refuses the record unless the rebuilt requests hash to its
-digest. The cost ledgers are pure functions of the transcript, so none is
-stored: a cell walks its ledgers only when they are first read.
+the backend's response to each request as a ChatResponse row: [content,
+prompt_tokens, cached_tokens, completion_tokens, finish_reason]. No field
+holds wall-clock time. The requests themselves are not stored: they are a
+function of the hashed plan, the shipped templates and the replies. Loading
+a cell replays its record through the strategy, which rebuilds its
+requests, transcript and translation, and refuses the record unless the
+rebuilt requests hash to its digest. The cost ledgers are pure functions
+of the transcript, so none is stored: a cell walks its ledgers only when
+they are first read.
 
 A record is built in memory while its cell runs and appended, with one write
 and a flush, only once the cell has completed: concurrent cells append in
@@ -68,7 +70,7 @@ from .config import RunPlan
 
 logger = logging.getLogger(__name__)
 
-LAYOUT_VERSION = 6
+LAYOUT_VERSION = 7
 MANIFEST = "manifest.json"
 
 CompleteFn = Callable[[ChatRequest, gateway.BackendConfig], ChatResponse]
@@ -247,21 +249,23 @@ def _run_cell(
     """A fresh cell: replies come from the backend. Returns the cell and its
     record, one line for the group log. A completed cell with a reply cut at
     the output limit is logged as a warning."""
-    turns: list[dict] = []
+    rows: list[tuple] = []
+    truncated: list[str] = []
 
     def reply(turn: int, request: ChatRequest) -> ChatResponse:
         response = complete(request, group.backend)
-        turns.append(response.to_dict())
+        rows.append(response.to_row())
+        if response.finish_reason == "length":
+            truncated.append(str(turn))
         return response
 
     cell = _drive_cell(artifacts, group, doc, templates, reply)
-    truncated = [str(i) for i, t in enumerate(turns) if t["finish_reason"] == "length"]
     if truncated:
         logger.warning(
             "%s/%s/%s: output truncated (finish_reason=length) at turn %s",
             group.backend.name, group.strategy.label, doc.id, ", ".join(truncated),
         )
-    record = {"doc": doc.id, "requests": requests_digest(cell.transcript), "turns": turns}
+    record = {"doc": doc.id, "requests": requests_digest(cell.transcript), "turns": rows}
     return cell, _json_line(record)
 
 
@@ -290,7 +294,7 @@ def _replay_cell(
         if turn >= len(turns):
             raise mismatch(turn, f"turn missing, the record has {len(turns)}")
         try:
-            return ChatResponse.from_dict(turns[turn])
+            return ChatResponse.from_row(turns[turn])
         except (ValueError, TypeError) as exc:
             raise mismatch(turn, f"unparseable turn ({exc})") from None
 

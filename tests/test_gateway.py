@@ -8,13 +8,14 @@ import json
 import math
 import pickle
 import random
+import re
 import threading
 
 import pytest
 import requests
 from hypothesis import given, settings, strategies as st
 
-from docturn import gateway
+from docturn import chat, gateway
 from docturn.chat import ChatRequest, ChatResponse, Message, user
 from docturn.errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from docturn.gateway import BackendConfig, Gateway, complete, drop_trailing_tokens
@@ -283,9 +284,9 @@ def test_concurrent_run_logs_the_sequential_usage(tmp_path):
             for line in log.read_text("utf-8").splitlines():
                 record = json.loads(line)
                 key = (log.parent.name, log.stem, record["doc"])
-                counts = [(t["prompt_tokens"], t["completion_tokens"]) for t in record["turns"]]
+                counts = [(t[1], t[2], t[3]) for t in record["turns"]]  # prompt, cached, completion
                 expected = [
-                    (sum(len(m.content.split()) for m in turn.request_messages),
+                    (sum(len(m.content.split()) for m in turn.request_messages), None,
                      len(turn.response_text.split()))
                     for turn in artifacts.cells[key].transcript.turns
                 ]
@@ -452,22 +453,59 @@ class TestOpenAiCompatible:
             complete(request, self.backend(), http_post=post, sleeper=lambda s: None)
         assert len(calls) == 1  # not retried: the backend answered
 
+    def reply_with_usage(self, usage):
+        def post(url, json=None, headers=None, timeout=None):
+            return FakeHttpResponse(200, ok_payload() | {"usage": usage})
+
+        return complete(request_of(user("hi")), self.backend(), http_post=post)
+
     @pytest.mark.parametrize("count", [True, 12.7, "3", -5],
                              ids=["bool", "float", "string", "negative"])
-    def test_usage_count_is_never_coerced(self, count):
+    @pytest.mark.parametrize("key", ["prompt_tokens", "cached_tokens", "completion_tokens"])
+    def test_usage_count_is_never_coerced(self, count, key):
         """A usage count that is not a non-negative integer is a malformed
         reply, and a logged turn holding one does not parse."""
-        for key in ("prompt_tokens", "completion_tokens"):
-            usage = {"prompt_tokens": 7, "completion_tokens": 3} | {key: count}
+        counts = {"prompt_tokens": 7, "cached_tokens": 2, "completion_tokens": 3} | {key: count}
+        usage = {"prompt_tokens": counts["prompt_tokens"],
+                 "completion_tokens": counts["completion_tokens"],
+                 "prompt_tokens_details": {"cached_tokens": counts["cached_tokens"]}}
+        with pytest.raises(GatewayError, match=f"malformed response for .*usage {key}"):
+            self.reply_with_usage(usage)
+        row = ["x", counts["prompt_tokens"], counts["cached_tokens"], counts["completion_tokens"],
+               "stop"]
+        with pytest.raises((TypeError, ValueError), match=f"response {key} is"):
+            ChatResponse.from_row(row)
 
-            def post(url, json=None, headers=None, timeout=None):
-                return FakeHttpResponse(200, ok_payload() | {"usage": usage})
+    @pytest.mark.parametrize(
+        "usage, cached",
+        [
+            ({"prompt_tokens": 7}, None),
+            ({"prompt_tokens": 7, "prompt_tokens_details": None}, None),
+            ({"prompt_tokens": 7, "prompt_tokens_details": {}}, None),
+            ({"prompt_tokens": 7, "prompt_tokens_details": {"cached_tokens": None}}, None),
+            ({"prompt_tokens": 7, "prompt_tokens_details": {"cached_tokens": 0}}, 0),
+            ({"prompt_tokens": 7, "prompt_tokens_details": {"cached_tokens": 7}}, 7),
+            ({"prompt_tokens_details": {"cached_tokens": 5}}, 5),
+        ],
+        ids=["no_details", "null_details", "empty_details", "null_cached", "zero", "all",
+             "no_prompt_tokens"],
+    )
+    def test_cached_tokens_read_from_prompt_tokens_details(self, usage, cached):
+        response = self.reply_with_usage(usage)
+        assert response.cached_tokens == cached
+        assert ChatResponse.from_row(response.to_row()) == response
 
-            with pytest.raises(GatewayError, match=f"malformed response for .*usage {key}"):
-                complete(request_of(user("hi")), self.backend(), http_post=post)
-            logged = ChatResponse("x", prompt_tokens=7, completion_tokens=3).to_dict()
-            with pytest.raises((TypeError, ValueError), match=f"response {key} is"):
-                ChatResponse.from_dict(logged | {key: count})
+    @pytest.mark.parametrize("value", [["cached_tokens", 5], "5", 0, [], "", False],
+                             ids=["list", "string", "zero", "empty_list", "empty_string", "false"])
+    def test_usage_or_details_not_an_object_is_malformed(self, value):
+        for usage in (value, {"prompt_tokens": 7, "prompt_tokens_details": value}):
+            with pytest.raises(GatewayError, match="malformed response for .*, not an object"):
+                self.reply_with_usage(usage)
+
+    def test_more_cached_than_prompt_tokens_is_malformed(self):
+        usage = {"prompt_tokens": 7, "prompt_tokens_details": {"cached_tokens": 8}}
+        with pytest.raises(GatewayError, match="malformed response for .*cached_tokens 8 exceeds"):
+            self.reply_with_usage(usage)
 
     def test_null_content_and_usage_accepted(self):
         def post(url, json=None, headers=None, timeout=None):
@@ -475,9 +513,8 @@ class TestOpenAiCompatible:
                                           "usage": None})
 
         response = complete(request_of(user("hi")), self.backend(), http_post=post)
-        assert (response.content, response.prompt_tokens, response.finish_reason) == (
-            "", None, "other"
-        )
+        assert (response.content, response.prompt_tokens, response.cached_tokens,
+                response.finish_reason) == ("", None, None, "other")
 
     @pytest.mark.parametrize(
         "payload, expected",
@@ -498,16 +535,56 @@ class TestOpenAiCompatible:
         assert (response.prompt_tokens, response.completion_tokens, response.finish_reason) == (
             expected
         )
-        assert ChatResponse.from_dict(response.to_dict()) == response
+        assert ChatResponse.from_row(response.to_row()) == response
 
 
-@pytest.mark.parametrize("count", [True, "5", 5.0], ids=["bool", "string", "float"])
-def test_logged_response_refuses_a_count_of_another_type(count):
-    logged = ChatResponse("x", prompt_tokens=None, completion_tokens=None).to_dict()
-    assert ChatResponse.from_dict(logged).prompt_tokens is None
-    for key in ("prompt_tokens", "completion_tokens"):
-        with pytest.raises(TypeError, match=f"response {key} is a .*, not int or NoneType"):
-            ChatResponse.from_dict(logged | {key: count})
+class TestResponseRow:
+    def test_row_follows_the_field_order(self):
+        """A row lists ChatResponse's fields in order, and an unreported count
+        defaults to None, never 0."""
+        response = ChatResponse("x")
+        assert response.to_row() == ("x", None, None, None, "stop")
+        names = ["content", "prompt_tokens", "cached_tokens", "completion_tokens", "finish_reason"]
+        assert [f.name for f in dataclasses.fields(ChatResponse)] == names
+        assert [name for name, _ in chat._ROW_FIELDS] == names
+        full = ChatResponse("y", prompt_tokens=7, cached_tokens=2, completion_tokens=3,
+                            finish_reason="length")
+        assert full.to_row() == ("y", 7, 2, 3, "length")
+        assert ChatResponse.from_row(full.to_row()) == full
+        assert ChatResponse.from_row(json.loads(json.dumps(full.to_row()))) == full
+
+    @pytest.mark.parametrize("count", [True, "5", 5.0], ids=["bool", "string", "float"])
+    @pytest.mark.parametrize("index", [1, 2, 3], ids=["prompt", "cached", "completion"])
+    def test_refuses_a_count_of_another_type(self, count, index):
+        row = ["x", None, None, None, "stop"]
+        row[index] = count
+        with pytest.raises(TypeError, match="response .*_tokens is a .*, not int or NoneType"):
+            ChatResponse.from_row(row)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ({"content": "x", "prompt_tokens": 7, "completion_tokens": 3, "finish_reason": "stop"},
+             "response is a dict, not an array"),
+            (["x", 7, None, 3], "response has 4 items, not 5"),
+            (["x", 7, None, 3, "stop", None], "response has 6 items, not 5"),
+            ([None, 7, None, 3, "stop"], "response content is a NoneType, not str"),
+            (["x", 7, None, -3, "stop"], "response completion_tokens is negative: -3"),
+            (["x", 7, 8, 3, "stop"], "response cached_tokens 8 exceeds prompt_tokens 7"),
+            (["x", 7, None, 3, "eos"], "response finish_reason is 'eos'"),
+            (["x", 7, None, 3, 0], "response finish_reason is a int, not str"),
+        ],
+        ids=["layout_6_object", "short", "long", "null_content", "negative", "cached_exceeds",
+             "unknown_finish_reason", "finish_reason_not_text"],
+    )
+    def test_refuses_a_row_to_row_cannot_write(self, row, problem):
+        """from_row refuses the row, and a response of the same values
+        cannot be built, so no run logs a row it cannot read back."""
+        with pytest.raises((TypeError, ValueError), match=re.escape(problem)):
+            ChatResponse.from_row(row)
+        if isinstance(row, list) and len(row) == 5:
+            with pytest.raises((TypeError, ValueError), match=re.escape(problem)):
+                ChatResponse(*row)
 
 
 class TestRateLimiter:

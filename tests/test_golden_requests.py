@@ -68,7 +68,7 @@ def test_requests_match_golden(tmp_path):
         log = artifacts.run_dir / "cells" / "identity" / f"{strategy.label}.jsonl"
         for line in log.read_text("utf-8").splitlines():
             record = json.loads(line)
-            replies = [turn["content"] for turn in record["turns"]]
+            replies = [turn[0] for turn in record["turns"]]  # a row starts with its content
             oracle = requests_digest(expected[strategy.label][record["doc"]], replies)
             digests[(strategy.label, record["doc"])] = (record["requests"], oracle)
     assert len(digests) == len(loaded)

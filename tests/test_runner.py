@@ -349,6 +349,13 @@ def edit_turns(edit):
     return edit_record(lambda record: {**record, "turns": edit(record["turns"])})
 
 
+def edit_row(index: int, edit):
+    """A log edit that rewrites turn `index` of line 1's record (doc-1)."""
+    return edit_turns(lambda turns: [
+        edit(turn) if i == index else turn for i, turn in enumerate(turns)
+    ])
+
+
 def recording(tags: list):
     def complete(request, backend):
         tags.append(request.request_tag)
@@ -397,8 +404,10 @@ class TestCellLog:
         transcript = artifacts.cells[("identity", "multi_turn", "doc-1")].transcript
         assert record["requests"] == executor.requests_digest(transcript)
         assert re.fullmatch("[0-9a-f]{32}", record["requests"])
-        assert [set(turn) for turn in record["turns"]] == 3 * [
-            {"content", "prompt_tokens", "completion_tokens", "finish_reason"}
+        # [content, prompt_tokens, cached_tokens, completion_tokens, finish_reason];
+        # a mock has no prefix cache.
+        assert [[type(item) for item in turn] for turn in record["turns"]] == 3 * [
+            [str, int, type(None), int, str]
         ]
         assert "Translate" not in log.read_text("utf-8")  # no request text is stored
 
@@ -429,34 +438,38 @@ class TestCellLog:
                 "line 1: unparseable record .*requests is not a string",
             ),
             (
-                edit_turns(lambda turns: turns[:1] + [{"content": "x"}] + turns[2:]),
-                "line 1: doc 'doc-1': turn 1: unparseable turn",
+                edit_turns(lambda turns: turns[:1] + [["x"]] + turns[2:]),
+                "line 1: doc 'doc-1': turn 1: unparseable turn .*1 items, not 5",
             ),
             (
-                edit_turns(lambda turns: [
-                    {k: v for k, v in turn.items() if k != "finish_reason"} if i == 1 else turn
-                    for i, turn in enumerate(turns)
-                ]),
-                "line 1: doc 'doc-1': turn 1: unparseable turn",
+                edit_row(1, lambda row: dict(zip(
+                    ("content", "prompt_tokens", "completion_tokens", "finish_reason"),
+                    row[:2] + row[3:],
+                ))),
+                "line 1: doc 'doc-1': turn 1: unparseable turn .*not an array",
             ),
             (
-                edit_turns(lambda turns: [
-                    {**turn, "prompt_tokens": "5"} if i == 2 else turn
-                    for i, turn in enumerate(turns)
-                ]),
+                edit_row(1, lambda row: row[:4]),
+                "line 1: doc 'doc-1': turn 1: unparseable turn .*4 items, not 5",
+            ),
+            (
+                edit_row(2, lambda row: [row[0], "5", *row[2:]]),
                 "line 1: doc 'doc-1': turn 2: unparseable turn .*prompt_tokens",
             ),
             (
-                edit_turns(lambda turns: [
-                    {**turn, "completion_tokens": -5} if i == 2 else turn
-                    for i, turn in enumerate(turns)
-                ]),
+                edit_row(2, lambda row: [*row[:3], -5, row[4]]),
                 "line 1: doc 'doc-1': turn 2: unparseable turn .*completion_tokens is negative",
             ),
             (
-                edit_turns(lambda turns: [
-                    {**turn, "content": " "} if i == 1 else turn for i, turn in enumerate(turns)
-                ]),
+                edit_row(2, lambda row: [*row[:2], row[1] + 1, *row[3:]]),
+                "line 1: doc 'doc-1': turn 2: unparseable turn .*cached_tokens .* exceeds",
+            ),
+            (
+                edit_row(2, lambda row: [*row[:4], "eos"]),
+                "line 1: doc 'doc-1': turn 2: unparseable turn .*finish_reason is 'eos'",
+            ),
+            (
+                edit_row(1, lambda row: [" ", *row[1:]]),
                 "line 1: doc 'doc-1': replay failed: empty_output: document 'doc-1' at turn 1$",
             ),
             (lambda lines: lines + lines[:1], "line 3: duplicate record for doc 'doc-1'"),
@@ -466,9 +479,9 @@ class TestCellLog:
             ),
         ],
         ids=["truncated", "extra_line", "unparseable", "tampered_digest", "no_digest",
-             "digest_not_a_string", "unparseable_turn", "no_finish_reason",
-             "string_prompt_tokens", "negative_completion_tokens", "empty_reply",
-             "duplicate_doc", "unknown_doc"],
+             "digest_not_a_string", "unparseable_turn", "layout_6_turn", "no_finish_reason",
+             "string_prompt_tokens", "negative_completion_tokens", "cached_exceeds_prompt",
+             "unknown_finish_reason", "empty_reply", "duplicate_doc", "unknown_doc"],
     )
     def test_tampered_log_rejected_on_load_and_resume(self, tmp_path, edit, problem):
         plan, log = self._tamper(tmp_path, edit)
@@ -512,8 +525,85 @@ class TestCellLog:
 
     def test_layout_5_directory_rejected(self, tmp_path):
         """Layout 5 logged a prefix header and each request's messages."""
-        assert executor.LAYOUT_VERSION == 6
         self._assert_layout_rejected(tmp_path, 5)
+
+    def test_layout_6_directory_rejected_before_any_request(self, tmp_path):
+        """Layout 6 logged each turn as an object with four keys. Such a
+        directory, with a cell still to run, is refused by its manifest:
+        nothing is replayed, sent or written."""
+        assert executor.LAYOUT_VERSION == 7
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        run_dir = Path(plan.output_dir) / plan.run_id
+        manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
+        manifest["layout_version"] = 6
+        (run_dir / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        for log in (run_dir / "cells").rglob("*.jsonl"):
+            records = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
+            log.write_text("".join(
+                json.dumps({**record, "turns": [
+                    {"content": content, "prompt_tokens": prompt,
+                     "completion_tokens": completion, "finish_reason": finish}
+                    for content, prompt, _, completion, finish in record["turns"]
+                ]}) + "\n"
+                for record in records[:1]  # doc-2's cells are still to run
+            ), "utf-8")
+        before = run_dir_bytes(run_dir)
+        sent: list[str] = []
+        problem = "artifact layout 6, this version reads layout 7; re-run into a new directory"
+        for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
+            with pytest.raises(ResumeMismatchError, match=problem):
+                load(plan)
+        assert sent == []
+        assert run_dir_bytes(run_dir) == before
+
+    def test_group_log_bytes(self, tmp_path, monkeypatch):
+        """A two-turn multi_turn cell on a mock and on an HTTP backend whose
+        usage reports cached_tokens: each group log is exactly one line, each
+        turn logs the cached_tokens its backend sent (none from the mock),
+        and the loaded cells equal the fresh ones."""
+        monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
+        write_jsonl(tmp_path / "corpus.jsonl", [{
+            "id": "doc-1", "src_lang": "en", "tgt_lang": "de", "domain": "news",
+            "src": ["Eins zwei.", "Drei vier fünf."], "ref": ["Eins zwei.", "Drei vier fünf."],
+        }])
+        plan = plan_from_dict(minimal_plan_dict(
+            tmp_path, strategies=[{"mode": "multi_turn"}], tokenizer="whitespace",
+            backends=[{"kind": "mock_identity", "name": "identity"},
+                      {"kind": "openai_compatible", "name": "http", "base_url": "http://fake",
+                       "api_key_env_var": "DOCTURN_TEST_KEY"}],
+        ))
+        sent_cached = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            # A prefix cache that holds every message but the new one.
+            *history, final = json["messages"]
+            payload = extract_fenced_payload(final["content"])
+            sent_cached.append(sum(len(m["content"].split()) for m in history))
+            return FakeResponse({
+                "choices": [{"message": {"content": payload}, "finish_reason": "stop"}],
+                "usage": {
+                    "prompt_tokens": sent_cached[-1] + len(final["content"].split()),
+                    "completion_tokens": len(payload.split()),
+                    "prompt_tokens_details": {"cached_tokens": sent_cached[-1]},
+                },
+            })
+
+        backends = gateway.Gateway(plan.backends, http_post=post)
+        fresh = execute(plan, complete_fn=backends.complete)
+        requests = "584e3664734ed44af0d9b05891863933"
+        assert group_log(plan, "identity", "multi_turn").read_bytes() == (
+            '{"doc":"doc-1","requests":"%s","turns":'
+            '[["Eins zwei.",20,null,2,"stop"],["Drei vier fünf.",43,null,3,"stop"]]}\n'
+            % requests
+        ).encode("utf-8")
+        assert group_log(plan, "http", "multi_turn").read_bytes() == (
+            '{"doc":"doc-1","requests":"%s","turns":'
+            '[["Eins zwei.",20,0,2,"stop"],["Drei vier fünf.",43,22,3,"stop"]]}\n'
+            % requests
+        ).encode("utf-8")
+        assert sent_cached == [0, 22]
+        assert load_artifacts(plan).cells == fresh.cells
 
     def test_readme_names_the_layout_version(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
