@@ -9,7 +9,8 @@ Documents arrive pre-segmented at the paragraph level. Text is NFC-normalized
 and trimmed at load time so token counts and n-gram matching are stable.
 Unknown top-level keys are tolerated with a warning; a value of another
 JSON type and structural problems (misaligned references, duplicate ids,
-empty segments) are hard errors.
+empty segments, a source segment holding a blank line, which would read as
+two paragraphs in a single-turn request) are hard errors.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ class Document:
         for i, seg in enumerate(self.source_segments):
             if not seg.strip():
                 raise CorpusError(f"source segment {i} is empty", doc_id=self.id)
+            if _BLANK_LINE_RE.search(seg):
+                raise CorpusError(f"source segment {i} holds a blank line", doc_id=self.id)
         if self.reference_segments is not None:
             if len(self.reference_segments) != len(self.source_segments):
                 raise CorpusError(

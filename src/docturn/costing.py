@@ -16,22 +16,20 @@ shares with the previous request-plus-reply state, so a turn costs work in
 proportion to the messages it appends, not to the whole conversation.
 
 Counting uses the harness's own tokenizer spec (whitespace by default, char
-for ideographic targets) so numbers are comparable across backends;
-backend-reported usage is stored separately by the runner. A message's
+for ideographic targets), a rule of the text alone, so numbers are
+comparable across backends and no count can fail; a live backend's own
+count is its reported usage, which the runner logs separately. A message's
 count is message_tokens(message, spec), a function of the two alone: a
 whitespace count is kept on the message, which a session's requests share,
-so each message object is split at most once; a char or external count is a
-len or one table lookup.
+so each message object is split at most once; a char count is a len.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .chat import Message, assistant, common_prefix_length
-from .errors import LedgerError
 from .prompts import is_char_counted
 from .strategy import Mode, request_messages
 
@@ -39,47 +37,25 @@ MODE_CACHED = "cached"
 MODE_UNCACHED = "uncached"
 
 
+TOKENIZER_IDS = ("whitespace", "char")
+
+
 @dataclass(frozen=True)
 class TokenizerSpec:
-    """Deterministic token counting rule.
-
-    id: 'whitespace' counts maximal non-whitespace runs; 'char' counts
-    characters; 'external' looks texts up in the table of precomputed
-    counts read from external_path (exact-match, missing entries are
-    errors). Build an external spec with TokenizerSpec.external. The table
-    is not part of a spec's identity, which is (id, external_path).
-    """
+    """Deterministic token counting rule: 'whitespace' counts maximal
+    non-whitespace runs, 'char' counts characters."""
 
     id: str = "whitespace"
-    external_path: str | None = None
-    external_counts: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.id not in ("whitespace", "char", "external"):
+        if self.id not in TOKENIZER_IDS:
             raise ValueError(f"unknown tokenizer spec: {self.id!r}")
-        if self.id == "external" and not self.external_path:
-            raise ValueError("external tokenizer spec requires external_path")
-
-    @classmethod
-    def external(cls, path: str, data: bytes) -> TokenizerSpec:
-        """The 'external' spec of the file at path, counting with the table
-        in data, the bytes a run read from it. Raises ValueError or
-        TypeError when data is not a JSON object of counts."""
-        table = json.loads(data.decode("utf-8"))
-        if not isinstance(table, dict):
-            raise ValueError("token counts must be a JSON object")
-        return cls("external", path, {str(k): int(v) for k, v in table.items()})
 
 
 def count_tokens(text: str, spec: TokenizerSpec) -> int:
     if spec.id == "whitespace":
         return len(text.split())
-    if spec.id == "char":
-        return len(text)
-    counts = spec.external_counts
-    if text not in counts:
-        raise LedgerError(f"external tokenizer has no entry for text of length {len(text)}")
-    return counts[text]
+    return len(text)
 
 
 def spec_for_target_language(tgt_lang: str) -> TokenizerSpec:
@@ -156,7 +132,7 @@ class CostLedger:
 def message_tokens(message: Message, spec: TokenizerSpec) -> int:
     """Tokens of one message under spec. A whitespace count is the one the
     message keeps (Message.whitespace_tokens), so each message object is
-    split at most once; a char or external count is a len or a lookup."""
+    split at most once; a char count is a len."""
     if spec.id == "whitespace":
         return message.whitespace_tokens
     return count_tokens(message.content, spec)

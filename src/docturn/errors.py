@@ -43,10 +43,6 @@ class PrefixStabilityError(DocturnError):
     """A multi-turn transcript does not extend its own history append-only."""
 
 
-class LedgerError(DocturnError):
-    """Cost accounting could not be computed for a transcript."""
-
-
 class ScorerError(DocturnError):
     """External segment scorer violated its line-aligned contract."""
 

@@ -9,6 +9,8 @@ the document sides that metrics.report.score_strategy builds.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -46,11 +48,13 @@ class LengthReport:
         return self.total_hyp_tokens / self.total_ref_tokens if self.total_ref_tokens else float("nan")
 
     def to_csv(self) -> str:
-        lines = ["doc_id,ref_tokens,hyp_tokens,ratio"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["doc_id", "ref_tokens", "hyp_tokens", "ratio"])
         for row in self.rows:
-            lines.append(f"{row.doc_id},{row.ref_tokens},{row.hyp_tokens},{row.ratio:.4f}")
-        lines.append(
-            f"TOTAL,{self.total_ref_tokens},{self.total_hyp_tokens},{self.total_ratio:.4f}"
+            writer.writerow([row.doc_id, row.ref_tokens, row.hyp_tokens, f"{row.ratio:.4f}"])
+        writer.writerow(
+            ["TOTAL", self.total_ref_tokens, self.total_hyp_tokens, f"{self.total_ratio:.4f}"]
         )
-        return "\n".join(lines) + "\n"
+        return out.getvalue()
 

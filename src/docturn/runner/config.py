@@ -1,7 +1,7 @@
 """Run-plan schema: strict parsing and validation of experiment configs.
 
 The config file is JSON, and the dataclasses are its schema: the keys of each
-JSON object are the fields of its class (RunPlan, BackendConfig,
+JSON object are exactly the fields of its class (RunPlan, BackendConfig,
 StrategyConfig, Exemplar, ScoringConfig), a field without a default is
 required, and each value must have its field's annotated type. An unknown or
 missing key, a value of the wrong type and a broken component invariant are
@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from ..corpus import Exemplar
+from ..costing import TOKENIZER_IDS
 from ..errors import ConfigError, CorpusError
 from ..gateway import BackendConfig
 from ..strategy import Mode, StrategyConfig
@@ -33,7 +34,6 @@ OPERATIONAL = frozenset({"output_dir", "max_concurrent_documents", "timeout_s"})
 # A run id or a backend name names one directory or file of a run: not empty,
 # not "." or "..", and without a path separator.
 _RUN_ID_RE = re.compile(r"^(?!\.\.?$)[A-Za-z0-9._-]+$")
-_TOKENIZER_IDS = ("auto", "whitespace", "char", "external")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class RunPlan:
     strategies: list[StrategyConfig]
     output_dir: str
     tokenizer: str = "auto"
-    tokenizer_external_path: str | None = None
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     max_concurrent_documents: int = 1
     fail_policy: str = "skip_and_report"
@@ -78,10 +77,8 @@ class RunPlan:
             raise ConfigError("max_concurrent_documents: must be >= 1")
         if self.fail_policy not in FAIL_POLICIES:
             raise ConfigError(f"fail_policy: unknown policy {self.fail_policy!r}")
-        if self.tokenizer not in _TOKENIZER_IDS:
+        if self.tokenizer != "auto" and self.tokenizer not in TOKENIZER_IDS:
             raise ConfigError(f"tokenizer: unknown id {self.tokenizer!r}")
-        if self.tokenizer == "external" and not self.tokenizer_external_path:
-            raise ConfigError("tokenizer.path: required by the external tokenizer")
         if self.max_context_tokens is not None and self.max_context_tokens < 1:
             raise ConfigError("max_context_tokens: must be >= 1")
         names = [b.name for b in self.backends]
@@ -98,11 +95,10 @@ class RunPlan:
         """Stable dict representation used for the resume-identity hash.
 
         It holds every field but the OPERATIONAL ones, which only locate or
-        pace a run, and it holds each file a run reads (test sets, mock
-        dictionaries, the external token-count file) as its path and the
-        SHA-256 of its bytes, so an edited file is a different run. files
-        maps a path to the bytes a run has read from it; each file not in it
-        is read and added.
+        pace a run, and it holds each file a run reads (test sets and mock
+        dictionaries) as its path and the SHA-256 of its bytes, so an edited
+        file is a different run. files maps a path to the bytes a run has
+        read from it; each file not in it is read and added.
         """
         files = {} if files is None else files
         record = dataclasses.asdict(
@@ -115,9 +111,6 @@ class RunPlan:
             backend["dictionary_path"] = _file_identity(
                 backend["dictionary_path"], f"backends[{i}].dictionary_path", files
             )
-        record["tokenizer_external_path"] = _file_identity(
-            self.tokenizer_external_path, "tokenizer.path", files
-        )
         return record
 
     def config_hash_of(self, files: dict[str, bytes]) -> str:
@@ -143,14 +136,12 @@ def _file_identity(path: str | None, key: str, files: dict[str, bytes]) -> dict[
     return {"path": path, "sha256": hashlib.sha256(files[path]).hexdigest()}
 
 
-def _schema(cls: type, set_elsewhere: frozenset[str] = frozenset()) -> dict[str, tuple]:
+def _schema(cls: type) -> dict[str, tuple]:
     """The JSON keys of cls: field name -> (annotated type less any
     `| None`, whether it is nullable, whether it is required)."""
     hints = get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
-        if f.name in set_elsewhere:
-            continue
         hint, nullable = hints[f.name], False
         if get_origin(hint) in (Union, types.UnionType):  # X | None
             (hint,), nullable = [a for a in get_args(hint) if a is not type(None)], True
@@ -160,8 +151,7 @@ def _schema(cls: type, set_elsewhere: frozenset[str] = frozenset()) -> dict[str,
 
 # Resolved once, here: resolving type hints costs far more than a parse.
 _SCHEMAS = {
-    # tokenizer_external_path is the "path" of a "tokenizer" object.
-    RunPlan: _schema(RunPlan, frozenset({"tokenizer_external_path"})),
+    RunPlan: _schema(RunPlan),
     BackendConfig: _schema(BackendConfig),
     StrategyConfig: _schema(StrategyConfig),
     Exemplar: _schema(Exemplar),
@@ -194,14 +184,15 @@ def _value(hint: Any, value: Any, key: str) -> Any:
     return get_origin(hint)(_value(item, v, f"{key}[{i}]") for i, v in enumerate(value))
 
 
-def _build(cls: type, record: Any, path: str, **given: Any) -> Any:
+def _build(cls: type, record: Any, path: str) -> Any:
     """An instance of cls from its JSON object record. path prefixes every
-    key path in errors; given holds the fields set from elsewhere."""
+    key path in errors."""
     if not isinstance(record, dict):
         raise ConfigError(f"{path[:-1]}: expected an object, got {record!r}")
     schema = _SCHEMAS[cls]
     if not record.keys() <= schema.keys():
         raise ConfigError(f"{path}{min(record.keys() - schema.keys())}: unknown key")
+    given = {}
     for name, (hint, nullable, required) in schema.items():
         if name in record:
             value = record[name]
@@ -229,18 +220,7 @@ def plan_from_dict(record: dict, base_dir: Path | None = None) -> RunPlan:
             path = base_dir / path
         return str(path)
 
-    # "tokenizer" is an id, or an object {"id": ..., "path": ...}.
-    tokenizer = record.get("tokenizer")
-    external_path = None
-    if isinstance(tokenizer, dict):
-        unknown = tokenizer.keys() - {"id", "path"}
-        if unknown:
-            raise ConfigError(f"tokenizer.{min(unknown)}: unknown key")
-        if tokenizer.get("path") is not None:
-            external_path = resolve(_value(str, tokenizer["path"], "tokenizer.path"))
-        record = {**record, "tokenizer": _value(str, tokenizer.get("id", "auto"), "tokenizer.id")}
-
-    plan = _build(RunPlan, record, "", tokenizer_external_path=external_path)
+    plan = _build(RunPlan, record, "")
     plan.testsets = [resolve(t) for t in plan.testsets]
     plan.output_dir = resolve(plan.output_dir)
     plan.backends = [

@@ -11,8 +11,8 @@ function of the hashed plan, the shipped templates and the replies. Loading
 a cell replays its record through the strategy, which rebuilds its
 requests, transcript and translation, and refuses the record unless the
 rebuilt requests hash to its digest. The cost ledgers are pure functions
-of the transcript, so none is stored: a cell walks its ledgers only when
-they are first read.
+of the transcript and the plan's count rule, so none is stored: a cell
+walks its ledgers only when they are first read, and the walk cannot fail.
 
 A record is built in memory while its cell runs and appended, with one write
 and a flush, only once the cell has completed: concurrent cells append in
@@ -90,8 +90,7 @@ class CellArtifact:
 
     @cached_property
     def ledgers(self) -> dict[str, dict]:
-        """Cache mode -> serialized ledger, walked on first read and kept.
-        Raises LedgerError when the spec cannot count a message."""
+        """Cache mode -> serialized ledger, walked on first read and kept."""
         ledgers = ledger_for_session(self.transcript, self.spec)
         return {mode: ledger.to_dict() for mode, ledger in ledgers.items()}
 
@@ -136,20 +135,6 @@ def load_testsets(plan: RunPlan, files: dict[str, bytes] | None = None) -> TestS
     return TestSet(name=plan.run_id, documents=documents)
 
 
-def _token_spec(plan: RunPlan, files: dict[str, bytes]) -> TokenizerSpec | None:
-    """The plan's token-counting spec, an external one counting with the
-    table in the bytes files holds for its path."""
-    tokenizer, path = plan.tokenizer, plan.tokenizer_external_path
-    if tokenizer == "auto":
-        return None
-    if tokenizer != "external":
-        return TokenizerSpec(tokenizer)
-    try:
-        return TokenizerSpec.external(path, files[path])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"tokenizer.path: no token counts in {path} ({exc})") from None
-
-
 def _open_run(plan: RunPlan, files: dict[str, bytes]) -> tuple[RunArtifacts, str]:
     """A run's artifacts, with no cell loaded yet, and its config hash. files
     holds the bytes already read, by path; each other file the run reads is
@@ -158,7 +143,8 @@ def _open_run(plan: RunPlan, files: dict[str, bytes]) -> tuple[RunArtifacts, str
     testset = load_testsets(plan, files)
     config_hash = plan.config_hash_of(files)
     run_dir = Path(plan.output_dir) / plan.run_id
-    return RunArtifacts(run_dir, plan, testset, _token_spec(plan, files)), config_hash
+    spec = None if plan.tokenizer == "auto" else TokenizerSpec(plan.tokenizer)
+    return RunArtifacts(run_dir, plan, testset, spec), config_hash
 
 
 def _group_log(run_dir: Path, backend: str, strategy: str) -> Path:

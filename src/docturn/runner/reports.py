@@ -17,6 +17,7 @@ runs produce byte-identical report files.
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -34,8 +35,12 @@ def _fmt(value: float | None, decimals: int = 2) -> str:
     return MISSING if value is None else f"{value:.{decimals}f}"
 
 
-def _csv_line(cells: list[str]) -> str:
-    return ",".join(cells)
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    """Write a CSV table, quoting each cell by the csv module's minimal rule."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
@@ -162,21 +167,15 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
     for backend in plan.backends:
         for strategy in plan.strategies:
             m = scores[(backend.name, strategy.label)]
-            if m.lengths is None:
-                continue
             path = reports_dir / f"lengths_{backend.name}_{strategy.label}.csv"
             path.write_text(m.lengths.to_csv(), "utf-8")
             written.append(path)
 
     # Exclusions: cells missing from the aggregates above.
-    lines = ["backend,strategy,doc_id,reason"]
-    for record in sorted(
-        artifacts.exclusions, key=lambda e: (e["backend"], e["strategy"], e["doc_id"])
-    ):
-        reason = record["reason"].replace(",", ";").replace("\n", " ")
-        lines.append(_csv_line([record["backend"], record["strategy"], record["doc_id"], reason]))
+    header = ["backend", "strategy", "doc_id", "reason"]
+    rows = sorted([e[key] for key in header] for e in artifacts.exclusions)
     exclusions_path = reports_dir / "exclusions.csv"
-    exclusions_path.write_text("\n".join(lines) + "\n", "utf-8")
+    _write_csv(exclusions_path, header, rows)
     written.append(exclusions_path)
 
     # Machine-readable scores.
@@ -203,10 +202,7 @@ def _write_pair(
 ) -> tuple[Path, Path]:
     """Write the table as <name>.csv and <name>.md; returns both paths."""
     csv_path = reports_dir / f"{name}.csv"
-    csv_lines = [_csv_line(header)] + [
-        _csv_line([cell.replace(",", ";") for cell in row]) for row in rows
-    ]
-    csv_path.write_text("\n".join(csv_lines) + "\n", "utf-8")
+    _write_csv(csv_path, header, rows)
     md_path = reports_dir / f"{name}.md"
     md_path.write_text(_markdown_table(header, rows), "utf-8")
     return csv_path, md_path

@@ -230,7 +230,6 @@ def reference_canonical_dict(plan) -> dict:
             for s in plan.strategies
         ],
         "tokenizer": plan.tokenizer,
-        "tokenizer_external_path": _reference_file_identity(plan.tokenizer_external_path),
         "scoring": {
             "blonde": plan.scoring.blonde,
             "scorer_command": list(plan.scoring.scorer_command or ()),

@@ -82,6 +82,16 @@ class TestRun:
         assert result.exit_code == 1
         assert "temprature" in result.output
 
+    def test_tokenizer_object_exit_1_names_key(self, runner, tmp_path):
+        """A plan that still gives its tokenizer as an object with a count
+        table is refused as invalid before anything is written."""
+        (tmp_path / "counts.json").write_text('{"One": 1}', "utf-8")
+        record = minimal_plan_dict(tmp_path, tokenizer={"id": "external", "path": "counts.json"})
+        result = runner.invoke(main, ["run", "--config", self.write_config(tmp_path, record)])
+        assert result.exit_code == 1
+        assert "invalid config: tokenizer: expected a string" in result.output
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_api_key_exit_1_before_requests(self, runner, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCTURN_SMOKE_KEY", raising=False)
         record = minimal_plan_dict(tmp_path)
@@ -188,27 +198,17 @@ class TestRun:
         )
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize(
-        "key, content",
-        [
-            ("backends[0].dictionary_path", '{"First": '),
-            ("backends[0].dictionary_path", '["First"]'),
-            ("tokenizer.path", '{"First": '),
-        ],
-        ids=["dictionary_invalid_json", "dictionary_not_an_object", "token_counts_invalid_json"],
-    )
-    def test_malformed_file_exit_1_names_key(self, runner, tmp_path, key, content):
+    @pytest.mark.parametrize("content", ['{"First": ', '["First"]'],
+                             ids=["dictionary_invalid_json", "dictionary_not_an_object"])
+    def test_malformed_file_exit_1_names_key(self, runner, tmp_path, content):
         (tmp_path / "file.json").write_text(content, "utf-8")
         record = minimal_plan_dict(tmp_path)
-        if key == "tokenizer.path":
-            record["tokenizer"] = {"id": "external", "path": "file.json"}
-        else:
-            record["backends"] = [
-                {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "file.json"}
-            ]
+        record["backends"] = [
+            {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "file.json"}
+        ]
         result = runner.invoke(main, ["run", "--config", self.write_config(tmp_path, record)])
         assert result.exit_code == 1
-        assert key in result.output
+        assert "backends[0].dictionary_path" in result.output
         assert not (tmp_path / "runs" / "test-run").exists()
 
     def test_report_on_unreadable_manifest_exit_2(self, runner, tmp_path):

@@ -13,11 +13,18 @@ from click.testing import CliRunner
 
 from docturn.cli import main
 from docturn.corpus import Exemplar
+from docturn.costing import TOKENIZER_IDS
 from docturn.errors import ConfigError
-from docturn.gateway import BackendConfig
+from docturn.gateway import BACKEND_KINDS, BackendConfig
 from docturn.runner import config
-from docturn.runner.config import OPERATIONAL, RunPlan, ScoringConfig, plan_from_dict
-from docturn.strategy import StrategyConfig
+from docturn.runner.config import (
+    FAIL_POLICIES,
+    OPERATIONAL,
+    RunPlan,
+    ScoringConfig,
+    plan_from_dict,
+)
+from docturn.strategy import Mode, StrategyConfig
 
 from .oracles import reference_canonical_dict
 from .test_runner import minimal_plan_dict
@@ -81,6 +88,8 @@ BAD_VALUES = {
     "name_dotdot": ("backends[0].name", _backend(name="..")),
     "drop_fraction_1_5": ("backends[0].drop_fraction", _backend(drop_fraction=1.5)),
     "kind_unknown": ("backends[0].kind", _backend(kind="nope")),
+    "tokenizer_external": ("tokenizer", _plan(tokenizer="external")),
+    "tokenizer_object": ("tokenizer", _plan(tokenizer={"id": "char"})),
     "icl_without_exemplars": ("strategies[0].exemplars", _strategy(icl=True)),
 }
 
@@ -145,7 +154,6 @@ def _benchmark_like(tmp_path: Path, workload: str) -> RunPlan:
 
 def _every_optional_key(tmp_path: Path) -> RunPlan:
     (tmp_path / "dict.json").write_text('{"One": "Eins"}', "utf-8")
-    (tmp_path / "counts.json").write_text('{"One": 1}', "utf-8")
     return plan_from_dict(minimal_plan_dict(
         tmp_path,
         backends=[{"kind": "mock_dictionary", "name": "dict", "model": "m", "base_url": "u",
@@ -153,7 +161,7 @@ def _every_optional_key(tmp_path: Path) -> RunPlan:
                    "timeout_s": 3, "dictionary_path": "dict.json", "drop_fraction": 0}],
         strategies=[{"mode": "multi_turn_sp", "icl": True, "exemplars": EXEMPLARS,
                      "max_tokens": 64}],
-        tokenizer={"id": "external", "path": "counts.json"},
+        tokenizer="char",
         scoring={"blonde": False, "scorer_command": ["score"], "top_n": 0,
                  "case_sensitive": False, "max_n": 2},
         max_concurrent_documents=2, fail_policy="halt", max_context_tokens=100,
@@ -176,19 +184,13 @@ def test_canonical_dict_serializes_as_the_hand_listed_reference(tmp_path, build)
     assert serialized(plan.canonical_dict()) == serialized(reference_canonical_dict(plan))
 
 
-def test_every_field_but_the_tokenizer_path_is_a_config_key():
+def test_every_field_is_a_config_key():
     """A field that no config key sets keeps its default in every run, so
-    the schemas leave out only tokenizer_external_path, which the "path" of
-    a "tokenizer" object sets."""
+    the schemas leave out none."""
     assert set(config._SCHEMAS) == {RunPlan, BackendConfig, StrategyConfig, Exemplar,
                                     ScoringConfig}
-    left_out = {
-        (cls.__name__, f.name)
-        for cls, schema in config._SCHEMAS.items()
-        for f in dataclasses.fields(cls)
-        if f.name not in schema
-    }
-    assert left_out == {("RunPlan", "tokenizer_external_path")}
+    for cls, schema in config._SCHEMAS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == list(schema), cls.__name__
 
 
 # The README's config-key table: its "object" column -> the class it documents.
@@ -198,7 +200,15 @@ TABLE_OBJECTS = {
     "strategy": StrategyConfig,
     "exemplar": Exemplar,
     "scoring": ScoringConfig,
-    "tokenizer": None,  # the {"id", "path"} object form of "tokenizer"
+}
+
+# The keys whose Range cell enumerates their values: (object, key) -> the
+# values the code accepts, in the code's order.
+TABLE_ENUMS = {
+    ("backend", "kind"): BACKEND_KINDS,
+    ("strategy", "mode"): tuple(mode.value for mode in Mode),
+    ("plan", "fail_policy"): FAIL_POLICIES,
+    ("plan", "tokenizer"): ("auto", *TOKENIZER_IDS),
 }
 
 
@@ -211,15 +221,17 @@ def _readme_table() -> list[list[str]]:
 
 def test_readme_key_table_matches_the_schema():
     """The table documents exactly the keys the builder accepts, which of them
-    are required, and which are left out of the config hash."""
+    are required, which are left out of the config hash, and the values of
+    each key that takes one of a fixed set."""
     documented: dict[str, set[str]] = {name: set() for name in TABLE_OBJECTS}
-    for obj, key, _json_type, default, _range, hashed in _readme_table():
+    for obj, key, _json_type, default, range_, hashed in _readme_table():
         key = key.strip("`")
         documented[obj].add(key)
-        if obj != "tokenizer":
-            _, _, required = config._SCHEMAS[TABLE_OBJECTS[obj]][key]
-            assert (default == "required") == required, (obj, key)
+        _, _, required = config._SCHEMAS[TABLE_OBJECTS[obj]][key]
+        assert (default == "required") == required, (obj, key)
         assert hashed.startswith("operational" if key in OPERATIONAL else "hashed"), (obj, key)
+        if (obj, key) in TABLE_ENUMS:
+            values = ", ".join(f"`{value}`" for value in TABLE_ENUMS[obj, key])
+            assert range_ == values, (obj, key)
     for obj, cls in TABLE_OBJECTS.items():
-        accepted = {"id", "path"} if cls is None else set(config._SCHEMAS[cls])
-        assert documented[obj] == accepted, obj
+        assert documented[obj] == set(config._SCHEMAS[cls]), obj

@@ -117,10 +117,16 @@ class TestLoadCorpus:
 
 
 class TestDocumentInvariants:
-    def test_empty_segment_rejected(self):
-        with pytest.raises(CorpusError, match="empty"):
+    @pytest.mark.parametrize("segment, problem", [
+        ("  ", "source segment 1 is empty"),
+        ("Alpha beta.\n\nGamma delta.", "source segment 1 holds a blank line"),
+        ("Alpha beta.\n \nGamma delta.", "source segment 1 holds a blank line"),
+        ("Alpha beta.\r\n\r\nGamma delta.", "source segment 1 holds a blank line"),
+    ], ids=["empty", "blank_line", "whitespace_line", "crlf_blank_line"])
+    def test_bad_segment_rejected(self, segment, problem):
+        with pytest.raises(CorpusError, match=f"document 'x': {problem}"):
             Document(id="x", src_lang="en", tgt_lang="de", domain="n",
-                     source_segments=("ok", "  "))
+                     source_segments=("ok", segment))
 
     def test_same_language_pair_rejected(self):
         with pytest.raises(CorpusError, match="language"):

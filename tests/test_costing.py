@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -26,7 +25,6 @@ from docturn.costing import (
     simulate_strategy_costs,
     spec_for_target_language,
 )
-from docturn.errors import LedgerError
 from docturn.strategy import Mode
 
 from . import oracles
@@ -45,21 +43,6 @@ class TestCountTokens:
 
     def test_char_spec(self):
         assert count_tokens("你好世界", TokenizerSpec("char")) == 4
-
-    def test_external_spec(self):
-        spec = TokenizerSpec.external("counts.json", b'{"hello world": 2}')
-        assert count_tokens("hello world", spec) == 2
-        with pytest.raises(LedgerError):
-            count_tokens("missing", spec)
-        # The table is not part of a spec's identity.
-        other = TokenizerSpec.external("counts.json", b'{"hello world": 3}')
-        assert other == spec and hash(other) == hash(spec)
-        assert other != TokenizerSpec.external("other.json", b'{"hello world": 2}')
-
-    @pytest.mark.parametrize("data", [b"[1]", b'{"a": "x"}'], ids=["list", "count"])
-    def test_external_spec_refuses_a_file_without_counts(self, data):
-        with pytest.raises((ValueError, TypeError)):
-            TokenizerSpec.external("counts.json", data)
 
     def test_language_defaults(self):
         assert spec_for_target_language("zh").id == "char"
@@ -350,15 +333,12 @@ def test_ledger_counts_each_distinct_message_once(monkeypatch, transcript):
 @given(
     role=st.sampled_from(["system", "user", "assistant"]),
     content=st.text(alphabet=st.sampled_from("ab 你\n\t"), max_size=12),
-    spec_id=st.sampled_from(["whitespace", "char", "external"]),
+    spec_id=st.sampled_from(costing.TOKENIZER_IDS),
 )
 def test_message_tokens_is_count_tokens_of_the_content(role, content, spec_id):
     """Under every spec, message_tokens is count_tokens of the content, also
     for a message that has counted itself before."""
-    if spec_id == "external":
-        spec = TokenizerSpec.external("counts.json", json.dumps({content: 7}).encode())
-    else:
-        spec = TokenizerSpec(spec_id)
+    spec = TokenizerSpec(spec_id)
     message = Message(role, content)
     for _ in range(2):
         assert costing.message_tokens(message, spec) == count_tokens(content, spec)

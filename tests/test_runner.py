@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import copy
+import csv
 import dataclasses
 import hashlib
 import importlib
@@ -28,7 +29,7 @@ from docturn import strategy as strategy_module
 from docturn.chat import Message, assistant, user
 from docturn.corpus import Exemplar
 from docturn.costing import Transcript, TranscriptTurn
-from docturn.errors import ConfigError, GatewayError, LedgerError, ResumeMismatchError
+from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
 from docturn.gateway import BackendConfig
 from docturn.metrics import report as report_module
 from docturn.prompts import extract_fenced_payload, load_template_set
@@ -867,6 +868,58 @@ class TestReports:
         main = (artifacts.run_dir / "reports" / "main.csv").read_text("utf-8").splitlines()
         assert [line.split(",")[3] for line in main[1:]] == ["-", "0.2500"]
 
+    def test_comma_bearing_ids_round_trip_through_every_csv(self, tmp_path):
+        """A document id holding a comma or a quote is one cell of its row in
+        the length and exclusion tables, as csv.reader reads them back."""
+        ids = ['wmt24,doc-1', 'wmt24,"doc"-2']
+        write_jsonl(tmp_path / "corpus.jsonl", [
+            {"id": ids[0], "src_lang": "en", "tgt_lang": "de",
+             "src": ["One two three.", "Four five six."], "ref": ["Eins.", "Zwei."]},
+            {"id": ids[1], "src_lang": "en", "tgt_lang": "de",
+             "src": ["Seven eight nine."], "ref": ["Drei."]},
+        ])
+        free = execute(plan_from_dict(minimal_plan_dict(tmp_path, run_id="free")))
+        # The longest segment-level request fits; multi-turn's second request of
+        # the first document does not.
+        budget = max(sum(len(m.content.split()) for m in t.request_messages)
+                     for (_, strategy, _), cell in free.cells.items() if strategy == "segment_level"
+                     for t in cell.transcript.turns)
+        artifacts = execute(plan_from_dict(minimal_plan_dict(tmp_path, max_context_tokens=budget)))
+        assert [e["doc_id"] for e in artifacts.exclusions] == [ids[0]]
+        emit_reports(artifacts)
+        reports = artifacts.run_dir / "reports"
+
+        def rows(name: str) -> list[list[str]]:
+            with (reports / name).open(encoding="utf-8", newline="") as fh:
+                return list(csv.reader(fh))
+
+        lengths = rows("lengths_identity_segment_level.csv")
+        assert lengths[0] == ["doc_id", "ref_tokens", "hyp_tokens", "ratio"]
+        assert sorted(row[0] for row in lengths[1:-1]) == sorted(ids)
+        assert all(len(row) == 4 for row in lengths)
+        exclusions = rows("exclusions.csv")
+        assert exclusions[0] == ["backend", "strategy", "doc_id", "reason"]
+        assert exclusions[1][:3] == ["identity", "multi_turn", ids[0]]
+        assert exclusions[1][3] == artifacts.exclusions[0]["reason"] and len(exclusions) == 2
+
+    def test_comma_bearing_domain_round_trips_through_per_domain_csv(self, tmp_path):
+        """A domain holding a comma is one quoted cell of per_domain.csv, kept
+        as written, and its Markdown twin shows it unquoted."""
+        domain = 'news, "politics"'
+        write_jsonl(tmp_path / "corpus.jsonl", [
+            {"id": "doc-1", "src_lang": "en", "tgt_lang": "de", "domain": domain,
+             "src": ["One two three."], "ref": ["One two three."]},
+        ])
+        artifacts = execute(plan_from_dict(minimal_plan_dict(tmp_path)))
+        emit_reports(artifacts)
+        reports = artifacts.run_dir / "reports"
+        with (reports / "per_domain.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["backend", "domain", "Segment-level", "Multi-turn"]
+        assert [row[:2] for row in rows[1:]] == [["identity", domain]]
+        assert all(len(row) == 4 for row in rows)
+        assert f"| {domain} |" in (reports / "per_domain.md").read_text("utf-8")
+
     def test_returns_every_file_it_writes(self, tmp_path):
         """Each csv table's Markdown twin is returned beside it."""
         artifacts = execute(plan_from_dict(mixed_plan_dict(tmp_path)))
@@ -1089,7 +1142,7 @@ class TestMalformedBackendReply:
 # added to one of the two sets.
 HASHED_FIELDS = {
     RunPlan: {"run_id", "testsets", "backends", "strategies", "tokenizer",
-              "tokenizer_external_path", "scoring", "fail_policy", "max_context_tokens"},
+              "scoring", "fail_policy", "max_context_tokens"},
     BackendConfig: {"kind", "name", "model", "base_url", "api_key_env_var", "max_retries",
                     "requests_per_minute", "dictionary_path", "drop_fraction"},
     StrategyConfig: {"mode", "icl", "exemplars", "max_tokens"},
@@ -1138,8 +1191,6 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
     copy.write_bytes(Path(plan.testsets[0]).read_bytes())
     dictionary = tmp_path / "dict.json"
     dictionary.write_text('{"One": "Eins"}', "utf-8")
-    counts = tmp_path / "counts.json"
-    counts.write_text('{"One": 1}', "utf-8")
     return {
         (RunPlan, "run_id"): dataclasses.replace(plan, run_id="other-run"),
         (RunPlan, "testsets"): dataclasses.replace(plan, testsets=[str(copy)]),
@@ -1148,9 +1199,6 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
         ),
         (RunPlan, "strategies"): dataclasses.replace(plan, strategies=plan.strategies[:1]),
         (RunPlan, "tokenizer"): dataclasses.replace(plan, tokenizer="whitespace"),
-        (RunPlan, "tokenizer_external_path"): dataclasses.replace(
-            plan, tokenizer_external_path=str(counts)
-        ),
         (RunPlan, "scoring"): dataclasses.replace(plan, scoring=ScoringConfig(top_n=3)),
         (RunPlan, "fail_policy"): dataclasses.replace(plan, fail_policy="halt"),
         (RunPlan, "max_context_tokens"): dataclasses.replace(plan, max_context_tokens=100),
@@ -1246,11 +1294,11 @@ class TestResumeIdentity:
             execute(edited, complete_fn=recording(sent))
         assert sent == []
 
-    @pytest.mark.parametrize("key", ["backends[0].dictionary_path", "tokenizer.path"])
+    @pytest.mark.parametrize("key", ["testsets[0]", "backends[0].dictionary_path"])
     def test_missing_file_is_a_config_error_before_any_request(self, tmp_path, key):
         record = minimal_plan_dict(tmp_path)
-        if key == "tokenizer.path":
-            record["tokenizer"] = {"id": "external", "path": "missing.json"}
+        if key == "testsets[0]":
+            record["testsets"] = ["missing.jsonl"]
         else:
             record["backends"] = [
                 {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "missing.json"}
@@ -1560,26 +1608,6 @@ class TestLedgersOnRead:
         assert walks == [3]
         assert cell.ledgers is first and walks == [3]
 
-    def test_missing_prompt_count_fails_the_ledger_read_not_the_run(self, tmp_path):
-        counts = tmp_path / "counts.json"
-        record = minimal_plan_dict(tmp_path, tokenizer={"id": "external", "path": str(counts)})
-        texts = counted_texts(plan_from_dict(record))
-        # The prompt of doc-2's first paragraph, which both strategies send.
-        missing = next(t for t in texts if t.endswith("```\nTen eleven twelve.\n```"))
-        write_token_counts(counts, texts - {missing}, per_word=1)
-        artifacts = execute(plan_from_dict(record))
-        assert artifacts.exclusions == [] and len(artifacts.cells) == 4
-        lacking = set()
-        for key, cell in artifacts.cells.items():
-            sent = {m.content for t in cell.transcript.turns for m in t.request_messages}
-            if missing in sent:
-                lacking.add(key)
-                with pytest.raises(LedgerError):
-                    cell.ledgers
-            else:
-                assert set(cell.ledgers) == {"cached", "uncached"}
-        assert lacking == {("identity", "segment_level", "doc-2"), MULTI_TURN_DOC_2}
-
 
 class TestOnePass:
     def test_one_prefix_check_per_multi_turn_cell(self, tmp_path, monkeypatch):
@@ -1661,26 +1689,6 @@ def first_paragraph_corpus(tmp_path: Path) -> None:
     }])
 
 
-def counted_texts(plan: RunPlan) -> set[str]:
-    """Every text a run and report of plan count: the messages sent, the
-    replies, the references and the hypotheses, found by running it once
-    under the whitespace tokenizer into another run directory."""
-    artifacts = execute(dataclasses.replace(
-        plan, run_id=f"{plan.run_id}-texts", tokenizer="whitespace", tokenizer_external_path=None
-    ))
-    texts = {seg for doc in artifacts.testset for seg in doc.reference_segments or ()}
-    for cell in artifacts.cells.values():
-        texts.update(cell.translation.hypothesis_segments)
-        for turn in cell.transcript.turns:
-            texts.update(m.content for m in turn.request_messages)
-            texts.add(turn.response_text)
-    return texts
-
-
-def write_token_counts(path: Path, texts: set[str], per_word: int) -> None:
-    path.write_text(json.dumps({t: per_word * len(t.split()) for t in texts}), "utf-8")
-
-
 def file_name(file) -> str | None:
     return Path(file).name if isinstance(file, (str, os.PathLike)) else None
 
@@ -1691,11 +1699,6 @@ def patch_open(monkeypatch, wrapper) -> None:
     original = io.open
     monkeypatch.setattr(io, "open", partial(wrapper, original))
     monkeypatch.setattr(builtins, "open", partial(wrapper, original))
-
-
-def ledger_totals(artifacts) -> dict:
-    return {key: {mode: ledger["totals"] for mode, ledger in cell.ledgers.items()}
-            for key, cell in artifacts.cells.items()}
 
 
 class TestRunOwnsItsState:
@@ -1716,36 +1719,13 @@ class TestRunOwnsItsState:
         assert a.cells[key].translation.hypothesis_segments == ("Erster paragraph.",)
         assert b.cells[key].translation.hypothesis_segments == ("UNO paragraph.",)
 
-    def test_edited_token_counts_take_effect_in_the_next_run(self, tmp_path):
-        counts = tmp_path / "counts.json"
-        record = minimal_plan_dict(tmp_path, tokenizer={"id": "external", "path": str(counts)})
-        texts = counted_texts(plan_from_dict(record))
-        write_token_counts(counts, texts, per_word=1)
-        a = execute(plan_from_dict({**record, "run_id": "a"}))
-        write_token_counts(counts, texts, per_word=2)
-        b = execute(plan_from_dict({**record, "run_id": "b"}))
-        doubled = {key: {mode: {name: 2 * n for name, n in totals.items()}
-                         for mode, totals in modes.items()}
-                   for key, modes in ledger_totals(a).items()}
-        assert ledger_totals(b) == doubled
-        # The length report counts with the same table as the ledgers.
-        emit_reports(a)
-        emit_reports(b)
-        name = "reports/lengths_identity_segment_level.csv"
-        total_a = (a.run_dir / name).read_text("utf-8").splitlines()[-1].split(",")
-        total_b = (b.run_dir / name).read_text("utf-8").splitlines()[-1].split(",")
-        assert [int(total_b[1]), int(total_b[2])] == [2 * int(total_a[1]), 2 * int(total_a[2])]
-
     def test_each_file_read_once_per_run(self, tmp_path, monkeypatch):
         dictionary = tmp_path / "dict.json"
         dictionary.write_text('{"One": "Eins"}', "utf-8")
-        counts = tmp_path / "counts.json"
         record = minimal_plan_dict(
             tmp_path,
-            tokenizer={"id": "external", "path": str(counts)},
             backends=[{"kind": "mock_dictionary", "name": "dict", "dictionary_path": str(dictionary)}],
         )
-        write_token_counts(counts, counted_texts(plan_from_dict(record)), per_word=1)
         reads: Counter = Counter()
 
         def counted(open_file, file, *args, **kwargs):
@@ -1755,10 +1735,10 @@ class TestRunOwnsItsState:
         patch_open(monkeypatch, counted)
         plan = plan_from_dict(record)
         emit_reports(execute(plan))
-        assert (reads["corpus.jsonl"], reads["dict.json"], reads["counts.json"]) == (1, 1, 1)
+        assert (reads["corpus.jsonl"], reads["dict.json"]) == (1, 1)
         reads.clear()
         emit_reports(load_artifacts(plan))
-        assert (reads["corpus.jsonl"], reads["dict.json"], reads["counts.json"]) == (1, 1, 1)
+        assert (reads["corpus.jsonl"], reads["dict.json"]) == (1, 1)
 
     def test_file_edited_after_its_one_read_runs_as_hashed(self, tmp_path, monkeypatch):
         """The config hash and the translations come from one read of the
@@ -1790,28 +1770,18 @@ class TestRunOwnsItsState:
         manifest = json.loads((artifacts.run_dir / "manifest.json").read_text("utf-8"))
         assert manifest["config_hash"] == hashed
 
-    @pytest.mark.parametrize(
-        "key, content",
-        [
-            ("backends[0].dictionary_path", '{"First": '),
-            ("backends[0].dictionary_path", '["First"]'),
-            ("tokenizer.path", '{"First": '),
-        ],
-        ids=["dictionary_invalid_json", "dictionary_not_an_object", "token_counts_invalid_json"],
-    )
-    def test_malformed_file_is_a_config_error_before_any_request(self, tmp_path, key, content):
+    @pytest.mark.parametrize("content", ['{"First": ', '["First"]'],
+                             ids=["dictionary_invalid_json", "dictionary_not_an_object"])
+    def test_malformed_file_is_a_config_error_before_any_request(self, tmp_path, content):
         first_paragraph_corpus(tmp_path)
         (tmp_path / "file.json").write_text(content, "utf-8")
         record = minimal_plan_dict(tmp_path)
-        if key == "tokenizer.path":
-            record["tokenizer"] = {"id": "external", "path": "file.json"}
-        else:
-            record["backends"] = [
-                {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "file.json"}
-            ]
+        record["backends"] = [
+            {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "file.json"}
+        ]
         plan = plan_from_dict(record, base_dir=tmp_path)
         sent: list[str] = []
-        with pytest.raises(ConfigError, match=re.escape(key)):
+        with pytest.raises(ConfigError, match=re.escape("backends[0].dictionary_path")):
             execute(plan, complete_fn=recording(sent))
         assert sent == []
         assert not (Path(plan.output_dir) / plan.run_id).exists()
@@ -1832,15 +1802,12 @@ class TestRunOwnsItsState:
     def test_no_module_state_changes(self, tmp_path, monkeypatch):
         """No module-level or class-level dict, list or set in docturn changes
         over a run and its reports, with every backend kind that keeps state:
-        a mock dictionary, an external tokenizer and a rate-limited HTTP
-        backend."""
+        a mock dictionary and a rate-limited HTTP backend."""
         monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
         dictionary = tmp_path / "dict.json"
         dictionary.write_text('{"One": "Eins"}', "utf-8")
-        counts = tmp_path / "counts.json"
         record = minimal_plan_dict(
             tmp_path,
-            tokenizer={"id": "external", "path": str(counts)},
             backends=[
                 {"kind": "mock_dictionary", "name": "dict", "dictionary_path": str(dictionary)},
                 {"kind": "openai_compatible", "name": "http", "base_url": "http://fake",
@@ -1853,7 +1820,6 @@ class TestRunOwnsItsState:
 
         monkeypatch.setattr(gateway.requests, "post", post)
         before = module_state()
-        write_token_counts(counts, counted_texts(plan_from_dict(record)), per_word=1)
         artifacts = execute(plan_from_dict(record))
         emit_reports(artifacts)
         assert len(artifacts.cells) == 8 and not artifacts.exclusions
