@@ -153,7 +153,12 @@ def parse_corpus(data: bytes, path: str | Path) -> TestSet:
     the test set and its warnings. Raises as load_corpus does."""
     path = Path(path)
     documents: list[Document] = []
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # name its line as the loop below counts lines
+        before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).getvalue()
+        raise CorpusError("not valid UTF-8", line=before.count("\n") + 1) from None
+    with io.StringIO(text, newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

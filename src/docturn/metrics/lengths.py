@@ -9,8 +9,6 @@ the document sides that metrics.report.score_strategy builds.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,14 +45,11 @@ class LengthReport:
     def total_ratio(self) -> float:
         return self.total_hyp_tokens / self.total_ref_tokens if self.total_ref_tokens else float("nan")
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["doc_id", "ref_tokens", "hyp_tokens", "ratio"])
-        for row in self.rows:
-            writer.writerow([row.doc_id, row.ref_tokens, row.hyp_tokens, f"{row.ratio:.4f}"])
-        writer.writerow(
-            ["TOTAL", self.total_ref_tokens, self.total_hyp_tokens, f"{self.total_ratio:.4f}"]
-        )
-        return out.getvalue()
+    def to_table(self) -> tuple[list[str], list[list[str]]]:
+        """The CSV's header and rows: the top-N documents, then TOTAL."""
+        rows = [(r.doc_id, r.ref_tokens, r.hyp_tokens, r.ratio) for r in self.rows]
+        rows.append(("TOTAL", self.total_ref_tokens, self.total_hyp_tokens, self.total_ratio))
+        return ["doc_id", "ref_tokens", "hyp_tokens", "ratio"], [
+            [name, str(ref), str(hyp), f"{ratio:.4f}"] for name, ref, hyp, ratio in rows
+        ]
 

@@ -83,7 +83,7 @@ def document_side(
     segments: Iterable[str],
     bleu_cfg: BleuConfig,
     res: BlondeResources | None,
-    length_spec: TokenizerSpec,
+    spec: TokenizerSpec,
 ) -> DocumentSide:
     segments = tuple(segments)
     tokens = document_tokens(segments, bleu_cfg)
@@ -95,7 +95,7 @@ def document_side(
     return DocumentSide(
         ngrams=ngram_side(tokens, bleu_cfg.max_n),
         markers=markers,
-        tokens=sum(count_tokens(s, length_spec) for s in segments),
+        tokens=sum(count_tokens(s, spec) for s in segments),
     )
 
 
@@ -111,8 +111,8 @@ class DocumentScore:
     blonde: dict[str, tuple[int, int, int]] | None
 
 
-# (doc id, direction BLEU config, BlonDE-lite scored, length spec)
-SideKey = tuple[str, BleuConfig, bool, TokenizerSpec]
+# (doc id, direction BLEU config, BlonDE-lite scored)
+SideKey = tuple[str, BleuConfig, bool]
 
 
 @dataclass
@@ -134,14 +134,14 @@ class ScoringTable:
         hyp: DocumentTranslation,
         dir_cfg: BleuConfig,
         res: BlondeResources | None,
-        spec: TokenizerSpec,
     ) -> DocumentScore:
         """hyp scored against doc's reference, built on first use."""
-        side_key = (doc.id, dir_cfg, res is not None, spec)
+        side_key = (doc.id, dir_cfg, res is not None)
         key = (side_key, hyp.hypothesis_segments, hyp.alignment_ok)
         score = self.scores.get(key)
         if score is not None:
             return score
+        spec = spec_for_target_language(doc.tgt_lang)
         ref = self.references.get(side_key)
         if ref is None:
             ref = self.references[side_key] = document_side(
@@ -179,7 +179,6 @@ def score_strategy(
     bleu_config: BleuConfig | None = None,
     compute_blonde: bool = True,
     scorer: SegmentScorer | None = None,
-    length_spec: TokenizerSpec | None = None,
     top_n: int = 10,
     table: ScoringTable | None = None,
 ) -> StrategyMetrics:
@@ -188,9 +187,8 @@ def score_strategy(
     dBLEU is computed per language direction with a direction-appropriate
     tokenizer and averaged (unweighted) across directions; the per-domain
     table averages each domain's per-direction scores the same way. Lengths
-    are counted with length_spec, or without one by the spec of each
-    document's target language. Reference sides and document scores are
-    taken from, and added to, table.
+    are counted by the spec of each document's target language. Reference
+    sides and document scores are taken from, and added to, table.
     """
     cfg = bleu_config or BleuConfig()
     metrics = StrategyMetrics()
@@ -219,8 +217,7 @@ def score_strategy(
             dir_cfg = replace(cfg, tokenizer=tokenizer_for_language(doc.tgt_lang))
             dir_cfgs[doc.direction] = dir_cfg
         res = load_blonde_resources(doc.tgt_lang) if compute_blonde else None
-        spec = length_spec or spec_for_target_language(doc.tgt_lang)
-        score = table.score(doc, hyp, dir_cfg, res, spec)
+        score = table.score(doc, hyp, dir_cfg, res)
         _accumulate(direction_stats, doc.direction, score.bleu)
         _accumulate(slice_stats.setdefault(doc.direction, {}), doc.domain, score.bleu)
         length_rows.append(LengthRow(doc.id, score.ref_tokens, score.hyp_tokens))
@@ -268,17 +265,14 @@ def score_strategy(
 def length_report(
     testset: TestSet,
     translations: Mapping[str, DocumentTranslation],
-    spec: TokenizerSpec | None = None,
     top_n: int = 10,
 ) -> LengthReport:
     """score_strategy's length table: the top-N longest documents by
     reference tokens, ties broken by doc id.
 
-    Without a spec, each document is counted by spec_for_target_language of
-    its target language (characters for zh/ja). Documents without references
-    or without a translation are skipped. A top_n larger than the corpus
+    Each document is counted by spec_for_target_language of its target
+    language (characters for zh/ja). Documents without references or
+    without a translation are skipped. A top_n larger than the corpus
     returns the full corpus.
     """
-    return score_strategy(
-        testset, translations, compute_blonde=False, length_spec=spec, top_n=top_n
-    ).lengths
+    return score_strategy(testset, translations, compute_blonde=False, top_n=top_n).lengths

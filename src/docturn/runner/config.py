@@ -21,15 +21,17 @@ from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from ..corpus import Exemplar
-from ..costing import TOKENIZER_IDS
 from ..errors import ConfigError, CorpusError
 from ..gateway import BackendConfig
 from ..strategy import Mode, StrategyConfig
 
 FAIL_POLICIES = ("halt", "skip_and_report")
 
-# Fields that cannot change any output, left out of the config hash.
-OPERATIONAL = frozenset({"output_dir", "max_concurrent_documents", "timeout_s"})
+# Where a run's files go, how fast and how persistently it calls a backend,
+# what a failure stops, and how its reports score: no request or reply depends
+# on any of these fields, so the config hash leaves them out.
+OPERATIONAL = frozenset({"output_dir", "max_concurrent_documents", "timeout_s", "max_retries",
+                         "requests_per_minute", "fail_policy", "scoring"})
 
 # A run id or a backend name names one directory or file of a run: not empty,
 # not "." or "..", and without a path separator.
@@ -58,7 +60,6 @@ class RunPlan:
     backends: list[BackendConfig]
     strategies: list[StrategyConfig]
     output_dir: str
-    tokenizer: str = "auto"
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     max_concurrent_documents: int = 1
     fail_policy: str = "skip_and_report"
@@ -77,8 +78,6 @@ class RunPlan:
             raise ConfigError("max_concurrent_documents: must be >= 1")
         if self.fail_policy not in FAIL_POLICIES:
             raise ConfigError(f"fail_policy: unknown policy {self.fail_policy!r}")
-        if self.tokenizer != "auto" and self.tokenizer not in TOKENIZER_IDS:
-            raise ConfigError(f"tokenizer: unknown id {self.tokenizer!r}")
         if self.max_context_tokens is not None and self.max_context_tokens < 1:
             raise ConfigError("max_context_tokens: must be >= 1")
         names = [b.name for b in self.backends]
@@ -94,9 +93,9 @@ class RunPlan:
     def canonical_dict(self, files: dict[str, bytes] | None = None) -> dict[str, Any]:
         """Stable dict representation used for the resume-identity hash.
 
-        It holds every field but the OPERATIONAL ones, which only locate or
-        pace a run, and it holds each file a run reads (test sets and mock
-        dictionaries) as its path and the SHA-256 of its bytes, so an edited
+        It holds every field but the OPERATIONAL ones, which decide no
+        request and no reply, and it holds each file a run reads (test sets
+        and mock dictionaries) as its path and the SHA-256 of its bytes, so an edited
         file is a different run. files maps a path to the bytes a run has
         read from it; each file not in it is read and added.
         """
@@ -235,6 +234,8 @@ def load_run_config(path: str | Path) -> RunPlan:
     path = Path(path)
     try:
         record = json.loads(path.read_text("utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from exc
     if not isinstance(record, dict):

@@ -11,7 +11,7 @@ function of the hashed plan, the shipped templates and the replies. Loading
 a cell replays its record through the strategy, which rebuilds its
 requests, transcript and translation, and refuses the record unless the
 rebuilt requests hash to its digest. The cost ledgers are pure functions
-of the transcript and the plan's count rule, so none is stored: a cell
+of the transcript and its document's count rule, so none is stored: a cell
 walks its ledgers only when they are first read, and the walk cannot fail.
 
 A record is built in memory while its cell runs and appended, with one write
@@ -86,7 +86,7 @@ class CellArtifact:
 
     translation: DocumentTranslation
     transcript: Transcript
-    spec: TokenizerSpec  # the cell's token-counting spec
+    spec: TokenizerSpec  # its document's target-language count rule
 
     @cached_property
     def ledgers(self) -> dict[str, dict]:
@@ -100,9 +100,6 @@ class RunArtifacts:
     run_dir: Path
     plan: RunPlan
     testset: TestSet
-    # The plan's token-counting spec, None under 'auto' (by target language).
-    # The ledgers, the context budget and the length reports all count with it.
-    token_spec: TokenizerSpec | None
     cells: dict[CellKey, CellArtifact] = field(default_factory=dict)
     exclusions: list[dict] = field(default_factory=list)
 
@@ -143,8 +140,7 @@ def _open_run(plan: RunPlan, files: dict[str, bytes]) -> tuple[RunArtifacts, str
     testset = load_testsets(plan, files)
     config_hash = plan.config_hash_of(files)
     run_dir = Path(plan.output_dir) / plan.run_id
-    spec = None if plan.tokenizer == "auto" else TokenizerSpec(plan.tokenizer)
-    return RunArtifacts(run_dir, plan, testset, spec), config_hash
+    return RunArtifacts(run_dir, plan, testset), config_hash
 
 
 def _group_log(run_dir: Path, backend: str, strategy: str) -> Path:
@@ -198,7 +194,7 @@ def _drive_cell(
     session = init_session(strategy, doc, templates, group.prefix)
     transcript = Transcript()
     plan = artifacts.plan
-    spec = artifacts.token_spec or spec_for_target_language(doc.tgt_lang)
+    spec = spec_for_target_language(doc.tgt_lang)
 
     while (request := next_request(session)) is not None:
         turn = len(transcript.turns)

@@ -17,7 +17,6 @@ runs produce byte-identical report files.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -35,23 +34,28 @@ def _fmt(value: float | None, decimals: int = 2) -> str:
     return MISSING if value is None else f"{value:.{decimals}f}"
 
 
+def _csv_cell(cell: str) -> str:
+    """A cell holding a comma, a quote, a newline or a carriage return is
+    quoted, with its quotes doubled; any other cell is written as it is."""
+    if any(c in cell for c in ',"\n\r'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    """Write a CSV table, quoting each cell by the csv module's minimal rule."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a CSV table, one line per row, each ended by a newline."""
+    lines = (",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
+    path.write_bytes("".join(lines).encode("utf-8"))
 
 
 def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    """An aligned Markdown table; a `|` in a cell is escaped as `\\|`."""
+    table = [[cell.replace("|", "\\|") for cell in row] for row in [header, *rows]]
+    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     def line(cells: list[str]) -> str:
         return "| " + " | ".join(c.ljust(widths[i]) for i, c in enumerate(cells)) + " |"
     sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-    return "\n".join([line(header), sep] + [line(r) for r in rows]) + "\n"
+    return "\n".join([line(table[0]), sep] + [line(r) for r in table[1:]]) + "\n"
 
 
 def _strategy_scores(artifacts: RunArtifacts) -> dict[tuple[str, str], StrategyMetrics]:
@@ -76,7 +80,6 @@ def _strategy_scores(artifacts: RunArtifacts) -> dict[tuple[str, str], StrategyM
                 compute_blonde=plan.scoring.blonde,
                 # Single-turn outputs have no trusted segment alignment.
                 scorer=None if strategy.mode == Mode.SINGLE_TURN else scorer,
-                length_spec=artifacts.token_spec,
                 top_n=plan.scoring.top_n,
                 table=table,
             )
@@ -168,7 +171,7 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
         for strategy in plan.strategies:
             m = scores[(backend.name, strategy.label)]
             path = reports_dir / f"lengths_{backend.name}_{strategy.label}.csv"
-            path.write_text(m.lengths.to_csv(), "utf-8")
+            _write_csv(path, *m.lengths.to_table())
             written.append(path)
 
     # Exclusions: cells missing from the aggregates above.

@@ -205,8 +205,6 @@ def reference_canonical_dict(plan) -> dict:
                 "model": b.model,
                 "base_url": b.base_url,
                 "api_key_env_var": b.api_key_env_var,
-                "max_retries": b.max_retries,
-                "requests_per_minute": b.requests_per_minute,
                 "dictionary_path": _reference_file_identity(b.dictionary_path),
                 "drop_fraction": b.drop_fraction,
             }
@@ -229,14 +227,5 @@ def reference_canonical_dict(plan) -> dict:
             }
             for s in plan.strategies
         ],
-        "tokenizer": plan.tokenizer,
-        "scoring": {
-            "blonde": plan.scoring.blonde,
-            "scorer_command": list(plan.scoring.scorer_command or ()),
-            "top_n": plan.scoring.top_n,
-            "case_sensitive": plan.scoring.case_sensitive,
-            "max_n": plan.scoring.max_n,
-        },
-        "fail_policy": plan.fail_policy,
         "max_context_tokens": plan.max_context_tokens,
     }

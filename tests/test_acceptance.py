@@ -292,7 +292,7 @@ def test_criterion_8_omission_reproduction(tmp_path):
 
     def ratios(strategy_label: str) -> list[float]:
         translations = artifacts.translations_for("dropper", strategy_label)
-        report = length_report(testset, translations, WS, top_n=10)
+        report = length_report(testset, translations, top_n=10)
         assert len(report.rows) == 10
         return [row.ratio for row in report.rows]
 

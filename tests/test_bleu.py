@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docturn.corpus import Document, TestSet
-from docturn.costing import TokenizerSpec
 from docturn.errors import DocturnError
 from docturn.metrics.bleu import (
     BleuConfig,
@@ -270,9 +269,8 @@ class TestPooledStatistics:
         assert both.blonde == alone.blonde
         assert both.lengths == alone.lengths
 
-    @pytest.mark.parametrize("length_spec", [None, TokenizerSpec("char")], ids=["auto", "char"])
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
-    def test_shared_table_equals_fresh_tables(self, length_spec, order):
+    def test_shared_table_equals_fresh_tables(self, order):
         """Strategies scored through one ScoringTable get the metrics each
         gets from a fresh table, whatever the order they are scored in."""
         en = "He came home. However, she left early because they had worked."
@@ -310,7 +308,7 @@ class TestPooledStatistics:
         ][::order]
 
         def score(translations, table=None):
-            return score_strategy(testset, translations, length_spec=length_spec, table=table)
+            return score_strategy(testset, translations, table=table)
 
         table = ScoringTable()
         shared = [score(translations, table) for translations in strategies]

@@ -44,9 +44,17 @@ class TestValidateCorpus:
         assert "bad-doc" in result.output
 
     @pytest.mark.parametrize("command", ["validate-corpus", "run"])
-    def test_segments_not_a_list_of_strings_exit_1(self, runner, tmp_path, command):
+    @pytest.mark.parametrize("content, problem", [
+        (b'{"id": "d", "src_lang": "en", "tgt_lang": "de", "src": [1, 2]}\n',
+         "line 1: 'src' must be a list of strings"),
+        (b'{"id": "d", "src_lang": "en", "tgt_lang": "de", "src": ["a"]}\r\n'
+         b'{"id": "caf\xe9", "src_lang": "en", "tgt_lang": "de", "src": ["a"]}\n',
+         "line 2: not valid UTF-8"),
+    ], ids=["segments_not_strings", "not_utf8"])
+    def test_malformed_corpus_exit_1_names_line(self, runner, tmp_path, command, content,
+                                                problem):
         path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, [{"id": "d", "src_lang": "en", "tgt_lang": "de", "src": [1, 2]}])
+        path.write_bytes(content)
         args = [str(path)]
         if command == "run":
             plan = tmp_path / "plan.json"
@@ -55,7 +63,7 @@ class TestValidateCorpus:
         result = runner.invoke(main, [command, *args])
         assert result.exit_code == 1
         prefix = "error: " if command == "run" else "invalid corpus: "
-        assert result.output.startswith(prefix + "line 1: "), result.output
+        assert result.output.startswith(prefix + problem), result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert not (tmp_path / "runs").exists()
 
@@ -82,14 +90,14 @@ class TestRun:
         assert result.exit_code == 1
         assert "temprature" in result.output
 
-    def test_tokenizer_object_exit_1_names_key(self, runner, tmp_path):
-        """A plan that still gives its tokenizer as an object with a count
-        table is refused as invalid before anything is written."""
-        (tmp_path / "counts.json").write_text('{"One": 1}', "utf-8")
-        record = minimal_plan_dict(tmp_path, tokenizer={"id": "external", "path": "counts.json"})
+    def test_tokenizer_key_exit_1_unknown_key(self, runner, tmp_path):
+        """A plan that still sets a tokenizer, even to the old default, is
+        refused as invalid before anything is written: each document is
+        counted by its target language."""
+        record = minimal_plan_dict(tmp_path, tokenizer="auto")
         result = runner.invoke(main, ["run", "--config", self.write_config(tmp_path, record)])
         assert result.exit_code == 1
-        assert "invalid config: tokenizer: expected a string" in result.output
+        assert "invalid config: tokenizer: unknown key" in result.output
         assert not (tmp_path / "runs").exists()
 
     def test_missing_api_key_exit_1_before_requests(self, runner, tmp_path, monkeypatch):
@@ -198,17 +206,25 @@ class TestRun:
         )
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("content", ['{"First": ', '["First"]'],
-                             ids=["dictionary_invalid_json", "dictionary_not_an_object"])
-    def test_malformed_file_exit_1_names_key(self, runner, tmp_path, content):
-        (tmp_path / "file.json").write_text(content, "utf-8")
+    @pytest.mark.parametrize("name, content", [
+        ("file.json", b'{"First": '),
+        ("file.json", b'["First"]'),
+        ("plan.json", b'{"run_id": "caf\xe9"}'),
+    ], ids=["dictionary_invalid_json", "dictionary_not_an_object", "plan_not_utf8"])
+    def test_malformed_file_exit_1_names_key(self, runner, tmp_path, name, content):
         record = minimal_plan_dict(tmp_path)
         record["backends"] = [
             {"kind": "mock_dictionary", "name": "dict", "dictionary_path": "file.json"}
         ]
-        result = runner.invoke(main, ["run", "--config", self.write_config(tmp_path, record)])
+        config = self.write_config(tmp_path, record)
+        (tmp_path / name).write_bytes(content)
+        result = runner.invoke(main, ["run", "--config", config])
         assert result.exit_code == 1
-        assert "backends[0].dictionary_path" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        if name == "file.json":
+            assert "backends[0].dictionary_path" in result.output
+        else:
+            assert result.output == f"invalid config: {config}: not valid UTF-8\n"
         assert not (tmp_path / "runs" / "test-run").exists()
 
     def test_report_on_unreadable_manifest_exit_2(self, runner, tmp_path):

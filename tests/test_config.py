@@ -13,13 +13,11 @@ from click.testing import CliRunner
 
 from docturn.cli import main
 from docturn.corpus import Exemplar
-from docturn.costing import TOKENIZER_IDS
 from docturn.errors import ConfigError
 from docturn.gateway import BACKEND_KINDS, BackendConfig
 from docturn.runner import config
 from docturn.runner.config import (
     FAIL_POLICIES,
-    OPERATIONAL,
     RunPlan,
     ScoringConfig,
     plan_from_dict,
@@ -27,7 +25,7 @@ from docturn.runner.config import (
 from docturn.strategy import Mode, StrategyConfig
 
 from .oracles import reference_canonical_dict
-from .test_runner import minimal_plan_dict
+from .test_runner import _identity_plan, _single_field_changes, minimal_plan_dict
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -88,8 +86,6 @@ BAD_VALUES = {
     "name_dotdot": ("backends[0].name", _backend(name="..")),
     "drop_fraction_1_5": ("backends[0].drop_fraction", _backend(drop_fraction=1.5)),
     "kind_unknown": ("backends[0].kind", _backend(kind="nope")),
-    "tokenizer_external": ("tokenizer", _plan(tokenizer="external")),
-    "tokenizer_object": ("tokenizer", _plan(tokenizer={"id": "char"})),
     "icl_without_exemplars": ("strategies[0].exemplars", _strategy(icl=True)),
 }
 
@@ -161,7 +157,6 @@ def _every_optional_key(tmp_path: Path) -> RunPlan:
                    "timeout_s": 3, "dictionary_path": "dict.json", "drop_fraction": 0}],
         strategies=[{"mode": "multi_turn_sp", "icl": True, "exemplars": EXEMPLARS,
                      "max_tokens": 64}],
-        tokenizer="char",
         scoring={"blonde": False, "scorer_command": ["score"], "top_n": 0,
                  "case_sensitive": False, "max_n": 2},
         max_concurrent_documents=2, fail_policy="halt", max_context_tokens=100,
@@ -208,7 +203,6 @@ TABLE_ENUMS = {
     ("backend", "kind"): BACKEND_KINDS,
     ("strategy", "mode"): tuple(mode.value for mode in Mode),
     ("plan", "fail_policy"): FAIL_POLICIES,
-    ("plan", "tokenizer"): ("auto", *TOKENIZER_IDS),
 }
 
 
@@ -219,17 +213,21 @@ def _readme_table() -> list[list[str]]:
     return rows[2:]  # below the header and its rule
 
 
-def test_readme_key_table_matches_the_schema():
+def test_readme_key_table_matches_the_schema(tmp_path):
     """The table documents exactly the keys the builder accepts, which of them
-    are required, which are left out of the config hash, and the values of
-    each key that takes one of a fixed set."""
+    are required, the values of each key that takes one of a fixed set, and
+    which of them the config hash covers: changing a key alone moves the hash
+    exactly when the table calls it hashed."""
+    plan = _identity_plan(tmp_path)
+    changes = _single_field_changes(plan, tmp_path)
     documented: dict[str, set[str]] = {name: set() for name in TABLE_OBJECTS}
     for obj, key, _json_type, default, range_, hashed in _readme_table():
         key = key.strip("`")
         documented[obj].add(key)
         _, _, required = config._SCHEMAS[TABLE_OBJECTS[obj]][key]
         assert (default == "required") == required, (obj, key)
-        assert hashed.startswith("operational" if key in OPERATIONAL else "hashed"), (obj, key)
+        moves = changes[TABLE_OBJECTS[obj], key].config_hash != plan.config_hash
+        assert hashed.startswith("hashed" if moves else "operational"), (obj, key)
         if (obj, key) in TABLE_ENUMS:
             values = ", ".join(f"`{value}`" for value in TABLE_ENUMS[obj, key])
             assert range_ == values, (obj, key)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from docturn.corpus import Document, TestSet
-from docturn.costing import TokenizerSpec
 from docturn.metrics.report import length_report, score_strategy
 from docturn.strategy import DocumentTranslation
 
@@ -22,7 +21,7 @@ def test_identity_translations_have_equal_counts():
     docs = [make_random_document(rng, f"d{i}", rng.randint(1, 5)) for i in range(6)]
     testset = make_testset(docs)
     translations = {doc.id: identity_translation(doc) for doc in docs}
-    report = length_report(testset, translations, TokenizerSpec("whitespace"), top_n=10)
+    report = length_report(testset, translations, top_n=10)
     assert all(row.ref_tokens == row.hyp_tokens for row in report.rows)
     assert report.total_ref_tokens == report.total_hyp_tokens
 
@@ -81,14 +80,13 @@ def test_csv_shape():
     docs = [make_random_document(rng, f"d{i}", 2) for i in range(3)]
     testset = make_testset(docs)
     translations = {doc.id: identity_translation(doc) for doc in docs}
-    csv = length_report(testset, translations, top_n=2).to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "doc_id,ref_tokens,hyp_tokens,ratio"
-    assert len(lines) == 4  # header + 2 rows + TOTAL
-    assert lines[-1].startswith("TOTAL,")
+    header, rows = length_report(testset, translations, top_n=2).to_table()
+    assert header == ["doc_id", "ref_tokens", "hyp_tokens", "ratio"]
+    assert len(rows) == 3  # 2 rows + TOTAL
+    assert rows[-1][0] == "TOTAL" and all(len(row) == 4 for row in rows)
 
 
-def test_zh_target_counted_in_characters_without_a_spec():
+def test_zh_target_counted_in_characters():
     zh = Document(id="zh-1", src_lang="en", tgt_lang="zh", domain="news",
                   source_segments=("Hello, friend.", "Nice weather today."),
                   reference_segments=("你好，朋友。", "今天 天气 很好。"))

@@ -14,6 +14,7 @@ import logging
 import os
 import pkgutil
 import re
+import shutil
 import sys
 import threading
 import time
@@ -22,11 +23,13 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import docturn
 from docturn import costing, gateway
 from docturn import strategy as strategy_module
 from docturn.chat import Message, assistant, user
+from docturn.cli import main
 from docturn.corpus import Exemplar
 from docturn.costing import Transcript, TranscriptTurn
 from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
@@ -127,7 +130,7 @@ class TestConfig:
         a = plan_from_dict(minimal_plan_dict(tmp_path))
         b = plan_from_dict(minimal_plan_dict(tmp_path))
         assert a.config_hash == b.config_hash
-        c = plan_from_dict(minimal_plan_dict(tmp_path, fail_policy="halt"))
+        c = plan_from_dict(minimal_plan_dict(tmp_path, max_context_tokens=100))
         assert c.config_hash != a.config_hash
 
 
@@ -197,7 +200,7 @@ class TestExecute:
     def test_resume_with_different_config_rejected(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         execute(plan)
-        changed = plan_from_dict(minimal_plan_dict(tmp_path, fail_policy="halt"))
+        changed = plan_from_dict(minimal_plan_dict(tmp_path, max_context_tokens=100))
         with pytest.raises(ResumeMismatchError):
             execute(changed)
 
@@ -569,7 +572,7 @@ class TestCellLog:
             "src": ["Eins zwei.", "Drei vier fünf."], "ref": ["Eins zwei.", "Drei vier fünf."],
         }])
         plan = plan_from_dict(minimal_plan_dict(
-            tmp_path, strategies=[{"mode": "multi_turn"}], tokenizer="whitespace",
+            tmp_path, strategies=[{"mode": "multi_turn"}],
             backends=[{"kind": "mock_identity", "name": "identity"},
                       {"kind": "openai_compatible", "name": "http", "base_url": "http://fake",
                        "api_key_env_var": "DOCTURN_TEST_KEY"}],
@@ -869,14 +872,17 @@ class TestReports:
         assert [line.split(",")[3] for line in main[1:]] == ["-", "0.2500"]
 
     def test_comma_bearing_ids_round_trip_through_every_csv(self, tmp_path):
-        """A document id holding a comma or a quote is one cell of its row in
-        the length and exclusion tables, as csv.reader reads them back."""
-        ids = ['wmt24,doc-1', 'wmt24,"doc"-2']
+        """A document id holding a comma, a quote or a lone carriage return is
+        one cell of its row in the length and exclusion tables, and so is an
+        exclusion reason that holds such an id, as csv.reader reads them back."""
+        ids = ["a\rb", 'wmt24,doc-1', 'wmt24,"doc"-2']
         write_jsonl(tmp_path / "corpus.jsonl", [
             {"id": ids[0], "src_lang": "en", "tgt_lang": "de",
              "src": ["One two three.", "Four five six."], "ref": ["Eins.", "Zwei."]},
             {"id": ids[1], "src_lang": "en", "tgt_lang": "de",
              "src": ["Seven eight nine."], "ref": ["Drei."]},
+            {"id": ids[2], "src_lang": "en", "tgt_lang": "de",
+             "src": ["Ten eleven."], "ref": ["Vier."]},
         ])
         free = execute(plan_from_dict(minimal_plan_dict(tmp_path, run_id="free")))
         # The longest segment-level request fits; multi-turn's second request of
@@ -900,15 +906,18 @@ class TestReports:
         exclusions = rows("exclusions.csv")
         assert exclusions[0] == ["backend", "strategy", "doc_id", "reason"]
         assert exclusions[1][:3] == ["identity", "multi_turn", ids[0]]
-        assert exclusions[1][3] == artifacts.exclusions[0]["reason"] and len(exclusions) == 2
+        assert "\r" in exclusions[1][3] and exclusions[1][3] == artifacts.exclusions[0]["reason"]
+        assert len(exclusions) == 2
 
     def test_comma_bearing_domain_round_trips_through_per_domain_csv(self, tmp_path):
-        """A domain holding a comma is one quoted cell of per_domain.csv, kept
-        as written, and its Markdown twin shows it unquoted."""
-        domain = 'news, "politics"'
+        """A domain holding a comma or a `|` is one cell of per_domain.csv,
+        kept as written, and its Markdown twin shows it unquoted, with a `|`
+        escaped, so each row keeps the header's columns."""
+        domains = ['news, "politics"', "news|politics"]
         write_jsonl(tmp_path / "corpus.jsonl", [
-            {"id": "doc-1", "src_lang": "en", "tgt_lang": "de", "domain": domain,
-             "src": ["One two three."], "ref": ["One two three."]},
+            {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": domain,
+             "src": ["One two three."], "ref": ["One two three."]}
+            for i, domain in enumerate(domains)
         ])
         artifacts = execute(plan_from_dict(minimal_plan_dict(tmp_path)))
         emit_reports(artifacts)
@@ -916,9 +925,11 @@ class TestReports:
         with (reports / "per_domain.csv").open(encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["backend", "domain", "Segment-level", "Multi-turn"]
-        assert [row[:2] for row in rows[1:]] == [["identity", domain]]
+        assert [row[:2] for row in rows[1:]] == [["identity", domain] for domain in domains]
         assert all(len(row) == 4 for row in rows)
-        assert f"| {domain} |" in (reports / "per_domain.md").read_text("utf-8")
+        markdown = (reports / "per_domain.md").read_text("utf-8")
+        assert f"| {domains[0]} |" in markdown and "| news\\|politics " in markdown
+        assert {len(re.split(r"(?<!\\)\|", line)) for line in markdown.splitlines()} == {6}
 
     def test_returns_every_file_it_writes(self, tmp_path):
         """Each csv table's Markdown twin is returned beside it."""
@@ -1137,24 +1148,23 @@ class TestMalformedBackendReply:
         assert lines[1].startswith("real,segment_level,doc-2,malformed response for doc-2:turn_1")
 
 
-# Every field that feeds a run, either covered by the resume-identity hash or
-# declared operational (it cannot change any output). A new field must be
-# added to one of the two sets.
+# Every field that feeds a run, either covered by the resume-identity hash
+# (it decides a request or its reply) or declared operational (it decides
+# neither). A new field must be added to one of the two sets.
 HASHED_FIELDS = {
-    RunPlan: {"run_id", "testsets", "backends", "strategies", "tokenizer",
-              "scoring", "fail_policy", "max_context_tokens"},
-    BackendConfig: {"kind", "name", "model", "base_url", "api_key_env_var", "max_retries",
-                    "requests_per_minute", "dictionary_path", "drop_fraction"},
+    RunPlan: {"run_id", "testsets", "backends", "strategies", "max_context_tokens"},
+    BackendConfig: {"kind", "name", "model", "base_url", "api_key_env_var", "dictionary_path",
+                    "drop_fraction"},
     StrategyConfig: {"mode", "icl", "exemplars", "max_tokens"},
     Exemplar: {"source", "target", "src_lang", "tgt_lang"},
-    ScoringConfig: {"blonde", "scorer_command", "top_n", "case_sensitive", "max_n"},
+    ScoringConfig: set(),
 }
 OPERATIONAL_FIELDS = {
-    RunPlan: {"output_dir", "max_concurrent_documents"},
-    BackendConfig: {"timeout_s"},
+    RunPlan: {"output_dir", "max_concurrent_documents", "fail_policy", "scoring"},
+    BackendConfig: {"timeout_s", "max_retries", "requests_per_minute"},
     StrategyConfig: set(),
     Exemplar: set(),
-    ScoringConfig: set(),
+    ScoringConfig: {"blonde", "scorer_command", "top_n", "case_sensitive", "max_n"},
 }
 
 
@@ -1198,7 +1208,6 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
             plan, backends=plan.backends + [BackendConfig(kind="mock_identity", name="extra")]
         ),
         (RunPlan, "strategies"): dataclasses.replace(plan, strategies=plan.strategies[:1]),
-        (RunPlan, "tokenizer"): dataclasses.replace(plan, tokenizer="whitespace"),
         (RunPlan, "scoring"): dataclasses.replace(plan, scoring=ScoringConfig(top_n=3)),
         (RunPlan, "fail_policy"): dataclasses.replace(plan, fail_policy="halt"),
         (RunPlan, "max_context_tokens"): dataclasses.replace(plan, max_context_tokens=100),
@@ -1228,7 +1237,9 @@ def _single_field_changes(plan: RunPlan, tmp_path: Path) -> dict:
         (Exemplar, "tgt_lang"): _with_exemplar(plan, tgt_lang="it"),
         (ScoringConfig, "blonde"): dataclasses.replace(plan, scoring=ScoringConfig(blonde=False)),
         (ScoringConfig, "scorer_command"): dataclasses.replace(
-            plan, scoring=ScoringConfig(scorer_command=("score",))
+            plan, scoring=ScoringConfig(
+                scorer_command=(sys.executable, "-c", "import sys\nfor _ in sys.stdin: print(0.5)")
+            )
         ),
         (ScoringConfig, "top_n"): dataclasses.replace(plan, scoring=ScoringConfig(top_n=3)),
         (ScoringConfig, "case_sensitive"): dataclasses.replace(
@@ -1256,6 +1267,51 @@ class TestResumeIdentity:
                 assert changed.config_hash != plan.config_hash, f"{cls.__name__}.{name}"
             else:
                 assert changed.config_hash == plan.config_hash, f"{cls.__name__}.{name}"
+
+    def test_operational_edit_resumes_and_a_hashed_one_refuses(self, tmp_path):
+        """A run resumes across an edit of any operational field alone (a
+        moved output_dir, once its directory is moved there) with no request
+        sent and its cells untouched, and its reports are re-scored. An edit
+        of any hashed field alone, its directory moved along with a renamed
+        run, is refused by execute and load_artifacts before any request."""
+        plan = _identity_plan(tmp_path)
+        emit_reports(execute(plan))
+        run_dir = Path(plan.output_dir) / plan.run_id
+        cells = run_dir_bytes(run_dir / "cells")
+        for (cls, name), changed in _single_field_changes(plan, tmp_path).items():
+            field_name = f"{cls.__name__}.{name}"
+            changed_dir = Path(changed.output_dir) / changed.run_id
+            if changed_dir != run_dir:
+                shutil.copytree(run_dir, changed_dir, dirs_exist_ok=True)
+            sent: list[str] = []
+            if name in HASHED_FIELDS[cls]:
+                for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
+                    with pytest.raises(ResumeMismatchError, match="config_hash"):
+                        load(changed)
+                assert sent == [], field_name
+                continue
+            artifacts = execute(changed, complete_fn=recording(sent))
+            assert sent == [], field_name
+            assert run_dir_bytes(changed_dir / "cells") == cells, field_name
+            assert len(artifacts.cells) == 4
+            emit_reports(load_artifacts(changed))
+
+    def test_report_rescores_after_a_top_n_edit(self, tmp_path):
+        """`docturn report` re-scores a finished run under an edited scoring
+        key: a larger top_n adds a row to each lengths table."""
+        record = minimal_plan_dict(tmp_path, scoring={"top_n": 1})
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps(record), "utf-8")
+        runner = CliRunner()
+        assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == 0
+        lengths = Path(record["output_dir"]) / "test-run" / "reports" / (
+            "lengths_identity_multi_turn.csv"
+        )
+        assert len(lengths.read_text("utf-8").splitlines()) == 3  # header, top 1, TOTAL
+        config.write_text(json.dumps({**record, "scoring": {"top_n": 2}}), "utf-8")
+        result = runner.invoke(main, ["report", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert len(lengths.read_text("utf-8").splitlines()) == 4
 
     def test_edited_corpus_refuses_resume(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -1472,7 +1528,7 @@ class TestInterruptedRun:
         emit_reports(loaded)
         assert (run_dir / "reports" / "main.csv").exists()
 
-        changed = dataclasses.replace(plan, scoring=ScoringConfig(top_n=3))
+        changed = dataclasses.replace(plan, max_context_tokens=1000)
         refused: list[str] = []
         with pytest.raises(ResumeMismatchError, match="config_hash"):
             load_artifacts(changed)
