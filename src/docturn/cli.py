@@ -15,7 +15,7 @@ from .corpus import load_corpus
 from .costing import DocShape, compare_strategies, comparison_csv
 from .errors import ConfigError, CorpusError, DocturnError, ResumeMismatchError
 from .runner.config import load_run_config
-from .runner.executor import execute, load_artifacts
+from .runner.executor import LOG, execute, load_artifacts
 from .runner.reports import emit_reports
 
 EXIT_OK = 0
@@ -71,7 +71,8 @@ def run(config_path: str, no_reports: bool) -> None:
         sys.exit(EXIT_RUNTIME)
     click.echo(f"completed {len(artifacts.cells)} cells into {artifacts.run_dir}")
     if artifacts.exclusions:
-        click.echo(f"excluded {len(artifacts.exclusions)} cells (see manifest.json)")
+        reasons = LOG if no_reports else "reports/exclusions.csv"
+        click.echo(f"excluded {len(artifacts.exclusions)} cells (see {reasons})")
     if not no_reports:
         try:
             written = emit_reports(artifacts)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import TemplateError
@@ -74,26 +74,29 @@ class PromptTemplateSet:
     set_id: str
     slots: dict[str, str]
     content_hash: str
+    # Each slot split once into [literal, placeholder, literal, ...].
+    parts: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parts = {slot: _PLACEHOLDER_RE.split(text) for slot, text in self.slots.items()}
+        object.__setattr__(self, "parts", parts)
 
     def render(self, slot: str, variables: dict[str, str]) -> str:
         """Render one slot; byte-identical output for identical inputs."""
-        if slot not in self.slots:
+        if slot not in self.parts:
             raise TemplateError(
                 f"template set '{self.set_id}' has no slot '{slot}' "
                 f"(available: {sorted(self.slots)})"
             )
-        template = self.slots[slot]
-
-        def substitute(match: re.Match[str]) -> str:
-            name = match.group(1)
-            if name not in variables:
-                raise TemplateError(
-                    f"unbound placeholder '{name}' in slot '{slot}' of '{self.set_id}'"
-                )
-            return variables[name]
-
-        # Single-pass substitution: braces inside the payload text are inert.
-        return _PLACEHOLDER_RE.sub(substitute, template)
+        pieces = self.parts[slot].copy()
+        try:
+            # One pass over the template: braces inside the payload text are inert.
+            pieces[1::2] = [variables[name] for name in pieces[1::2]]
+        except KeyError as exc:
+            raise TemplateError(
+                f"unbound placeholder '{exc.args[0]}' in slot '{slot}' of '{self.set_id}'"
+            ) from None
+        return "".join(pieces)
 
 
 def _parse_template_file(text: str) -> dict[str, str]:

@@ -1,39 +1,40 @@
 """Run-matrix execution with per-cell persistence and resume.
 
 A cell is one (backend, strategy, document) combination and the unit of
-resume. Its transcript is logged as one record, one JSON line in the
-append-only log of its (backend, strategy) group: `doc`, the document id,
-`requests`, the requests_digest of the requests the cell sent, and `turns`,
-the backend's response to each request as a ChatResponse row: [content,
-prompt_tokens, cached_tokens, completion_tokens, finish_reason]. No field
-holds wall-clock time. The requests themselves are not stored: they are a
+resume. A run is one append-only log, <output_dir>/<run_id>/run.jsonl, one
+JSON value per line, in the order the lines were written:
+
+- the header, {layout_version, run_id, config_hash, template_set,
+  template_set_hash}, written before the first request, so an interrupted
+  first run can be loaded, scored and resumed;
+- a completed cell, [backend, strategy label, doc id, requests, row...]:
+  the requests_digest of the requests it sent, then the backend's response
+  to each as a ChatResponse row [content, prompt_tokens, cached_tokens,
+  completion_tokens, finish_reason];
+- a cell skipped under fail_policy skip_and_report,
+  [backend, strategy label, doc id, null, reason].
+
+No field holds wall-clock time, and the requests are not stored: they are a
 function of the hashed plan, the shipped templates and the replies. Loading
-a cell replays its record through the strategy, which rebuilds its
-requests, transcript and translation, and refuses the record unless the
-rebuilt requests hash to its digest. The cost ledgers are pure functions
-of the transcript and its document's count rule, so none is stored: a cell
-walks its ledgers only when they are first read, and the walk cannot fail.
+a cell replays its record through the strategy, which rebuilds its requests,
+transcript and translation, and refuses the record unless the rebuilt
+requests hash to its digest. The cost ledgers are pure functions of the
+transcript and its document's count rule, so none is stored: a cell walks
+its ledgers only when they are first read, and the walk cannot fail.
 
 A record is built in memory while its cell runs and appended, with one write
-and a flush, only once the cell has completed: concurrent cells append in
-the order they complete, and a failed or interrupted cell leaves nothing, so
-re-executing the run executes exactly the missing cells. Bytes after a log's
-last newline are a record torn by a crash: loading ignores them and execute
-truncates them away before it appends. ResumeMismatchError refuses a line
-that does not parse, a second record for one document, a record for a
-document outside the test set, a record whose requests differ from the
-rebuilt ones or that has a missing, extra or unparseable turn, and a
-directory from a different configuration, template set or layout.
-
-The manifest is written before the first request, so an interrupted first
-run can be loaded, scored and resumed, and is replaced whole at the end with
-the run's exclusions. A run directory holding files but no manifest is from
-an older version, which wrote the manifest last, and is refused.
-
-Layout under <output_dir>/<run_id>/:
-    manifest.json
-    cells/<backend>/<strategy>.jsonl
-    reports/*.csv, *.md
+and a flush under one lock, once the cell has completed or been skipped, so
+concurrent cells append in the order they finish, an interrupted cell leaves
+nothing, and re-executing the run executes exactly the cells that have no
+completed record. A run with none writes nothing. Bytes after the log's last
+newline are a line torn by a crash: loading ignores them and execute
+truncates them away before it appends. ResumeMismatchError refuses a header
+from another layout, configuration or template set before any record is
+read; then a line that does not parse, a second completed record for a cell,
+a record for a cell outside the plan, and a record whose requests differ
+from the rebuilt ones or that has a missing, extra or unparseable turn. A
+directory whose log has no complete header must hold nothing else: any other
+is from an older layout and is refused too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -70,8 +70,8 @@ from .config import RunPlan
 
 logger = logging.getLogger(__name__)
 
-LAYOUT_VERSION = 7
-MANIFEST = "manifest.json"
+LAYOUT_VERSION = 8
+LOG = "run.jsonl"
 
 CompleteFn = Callable[[ChatRequest, gateway.BackendConfig], ChatResponse]
 
@@ -143,20 +143,28 @@ def _open_run(plan: RunPlan, files: dict[str, bytes]) -> tuple[RunArtifacts, str
     return RunArtifacts(run_dir, plan, testset), config_hash
 
 
-def _group_log(run_dir: Path, backend: str, strategy: str) -> Path:
-    return run_dir / "cells" / backend / f"{strategy}.jsonl"
-
-
 @dataclass
 class _Group:
     """One (backend, strategy) of the matrix as found on disk."""
 
     backend: gateway.BackendConfig
     strategy: StrategyConfig
-    log: Path
     prefix: tuple[Message, ...]  # the strategy's exemplar messages, shared by its sessions
-    complete_bytes: int = 0  # length of the log up to its last newline
-    pending: list[Document] = field(default_factory=list)  # documents without a record
+    pending: list[Document] = field(default_factory=list)  # documents without a completed record
+
+
+class _Log:
+    """The run's log, open for appending. Each line is one write and a flush
+    under one lock, so lines of concurrent cells never interleave."""
+
+    def __init__(self, file: BinaryIO) -> None:
+        self.file = file
+        self.lock = threading.Lock()
+
+    def append(self, line: bytes) -> None:
+        with self.lock:
+            self.file.write(line)
+            self.file.flush()
 
 
 def requests_digest(transcript: Transcript) -> str:
@@ -229,14 +237,14 @@ def _run_cell(
     complete: CompleteFn,
 ) -> tuple[CellArtifact, bytes]:
     """A fresh cell: replies come from the backend. Returns the cell and its
-    record, one line for the group log. A completed cell with a reply cut at
-    the output limit is logged as a warning."""
-    rows: list[tuple] = []
+    record, one line for the log. A completed cell with a reply cut at the
+    output limit is logged as a warning."""
+    record: list = [group.backend.name, group.strategy.label, doc.id, None]
     truncated: list[str] = []
 
     def reply(turn: int, request: ChatRequest) -> ChatResponse:
         response = complete(request, group.backend)
-        rows.append(response.to_row())
+        record.append(response.to_row())
         if response.finish_reason == "length":
             truncated.append(str(turn))
         return response
@@ -247,11 +255,11 @@ def _run_cell(
             "%s/%s/%s: output truncated (finish_reason=length) at turn %s",
             group.backend.name, group.strategy.label, doc.id, ", ".join(truncated),
         )
-    record = {"doc": doc.id, "requests": requests_digest(cell.transcript), "turns": rows}
+    record[3] = requests_digest(cell.transcript)
     return cell, _json_line(record)
 
 
-def _json_line(value: dict) -> bytes:
+def _json_line(value: dict | list) -> bytes:
     return (json.dumps(value, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -260,14 +268,14 @@ def _replay_cell(
     group: _Group,
     doc: Document,
     templates: PromptTemplateSet,
-    record: dict,
+    record: list,
     where: str,
 ) -> CellArtifact:
-    """A completed cell: replies come from its record's turns, and the
+    """A completed cell: replies come from its record's rows, and the
     requests the session rebuilds must hash to the record's digest. `where`
     names the record in errors. The cell keeps the rebuilt transcript, so it
     equals the cell the run produced."""
-    turns = record["turns"]
+    turns = record[4:]
 
     def mismatch(turn: int, problem: str) -> ResumeMismatchError:
         return ResumeMismatchError(f"{where}: turn {turn}: {problem}")
@@ -287,101 +295,106 @@ def _replay_cell(
     sent = len(cell.transcript.turns)
     if len(turns) != sent:
         raise mismatch(sent, f"extra turn, the session sent {sent} requests")
-    if requests_digest(cell.transcript) != record["requests"]:
+    if requests_digest(cell.transcript) != record[3]:
         raise ResumeMismatchError(f"{where}: logged requests differ from the rebuilt ones")
     return cell
 
 
-def _read_group_log(log: Path, doc_ids: set[str]) -> tuple[dict[str, tuple[int, dict]], int]:
-    """The records of a group log as doc id -> (line number, record), and
-    the length of the log up to its last newline. Bytes after the last
-    newline are a record torn by a crash and are ignored."""
+def _read_log(
+    artifacts: RunArtifacts, config_hash: str, templates: PromptTemplateSet
+) -> tuple[int, dict[CellKey, tuple[int, list]], dict[CellKey, str]]:
+    """The run's log, read once: its length up to its last newline (0 when it
+    has no complete header), each completed cell's (line number, record), and
+    each skipped cell's last reason. Bytes after the last newline are a line
+    torn by a crash and are ignored. The header is refused unless its layout
+    is this version's, its config hash is config_hash and its template set
+    hash is that of templates, before any record is read."""
+    run_dir = artifacts.run_dir
+    log = run_dir / LOG
     try:
         data = log.read_bytes()
     except FileNotFoundError:
-        return {}, 0
+        data = b""
     complete_bytes = data.rfind(b"\n") + 1
-    records: dict[str, tuple[int, dict]] = {}
-    for number, line in enumerate(data[:complete_bytes].split(b"\n")[:-1], start=1):
-        try:
-            record = json.loads(line)
-            doc_id = record["doc"]
-            if not isinstance(doc_id, str) or not isinstance(record["turns"], list):
-                raise TypeError("doc is not a string or turns is not a list")
-            if not isinstance(record["requests"], str):
-                raise TypeError("requests is not a string")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ResumeMismatchError(f"{log}: line {number}: unparseable record ({exc})") from None
-        if doc_id in records:
+    lines = data.split(b"\n")[:-1]  # the last item is empty or a torn line
+    if not lines:
+        if run_dir.is_dir() and any(p.name != LOG for p in run_dir.iterdir()):
             raise ResumeMismatchError(
-                f"{log}: line {number}: duplicate record for doc '{doc_id}', "
-                f"first on line {records[doc_id][0]}"
+                f"{run_dir} has files but no {LOG} header: an older layout wrote it; "
+                "re-run into a new directory"
             )
-        if doc_id not in doc_ids:
-            raise ResumeMismatchError(f"{log}: line {number}: doc '{doc_id}' is not in the test set")
-        records[doc_id] = (number, record)
-    return records, complete_bytes
-
-
-def _read_manifest(
-    run_dir: Path, config_hash: str, templates: PromptTemplateSet
-) -> dict | None:
-    """The run directory's manifest, None if it has none; refused unless its
-    layout is this version's, its config hash is config_hash and its
-    template set hash is that of templates."""
+        return 0, {}, {}
     try:
-        manifest = json.loads((run_dir / MANIFEST).read_text("utf-8"))
-    except FileNotFoundError:
-        return None
+        header = json.loads(lines[0])
     except ValueError:
-        manifest = None
-    if not isinstance(manifest, dict):
-        raise ResumeMismatchError(f"{run_dir / MANIFEST} does not hold a JSON object")
-    if manifest.get("layout_version") != LAYOUT_VERSION:
+        header = None
+    if not isinstance(header, dict):
+        raise ResumeMismatchError(f"{log}: line 1 does not hold a JSON object header")
+    if header.get("layout_version") != LAYOUT_VERSION:
         raise ResumeMismatchError(
-            f"{run_dir} has artifact layout {manifest.get('layout_version')!r}, "
+            f"{run_dir} has artifact layout {header.get('layout_version')!r}, "
             f"this version reads layout {LAYOUT_VERSION}; re-run into a new directory"
         )
-    if manifest.get("config_hash") != config_hash:
+    if header.get("config_hash") != config_hash:
         raise ResumeMismatchError(
-            f"{run_dir} was produced by config_hash {manifest.get('config_hash')!r}, "
+            f"{run_dir} was produced by config_hash {header.get('config_hash')!r}, "
             f"current plan hashes to {config_hash!r}; refusing to mix runs"
         )
-    if manifest.get("template_set_hash") != templates.content_hash:
+    if header.get("template_set_hash") != templates.content_hash:
         raise ResumeMismatchError(
             f"{run_dir} was produced by template set {templates.set_id!r} with hash "
-            f"{manifest.get('template_set_hash')!r}, the shipped set hashes to "
+            f"{header.get('template_set_hash')!r}, the shipped set hashes to "
             f"{templates.content_hash!r}; refusing to mix runs"
         )
-    return manifest
+
+    plan, docs = artifacts.plan, artifacts.testset
+    cells = {(b.name, s.label, d.id) for b in plan.backends for s in plan.strategies for d in docs}
+    done: dict[CellKey, tuple[int, list]] = {}
+    skipped: dict[CellKey, str] = {}
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            record = json.loads(line)
+            if not isinstance(record, list) or not all(isinstance(i, str) for i in record[:3]):
+                raise TypeError("not an array that starts with backend, strategy and doc")
+            skip = len(record) == 5 and record[3] is None and isinstance(record[4], str)
+            if len(record) < 4 or not (isinstance(record[3], str) or skip):
+                raise TypeError("requests is not a string, nor null before a reason")
+        except (ValueError, TypeError) as exc:
+            raise ResumeMismatchError(f"{log}: line {number}: unparseable record ({exc})") from None
+        backend, strategy, doc_id = key = tuple(record[:3])
+        where = f"{log}: line {number}: {backend}/{strategy} doc '{doc_id}'"
+        if key not in cells:
+            raise ResumeMismatchError(f"{where} is not a cell of the plan")
+        if skip:
+            skipped[key] = record[4]
+        elif key in done:
+            raise ResumeMismatchError(
+                f"{where}: duplicate record, the first is on line {done[key][0]}"
+            )
+        else:
+            done[key] = (number, record)
+    return complete_bytes, done, skipped
 
 
-def _write_manifest(run_dir: Path, manifest: dict) -> None:
-    """Replace the manifest whole, so a crash leaves the old one or the new one."""
-    staged = run_dir / f"{MANIFEST}.tmp"
-    staged.write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
-    os.replace(staged, run_dir / MANIFEST)
-
-
-def _load_completed(artifacts: RunArtifacts, templates: PromptTemplateSet) -> list[_Group]:
-    """Replay every cell that has a record into artifacts.cells, reading each
-    group log once; return every (backend, strategy) group with the documents
-    that have no record."""
-    doc_ids = {doc.id for doc in artifacts.testset}
+def _load_completed(
+    artifacts: RunArtifacts, templates: PromptTemplateSet, done: dict[CellKey, tuple[int, list]]
+) -> list[_Group]:
+    """Replay every completed cell into artifacts.cells, in plan order, taking
+    its record out of done, so that no parsed record outlives its replay;
+    return every (backend, strategy) group with the documents that have no
+    completed record."""
+    log = artifacts.run_dir / LOG
     groups = []
     for backend in artifacts.plan.backends:
         for strategy in artifacts.plan.strategies:
-            log = _group_log(artifacts.run_dir, backend.name, strategy.label)
-            group = _Group(backend, strategy, log, exemplar_messages(strategy, templates))
-            records, group.complete_bytes = _read_group_log(log, doc_ids)
+            group = _Group(backend, strategy, exemplar_messages(strategy, templates))
             for doc in artifacts.testset:
-                if doc.id in records:
-                    number, record = records[doc.id]
-                    artifacts.cells[(backend.name, strategy.label, doc.id)] = _replay_cell(
+                key = (backend.name, strategy.label, doc.id)
+                if key in done:
+                    number, record = done.pop(key)
+                    artifacts.cells[key] = _replay_cell(
                         artifacts, group, doc, templates, record,
-                        f"{log}: line {number}: doc '{doc.id}'",
+                        f"{log}: line {number}: {backend.name}/{strategy.label} doc '{doc.id}'",
                     )
                 else:
                     group.pending.append(doc)
@@ -392,46 +405,36 @@ def _load_completed(artifacts: RunArtifacts, templates: PromptTemplateSet) -> li
 def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifacts:
     """Run every (backend, strategy, document) cell of the plan.
 
-    Completed cells found on disk are reused. Failures follow
+    Completed cells found in the log are reused. Failures follow
     plan.fail_policy: 'halt' re-raises immediately (completed cells remain
-    for resume), 'skip_and_report' records an exclusion and continues.
+    for resume), 'skip_and_report' logs and returns an exclusion and
+    continues. The returned exclusions are this call's alone.
     """
     # Each file and key the run reads is read once, before the run directory exists.
     backends = gateway.Gateway(plan.backends)
     artifacts, config_hash = _open_run(plan, dict(backends.files))
     complete = complete_fn or backends.complete
     templates = load_template_set()
-    run_dir = artifacts.run_dir
-    run_dir.mkdir(parents=True, exist_ok=True)
-    found = _read_manifest(run_dir, config_hash, templates)
-    if found is None and any(p.name != f"{MANIFEST}.tmp" for p in run_dir.iterdir()):
-        raise ResumeMismatchError(
-            f"{run_dir} has files but no {MANIFEST}: an older version wrote it; "
-            "re-run into a new directory"
-        )
-    manifest = {
-        "run_id": plan.run_id,
-        "layout_version": LAYOUT_VERSION,
-        "config_hash": config_hash,
-        "template_set": templates.set_id,
-        "template_set_hash": templates.content_hash,
-        "exclusions": [],
-    }
-    if found is None:
-        _write_manifest(run_dir, manifest)
+    complete_bytes, done, _ = _read_log(artifacts, config_hash, templates)
+    groups = _load_completed(artifacts, templates, done)
+    if complete_bytes and not any(group.pending for group in groups):
+        return artifacts
 
-    for group in _load_completed(artifacts, templates):
-        if group.pending:
-            group.log.parent.mkdir(parents=True, exist_ok=True)
-            with group.log.open("ab") as log:
-                log.truncate(group.complete_bytes)  # drop a record torn by a crash
+    artifacts.run_dir.mkdir(parents=True, exist_ok=True)
+    with (artifacts.run_dir / LOG).open("ab") as file:
+        file.truncate(complete_bytes)  # drop a line torn by a crash
+        log = _Log(file)
+        if not complete_bytes:
+            log.append(_json_line({
+                "layout_version": LAYOUT_VERSION,
+                "run_id": plan.run_id,
+                "config_hash": config_hash,
+                "template_set": templates.set_id,
+                "template_set_hash": templates.content_hash,
+            }))
+        for group in groups:
+            if group.pending:
                 _run_group(artifacts, group, templates, complete, log)
-
-    manifest["exclusions"] = sorted(
-        artifacts.exclusions, key=lambda e: (e["backend"], e["strategy"], e["doc_id"])
-    )
-    manifest["completed_cells"] = len(artifacts.cells)
-    _write_manifest(run_dir, manifest)
     return artifacts
 
 
@@ -440,12 +443,11 @@ def _run_group(
     group: _Group,
     templates: PromptTemplateSet,
     complete: CompleteFn,
-    log: BinaryIO,
+    log: _Log,
 ) -> None:
-    """Run a group's pending cells, appending each completed cell's record to
-    its log, up to plan.max_concurrent_documents at a time."""
+    """Run a group's pending cells, appending each completed or skipped
+    cell's record to the log, up to plan.max_concurrent_documents at a time."""
     plan, backend, strategy = artifacts.plan, group.backend, group.strategy
-    write_lock = threading.Lock()
     run_ends = threading.Event()
 
     def run_one(doc: Document) -> CellArtifact | None:
@@ -459,16 +461,19 @@ def _run_group(
             if plan.fail_policy == "halt" or not isinstance(exc, DocturnError):
                 run_ends.set()
             raise
-        with write_lock:
-            log.write(record)
-            log.flush()
+        log.append(record)
         return cell
 
     def settle(doc: Document, result: Callable[[], CellArtifact | None]) -> None:
+        key = (backend.name, strategy.label, doc.id)
         try:
-            artifacts.cells[(backend.name, strategy.label, doc.id)] = result()
+            artifacts.cells[key] = result()
         except DocturnError as exc:
-            _handle_failure(artifacts, backend.name, strategy.label, doc.id, exc)
+            if plan.fail_policy == "halt":
+                raise
+            logger.warning("skipping %s/%s/%s: %s", *key, exc)
+            artifacts.exclusions.append(_exclusion(key, str(exc)))
+            log.append(_json_line([*key, None, str(exc)]))
 
     if plan.max_concurrent_documents > 1 and len(group.pending) > 1:
         pool = ThreadPoolExecutor(max_workers=plan.max_concurrent_documents)
@@ -483,32 +488,23 @@ def _run_group(
             settle(doc, partial(run_one, doc))
 
 
-def _handle_failure(
-    artifacts: RunArtifacts,
-    backend: str,
-    strategy: str,
-    doc_id: str,
-    exc: DocturnError,
-) -> None:
-    if artifacts.plan.fail_policy == "halt":
-        raise exc
-    logger.warning("skipping %s/%s/%s: %s", backend, strategy, doc_id, exc)
-    artifacts.exclusions.append(
-        {"backend": backend, "strategy": strategy, "doc_id": doc_id, "reason": str(exc)}
-    )
+def _exclusion(key: CellKey, reason: str) -> dict:
+    backend, strategy, doc_id = key
+    return {"backend": backend, "strategy": strategy, "doc_id": doc_id, "reason": reason}
 
 
 def load_artifacts(plan: RunPlan) -> RunArtifacts:
-    """Load previously executed cells from disk (for the report command)."""
+    """Load previously executed cells from disk (for the report command).
+    The exclusions are each skipped cell's last reason, for every cell that
+    has no completed record."""
     artifacts, config_hash = _open_run(plan, {})
     templates = load_template_set()
-    manifest = _read_manifest(artifacts.run_dir, config_hash, templates)
-    if manifest is None:
-        raise DocturnError(f"no run found at {artifacts.run_dir} (missing {MANIFEST})")
-    _load_completed(artifacts, templates)
-    # An interrupted resume leaves stale exclusions for cells it completed.
+    complete_bytes, done, skipped = _read_log(artifacts, config_hash, templates)
+    if not complete_bytes:
+        raise DocturnError(f"no run found at {artifacts.run_dir} (no {LOG} header)")
+    _load_completed(artifacts, templates, done)
     artifacts.exclusions = [
-        e for e in manifest.get("exclusions", [])
-        if (e["backend"], e["strategy"], e["doc_id"]) not in artifacts.cells
+        _exclusion(key, reason) for key, reason in sorted(skipped.items())
+        if key not in artifacts.cells
     ]
     return artifacts

@@ -138,12 +138,8 @@ class SessionState:
         return STATUS_DONE if len(self.outputs) == len(self.prompts) else STATUS_IN_PROGRESS
 
 
-def _render(
-    templates: PromptTemplateSet, slot: str, src_lang: str, tgt_lang: str, **payload: str
-) -> str:
-    return templates.render(
-        slot, {"src_lang": language_name(src_lang), "tgt_lang": language_name(tgt_lang), **payload}
-    )
+def _language_names(src_lang: str, tgt_lang: str) -> dict[str, str]:
+    return {"src_lang": language_name(src_lang), "tgt_lang": language_name(tgt_lang)}
 
 
 def exemplar_messages(config: StrategyConfig, templates: PromptTemplateSet) -> tuple[Message, ...]:
@@ -152,7 +148,8 @@ def exemplar_messages(config: StrategyConfig, templates: PromptTemplateSet) -> t
         return ()
     messages: list[Message] = []
     for ex in config.exemplars:
-        prompt = _render(templates, "segment", ex.src_lang, ex.tgt_lang, segment=ex.source)
+        languages = _language_names(ex.src_lang, ex.tgt_lang)
+        prompt = templates.render("segment", {**languages, "segment": ex.source})
         messages.append(user(prompt))
         messages.append(assistant(ex.target))
     return tuple(messages)
@@ -165,9 +162,10 @@ def turn_prompts(
     segment per turn, the first of multi_turn_sp also carrying the whole
     source before its segment."""
     segments = doc.source_segments
+    languages = _language_names(doc.src_lang, doc.tgt_lang)  # resolved once per document
 
     def render(slot: str, **payload: str) -> Message:
-        return user(_render(templates, slot, doc.src_lang, doc.tgt_lang, **payload))
+        return user(templates.render(slot, {**languages, **payload}))
 
     joined = segment_separator("blank_line").join
     if config.mode == Mode.SINGLE_TURN:

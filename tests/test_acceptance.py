@@ -481,9 +481,8 @@ def test_criterion_12_live_smoke(tmp_path):
     )
     artifacts = execute(plan)
     persisted_turns = sum(
-        len(json.loads(line)["turns"])
-        for log in (artifacts.run_dir / "cells").rglob("*.jsonl")
-        for line in log.read_text("utf-8").splitlines()
+        len(json.loads(line)[4:])
+        for line in (artifacts.run_dir / "run.jsonl").read_text("utf-8").splitlines()[1:]
     )
     # Per strategy: single-turn issues one request per document (3), the
     # segment-wise modes issue one per segment (2 + 3 + 1 = 6).

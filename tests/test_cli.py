@@ -111,7 +111,7 @@ class TestRun:
         result = runner.invoke(main, ["run", "--config", config])
         assert result.exit_code == 1
         assert "API key" in result.output
-        assert not (tmp_path / "runs" / "test-run" / "cells").exists()
+        assert not (tmp_path / "runs" / "test-run").exists()
 
     def test_rejected_api_key_exit_2_run_failed(self, runner, tmp_path, monkeypatch):
         """A key the backend refuses is only known once a request was sent: a
@@ -227,14 +227,34 @@ class TestRun:
             assert result.output == f"invalid config: {config}: not valid UTF-8\n"
         assert not (tmp_path / "runs" / "test-run").exists()
 
-    def test_report_on_unreadable_manifest_exit_2(self, runner, tmp_path):
+    def test_report_on_unreadable_header_exit_2(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
         assert runner.invoke(main, ["run", "--config", config]).exit_code == 0
-        (tmp_path / "runs" / "test-run" / "manifest.json").write_text('{"torn', "utf-8")
+        log = tmp_path / "runs" / "test-run" / "run.jsonl"
+        log.write_text('{"torn\n' + log.read_text("utf-8").split("\n", 1)[1], "utf-8")
         result = runner.invoke(main, ["report", "--config", config])
         assert result.exit_code == 2
-        assert result.output.startswith("error: ") and "manifest.json" in result.output
+        assert result.output == f"error: {log}: line 1 does not hold a JSON object header\n"
         assert isinstance(result.exception, SystemExit)  # no traceback
+
+    @pytest.mark.parametrize("no_reports, reasons", [
+        (False, "reports/exclusions.csv"), (True, "run.jsonl"),
+    ], ids=["reports", "no_reports"])
+    def test_run_names_where_the_exclusion_reasons_are(
+        self, runner, tmp_path, no_reports, reasons
+    ):
+        """The reasons are in exclusions.csv once reports are written, and in
+        the log's skipped-cell records under --no-reports."""
+        config = self.write_config(tmp_path, minimal_plan_dict(tmp_path, max_context_tokens=8))
+        result = runner.invoke(main, ["run", "--config", config] + ["--no-reports"] * no_reports)
+        assert result.exit_code == 0, result.output
+        assert f"excluded 4 cells (see {reasons})\n" in result.output
+        run_dir = tmp_path / "runs" / "test-run"
+        if no_reports:
+            records = (run_dir / reasons).read_text("utf-8").splitlines()[1:]
+            assert [json.loads(record)[3] for record in records] == 4 * [None]
+        else:
+            assert len((run_dir / reasons).read_text("utf-8").splitlines()) == 1 + 4
 
     @pytest.mark.parametrize("command", ["run", "report"])
     @pytest.mark.parametrize("scorer", ["missing", "failing"])

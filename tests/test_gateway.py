@@ -280,18 +280,17 @@ def test_concurrent_run_logs_the_sequential_usage(tmp_path):
         ))
         artifacts = execute(plan)
         logged = {}
-        for log in sorted((artifacts.run_dir / "cells").rglob("*.jsonl")):
-            for line in log.read_text("utf-8").splitlines():
-                record = json.loads(line)
-                key = (log.parent.name, log.stem, record["doc"])
-                counts = [(t[1], t[2], t[3]) for t in record["turns"]]  # prompt, cached, completion
-                expected = [
-                    (sum(len(m.content.split()) for m in turn.request_messages), None,
-                     len(turn.response_text.split()))
-                    for turn in artifacts.cells[key].transcript.turns
-                ]
-                assert counts == expected
-                logged[key] = counts
+        for line in (artifacts.run_dir / "run.jsonl").read_text("utf-8").splitlines()[1:]:
+            record = json.loads(line)
+            key = tuple(record[:3])
+            counts = [(t[1], t[2], t[3]) for t in record[4:]]  # prompt, cached, completion
+            expected = [
+                (sum(len(m.content.split()) for m in turn.request_messages), None,
+                 len(turn.response_text.split()))
+                for turn in artifacts.cells[key].transcript.turns
+            ]
+            assert counts == expected
+            logged[key] = counts
         assert len(logged) == 2 * 8 * len(documents)
         usage.append(logged)
     assert usage[0] == usage[1]

@@ -64,12 +64,9 @@ def test_requests_match_golden(tmp_path):
     assert rebuilt == expected
 
     digests = {}
-    for strategy in plan.strategies:
-        log = artifacts.run_dir / "cells" / "identity" / f"{strategy.label}.jsonl"
-        for line in log.read_text("utf-8").splitlines():
-            record = json.loads(line)
-            replies = [turn[0] for turn in record["turns"]]  # a row starts with its content
-            oracle = requests_digest(expected[strategy.label][record["doc"]], replies)
-            digests[(strategy.label, record["doc"])] = (record["requests"], oracle)
+    for line in (artifacts.run_dir / "run.jsonl").read_text("utf-8").splitlines()[1:]:
+        _, label, doc_id, logged, *rows = json.loads(line)
+        replies = [row[0] for row in rows]  # a row starts with its content
+        digests[(label, doc_id)] = (logged, requests_digest(expected[label][doc_id], replies))
     assert len(digests) == len(loaded)
     assert all(logged == oracle for logged, oracle in digests.values())

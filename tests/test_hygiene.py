@@ -1,5 +1,5 @@
 """Source hygiene checks that need no tool beyond the standard library, and
-a check that the README shows the CLI as it is."""
+checks that the README shows the CLI and the run directory as they are."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from docturn.cli import main
+from docturn.runner import emit_reports, execute, plan_from_dict
+
+from .test_runner import minimal_plan_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH = SRC.parent / "bench"
@@ -233,3 +236,34 @@ def test_readme_shows_exactly_the_cli_commands():
     (block,) = [b for b in re.findall(r"```bash\n(.*?)```", text, re.DOTALL) if "docturn run " in b]
     assert set(_COMMAND_RE.findall(block)) == set(main.commands)
     assert set(_COMMAND_RE.findall(text)) <= set(main.commands)
+
+
+def _expanded(path: str, plan) -> set[str]:
+    """A README path with `<backend>`, `<strategy>` and one `{a,b}` expanded."""
+    paths = {
+        path.replace("<backend>", backend.name).replace("<strategy>", strategy.label)
+        for backend in plan.backends for strategy in plan.strategies
+    }
+    braces = re.search(r"\{(.*?)\}", path)
+    if braces is None:
+        return paths
+    return {p.replace(braces.group(0), alt) for p in paths for alt in braces.group(1).split(",")}
+
+
+def test_readme_lists_exactly_the_files_a_run_writes(tmp_path):
+    """The README's run-directory block, expanded over a plan's backends and
+    strategies, names exactly the files execute and emit_reports write."""
+    text = README.read_text("utf-8")
+    block = re.search(r"Artifacts land under `runs/<run_id>/`:\n\n```\n(.*?)```", text, re.DOTALL)
+    plan = plan_from_dict(minimal_plan_dict(tmp_path, backends=[
+        {"kind": "mock_identity", "name": "identity"},
+        {"kind": "mock_tail_dropper", "name": "dropper", "drop_fraction": 0.5},
+    ]))
+    artifacts = execute(plan)
+    emit_reports(artifacts)
+    listed = set().union(*(_expanded(line.split()[0], plan) for line in block[1].splitlines()))
+    written = {
+        p.relative_to(artifacts.run_dir).as_posix()
+        for p in artifacts.run_dir.rglob("*") if p.is_file()
+    }
+    assert listed == written

@@ -45,6 +45,18 @@ def test_unknown_slot_rejected(templates):
         templates.render("nope", {})
 
 
+def test_error_messages_name_the_slot_and_the_first_unbound_placeholder(templates):
+    with pytest.raises(TemplateError) as info:
+        templates.render("nope", {})
+    assert str(info.value) == (
+        "template set 'wmt24-style-v1' has no slot 'nope' "
+        "(available: ['document', 'segment', 'source_primed_first'])"
+    )
+    with pytest.raises(TemplateError) as info:
+        templates.render("segment", {"tgt_lang": "German"})
+    assert str(info.value) == "unbound placeholder 'src_lang' in slot 'segment' of 'wmt24-style-v1'"
+
+
 def test_payload_braces_are_inert(templates):
     out = templates.render(
         "segment",

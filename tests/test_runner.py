@@ -32,7 +32,7 @@ from docturn.chat import Message, assistant, user
 from docturn.cli import main
 from docturn.corpus import Exemplar
 from docturn.costing import Transcript, TranscriptTurn
-from docturn.errors import ConfigError, GatewayError, ResumeMismatchError
+from docturn.errors import ConfigError, DocturnError, GatewayError, ResumeMismatchError
 from docturn.gateway import BackendConfig
 from docturn.metrics import report as report_module
 from docturn.prompts import extract_fenced_payload, load_template_set
@@ -141,16 +141,19 @@ class TestExecute:
         assert len(artifacts.cells) == 1 * 2 * 2  # backends x strategies x documents
         for (backend, strategy, doc_id), cell in artifacts.cells.items():
             assert cell.translation.alignment_ok
-        log = artifacts.run_dir / "cells" / "identity" / "multi_turn.jsonl"
-        assert len(read_records(log)["doc-1"]["turns"]) == 3
+        assert len(read_records(plan)[("identity", "multi_turn", "doc-1")][4:]) == 3
 
-    def test_manifest_records_the_shipped_template_set(self, tmp_path):
-        artifacts = execute(plan_from_dict(minimal_plan_dict(tmp_path)))
-        manifest = json.loads((artifacts.run_dir / "manifest.json").read_text("utf-8"))
+    def test_header_records_the_shipped_template_set(self, tmp_path):
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
         shipped = (Path(docturn.__file__).parent / "resources" / "templates"
                    / "wmt24_style_v1.txt").read_bytes()
-        assert manifest["template_set"] == "wmt24-style-v1"
-        assert manifest["template_set_hash"] == hashlib.sha256(shipped).hexdigest()
+        header = run_log(plan).read_text("utf-8").splitlines()[0]
+        assert header == (
+            '{"layout_version":8,"run_id":"test-run","config_hash":"%s",'
+            '"template_set":"wmt24-style-v1","template_set_hash":"%s"}'
+            % (plan.config_hash, hashlib.sha256(shipped).hexdigest())
+        )
 
     def test_identity_run_translations_equal_sources(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -215,8 +218,40 @@ class TestExecute:
         artifacts = execute(plan, complete_fn=failing_for_doc2)
         assert len(artifacts.cells) == 2  # doc-1 under both strategies
         assert len(artifacts.exclusions) == 2
-        manifest = json.loads((artifacts.run_dir / "manifest.json").read_text("utf-8"))
-        assert {e["doc_id"] for e in manifest["exclusions"]} == {"doc-2"}
+        # Each skipped cell is logged when it fails, after the cell before it.
+        lines = log_lines(plan)[1:]
+        assert [tuple(line[:3]) for line in lines] == PLAN_ORDER
+        assert [line[2:] for line in lines if line[3] is None] == 2 * [
+            ["doc-2", None, "backend exploded"]
+        ]
+        assert load_artifacts(plan).exclusions == sorted(
+            artifacts.exclusions, key=lambda e: (e["backend"], e["strategy"], e["doc_id"])
+        )
+
+    def test_loading_keeps_each_skipped_cell_last_reason(self, tmp_path):
+        """A resume retries each skipped cell and logs its new reason; loading
+        lists the last reason of each cell that never completed, and execute
+        returns only the exclusions of its own call."""
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+
+        def failing(doc_id: str, reason: str):
+            def complete(request, backend):
+                if request.request_tag.startswith(doc_id):
+                    raise GatewayError(reason)
+                return gateway.complete(request, backend)
+
+            return complete
+
+        assert len(execute(plan, complete_fn=failing("doc-", "first")).exclusions) == 4
+        second = execute(plan, complete_fn=failing("doc-2", "second"))
+        assert [(e["doc_id"], e["reason"]) for e in second.exclusions] == 2 * [("doc-2", "second")]
+        assert sum(line[3] is None for line in log_lines(plan)[1:]) == 6
+        loaded = load_artifacts(plan)
+        assert set(loaded.cells) == {key for key in PLAN_ORDER if key[2] == "doc-1"}
+        assert loaded.exclusions == [
+            {"backend": "identity", "strategy": strategy, "doc_id": "doc-2", "reason": "second"}
+            for strategy in ("multi_turn", "segment_level")
+        ]
 
     def test_halt_policy_raises(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path, fail_policy="halt"))
@@ -270,7 +305,7 @@ class TestExecute:
         plan = plan_from_dict(record)
         with pytest.raises(ConfigError, match=r"backends\[0\]\.api_key_env_var: .*API key"):
             execute(plan)
-        assert not (Path(plan.output_dir) / plan.run_id / "cells").exists()
+        assert not (Path(plan.output_dir) / plan.run_id).exists()
 
     def test_context_budget_overflow_excluded(self, tmp_path):
         record = minimal_plan_dict(tmp_path, max_context_tokens=8)
@@ -328,33 +363,46 @@ def mixed_plan_dict(tmp_path: Path, **overrides) -> dict:
     )
 
 
-def group_log(plan, backend: str, strategy: str) -> Path:
-    return Path(plan.output_dir) / plan.run_id / "cells" / backend / f"{strategy}.jsonl"
+# The minimal plan's cells in plan order, the order a sequential run logs them.
+PLAN_ORDER = [
+    ("identity", strategy, doc) for strategy in ("segment_level", "multi_turn")
+    for doc in ("doc-1", "doc-2")
+]
 
 
-def read_records(log: Path) -> dict[str, dict]:
-    """A group log's records by doc id, in file order."""
-    records = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
-    return {record["doc"]: record for record in records}
+def run_log(plan) -> Path:
+    return Path(plan.output_dir) / plan.run_id / "run.jsonl"
+
+
+def log_lines(plan) -> list:
+    """Every line of a run's log, parsed: the header, then the records."""
+    return [json.loads(line) for line in run_log(plan).read_text("utf-8").splitlines()]
+
+
+def read_records(plan) -> dict[tuple, list]:
+    """The completed cells' records by cell, in log order."""
+    return {tuple(line[:3]): line for line in log_lines(plan)[1:] if line[3] is not None}
 
 
 def edit_record(edit):
-    """A log edit that rewrites line 1's record (doc-1)."""
+    """A log edit that rewrites line 4, the minimal plan's record of
+    identity/multi_turn/doc-1."""
 
     def apply(lines: list[str]) -> list[str]:
-        record = edit(json.loads(lines[0]))
-        return [json.dumps(record, ensure_ascii=False) + "\n"] + lines[1:]
+        record = json.loads(lines[3])
+        assert record[:3] == ["identity", "multi_turn", "doc-1"]
+        return lines[:3] + [json.dumps(edit(record), ensure_ascii=False) + "\n"] + lines[4:]
 
     return apply
 
 
 def edit_turns(edit):
-    """A log edit that rewrites the turns of line 1's record (doc-1)."""
-    return edit_record(lambda record: {**record, "turns": edit(record["turns"])})
+    """A log edit that rewrites the turns of line 4's record."""
+    return edit_record(lambda record: record[:4] + edit(record[4:]))
 
 
 def edit_row(index: int, edit):
-    """A log edit that rewrites turn `index` of line 1's record (doc-1)."""
+    """A log edit that rewrites turn `index` of line 4's record."""
     return edit_turns(lambda turns: [
         edit(turn) if i == index else turn for i, turn in enumerate(turns)
     ])
@@ -379,8 +427,9 @@ class TestCellLog:
             assert loaded.cells[key].transcript == cell.transcript
             assert loaded.cells[key].ledgers == cell.ledgers
 
-    def test_run_directory_holds_one_log_per_cell(self, tmp_path):
-        """One record per cell, in one log per (backend, strategy)."""
+    def test_run_directory_holds_one_log(self, tmp_path):
+        """One log for the run: its header, then one record per cell in the
+        order the cells completed, which is plan order in a sequential run."""
         plan = plan_from_dict(mixed_plan_dict(tmp_path))
         artifacts = execute(plan)
         emit_reports(artifacts)
@@ -389,36 +438,30 @@ class TestCellLog:
             p.relative_to(run_dir) for p in run_dir.rglob("*")
             if p.is_file() and p.parts[len(run_dir.parts)] != "reports"
         }
-        groups = [(b.name, s.label) for b in plan.backends for s in plan.strategies]
-        logs = {group_log(plan, *group).relative_to(run_dir) for group in groups}
-        assert files == {Path("manifest.json")} | logs
-        recorded = {
-            (*group, doc_id): len(record["turns"])
-            for group in groups
-            for doc_id, record in read_records(group_log(plan, *group)).items()
-        }
+        assert files == {Path("run.jsonl")}
+        recorded = {key: len(record[4:]) for key, record in read_records(plan).items()}
+        assert list(recorded) == list(artifacts.cells)
         assert recorded == {key: len(cell.transcript.turns) for key, cell in artifacts.cells.items()}
 
     def test_record_stores_the_replies_and_one_digest(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         artifacts = execute(plan)
-        log = group_log(plan, "identity", "multi_turn")
-        record = read_records(log)["doc-1"]
-        assert list(record) == ["doc", "requests", "turns"]
-        transcript = artifacts.cells[("identity", "multi_turn", "doc-1")].transcript
-        assert record["requests"] == executor.requests_digest(transcript)
-        assert re.fullmatch("[0-9a-f]{32}", record["requests"])
+        key = ("identity", "multi_turn", "doc-1")
+        record = read_records(plan)[key]
+        transcript = artifacts.cells[key].transcript
+        assert record[:4] == [*key, executor.requests_digest(transcript)]
+        assert re.fullmatch("[0-9a-f]{32}", record[3])
         # [content, prompt_tokens, cached_tokens, completion_tokens, finish_reason];
         # a mock has no prefix cache.
-        assert [[type(item) for item in turn] for turn in record["turns"]] == 3 * [
+        assert [[type(item) for item in turn] for turn in record[4:]] == 3 * [
             [str, int, type(None), int, str]
         ]
-        assert "Translate" not in log.read_text("utf-8")  # no request text is stored
+        assert "Translate" not in run_log(plan).read_text("utf-8")  # no request text is stored
 
     def _tamper(self, tmp_path, edit):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         execute(plan)
-        log = group_log(plan, "identity", "multi_turn")
+        log = run_log(plan)
         lines = log.read_text("utf-8").splitlines(keepends=True)
         log.write_text("".join(edit(lines)), "utf-8")
         return plan, log
@@ -426,146 +469,159 @@ class TestCellLog:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (edit_turns(lambda turns: turns[:-1]), "line 1: doc 'doc-1': turn 2: turn missing"),
-            (edit_turns(lambda turns: turns + turns[-1:]), "line 1: doc 'doc-1': turn 3: extra turn"),
-            (lambda lines: ["{not json\n"] + lines[1:], "line 1: unparseable record"),
+            (edit_turns(lambda turns: turns[:-1]), "line 4: MT1: turn 2: turn missing"),
+            (edit_turns(lambda turns: turns + turns[-1:]), "line 4: MT1: turn 3: extra turn"),
+            (lambda lines: lines[:3] + ["{not json\n"] + lines[4:], "line 4: unparseable record"),
             (
-                edit_record(lambda record: {**record, "requests": "0" * 32}),
-                "line 1: doc 'doc-1': logged requests differ from the rebuilt ones",
+                edit_record(lambda record: [*record[:3], "0" * 32, *record[4:]]),
+                "line 4: MT1: logged requests differ from the rebuilt ones",
             ),
             (
-                edit_record(lambda record: {k: v for k, v in record.items() if k != "requests"}),
-                "line 1: unparseable record .*requests",
+                edit_record(lambda record: record[:3] + record[4:]),
+                "line 4: unparseable record .*requests is not a string",
             ),
             (
-                edit_record(lambda record: {**record, "requests": None}),
-                "line 1: unparseable record .*requests is not a string",
+                edit_record(lambda record: [*record[:3], 5, *record[4:]]),
+                "line 4: unparseable record .*requests is not a string",
+            ),
+            (
+                edit_record(lambda record: [*record[:3], None, *record[4:]]),
+                "line 4: unparseable record .*nor null before a reason",
+            ),
+            (
+                edit_record(lambda record: [*record[:3], None]),
+                "line 4: unparseable record .*nor null before a reason",
+            ),
+            (
+                lambda lines: lines[:3] + ['{"doc":"doc-1","requests":"0","turns":[]}\n'] + lines[4:],
+                "line 4: unparseable record .*not an array",
             ),
             (
                 edit_turns(lambda turns: turns[:1] + [["x"]] + turns[2:]),
-                "line 1: doc 'doc-1': turn 1: unparseable turn .*1 items, not 5",
+                "line 4: MT1: turn 1: unparseable turn .*1 items, not 5",
             ),
             (
                 edit_row(1, lambda row: dict(zip(
                     ("content", "prompt_tokens", "completion_tokens", "finish_reason"),
                     row[:2] + row[3:],
                 ))),
-                "line 1: doc 'doc-1': turn 1: unparseable turn .*not an array",
+                "line 4: MT1: turn 1: unparseable turn .*not an array",
             ),
             (
                 edit_row(1, lambda row: row[:4]),
-                "line 1: doc 'doc-1': turn 1: unparseable turn .*4 items, not 5",
+                "line 4: MT1: turn 1: unparseable turn .*4 items, not 5",
             ),
             (
                 edit_row(2, lambda row: [row[0], "5", *row[2:]]),
-                "line 1: doc 'doc-1': turn 2: unparseable turn .*prompt_tokens",
+                "line 4: MT1: turn 2: unparseable turn .*prompt_tokens",
             ),
             (
                 edit_row(2, lambda row: [*row[:3], -5, row[4]]),
-                "line 1: doc 'doc-1': turn 2: unparseable turn .*completion_tokens is negative",
+                "line 4: MT1: turn 2: unparseable turn .*completion_tokens is negative",
             ),
             (
                 edit_row(2, lambda row: [*row[:2], row[1] + 1, *row[3:]]),
-                "line 1: doc 'doc-1': turn 2: unparseable turn .*cached_tokens .* exceeds",
+                "line 4: MT1: turn 2: unparseable turn .*cached_tokens .* exceeds",
             ),
             (
                 edit_row(2, lambda row: [*row[:4], "eos"]),
-                "line 1: doc 'doc-1': turn 2: unparseable turn .*finish_reason is 'eos'",
+                "line 4: MT1: turn 2: unparseable turn .*finish_reason is 'eos'",
             ),
             (
                 edit_row(1, lambda row: [" ", *row[1:]]),
-                "line 1: doc 'doc-1': replay failed: empty_output: document 'doc-1' at turn 1$",
+                "line 4: MT1: replay failed: empty_output: document 'doc-1' at turn 1$",
             ),
-            (lambda lines: lines + lines[:1], "line 3: duplicate record for doc 'doc-1'"),
             (
-                lambda lines: [lines[0].replace('"doc":"doc-1"', '"doc":"doc-9"')] + lines[1:],
-                "line 1: doc 'doc-9' is not in the test set",
+                lambda lines: lines + lines[3:4],
+                "line 6: MT1: duplicate record, the first is on line 4",
+            ),
+            (
+                edit_record(lambda record: ["identity", "multi_turn", "doc-9", *record[3:]]),
+                "line 4: identity/multi_turn doc 'doc-9' is not a cell of the plan",
+            ),
+            (
+                edit_record(lambda record: ["identity", "single_turn", *record[2:]]),
+                "line 4: identity/single_turn doc 'doc-1' is not a cell of the plan",
             ),
         ],
         ids=["truncated", "extra_line", "unparseable", "tampered_digest", "no_digest",
-             "digest_not_a_string", "unparseable_turn", "layout_6_turn", "no_finish_reason",
+             "digest_not_a_string", "null_digest_before_rows", "skip_without_reason",
+             "layout_7_record", "unparseable_turn", "layout_6_turn", "no_finish_reason",
              "string_prompt_tokens", "negative_completion_tokens", "cached_exceeds_prompt",
-             "unknown_finish_reason", "empty_reply", "duplicate_doc", "unknown_doc"],
+             "unknown_finish_reason", "empty_reply", "duplicate_doc", "unknown_doc",
+             "unknown_strategy"],
     )
     def test_tampered_log_rejected_on_load_and_resume(self, tmp_path, edit, problem):
         plan, log = self._tamper(tmp_path, edit)
-        for load in (load_artifacts, execute):
+        problem = problem.replace("MT1", "identity/multi_turn doc 'doc-1'")
+        sent: list[str] = []
+        for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
             with pytest.raises(ResumeMismatchError, match=problem) as info:
                 load(plan)
             assert str(log) in str(info.value)
+        assert sent == []
 
-    def test_pre_v2_manifest_rejected(self, tmp_path):
+    @pytest.mark.parametrize("layout_version", [None, 7, 9], ids=["none", "7", "9"])
+    def test_header_of_another_layout_rejected_before_any_request(self, tmp_path, layout_version):
+        """A header without this version's layout_version is refused before
+        any record is read: nothing is replayed, sent or written."""
+        assert executor.LAYOUT_VERSION == 8
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         execute(plan)
-        manifest_path = Path(plan.output_dir) / plan.run_id / "manifest.json"
-        manifest = json.loads(manifest_path.read_text("utf-8"))
-        del manifest["layout_version"]
-        manifest_path.write_text(json.dumps(manifest), "utf-8")
-        for load in (load_artifacts, execute):
-            with pytest.raises(ResumeMismatchError, match="layout"):
-                load(plan)
-
-    def _assert_layout_rejected(self, tmp_path, version: int) -> None:
-        plan = plan_from_dict(minimal_plan_dict(tmp_path))
-        execute(plan)
-        manifest_path = Path(plan.output_dir) / plan.run_id / "manifest.json"
-        manifest = json.loads(manifest_path.read_text("utf-8"))
-        manifest["layout_version"] = version
-        manifest_path.write_text(json.dumps(manifest), "utf-8")
-        problem = f"artifact layout {version}, this version reads layout {executor.LAYOUT_VERSION}"
-        for load in (load_artifacts, execute):
-            with pytest.raises(ResumeMismatchError, match=problem):
-                load(plan)
-
-    def test_layout_2_directory_rejected(self, tmp_path):
-        self._assert_layout_rejected(tmp_path, 2)
-
-    def test_layout_3_directory_rejected(self, tmp_path):
-        self._assert_layout_rejected(tmp_path, 3)
-
-    def test_layout_4_directory_rejected(self, tmp_path):
-        """Layout 4 logged each turn's elapsed_ms and response latency_ms."""
-        self._assert_layout_rejected(tmp_path, 4)
-
-    def test_layout_5_directory_rejected(self, tmp_path):
-        """Layout 5 logged a prefix header and each request's messages."""
-        self._assert_layout_rejected(tmp_path, 5)
-
-    def test_layout_6_directory_rejected_before_any_request(self, tmp_path):
-        """Layout 6 logged each turn as an object with four keys. Such a
-        directory, with a cell still to run, is refused by its manifest:
-        nothing is replayed, sent or written."""
-        assert executor.LAYOUT_VERSION == 7
-        plan = plan_from_dict(minimal_plan_dict(tmp_path))
-        execute(plan)
-        run_dir = Path(plan.output_dir) / plan.run_id
-        manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
-        manifest["layout_version"] = 6
-        (run_dir / "manifest.json").write_text(json.dumps(manifest), "utf-8")
-        for log in (run_dir / "cells").rglob("*.jsonl"):
-            records = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
-            log.write_text("".join(
-                json.dumps({**record, "turns": [
-                    {"content": content, "prompt_tokens": prompt,
-                     "completion_tokens": completion, "finish_reason": finish}
-                    for content, prompt, _, completion, finish in record["turns"]
-                ]}) + "\n"
-                for record in records[:1]  # doc-2's cells are still to run
-            ), "utf-8")
-        before = run_dir_bytes(run_dir)
+        log = run_log(plan)
+        header, *records = log.read_text("utf-8").splitlines(keepends=True)
+        edited = {**json.loads(header), "layout_version": layout_version}
+        if layout_version is None:
+            del edited["layout_version"]
+        log.write_text(json.dumps(edited) + "\n" + records[0], "utf-8")  # 3 cells to run
+        before = run_dir_bytes(log.parent)
         sent: list[str] = []
-        problem = "artifact layout 6, this version reads layout 7; re-run into a new directory"
+        problem = (
+            f"artifact layout {layout_version}, this version reads layout 8; "
+            "re-run into a new directory"
+        )
         for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
             with pytest.raises(ResumeMismatchError, match=problem):
                 load(plan)
         assert sent == []
+        assert run_dir_bytes(log.parent) == before
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"raw/identity/segment_level/doc-1/turn_0.json": "{}"},
+            {
+                "manifest.json": '{"layout_version": 7, "exclusions": []}\n',
+                "cells/identity/segment_level.jsonl":
+                    '{"doc":"doc-1","requests":"%s","turns":[]}\n' % ("0" * 32),
+            },
+            {"manifest.json.tmp": '{"torn'},
+            {"run.jsonl": '{"layout_version":8,', "reports/main.csv": "backend\n"},
+        ],
+        ids=["layout_1", "layouts_2_to_7", "layout_7_staged_manifest", "torn_header_and_reports"],
+    )
+    def test_directory_without_a_log_header_rejected_before_any_request(self, tmp_path, files):
+        """Layouts 1-7 wrote no run.jsonl: a directory whose log has no
+        complete header and that holds any other file is refused by execute
+        and load_artifacts, and nothing is sent or written."""
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        run_dir = Path(plan.output_dir) / plan.run_id
+        for name, content in files.items():
+            (run_dir / name).parent.mkdir(parents=True, exist_ok=True)
+            (run_dir / name).write_text(content, "utf-8")
+        before = run_dir_bytes(run_dir)
+        sent: list[str] = []
+        for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
+            with pytest.raises(ResumeMismatchError, match="no run.jsonl header: an older layout"):
+                load(plan)
+        assert sent == []
         assert run_dir_bytes(run_dir) == before
 
-    def test_group_log_bytes(self, tmp_path, monkeypatch):
+    def test_log_bytes(self, tmp_path, monkeypatch):
         """A two-turn multi_turn cell on a mock and on an HTTP backend whose
-        usage reports cached_tokens: each group log is exactly one line, each
-        turn logs the cached_tokens its backend sent (none from the mock),
-        and the loaded cells equal the fresh ones."""
+        usage reports cached_tokens: the log is the header and one line per
+        cell, each turn logs the cached_tokens its backend sent (none from
+        the mock), and the loaded cells equal the fresh ones."""
         monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
         write_jsonl(tmp_path / "corpus.jsonl", [{
             "id": "doc-1", "src_lang": "en", "tgt_lang": "de", "domain": "news",
@@ -596,15 +652,13 @@ class TestCellLog:
         backends = gateway.Gateway(plan.backends, http_post=post)
         fresh = execute(plan, complete_fn=backends.complete)
         requests = "584e3664734ed44af0d9b05891863933"
-        assert group_log(plan, "identity", "multi_turn").read_bytes() == (
-            '{"doc":"doc-1","requests":"%s","turns":'
-            '[["Eins zwei.",20,null,2,"stop"],["Drei vier fünf.",43,null,3,"stop"]]}\n'
-            % requests
-        ).encode("utf-8")
-        assert group_log(plan, "http", "multi_turn").read_bytes() == (
-            '{"doc":"doc-1","requests":"%s","turns":'
-            '[["Eins zwei.",20,0,2,"stop"],["Drei vier fünf.",43,22,3,"stop"]]}\n'
-            % requests
+        header = run_log(plan).read_bytes().split(b"\n")[0]
+        assert run_log(plan).read_bytes() == header + (
+            '\n["identity","multi_turn","doc-1","%s",'
+            '["Eins zwei.",20,null,2,"stop"],["Drei vier fünf.",43,null,3,"stop"]]\n'
+            '["http","multi_turn","doc-1","%s",'
+            '["Eins zwei.",20,0,2,"stop"],["Drei vier fünf.",43,22,3,"stop"]]\n'
+            % (requests, requests)
         ).encode("utf-8")
         assert sent_cached == [0, 22]
         assert load_artifacts(plan).cells == fresh.cells
@@ -613,9 +667,8 @@ class TestCellLog:
         readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
         assert f"`layout_version: {executor.LAYOUT_VERSION}`" in readme
 
-    def test_interrupt_mid_cell_leaves_no_log_and_resume_reruns_it(self, tmp_path):
+    def test_interrupt_mid_cell_leaves_no_record_and_resume_reruns_it(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
-        log = group_log(plan, "identity", "multi_turn")
         calls = []
 
         class Interrupted(RuntimeError):
@@ -624,82 +677,101 @@ class TestCellLog:
         def interrupted_in_last_cell(request, backend):
             # 3 + 2 segment-level turns, 3 multi-turn turns for doc-1, then
             # multi_turn/doc-2 is interrupted after its first turn. Its record
-            # must not be written yet: a process killed here leaves only doc-1's.
+            # must not be written yet: a process killed here leaves only the
+            # three records before it.
             if len(calls) == 9:
-                assert list(read_records(log)) == ["doc-1"]
+                assert list(read_records(plan)) == PLAN_ORDER[:3]
                 raise Interrupted("simulated interrupt")
             calls.append(request.request_tag)
             return gateway.complete(request, backend)
 
         with pytest.raises(Interrupted):
             execute(plan, complete_fn=interrupted_in_last_cell)
-        cells_dir = Path(plan.output_dir) / plan.run_id / "cells"
-        assert sorted(p.relative_to(cells_dir).as_posix() for p in cells_dir.rglob("*.*")) == [
-            "identity/multi_turn.jsonl",
-            "identity/segment_level.jsonl",
-        ]
-        assert list(read_records(log)) == ["doc-1"]
-        assert list(read_records(group_log(plan, "identity", "segment_level"))) == ["doc-1", "doc-2"]
+        run_dir = Path(plan.output_dir) / plan.run_id
+        assert [p.name for p in run_dir.iterdir()] == ["run.jsonl"]
+        assert list(read_records(plan)) == PLAN_ORDER[:3]
 
         resumed: list[str] = []
         artifacts = execute(plan, complete_fn=recording(resumed))
         assert resumed == ["doc-2:turn_0", "doc-2:turn_1"]
-        assert [len(r["turns"]) for r in read_records(log).values()] == [3, 2]
+        assert list(read_records(plan)) == PLAN_ORDER
+        assert len(read_records(plan)[PLAN_ORDER[3]][4:]) == 2
         assert len(artifacts.cells) == 4
 
     @pytest.mark.parametrize("cut", ["half", "before_newline"])
     def test_torn_record_ignored_on_load_and_resent_on_resume(self, tmp_path, cut):
-        """A crash while appending doc-2's record leaves part of it after the
-        last newline; that cell counts as not run."""
+        """A crash while appending the last cell's record leaves part of it
+        after the last newline; that cell counts as not run."""
         uninterrupted = plan_from_dict(minimal_plan_dict(tmp_path, run_id="uninterrupted"))
         full = execute(uninterrupted)
         emit_reports(full)
         plan = plan_from_dict(minimal_plan_dict(tmp_path, run_id="torn"))
         execute(plan)
-        log = group_log(plan, "identity", "multi_turn")
-        first, second = log.read_bytes().splitlines(keepends=True)
-        torn = second[: len(second) // 2] if cut == "half" else second[:-1]
-        log.write_bytes(first + torn)
+        log = run_log(plan)
+        *first, last = log.read_bytes().splitlines(keepends=True)
+        torn = last[: len(last) // 2] if cut == "half" else last[:-1]
+        log.write_bytes(b"".join(first) + torn)
 
         loaded = load_artifacts(plan)
-        assert set(loaded.cells) == set(full.cells) - {
-            ("identity", "multi_turn", "doc-2")
-        }
+        assert set(loaded.cells) == set(full.cells) - {("identity", "multi_turn", "doc-2")}
         resent: list[str] = []
         artifacts = execute(plan, complete_fn=recording(resent))
         assert resent == ["doc-2:turn_0", "doc-2:turn_1"]
-        assert log.read_bytes().startswith(first) and log.read_bytes().endswith(b"\n")
-        assert [len(r["turns"]) for r in read_records(log).values()] == [3, 2]
+        assert log.read_bytes() == b"".join(first) + last
         emit_reports(artifacts)
         assert report_bytes(artifacts.run_dir) == report_bytes(
             Path(uninterrupted.output_dir) / uninterrupted.run_id
         )
         assert set(load_artifacts(plan).cells) == set(artifacts.cells)
 
-    @pytest.mark.parametrize("cut", ["half", "before_newline"])
-    def test_torn_first_record_leaves_an_empty_log_and_group_rerun(self, tmp_path, cut):
-        """A crash while appending a log's first record leaves no complete
-        line: the group has no record, and the next run starts the log anew."""
-        uninterrupted = plan_from_dict(minimal_plan_dict(tmp_path, run_id="uninterrupted"))
+    @pytest.mark.parametrize("cut", ["empty", "half", "before_newline"])
+    def test_torn_header_alone_starts_the_run_anew(self, tmp_path, cut):
+        """A crash while appending the header leaves no complete line: there
+        is no run to load, and the next run starts the log anew."""
+        uninterrupted = plan_from_dict(minimal_plan_dict(
+            tmp_path, output_dir=str(tmp_path / "uninterrupted")
+        ))
         emit_reports(execute(uninterrupted))
-        expected = group_log(uninterrupted, "identity", "multi_turn").read_bytes()
-        plan = plan_from_dict(minimal_plan_dict(tmp_path, run_id="torn"))
-        execute(plan)
-        log = group_log(plan, "identity", "multi_turn")
-        first = log.read_bytes().splitlines(keepends=True)[0]
-        log.write_bytes(first[: len(first) // 2] if cut == "half" else first[:-1])
+        expected = run_log(uninterrupted).read_bytes()
+        plan = plan_from_dict(minimal_plan_dict(tmp_path, output_dir=str(tmp_path / "torn")))
+        header = expected.splitlines(keepends=True)[0]
+        run_log(plan).parent.mkdir(parents=True)
+        run_log(plan).write_bytes({
+            "empty": b"", "half": header[: len(header) // 2], "before_newline": header[:-1],
+        }[cut])
 
-        loaded = load_artifacts(plan)
-        assert {key[1] for key in loaded.cells} == {"segment_level"}
+        with pytest.raises(DocturnError, match="no run found"):
+            load_artifacts(plan)
         resent: list[str] = []
         artifacts = execute(plan, complete_fn=recording(resent))
-        assert resent == ["doc-1:turn_0", "doc-1:turn_1", "doc-1:turn_2", "doc-2:turn_0", "doc-2:turn_1"]
-        assert log.read_bytes() == expected
+        assert len(resent) == 10
+        assert run_log(plan).read_bytes() == expected
         emit_reports(artifacts)
         assert report_bytes(artifacts.run_dir) == report_bytes(
             Path(uninterrupted.output_dir) / uninterrupted.run_id
         )
-        assert set(load_artifacts(plan).cells) == set(artifacts.cells)
+
+    def test_complete_resume_writes_nothing(self, tmp_path, monkeypatch):
+        """A resume with no cell left to run opens nothing for writing and
+        leaves the log as it was, torn tail and all."""
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+        execute(plan)
+        log = run_log(plan)
+        log.write_bytes(log.read_bytes() + b'["identity","multi')  # a torn line
+        before = log.stat()
+        opened: list[tuple[str, str]] = []
+
+        def spied(open_file, file, mode="r", *args, **kwargs):
+            opened.append((file_name(file), mode))
+            return open_file(file, mode, *args, **kwargs)
+
+        patch_open(monkeypatch, spied)
+        sent: list[str] = []
+        assert len(execute(plan, complete_fn=recording(sent)).cells) == 4
+        monkeypatch.undo()
+        assert sent == []
+        assert [mode for name, mode in opened if name == "run.jsonl"] == ["rb"]
+        assert (log.stat().st_size, log.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
 
 
 def icl_plan_dict(tmp_path: Path, **overrides) -> dict:
@@ -726,14 +798,13 @@ class TestExemplarPrefix:
         plan = plan_from_dict(mixed_plan_dict(tmp_path, testsets=[str(corpus)]))
         artifacts = execute(plan)
         templates = load_template_set()
-        for backend in plan.backends:
-            for strategy in plan.strategies:
-                text = group_log(plan, backend.name, strategy.label).read_text("utf-8")
-                prefix = strategy_module.exemplar_messages(strategy, templates)
-                assert len(prefix) == (6 if strategy.icl else 0)
-                for message in prefix:
-                    assert json.dumps(message.content, ensure_ascii=False) not in text
-                assert len(text.splitlines()) == documents
+        text = run_log(plan).read_text("utf-8")
+        for strategy in plan.strategies:
+            prefix = strategy_module.exemplar_messages(strategy, templates)
+            assert len(prefix) == (6 if strategy.icl else 0)
+            for message in prefix:
+                assert json.dumps(message.content, ensure_ascii=False) not in text
+        assert len(text.splitlines()) == 1 + 2 * 8 * documents
         assert len(artifacts.cells) == 2 * 8 * documents
 
     def test_prefix_built_once_per_group(self, tmp_path, monkeypatch):
@@ -773,15 +844,14 @@ class TestRequestsDigest:
         assert executor.requests_digest(transcript) == expected
         assert executor.requests_digest(Transcript()) == hashlib.blake2b(digest_size=16).hexdigest()
 
-    def _assert_resume_refused(self, plan, log: Path) -> None:
+    def _assert_resume_refused(self, plan, where: str) -> None:
         sent: list[str] = []
         for load in (load_artifacts, partial(execute, complete_fn=recording(sent))):
-            with pytest.raises(
-                ResumeMismatchError,
-                match="line 1: doc 'doc-1': logged requests differ from the rebuilt ones",
-            ) as info:
+            with pytest.raises(ResumeMismatchError) as info:
                 load(plan)
-            assert str(log) in str(info.value)
+            assert str(info.value) == (
+                f"{run_log(plan)}: {where} doc 'doc-1': logged requests differ from the rebuilt ones"
+            )
         assert sent == []
 
     def test_changed_template_text_refused_on_load_and_resume(self, tmp_path, monkeypatch):
@@ -795,7 +865,7 @@ class TestRequestsDigest:
             return dataclasses.replace(templates, slots={**templates.slots, "segment": segment})
 
         monkeypatch.setattr(executor, "load_template_set", edited)
-        self._assert_resume_refused(plan, group_log(plan, "identity", "segment_level"))
+        self._assert_resume_refused(plan, "line 2: identity/segment_level")
 
     def test_changed_template_set_hash_refused_before_any_replay(self, tmp_path, monkeypatch):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
@@ -827,7 +897,7 @@ class TestRequestsDigest:
             )
 
         monkeypatch.setattr(executor, "exemplar_messages", edited)
-        self._assert_resume_refused(plan, group_log(plan, "identity", "multi_turn+icl"))
+        self._assert_resume_refused(plan, "line 4: identity/multi_turn+icl")
 
 
 def report_bytes(run_dir: Path) -> dict[str, bytes]:
@@ -1063,19 +1133,20 @@ class TestWallClockFields:
                 emit_reports(artifacts)
                 runs.append(run_dir_bytes(artifacts.run_dir))
         for first, second in (runs[0], runs[2]), (runs[1], runs[3]):
-            assert {p.parts[0] for p in first} == {"manifest.json", "cells", "reports"}
+            assert {p.parts[0] for p in first} == {"run.jsonl", "reports"}
             assert first == second
         # One logged turn per request, whatever its attempts.
         logged = [
-            turn for path, data in runs[3].items() if path.parts[:2] == ("cells", "http")
-            for line in data.splitlines() for turn in json.loads(line)["turns"]
+            turn for line in runs[3][Path("run.jsonl")].splitlines()[1:]
+            for turn in json.loads(line)[4:] if json.loads(line)[0] == "http"
         ]
         assert len(attempts) == 2 * 3 * len(logged)
 
     def test_concurrent_run_writes_the_same_lines(self, tmp_path):
         """At max_concurrent_documents 4 records are appended in the order
-        their cells complete: each log holds the same lines as a sequential
-        run's, and every other file is byte-identical."""
+        their cells complete: the log holds the same lines as a sequential
+        run's, each group's after the group before it, and every other file
+        is byte-identical."""
         documents = [
             {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": "news",
              "src": [f"Paragraph {j} of {i}." for j in range(1 + i % 3)]}
@@ -1094,10 +1165,12 @@ class TestWallClockFields:
         sequential, concurrent = runs
         assert sequential.keys() == concurrent.keys()
         for path, data in sequential.items():
-            if path.parts[0] == "cells":
-                records = data.splitlines()
-                assert Counter(concurrent[path].splitlines()) == Counter(records)
-                assert len(records) == len(documents)
+            if path == Path("run.jsonl"):
+                lines = data.splitlines()
+                assert len(lines) == 1 + 2 * 8 * len(documents)
+                for start in range(1, len(lines), len(documents)):  # one group at a time
+                    group = slice(start, start + len(documents))
+                    assert Counter(concurrent[path].splitlines()[group]) == Counter(lines[group])
             else:
                 assert concurrent[path] == data
 
@@ -1277,7 +1350,7 @@ class TestResumeIdentity:
         plan = _identity_plan(tmp_path)
         emit_reports(execute(plan))
         run_dir = Path(plan.output_dir) / plan.run_id
-        cells = run_dir_bytes(run_dir / "cells")
+        log = run_log(plan).read_bytes()
         for (cls, name), changed in _single_field_changes(plan, tmp_path).items():
             field_name = f"{cls.__name__}.{name}"
             changed_dir = Path(changed.output_dir) / changed.run_id
@@ -1292,7 +1365,7 @@ class TestResumeIdentity:
                 continue
             artifacts = execute(changed, complete_fn=recording(sent))
             assert sent == [], field_name
-            assert run_dir_bytes(changed_dir / "cells") == cells, field_name
+            assert run_log(changed).read_bytes() == log, field_name
             assert len(artifacts.cells) == 4
             emit_reports(load_artifacts(changed))
 
@@ -1496,8 +1569,9 @@ def failing_at_multi_turn_doc_2_turn_1(fault: BaseException, sent: list):
 
 
 class TestInterruptedRun:
-    """A run that fails part-way, even a first run, leaves a manifest, so it
-    can be loaded, scored, refused under another config and resumed."""
+    """A run that fails part-way, even a first run, leaves a log with its
+    header, so it can be loaded, scored, refused under another config and
+    resumed."""
 
     @pytest.mark.parametrize(
         "policy, fault",
@@ -1519,12 +1593,13 @@ class TestInterruptedRun:
             with pytest.raises(type(fault)):
                 execute(plan, complete_fn=complete)
 
-        manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
-        assert manifest["config_hash"] == plan.config_hash
-        listed = [(e["backend"], e["strategy"], e["doc_id"]) for e in manifest["exclusions"]]
+        header, *records = log_lines(plan)
+        assert header["config_hash"] == plan.config_hash
+        listed = [tuple(record[:3]) for record in records if record[3] is None]
         assert listed == ([MULTI_TURN_DOC_2] if excluded else [])
         loaded = load_artifacts(plan)
         assert set(loaded.cells) == ALL_CELLS - {MULTI_TURN_DOC_2}
+        assert [(e["backend"], e["strategy"], e["doc_id"]) for e in loaded.exclusions] == listed
         emit_reports(loaded)
         assert (run_dir / "reports" / "main.csv").exists()
 
@@ -1540,12 +1615,12 @@ class TestInterruptedRun:
         artifacts = execute(plan, complete_fn=recording(resent))
         assert resent == ["doc-2:turn_0", "doc-2:turn_1"]
         assert set(artifacts.cells) == ALL_CELLS and artifacts.exclusions == []
-        manifest = json.loads((run_dir / "manifest.json").read_text("utf-8"))
-        assert manifest["exclusions"] == [] and manifest["completed_cells"] == 4
+        assert set(read_records(plan)) == ALL_CELLS
+        assert load_artifacts(plan).exclusions == []
 
     def test_interrupted_resume_drops_exclusions_it_completed(self, tmp_path):
-        """The manifest keeps the first run's exclusions until a resume ends,
-        so loading must not list a cell the interrupted resume completed."""
+        """The log keeps the first run's skipped cells, so loading must not
+        list a cell the interrupted resume completed."""
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
 
         def doc_2_down(request, backend):
@@ -1603,33 +1678,60 @@ class TestInterruptedRun:
             assert warnings(load_artifacts(plan)) == fresh
             assert logged() == []  # a replayed cell is not logged again
 
-    @pytest.mark.parametrize("layout", ["cells", "raw"])
-    def test_files_without_a_manifest_are_refused(self, tmp_path, layout):
-        """Files with no manifest can only come from an older version, which
-        wrote the manifest last: layouts 2 and 3 under cells/, layout 1
-        under raw/."""
-        plan = plan_from_dict(minimal_plan_dict(tmp_path))
-        run_dir = Path(plan.output_dir) / plan.run_id
-        if layout == "cells":
-            execute(plan)
-            (run_dir / "manifest.json").unlink()
-        else:
-            (run_dir / "raw" / "identity").mkdir(parents=True)
-            (run_dir / "raw" / "identity" / "turn_0.json").write_text("{}", "utf-8")
-        sent: list[str] = []
-        with pytest.raises(ResumeMismatchError, match="older version"):
-            execute(plan, complete_fn=recording(sent))
-        assert sent == []
 
-    def test_staged_manifest_alone_is_a_new_run(self, tmp_path):
-        """A crash while the first manifest is staged leaves only its
-        temporary file; the next execute starts the run afresh."""
-        plan = plan_from_dict(minimal_plan_dict(tmp_path))
-        run_dir = Path(plan.output_dir) / plan.run_id
-        run_dir.mkdir(parents=True)
-        (run_dir / "manifest.json.tmp").write_text('{"torn', "utf-8")
-        assert len(execute(plan).cells) == 4
-        assert sorted(p.name for p in run_dir.iterdir()) == ["cells", "manifest.json"]
+class Crash(BaseException):
+    """A crash that no handler of the harness catches."""
+
+
+# How much of the line being appended a crash leaves in the log.
+CUTS = {
+    "nothing": lambda line: b"",
+    "half": lambda line: line[: len(line) // 2],
+    "all_but_one_byte": lambda line: line[:-1],
+    "all": lambda line: line,
+}
+
+
+def three_strategy_plan(tmp_path: Path, output_dir: str) -> RunPlan:
+    return plan_from_dict(minimal_plan_dict(
+        tmp_path, output_dir=str(tmp_path / output_dir),
+        strategies=[{"mode": "segment_level"}, {"mode": "multi_turn"}, {"mode": "multi_turn_sp"}],
+    ))
+
+
+class TestCrashResume:
+    """A crash at any append of the log, the header's included, however much
+    of the line it leaves, resumes with execute and emit_reports into the
+    bytes of an uninterrupted run."""
+
+    @pytest.mark.parametrize("cut", list(CUTS))
+    @pytest.mark.parametrize("crash_at", range(1 + 3 * 2))  # the header, then 6 cells
+    def test_crash_at_an_append_resumes_to_the_uninterrupted_bytes(
+        self, tmp_path, monkeypatch, crash_at, cut
+    ):
+        uninterrupted = three_strategy_plan(tmp_path, "uninterrupted")
+        emit_reports(execute(uninterrupted))
+        expected = run_dir_bytes(run_log(uninterrupted).parent)
+        assert len(expected[Path("run.jsonl")].splitlines()) == 1 + 3 * 2
+
+        plan = three_strategy_plan(tmp_path, "crashed")
+        appended: list[bytes] = []
+        append = executor._Log.append
+
+        def crashing(log, line: bytes) -> None:
+            appended.append(line)
+            if len(appended) <= crash_at:
+                return append(log, line)
+            log.file.write(CUTS[cut](line))
+            log.file.flush()
+            raise Crash
+
+        monkeypatch.setattr(executor._Log, "append", crashing)
+        with pytest.raises(Crash):
+            execute(plan)
+        monkeypatch.undo()
+        emit_reports(execute(plan))
+        assert run_dir_bytes(run_log(plan).parent) == expected
 
 
 def ledger_walks(monkeypatch) -> list[int]:
@@ -1823,8 +1925,7 @@ class TestRunOwnsItsState:
         assert dictionary.read_text("utf-8") == '{"First": "UNO"}'
         key = ("dict", "segment_level", "doc-1")
         assert artifacts.cells[key].translation.hypothesis_segments == ("Erster paragraph.",)
-        manifest = json.loads((artifacts.run_dir / "manifest.json").read_text("utf-8"))
-        assert manifest["config_hash"] == hashed
+        assert log_lines(plan)[0]["config_hash"] == hashed
 
     @pytest.mark.parametrize("content", ['{"First": ', '["First"]'],
                              ids=["dictionary_invalid_json", "dictionary_not_an_object"])
@@ -1844,14 +1945,17 @@ class TestRunOwnsItsState:
 
     @pytest.mark.parametrize("content", ['{"torn', '["not", "an", "object"]'],
                              ids=["invalid_json", "not_an_object"])
-    def test_unreadable_manifest_is_refused(self, tmp_path, content):
+    def test_unreadable_header_is_refused(self, tmp_path, content):
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         execute(plan)
-        (Path(plan.output_dir) / plan.run_id / "manifest.json").write_text(content, "utf-8")
-        with pytest.raises(ResumeMismatchError, match="manifest.json"):
+        log = run_log(plan)
+        records = log.read_text("utf-8").splitlines(keepends=True)[1:]
+        log.write_text("".join([content + "\n", *records]), "utf-8")
+        problem = re.escape(f"{log}: line 1 does not hold a JSON object header")
+        with pytest.raises(ResumeMismatchError, match=problem):
             load_artifacts(plan)
         sent: list[str] = []
-        with pytest.raises(ResumeMismatchError, match="manifest.json"):
+        with pytest.raises(ResumeMismatchError, match=problem):
             execute(plan, complete_fn=recording(sent))
         assert sent == []
 
