@@ -5,6 +5,11 @@ plus an optional completion-length cap, a response is the assistant text plus
 usage accounting. A request names neither a model nor a temperature: the
 gateway sends every request greedily to its backend's model.
 
+count_tokens is the harness's one token-count rule, for every text in every
+language: the mocks' usage, the context budget, the cost ledgers and the
+length report all count with it. A message keeps its count (Message.tokens),
+so a message object shared by a session's requests is counted once.
+
 A response is logged as one JSON array in its field order, [content,
 prompt_tokens, cached_tokens, completion_tokens, finish_reason]: to_row
 writes it and from_row refuses anything to_row cannot have written. No code
@@ -17,11 +22,31 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
+import regex
+
 ROLE_SYSTEM = "system"
 ROLE_USER = "user"
 ROLE_ASSISTANT = "assistant"
 
 _VALID_ROLES = (ROLE_SYSTEM, ROLE_USER, ROLE_ASSISTANT)
+
+_HAN_OR_KANA_RUNS = regex.compile(r"[\p{Han}\p{Hiragana}\p{Katakana}]+")
+
+
+def count_tokens(text: str) -> int:
+    """One token per Han, Hiragana or Katakana character, plus one per
+    maximal run of other characters that str.split does not split on. Text
+    without such a character counts len(text.split()), so English and German
+    count their whitespace-separated words, while Chinese and Japanese, which
+    write no spaces between words, count about one token per character.
+
+    One scan replaces each run of Han or kana characters with a space, and
+    one split counts the rest; ASCII text, which holds none, skips the scan."""
+    if text.isascii():
+        return len(text.split())
+    # A run of n characters counts n tokens and shortens the text by n - 1.
+    spaced, runs = _HAN_OR_KANA_RUNS.subn(" ", text)
+    return len(text) - len(spaced) + runs + len(spaced.split())
 
 
 @dataclass(frozen=True)
@@ -36,11 +61,10 @@ class Message:
             raise ValueError(f"unknown message role: {self.role!r}")
 
     @cached_property
-    def whitespace_tokens(self) -> int:
-        """The number of whitespace-separated tokens in content, counted on
-        first use and kept on this object. It is not a field, so ==, hash
-        and to_dict never see it."""
-        return len(self.content.split())
+    def tokens(self) -> int:
+        """count_tokens of content, counted on first use and kept on this
+        object. It is not a field, so ==, hash and to_dict never see it."""
+        return count_tokens(self.content)
 
     def to_dict(self) -> dict[str, str]:
         return {"role": self.role, "content": self.content}

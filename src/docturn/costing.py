@@ -15,13 +15,12 @@ Each turn's walk resumes at the tree node of the longest prefix its request
 shares with the previous request-plus-reply state, so a turn costs work in
 proportion to the messages it appends, not to the whole conversation.
 
-Counting uses the harness's own tokenizer spec (whitespace by default, char
-for ideographic targets), a rule of the text alone, so numbers are
-comparable across backends and no count can fail; a live backend's own
-count is its reported usage, which the runner logs separately. A message's
-count is message_tokens(message, spec), a function of the two alone: a
-whitespace count is kept on the message, which a session's requests share,
-so each message object is split at most once; a char count is a len.
+Counting uses the harness's one rule, chat.count_tokens, a rule of the text
+alone, so numbers are comparable across backends and languages and no count
+can fail; a live backend's own count is its reported usage, which the runner
+logs separately. A message's count is the one it keeps (Message.tokens), and
+a session's requests share their message objects, so each message object is
+counted at most once.
 """
 
 from __future__ import annotations
@@ -29,38 +28,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from . import chat
 from .chat import Message, assistant, common_prefix_length
-from .prompts import is_char_counted
 from .strategy import Mode, request_messages
 
 MODE_CACHED = "cached"
 MODE_UNCACHED = "uncached"
 
 
-TOKENIZER_IDS = ("whitespace", "char")
+def count_tokens(text: str, spec: object = None) -> int:
+    """chat.count_tokens, kept here for bench/checks.py, which imports it
+    from this module and passes a per-document spec that the rule ignores."""
+    return chat.count_tokens(text)
 
 
-@dataclass(frozen=True)
-class TokenizerSpec:
-    """Deterministic token counting rule: 'whitespace' counts maximal
-    non-whitespace runs, 'char' counts characters."""
-
-    id: str = "whitespace"
-
-    def __post_init__(self) -> None:
-        if self.id not in TOKENIZER_IDS:
-            raise ValueError(f"unknown tokenizer spec: {self.id!r}")
-
-
-def count_tokens(text: str, spec: TokenizerSpec) -> int:
-    if spec.id == "whitespace":
-        return len(text.split())
-    return len(text)
-
-
-def spec_for_target_language(tgt_lang: str) -> TokenizerSpec:
-    """Whitespace counting, except char counting for zh/ja targets."""
-    return TokenizerSpec("char" if is_char_counted(tgt_lang) else "whitespace")
+def spec_for_target_language(tgt_lang: str) -> None:
+    """None: every text is counted by one rule. Kept only for bench/checks.py's import."""
+    return None
 
 
 @dataclass(frozen=True)
@@ -129,15 +113,6 @@ class CostLedger:
         }
 
 
-def message_tokens(message: Message, spec: TokenizerSpec) -> int:
-    """Tokens of one message under spec. A whitespace count is the one the
-    message keeps (Message.whitespace_tokens), so each message object is
-    split at most once; a char count is a len."""
-    if spec.id == "whitespace":
-        return message.whitespace_tokens
-    return count_tokens(message.content, spec)
-
-
 # The ledger core works over abstract messages: (identity key, token count).
 # Real transcripts key messages by (role, content); the strategy simulator
 # keys them by synthetic labels.
@@ -188,7 +163,7 @@ def _ledger_over_keyed_turns(
     return {MODE_CACHED: cached, MODE_UNCACHED: uncached}
 
 
-def ledger_for_session(transcript: Transcript, spec: TokenizerSpec) -> dict[str, CostLedger]:
+def ledger_for_session(transcript: Transcript) -> dict[str, CostLedger]:
     """Cached and uncached token ledgers for one session transcript.
 
     Cached mode charges each conversation token's prefill exactly once across
@@ -199,7 +174,7 @@ def ledger_for_session(transcript: Transcript, spec: TokenizerSpec) -> dict[str,
     """
 
     def keyed(message: Message) -> _KeyedMessage:
-        return (message.role, message.content), message_tokens(message, spec)
+        return (message.role, message.content), message.tokens
 
     turns = ((t.request_messages, assistant(t.response_text)) for t in transcript.turns)
     return _ledger_over_keyed_turns(turns, keyed)

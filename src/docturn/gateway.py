@@ -15,13 +15,14 @@ deterministic mock backends used throughout the test suite:
 
 An openai_compatible reply's cached_tokens is its
 usage.prompt_tokens_details.cached_tokens, None when the reply omits it, and
-never more than its prompt_tokens. Mock usage is whitespace-token counts:
-prompt_tokens is the count of the whole request and completion_tokens that
-of the reply. A mock has no prefix cache, so its cached_tokens is None. Each
-message's count is kept on the Message (Message.whitespace_tokens), and a
-session builds every request from the same prompt and reply objects, so a
-multi-turn session splits each distinct message once, not once per request
-carrying it.
+never more than its prompt_tokens. Mock usage counts by the harness's rule,
+chat.count_tokens: prompt_tokens is the count of the whole request and
+completion_tokens that of the reply, so a mock's prompt_tokens equals the
+uncached ledger's prefill of the request. A mock has no prefix cache, so its
+cached_tokens is None. Each message's count is kept on the Message
+(Message.tokens), and a session builds every request from the same prompt
+and reply objects, so a multi-turn session counts each distinct message
+once, not once per request carrying it.
 
 Backend state belongs to a Gateway, which a run opens once; module-level
 complete opens one per call, so calls share nothing. Requests are greedy by
@@ -44,7 +45,7 @@ from typing import Callable, Iterable
 
 import requests
 
-from .chat import FINISH_REASONS, ChatRequest, ChatResponse
+from .chat import FINISH_REASONS, ChatRequest, ChatResponse, count_tokens
 from .corpus import split_into_segments
 from .errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from .prompts import extract_fenced_payload
@@ -314,9 +315,8 @@ class Gateway:
     def complete(self, req: ChatRequest, cfg: BackendConfig) -> ChatResponse:
         """Run one chat completion against one of the gateway's backends.
 
-        Mock responses report usage as whitespace token counts so downstream
-        accounting has something plausible to compare against, and no
-        cached_tokens.
+        Mock responses report usage as count_tokens counts, the ones the cost
+        ledger charges, and no cached_tokens.
         """
         if cfg.kind == "openai_compatible":
             return _openai_complete(req, cfg, self)
@@ -330,11 +330,11 @@ class Gateway:
         else:  # pragma: no cover - BackendConfig already validates
             raise GatewayError(f"unknown backend kind {cfg.kind!r}")
 
-        prompt_tokens = sum(m.whitespace_tokens for m in req.messages)
+        prompt_tokens = sum(m.tokens for m in req.messages)
         return ChatResponse(
             content=content,
             prompt_tokens=prompt_tokens,
-            completion_tokens=len(content.split()),
+            completion_tokens=count_tokens(content),
             finish_reason="stop",
         )
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from ..corpus import Document, TestSet
-from ..costing import TokenizerSpec, count_tokens, spec_for_target_language
+from ..chat import count_tokens
 from ..strategy import DocumentTranslation
 from . import blonde
 from .blonde import (
@@ -83,7 +83,6 @@ def document_side(
     segments: Iterable[str],
     bleu_cfg: BleuConfig,
     res: BlondeResources | None,
-    spec: TokenizerSpec,
 ) -> DocumentSide:
     segments = tuple(segments)
     tokens = document_tokens(segments, bleu_cfg)
@@ -95,7 +94,7 @@ def document_side(
     return DocumentSide(
         ngrams=ngram_side(tokens, bleu_cfg.max_n),
         markers=markers,
-        tokens=sum(count_tokens(s, spec) for s in segments),
+        tokens=sum(count_tokens(s) for s in segments),
     )
 
 
@@ -141,15 +140,12 @@ class ScoringTable:
         score = self.scores.get(key)
         if score is not None:
             return score
-        spec = spec_for_target_language(doc.tgt_lang)
         ref = self.references.get(side_key)
         if ref is None:
             ref = self.references[side_key] = document_side(
-                doc.reference_segments or (), dir_cfg, res, spec
+                doc.reference_segments or (), dir_cfg, res
             )
-        side = document_side(
-            hyp.hypothesis_segments, dir_cfg, res if hyp.alignment_ok else None, spec
-        )
+        side = document_side(hyp.hypothesis_segments, dir_cfg, res if hyp.alignment_ok else None)
         # BlonDE-lite: pooled over aligned documents whose target language
         # has resources.
         blonde_counts = None
@@ -187,8 +183,9 @@ def score_strategy(
     dBLEU is computed per language direction with a direction-appropriate
     tokenizer and averaged (unweighted) across directions; the per-domain
     table averages each domain's per-direction scores the same way. Lengths
-    are counted by the spec of each document's target language. Reference
-    sides and document scores are taken from, and added to, table.
+    are counted by chat.count_tokens, the rule the cost ledgers and the
+    context budget count by, in every language. Reference sides and
+    document scores are taken from, and added to, table.
     """
     cfg = bleu_config or BleuConfig()
     metrics = StrategyMetrics()
@@ -270,9 +267,8 @@ def length_report(
     """score_strategy's length table: the top-N longest documents by
     reference tokens, ties broken by doc id.
 
-    Each document is counted by spec_for_target_language of its target
-    language (characters for zh/ja). Documents without references or
-    without a translation are skipped. A top_n larger than the corpus
-    returns the full corpus.
+    Each document is counted by chat.count_tokens, as the cost ledgers
+    count. Documents without references or without a translation are
+    skipped. A top_n larger than the corpus returns the full corpus.
     """
     return score_strategy(testset, translations, compute_blonde=False, top_n=top_n).lengths

@@ -58,8 +58,8 @@ def base_language(code: str) -> str:
 
 
 def is_char_counted(code: str) -> bool:
-    """Whether text in the language is counted by character: zh and ja write
-    no spaces between words."""
+    """Whether BLEU tokenizes text in the language by character: zh and ja
+    write no spaces between words."""
     return base_language(code) in ("zh", "ja")
 
 

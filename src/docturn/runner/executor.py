@@ -19,8 +19,8 @@ function of the hashed plan, the shipped templates and the replies. Loading
 a cell replays its record through the strategy, which rebuilds its requests,
 transcript and translation, and refuses the record unless the rebuilt
 requests hash to its digest. The cost ledgers are pure functions of the
-transcript and its document's count rule, so none is stored: a cell walks
-its ledgers only when they are first read, and the walk cannot fail.
+transcript, so none is stored: a cell walks its ledgers only when they are
+first read, and the walk cannot fail.
 
 A record is built in memory while its cell runs and appended, with one write
 and a flush under one lock, once the cell has completed or been skipped, so
@@ -52,8 +52,7 @@ from typing import BinaryIO, Callable
 from .. import gateway
 from ..chat import ChatRequest, ChatResponse, Message, assistant, common_prefix_length
 from ..corpus import Document, TestSet, parse_corpus
-from ..costing import Transcript, TranscriptTurn, ledger_for_session, message_tokens
-from ..costing import TokenizerSpec, spec_for_target_language
+from ..costing import Transcript, TranscriptTurn, ledger_for_session
 from ..errors import ConfigError, DocturnError, GatewayError, ResumeMismatchError
 from ..prompts import PromptTemplateSet, load_template_set
 from ..strategy import (
@@ -80,18 +79,16 @@ CellKey = tuple[str, str, str]  # (backend name, strategy label, doc id)
 
 @dataclass
 class CellArtifact:
-    """A completed cell: its translation, its transcript and what its ledgers
-    count with. A fresh cell and the same cell loaded from its record are
-    equal field for field."""
+    """A completed cell: its translation and its transcript. A fresh cell and
+    the same cell loaded from its record are equal field for field."""
 
     translation: DocumentTranslation
     transcript: Transcript
-    spec: TokenizerSpec  # its document's target-language count rule
 
     @cached_property
     def ledgers(self) -> dict[str, dict]:
         """Cache mode -> serialized ledger, walked on first read and kept."""
-        ledgers = ledger_for_session(self.transcript, self.spec)
+        ledgers = ledger_for_session(self.transcript)
         return {mode: ledger.to_dict() for mode, ledger in ledgers.items()}
 
 
@@ -202,12 +199,11 @@ def _drive_cell(
     session = init_session(strategy, doc, templates, group.prefix)
     transcript = Transcript()
     plan = artifacts.plan
-    spec = spec_for_target_language(doc.tgt_lang)
 
     while (request := next_request(session)) is not None:
         turn = len(transcript.turns)
         if plan.max_context_tokens is not None:
-            request_tokens = sum(message_tokens(m, spec) for m in request.messages)
+            request_tokens = sum(m.tokens for m in request.messages)
             if request_tokens > plan.max_context_tokens:
                 raise GatewayError(
                     f"context_overflow: request of {request_tokens} tokens exceeds "
@@ -226,7 +222,7 @@ def _drive_cell(
             [t.request_messages for t in transcript.turns],
             [t.response_text for t in transcript.turns],
         )
-    return CellArtifact(assemble_hypothesis(session), transcript, spec)
+    return CellArtifact(assemble_hypothesis(session), transcript)
 
 
 def _run_cell(

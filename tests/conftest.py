@@ -123,17 +123,17 @@ def make_testset(documents) -> TestSet:
     return TestSet(name="fixture", documents=list(documents))
 
 
-def whitespace_splits(monkeypatch) -> list[Message]:
-    """Every message whose content is split into whitespace tokens from now
-    on (Message.whitespace_tokens computed), in order."""
+def counted_messages(monkeypatch) -> list[Message]:
+    """Every message whose content is counted from now on (Message.tokens
+    computed), in order."""
     counted: list[Message] = []
-    original = Message.whitespace_tokens.func
+    original = Message.tokens.func
 
     def spy(message: Message) -> int:
         counted.append(message)
         return original(message)
 
     counting = functools.cached_property(spy)
-    counting.__set_name__(Message, "whitespace_tokens")
-    monkeypatch.setattr(Message, "whitespace_tokens", counting)
+    counting.__set_name__(Message, "tokens")
+    monkeypatch.setattr(Message, "tokens", counting)
     return counted

@@ -12,7 +12,19 @@ import hashlib
 import math
 from pathlib import Path
 
-from docturn.costing import count_tokens
+import regex
+
+_HAN_OR_KANA = r"\p{Han}\p{Hiragana}\p{Katakana}"
+HAN_OR_KANA = regex.compile(f"[{_HAN_OR_KANA}]")
+_WORD_PIECE = regex.compile(f"[{_HAN_OR_KANA}]|[^{_HAN_OR_KANA}]+")
+
+
+def tokens(text: str) -> int:
+    """The harness's token count, from its definition: each whitespace-
+    separated word (str.split's whitespace) splits into its Han, Hiragana and
+    Katakana characters, one token each, and the maximal runs of its other
+    characters, one token each."""
+    return sum(len(_WORD_PIECE.findall(word)) for word in text.split())
 
 
 def naive_ngrams(tokens: list[str], n: int) -> dict[tuple[str, ...], int]:
@@ -133,14 +145,14 @@ def all_states_cached_ledger(turns: list) -> list[tuple[int, int, int]]:
     return entries
 
 
-def conversation_token_count(transcript, spec) -> int:
+def conversation_token_count(transcript) -> int:
     """Tokens of a session's final conversation, its last request plus the
     reply; a cached ledger's prefill plus generation must equal it."""
     if not transcript.turns:
         return 0
     last = transcript.turns[-1]
-    total = sum(count_tokens(m.content, spec) for m in last.request_messages)
-    return total + count_tokens(last.response_text, spec)
+    total = sum(tokens(m.content) for m in last.request_messages)
+    return total + tokens(last.response_text)
 
 
 # A group log record's `requests` digest, from the requests as role/content

@@ -23,7 +23,6 @@ from docturn.costing import (
     MODE_CACHED,
     MODE_UNCACHED,
     DocShape,
-    TokenizerSpec,
     ledger_for_session,
     simulate_strategy_costs,
 )
@@ -50,7 +49,6 @@ from .conftest import make_random_document
 from .test_costing import multi_turn_transcript
 
 TEMPLATES = load_template_set()
-WS = TokenizerSpec("whitespace")
 
 
 def report_line(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -193,11 +191,9 @@ def test_criterion_6_cost_ledger_identities():
     for _ in range(500):
         k = rng.randint(1, 10)
         transcript = multi_turn_transcript(k, rng.randint(1, 50), rng.randint(1, 50))
-        cached = ledger_for_session(transcript, WS)[MODE_CACHED]
-        uncached = ledger_for_session(transcript, WS)[MODE_UNCACHED]
-        if cached.total_prefill_new + cached.total_generated != conversation_token_count(
-            transcript, WS
-        ):
+        cached = ledger_for_session(transcript)[MODE_CACHED]
+        uncached = ledger_for_session(transcript)[MODE_UNCACHED]
+        if cached.total_prefill_new + cached.total_generated != conversation_token_count(transcript):
             identity_failures += 1
         if uncached.total_prefill_new < cached.total_prefill_new:
             monotonicity_failures += 1
@@ -207,8 +203,8 @@ def test_criterion_6_cost_ledger_identities():
             monotonicity_failures += 1
 
     worked = multi_turn_transcript(3, 110, 100)
-    cached_total = ledger_for_session(worked, WS)[MODE_CACHED].total_prefill_new
-    uncached_total = ledger_for_session(worked, WS)[MODE_UNCACHED].total_prefill_new
+    cached_total = ledger_for_session(worked)[MODE_CACHED].total_prefill_new
+    uncached_total = ledger_for_session(worked)[MODE_UNCACHED].total_prefill_new
     ok = (
         identity_failures == 0
         and monotonicity_failures == 0

@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docturn import costing
-from docturn.chat import Message, assistant, user
+from docturn.chat import Message, assistant, count_tokens, user
 from docturn.costing import (
     MODE_CACHED,
     _ledger_over_keyed_turns,
     MODE_UNCACHED,
     DocShape,
-    TokenizerSpec,
     Transcript,
     TranscriptTurn,
     _synthetic_turns,
     compare_strategies,
     comparison_csv,
-    count_tokens,
     ledger_for_session,
     simulate_strategy_costs,
     spec_for_target_language,
@@ -28,26 +26,54 @@ from docturn.costing import (
 from docturn.strategy import Mode
 
 from . import oracles
-from .conftest import whitespace_splits
+from .conftest import counted_messages
 from .oracles import conversation_token_count
-
-WS = TokenizerSpec("whitespace")
 
 
 class TestCountTokens:
     def test_whitespace_counts_runs(self):
-        assert count_tokens("a b  c", WS) == 3
+        assert count_tokens("a b  c") == 3
 
     def test_empty_string(self):
-        assert count_tokens("", WS) == 0
+        assert count_tokens("") == 0
 
-    def test_char_spec(self):
-        assert count_tokens("你好世界", TokenizerSpec("char")) == 4
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("你好世界", 4),
+            ("你好，世界！ Hello, world.", 8),
+            ("東京へ行きます。", 8),
+            ("他说：“338.0 人”", 5),
+            ("ラーメン", 4),  # the prolonged sound mark is Common script: a run of its own
+        ],
+    )
+    def test_han_and_kana_count_per_character(self, text, expected):
+        assert count_tokens(text) == expected == oracles.tokens(text)
 
-    def test_language_defaults(self):
-        assert spec_for_target_language("zh").id == "char"
-        assert spec_for_target_language("ja-JP").id == "char"
-        assert spec_for_target_language("de").id == "whitespace"
+    def test_bench_leftovers_ignore_the_spec(self):
+        """costing keeps count_tokens with an ignored second argument and
+        spec_for_target_language for bench/checks.py's import."""
+        assert spec_for_target_language("zh") is None
+        assert costing.count_tokens("東京 a b", spec_for_target_language("ja")) == 4
+        assert costing.count_tokens("東京 a b", "char") == count_tokens("東京 a b")
+
+
+# str.split's whitespace includes the information separators \x1c-\x1f, which
+# regex's \s leaves out, and no-break spaces, but not the zero-width space.
+_SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u3000\u200b"
+_NOT_HAN_OR_KANA = st.characters().filter(lambda ch: not oracles.HAN_OR_KANA.match(ch))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("ab.,1éß“”ー。" + _SPACES) | _NOT_HAN_OR_KANA))
+def test_text_without_han_or_kana_counts_its_whitespace_words(text):
+    assert count_tokens(text) == len(text.split())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("ab.,1é“”東京へ行きカナー々。，" + _SPACES) | st.characters()))
+def test_count_tokens_follows_its_definition(text):
+    assert count_tokens(text) == oracles.tokens(text)
 
 
 def words(n: int, tag: str) -> str:
@@ -70,23 +96,23 @@ def multi_turn_transcript(k: int, user_tokens: int, reply_tokens: int) -> Transc
 class TestWorkedExample:
     # k=3 turns, 110-token user messages, 100-token replies.
     def test_cached_total_prefill_new(self):
-        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), WS)[MODE_CACHED]
+        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100))[MODE_CACHED]
         assert ledger.total_prefill_new == 330
 
     def test_uncached_per_turn_and_total(self):
-        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), WS)[MODE_UNCACHED]
+        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100))[MODE_UNCACHED]
         assert [e.prefill_new for e in ledger.entries] == [110, 320, 530]
         assert ledger.total_prefill_new == 960
         assert ledger.total_prefill_reused == 0
 
     def test_single_turn_cached_equals_uncached(self):
         transcript = multi_turn_transcript(1, 110, 100)
-        cached = ledger_for_session(transcript, WS)[MODE_CACHED]
-        uncached = ledger_for_session(transcript, WS)[MODE_UNCACHED]
+        cached = ledger_for_session(transcript)[MODE_CACHED]
+        uncached = ledger_for_session(transcript)[MODE_UNCACHED]
         assert cached.total_prefill_new == uncached.total_prefill_new == 110
 
     def test_cached_reuse_matches_conversation_growth(self):
-        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100), WS)[MODE_CACHED]
+        ledger = ledger_for_session(multi_turn_transcript(3, 110, 100))[MODE_CACHED]
         # Reused prefill at turn i equals all conversation tokens before the
         # new user message: 0, 210, 420.
         assert [e.prefill_reused for e in ledger.entries] == [0, 210, 420]
@@ -98,10 +124,10 @@ class TestLedgerInvariants:
         for _ in range(25):
             k = rng.randint(1, 8)
             transcript = multi_turn_transcript(k, rng.randint(1, 40), rng.randint(1, 40))
-            ledger = ledger_for_session(transcript, WS)[MODE_CACHED]
+            ledger = ledger_for_session(transcript)[MODE_CACHED]
             assert (
                 ledger.total_prefill_new + ledger.total_generated
-                == conversation_token_count(transcript, WS)
+                == conversation_token_count(transcript)
             )
 
     def test_uncached_at_least_cached(self):
@@ -109,8 +135,8 @@ class TestLedgerInvariants:
         for _ in range(25):
             k = rng.randint(1, 8)
             transcript = multi_turn_transcript(k, rng.randint(1, 40), rng.randint(1, 40))
-            cached = ledger_for_session(transcript, WS)[MODE_CACHED]
-            uncached = ledger_for_session(transcript, WS)[MODE_UNCACHED]
+            cached = ledger_for_session(transcript)[MODE_CACHED]
+            uncached = ledger_for_session(transcript)[MODE_UNCACHED]
             assert uncached.total_prefill_new >= cached.total_prefill_new
             if cached.total_prefill_reused == 0:
                 assert uncached.total_prefill_new == cached.total_prefill_new
@@ -124,7 +150,7 @@ class TestLedgerInvariants:
         last = transcript.turns[-1]
         tampered = (user("something else"),) + last.request_messages[1:]
         transcript.turns[-1] = TranscriptTurn(tampered, last.response_text)
-        cached = ledger_for_session(transcript, WS)[MODE_CACHED]
+        cached = ledger_for_session(transcript)[MODE_CACHED]
         assert [e.prefill_reused for e in cached.entries] == [0, 10, 0]
         assert cached.entries[-1].prefill_new == 2 + 5 * 4
 
@@ -135,14 +161,14 @@ class TestLedgerInvariants:
             transcript.turns.append(
                 TranscriptTurn((shared, user(words(5, f"u{i}_"))), words(4, f"a{i}_"))
             )
-        cached = ledger_for_session(transcript, WS)[MODE_CACHED]
+        cached = ledger_for_session(transcript)[MODE_CACHED]
         assert [e.prefill_reused for e in cached.entries] == [0, 7, 7]
-        uncached = ledger_for_session(transcript, WS)[MODE_UNCACHED]
+        uncached = ledger_for_session(transcript)[MODE_UNCACHED]
         assert uncached.total_prefill_new - cached.total_prefill_new == 14
 
     def test_additivity_of_entries(self):
         transcript = multi_turn_transcript(5, 9, 4)
-        ledger = ledger_for_session(transcript, WS)[MODE_CACHED]
+        ledger = ledger_for_session(transcript)[MODE_CACHED]
         assert ledger.total_prefill_new == sum(e.prefill_new for e in ledger.entries)
         assert ledger.total_generated == sum(e.generated for e in ledger.entries)
 
@@ -155,10 +181,8 @@ class TestLedgerInvariants:
 )
 def test_cached_ledger_identity_property(k, user_tokens, reply_tokens):
     transcript = multi_turn_transcript(k, user_tokens, reply_tokens)
-    ledger = ledger_for_session(transcript, WS)[MODE_CACHED]
-    assert ledger.total_prefill_new + ledger.total_generated == conversation_token_count(
-        transcript, WS
-    )
+    ledger = ledger_for_session(transcript)[MODE_CACHED]
+    assert ledger.total_prefill_new + ledger.total_generated == conversation_token_count(transcript)
 
 
 class TestSimulation:
@@ -236,7 +260,7 @@ def test_ledger_matches_simulation_on_real_transcript():
     transcript = multi_turn_transcript(k, user_tokens, reply_tokens)
     shape = DocShape.uniform(k, user_tokens, reply_tokens)
     for mode in (MODE_CACHED, MODE_UNCACHED):
-        real = ledger_for_session(transcript, WS)[mode]
+        real = ledger_for_session(transcript)[mode]
         synthetic = simulate_strategy_costs(Mode.MULTI_TURN, shape)[mode]
         assert real.total_prefill_new == synthetic.total_prefill_new
         assert real.total_generated == synthetic.total_generated
@@ -310,19 +334,19 @@ def segment_level_transcript(k: int) -> Transcript:
     ids=["multi_turn", "segment_level"],
 )
 def test_ledger_counts_each_distinct_message_once(monkeypatch, transcript):
-    counted = whitespace_splits(monkeypatch)
+    counted = counted_messages(monkeypatch)
     distinct = sorted(
         {m.content for t in transcript.turns for m in t.request_messages}
         | {t.response_text for t in transcript.turns}
     )
-    # One walk gives both ledgers and splits each distinct message once.
-    ledgers = ledger_for_session(transcript, WS)
+    # One walk gives both ledgers and counts each distinct message once.
+    ledgers = ledger_for_session(transcript)
     assert sorted(m.content for m in counted) == distinct
     assert len({id(m) for m in counted}) == len(counted)
-    # The request messages keep their counts, so a second walk splits only
+    # The request messages keep their counts, so a second walk counts only
     # each turn's reply, which the walk builds afresh.
     counted.clear()
-    again = ledger_for_session(transcript, WS)
+    again = ledger_for_session(transcript)
     assert [m.content for m in counted] == [t.response_text for t in transcript.turns]
     assert {mode: _entries(ledger) for mode, ledger in again.items()} == {
         mode: _entries(ledger) for mode, ledger in ledgers.items()
@@ -333,15 +357,13 @@ def test_ledger_counts_each_distinct_message_once(monkeypatch, transcript):
 @given(
     role=st.sampled_from(["system", "user", "assistant"]),
     content=st.text(alphabet=st.sampled_from("ab 你\n\t"), max_size=12),
-    spec_id=st.sampled_from(costing.TOKENIZER_IDS),
 )
-def test_message_tokens_is_count_tokens_of_the_content(role, content, spec_id):
-    """Under every spec, message_tokens is count_tokens of the content, also
-    for a message that has counted itself before."""
-    spec = TokenizerSpec(spec_id)
+def test_message_tokens_is_count_tokens_of_the_content(role, content):
+    """Message.tokens is count_tokens of the content, also for a message
+    that has counted itself before."""
     message = Message(role, content)
     for _ in range(2):
-        assert costing.message_tokens(message, spec) == count_tokens(content, spec)
+        assert message.tokens == count_tokens(content)
 
 
 @pytest.mark.parametrize("strategy", [Mode.MULTI_TURN, Mode.SEGMENT_LEVEL])

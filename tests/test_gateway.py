@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from docturn import chat, gateway
 from docturn.chat import ChatRequest, ChatResponse, Message, user
+from docturn.costing import MODE_UNCACHED, Transcript, TranscriptTurn, ledger_for_session
 from docturn.errors import ConfigError, ContextOverflowError, GatewayError, TransportError
 from docturn.gateway import BackendConfig, Gateway, complete, drop_trailing_tokens
 from docturn.prompts import extract_fenced_payload
@@ -24,7 +25,8 @@ from docturn.runner.config import plan_from_dict
 from docturn.runner.executor import execute
 from docturn.strategy import Mode, StrategyConfig, ingest_response, init_session, next_request
 
-from .conftest import make_random_document, whitespace_splits, write_jsonl
+from . import oracles
+from .conftest import counted_messages, make_random_document, write_jsonl
 from .test_runner import minimal_plan_dict, mixed_plan_dict
 
 
@@ -176,12 +178,12 @@ def fresh_copies(messages) -> tuple[Message, ...]:
 
 
 def brute_force_tokens(messages) -> int:
-    return sum(len(m.content.split()) for m in messages)
+    return sum(oracles.tokens(m.content) for m in messages)
 
 
 class TestMockUsage:
-    """Mock usage is the whitespace-token count of the whole request and of
-    the reply, whichever message objects carry the count."""
+    """Mock usage is the token count of the whole request and of the reply,
+    whichever message objects carry the count."""
 
     @pytest.mark.parametrize("kind", ["mock_identity", "mock_dictionary", "mock_tail_dropper"])
     @pytest.mark.parametrize("icl", [False, True], ids=["plain", "icl"])
@@ -201,7 +203,7 @@ class TestMockUsage:
         while (request := next_request(session)) is not None:
             response = complete(request, backend)
             assert response.prompt_tokens == brute_force_tokens(fresh_copies(request.messages))
-            assert response.completion_tokens == len(response.content.split())
+            assert response.completion_tokens == oracles.tokens(response.content)
             rebuilt = ChatRequest(fresh_copies(request.messages), request_tag=request.request_tag)
             assert complete(rebuilt, backend) == response
             ingest_response(session, response.content)
@@ -219,7 +221,7 @@ class TestMockUsage:
         """A 64-segment multi-turn session through gateway.complete counts
         each distinct message once, 2k - 1 counts in all, where a recount
         of every message of every request would take about k * k."""
-        counted = whitespace_splits(monkeypatch)
+        counted = counted_messages(monkeypatch)
         k = 64
         document = make_random_document(random.Random(3), "long", k)
         session = init_session(StrategyConfig(mode=Mode.MULTI_TURN), document)
@@ -233,7 +235,7 @@ class TestMockUsage:
         assert len(sent) == 2 * k - 1  # every prompt, and every reply but the last
         assert len(counted) == len(sent)
         assert {id(m) for m in counted} == sent.keys()
-        assert all("whitespace_tokens" in vars(m) for m in sent.values())
+        assert all("tokens" in vars(m) for m in sent.values())
 
 
 class TestMessageValue:
@@ -241,15 +243,15 @@ class TestMessageValue:
 
     def test_cached_count_is_invisible_to_value_semantics(self):
         counted = user("Guten Tag, Welt.")
-        assert counted.whitespace_tokens == 3
+        assert counted.tokens == 3
         fresh = user("Guten Tag, Welt.")
-        assert "whitespace_tokens" in vars(counted) and "whitespace_tokens" not in vars(fresh)
+        assert "tokens" in vars(counted) and "tokens" not in vars(fresh)
         assert counted == fresh and hash(counted) == hash(fresh)
         assert counted.to_dict() == fresh.to_dict() == {"role": "user", "content": "Guten Tag, Welt."}
         assert [f.name for f in dataclasses.fields(Message)] == ["role", "content"]
         restored = Message(**counted.to_dict())
-        assert restored == counted and "whitespace_tokens" not in vars(restored)
-        assert user("a b") != user("a  b") and user("a b").whitespace_tokens == 2
+        assert restored == counted and "tokens" not in vars(restored)
+        assert user("a b") != user("a  b") and user("a b").tokens == 2
         assert request_of(counted) == request_of(fresh)
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
@@ -257,43 +259,93 @@ class TestMessageValue:
                              ids=["copy", "deepcopy", "pickle"])
     def test_copies_are_equal(self, copier):
         counted = Message("assistant", "eins zwei\n\ndrei")
-        assert counted.whitespace_tokens == 3
+        assert counted.tokens == 3
         duplicate = copier(counted)
         assert duplicate == counted and hash(duplicate) == hash(counted)
-        assert duplicate.whitespace_tokens == 3
+        assert duplicate.tokens == 3
 
 
-def test_concurrent_run_logs_the_sequential_usage(tmp_path):
-    """At max_concurrent_documents 4 every document's turns log the usage a
-    sequential run logs, and it is the brute-force count of each logged
-    request and reply, on every mode, with and without ICL."""
-    documents = [
+# One corpus of en->de documents, and one of en->zh, zh->en and en->ja
+# documents whose requests mix English instructions with Han and kana text.
+USAGE_CORPORA = {
+    "en_de": [
         {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": "news",
          "src": [f"Paragraph {j} of document {i} here." for j in range(3 + i % 3)]}
         for i in range(6)
-    ]
+    ],
+    "zh_ja": [
+        {"id": "en-zh", "src_lang": "en", "tgt_lang": "zh", "domain": "news",
+         "src": ["Paragraph one of the document.", "The city 北京 is large.", "Paragraph three."]},
+        {"id": "zh-en", "src_lang": "zh", "tgt_lang": "en", "domain": "news",
+         "src": ["他说：“338.0 人”。", "我们今天去北京了。", "你好，世界！ Hello, world.", "第四段。"]},
+        {"id": "en-ja", "src_lang": "en", "tgt_lang": "ja", "domain": "literary",
+         "src": ["Paragraph one of the story.", "東京へ行きます。 Then home.", "The end."]},
+    ],
+}
+# The dictionary mock turns English words into Han and kana text.
+USAGE_DICTIONARY = {"Paragraph": "段落", "document.": "文件。", "story.": "物語です。", "end.": "終わり"}
+
+
+@pytest.mark.parametrize("corpus", list(USAGE_CORPORA))
+def test_concurrent_run_logs_the_sequential_usage(tmp_path, corpus):
+    """At max_concurrent_documents 4 every document's turns log the usage a
+    sequential run logs. On every mock and every mode, with and without ICL,
+    each turn's prompt_tokens is the brute-force count of its request and
+    the uncached ledger's prefill of the turn, and its completion_tokens is
+    the count of its reply and the ledger's generated tokens."""
+    documents = USAGE_CORPORA[corpus]
     write_jsonl(tmp_path / "corpus.jsonl", documents)
+    dictionary = tmp_path / "dict.json"
+    dictionary.write_text(json.dumps(USAGE_DICTIONARY, ensure_ascii=False), "utf-8")
     usage = []
+    han_or_kana_replies = 0
     for output_dir, concurrency in (("sequential", 1), ("concurrent", 4)):
-        plan = plan_from_dict(mixed_plan_dict(
+        plan_dict = mixed_plan_dict(
             tmp_path, output_dir=str(tmp_path / output_dir), max_concurrent_documents=concurrency,
-        ))
-        artifacts = execute(plan)
+        )
+        plan_dict["backends"].append(
+            {"kind": "mock_dictionary", "name": "dictionary", "dictionary_path": str(dictionary)}
+        )
+        artifacts = execute(plan_from_dict(plan_dict))
         logged = {}
         for line in (artifacts.run_dir / "run.jsonl").read_text("utf-8").splitlines()[1:]:
             record = json.loads(line)
             key = tuple(record[:3])
             counts = [(t[1], t[2], t[3]) for t in record[4:]]  # prompt, cached, completion
+            cell = artifacts.cells[key]
             expected = [
-                (sum(len(m.content.split()) for m in turn.request_messages), None,
-                 len(turn.response_text.split()))
-                for turn in artifacts.cells[key].transcript.turns
+                (sum(oracles.tokens(m.content) for m in turn.request_messages), None,
+                 oracles.tokens(turn.response_text))
+                for turn in cell.transcript.turns
             ]
-            assert counts == expected
+            ledger = [
+                (entry["prefill_new"], None, entry["generated"])
+                for entry in cell.ledgers["uncached"]["entries"]
+            ]
+            assert counts == expected == ledger
             logged[key] = counts
-        assert len(logged) == 2 * 8 * len(documents)
+            han_or_kana_replies += sum(bool(oracles.HAN_OR_KANA.search(t[0])) for t in record[4:])
+        assert len(logged) == 3 * 8 * len(documents)
         usage.append(logged)
     assert usage[0] == usage[1]
+    assert han_or_kana_replies  # the rule counted Han and kana replies, too
+
+
+@pytest.mark.parametrize("mode", [Mode.SEGMENT_LEVEL, Mode.SINGLE_TURN, Mode.MULTI_TURN_SP])
+def test_english_instruction_counts_the_same_for_every_target(mode):
+    """A request's English instruction and source count the same whether the
+    target is German, Chinese or Japanese, in the mock's usage and in the
+    uncached ledger: each language name is one word."""
+    counts = set()
+    for tgt_lang in ("de", "zh", "ja"):
+        document = make_random_document(random.Random(5), "doc", 3, tgt_lang=tgt_lang)
+        request = next_request(init_session(StrategyConfig(mode=mode), document))
+        response = complete(request, BackendConfig(kind="mock_identity"))
+        transcript = Transcript([TranscriptTurn(request.messages, response.content)])
+        prefill = ledger_for_session(transcript)[MODE_UNCACHED].total_prefill_new
+        counts.add((response.prompt_tokens, prefill))
+    words = sum(len(m.content.split()) for m in request.messages)
+    assert counts == {(words, words)}
 
 
 class FakeHttpResponse:

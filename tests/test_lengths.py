@@ -97,9 +97,11 @@ def test_zh_target_counted_in_characters():
         "zh-1": DocumentTranslation("zh-1", ("你好。", "天气好。"), True),
         "en-1": DocumentTranslation("en-1", ("Good day.",), True),
     }
-    expected = {"zh-1": (6 + 9, 3 + 4), "en-1": (4, 2)}  # characters for zh, words for en
+    # One token per Han character and per punctuation run, spaces uncounted,
+    # for zh; words for en.
+    expected = {"zh-1": (6 + 7, 3 + 4), "en-1": (4, 2)}
     report = length_report(testset, translations)
     assert {r.doc_id: (r.ref_tokens, r.hyp_tokens) for r in report.rows} == expected
-    assert (report.total_ref_tokens, report.total_hyp_tokens) == (19, 9)
+    assert (report.total_ref_tokens, report.total_hyp_tokens) == (17, 9)
     metrics = score_strategy(testset, translations)
     assert metrics.lengths == report

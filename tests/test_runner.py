@@ -28,7 +28,7 @@ from click.testing import CliRunner
 import docturn
 from docturn import costing, gateway
 from docturn import strategy as strategy_module
-from docturn.chat import Message, assistant, user
+from docturn.chat import ChatResponse, Message, assistant, user
 from docturn.cli import main
 from docturn.corpus import Exemplar
 from docturn.costing import Transcript, TranscriptTurn
@@ -42,7 +42,7 @@ from docturn.runner.executor import execute, load_artifacts, load_testsets
 from docturn.runner.reports import emit_reports
 from docturn.strategy import Mode, StrategyConfig
 
-from .conftest import whitespace_splits, write_jsonl
+from .conftest import counted_messages, write_jsonl
 
 
 def minimal_plan_dict(tmp_path: Path, **overrides) -> dict:
@@ -1466,25 +1466,28 @@ class TestCountOnce:
         assert [t for t in tags if t.startswith("doc-1:")] == ["doc-1:turn_0", "doc-1:turn_1"]
 
     def test_execute_counts_nothing_without_a_budget(self, tmp_path, monkeypatch):
-        counted: list[Message] = []
-        monkeypatch.setattr(executor, "message_tokens", lambda m, spec: counted.append(m))
+        counted = counted_messages(monkeypatch)
+
+        def complete(request, backend):  # the identity mock's reply, without its usage
+            return ChatResponse(gateway._identity_reply(request))
+
         artifacts = execute(plan_from_dict(minimal_plan_dict(
             tmp_path, strategies=[{"mode": "multi_turn"}, {"mode": "segment_level"}]
-        )))
+        )), complete)
         assert len(artifacts.cells) == 4 and counted == []
 
     def test_execute_counts_each_request_message_once_with_a_budget(self, tmp_path, monkeypatch):
-        counted = whitespace_splits(monkeypatch)
+        counted = counted_messages(monkeypatch)
         artifacts = execute(plan_from_dict(minimal_plan_dict(
             tmp_path, strategies=[{"mode": "multi_turn"}, {"mode": "multi_turn_sp"}],
             max_context_tokens=10_000,
         )))
         cells = artifacts.cells.values()
         sent = {id(m): m for cell in cells for t in cell.transcript.turns for m in t.request_messages}
-        # The budget check and the mock split each message object once: a
+        # The budget check and the mock count each message object once: a
         # session's requests share their message objects.
         assert len(counted) == len(sent) and {id(m) for m in counted} == sent.keys()
-        # Reading the ledgers adds one split per reply, for the fresh
+        # Reading the ledgers adds one count per reply, for the fresh
         # assistant message each ledger turn is given.
         for cell in cells:
             cell.ledgers
@@ -1536,6 +1539,112 @@ class TestCountOnce:
         distinct = distinct_hypotheses(artifacts)
         assert len(distinct) == len(artifacts.testset) < len(artifacts.cells)
         assert calls == Counter({"stats_against": len(distinct), "counts_against": len(distinct)})
+
+
+def zh_corpus_plan_dict(tmp_path: Path, **overrides) -> dict:
+    """A zh->en and an en->zh document, segment-level and multi-turn."""
+    corpus = tmp_path / "zh.jsonl"
+    write_jsonl(corpus, [
+        {"id": "zh-en", "src_lang": "zh", "tgt_lang": "en", "domain": "news",
+         "src": ["他说：“338.0 人”。", "我们今天去北京了。"],
+         "ref": ["He said: 338.0 people.", "We went to Beijing today."]},
+        {"id": "en-zh", "src_lang": "en", "tgt_lang": "zh", "domain": "news",
+         "src": ["One two three.", "Four five."], "ref": ["一二三。", "四五。"]},
+    ])
+    return minimal_plan_dict(
+        tmp_path, testsets=[str(corpus)], fail_policy="skip_and_report", **overrides
+    )
+
+
+def parent_count(tgt_lang: str, text: str) -> int:
+    """The count the harness used before its one rule: characters for a zh
+    or ja target, whitespace-separated words otherwise, over whole messages."""
+    return len(text) if tgt_lang in ("zh", "ja") else len(text.split())
+
+
+class TestResumeAcrossTheCountRule:
+    """A run written while a zh or ja target's requests were counted in
+    characters, and every other request in words, resumes under the one rule
+    either to the cells and reports of a fresh run, or is refused before any
+    request is sent: a cell is never counted both ways."""
+
+    def request_sizes(self, tmp_path) -> dict[str, tuple[int, int]]:
+        """Each document's largest request, under the old and the new rule."""
+        free = execute(plan_from_dict(zh_corpus_plan_dict(tmp_path, run_id="free")))
+        target = {doc.id: doc.tgt_lang for doc in free.testset}
+        sizes: dict[str, tuple[int, int]] = {}
+        for (_, _, doc_id), cell in free.cells.items():
+            tgt_lang = target[doc_id]
+            for turn in cell.transcript.turns:
+                old = sum(parent_count(tgt_lang, m.content) for m in turn.request_messages)
+                new = sum(m.tokens for m in turn.request_messages)
+                sizes[doc_id] = tuple(map(max, sizes.get(doc_id, (0, 0)), (old, new)))
+        return sizes
+
+    def execute_under_the_old_rule(self, plan, monkeypatch) -> None:
+        """execute with the old rule's context budget and mock usage."""
+        target: list[str] = []
+        drive = executor._drive_cell
+
+        def drive_cell(artifacts, group, doc, *args):
+            target[:] = [doc.tgt_lang]
+            return drive(artifacts, group, doc, *args)
+
+        def complete(request, backend):
+            response = gateway.complete(request, backend)
+            return dataclasses.replace(
+                response,
+                prompt_tokens=sum(len(m.content.split()) for m in request.messages),
+                completion_tokens=len(response.content.split()),
+            )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(executor, "_drive_cell", drive_cell)
+            patch.setattr(Message, "tokens", property(lambda m: parent_count(target[0], m.content)))
+            execute(plan, complete)
+
+    def test_a_cell_over_budget_under_the_new_rule_is_refused(self, tmp_path, monkeypatch):
+        sizes = self.request_sizes(tmp_path)
+        # zh->en fits under the old rule, which counted its Chinese in words.
+        budget = sizes["zh-en"][0]
+        assert sizes["zh-en"][1] > budget
+        plan = plan_from_dict(zh_corpus_plan_dict(tmp_path, max_context_tokens=budget))
+        self.execute_under_the_old_rule(plan, monkeypatch)
+        assert ("identity", "multi_turn", "zh-en") in read_records(plan)
+        sent: list[str] = []
+        with pytest.raises(ResumeMismatchError, match="replay failed: context_overflow"):
+            execute(plan, recording(sent))
+        assert sent == []
+
+    def test_a_cell_within_budget_under_both_rules_resumes_to_a_fresh_run(
+        self, tmp_path, monkeypatch
+    ):
+        sizes = self.request_sizes(tmp_path)
+        # Every request fits under the new rule; en->zh did not under the old
+        # one, which counted its English in characters.
+        budget = max(new for _, new in sizes.values())
+        assert sizes["zh-en"][0] <= budget < sizes["en-zh"][0]
+        resumed = plan_from_dict(zh_corpus_plan_dict(
+            tmp_path, run_id="resumed", max_context_tokens=budget
+        ))
+        self.execute_under_the_old_rule(resumed, monkeypatch)
+        assert {tuple(r[:3]) for r in read_records(resumed)} == {
+            ("identity", strategy, "zh-en") for strategy in ("segment_level", "multi_turn")
+        }
+        sent: list[str] = []
+        execute(resumed, recording(sent))
+        assert sent and all(tag.startswith("en-zh:") for tag in sent)
+
+        fresh = plan_from_dict(zh_corpus_plan_dict(
+            tmp_path, run_id="fresh", max_context_tokens=budget
+        ))
+        execute(fresh)
+        loaded = {plan.run_id: load_artifacts(plan) for plan in (resumed, fresh)}
+        assert loaded["resumed"].cells == loaded["fresh"].cells
+        assert loaded["resumed"].exclusions == loaded["fresh"].exclusions == []
+        for artifacts in loaded.values():
+            emit_reports(artifacts)
+        assert report_bytes(loaded["resumed"].run_dir) == report_bytes(loaded["fresh"].run_dir)
 
 
 def distinct_hypotheses(artifacts) -> set[tuple[str, tuple[str, ...], bool]]:
