@@ -17,10 +17,11 @@ proportion to the messages it appends, not to the whole conversation.
 
 Counting uses the harness's one rule, chat.count_tokens, a rule of the text
 alone, so numbers are comparable across backends and languages and no count
-can fail; a live backend's own count is its reported usage, which the runner
-logs separately. A message's count is the one it keeps (Message.tokens), and
-a session's requests share their message objects, so each message object is
-counted at most once.
+can fail. A live backend's own count is its reported usage: each
+TranscriptTurn keeps the backend's ChatResponse, the one its log row holds,
+and the ledger reads only its content. A message's count is the one it keeps
+(Message.tokens), and a session's requests share their message objects, so
+each message object is counted at most once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import chat
-from .chat import Message, assistant, common_prefix_length
+from .chat import ChatResponse, Message, assistant, common_prefix_length
 from .strategy import Mode, request_messages
 
 MODE_CACHED = "cached"
@@ -49,14 +50,21 @@ def spec_for_target_language(tgt_lang: str) -> None:
 
 @dataclass(frozen=True)
 class TranscriptTurn:
-    """One request/response exchange: the full message list sent, the reply."""
+    """One request/response exchange: the full message list sent, and the
+    backend's response, usage and finish reason included, as the turn's log
+    row holds it."""
 
     request_messages: tuple[Message, ...]
-    response_text: str
+    response: ChatResponse
 
     def __post_init__(self) -> None:
         if not isinstance(self.request_messages, tuple):
             object.__setattr__(self, "request_messages", tuple(self.request_messages))
+
+    @property
+    def response_text(self) -> str:
+        """response.content, kept only for bench/checks.py, which reads it."""
+        return self.response.content
 
 
 @dataclass
@@ -176,7 +184,7 @@ def ledger_for_session(transcript: Transcript) -> dict[str, CostLedger]:
     def keyed(message: Message) -> _KeyedMessage:
         return (message.role, message.content), message.tokens
 
-    turns = ((t.request_messages, assistant(t.response_text)) for t in transcript.turns)
+    turns = ((t.request_messages, assistant(t.response.content)) for t in transcript.turns)
     return _ledger_over_keyed_turns(turns, keyed)
 
 

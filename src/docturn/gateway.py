@@ -203,46 +203,43 @@ def _openai_complete(req: ChatRequest, cfg: BackendConfig, gateway: Gateway) -> 
     while True:
         if limiter is not None:
             limiter.acquire(sleeper)
+        cause = None
         try:
             resp = post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
         except requests.RequestException as exc:
-            if attempt >= cfg.max_retries:
-                raise TransportError(f"transport failure after {attempt} retries: {exc}") from exc
-            sleeper(_backoff_delay(attempt, rng))
-            attempt += 1
-            continue
+            cause, failure = exc, f"transport failure after {attempt} retries: {exc}"
+        else:
+            if resp.status_code != 429 and resp.status_code < 500:
+                break
+            failure = f"HTTP {resp.status_code} after {attempt} retries for {req.request_tag}"
+        if attempt >= cfg.max_retries:
+            raise TransportError(failure) from cause
+        sleeper(_backoff_delay(attempt, rng))
+        attempt += 1
 
-        if resp.status_code == 429 or resp.status_code >= 500:
-            if attempt >= cfg.max_retries:
-                raise TransportError(
-                    f"HTTP {resp.status_code} after {attempt} retries for {req.request_tag}"
-                )
-            sleeper(_backoff_delay(attempt, rng))
-            attempt += 1
-            continue
-        if 400 <= resp.status_code < 500:
-            body = resp.text[:500]
-            if resp.status_code == 400 and any(h in body.lower() for h in _CONTEXT_OVERFLOW_HINTS):
-                raise ContextOverflowError(f"context overflow for {req.request_tag}: {body}")
-            raise GatewayError(f"HTTP {resp.status_code} for {req.request_tag}: {body}")
+    if 400 <= resp.status_code < 500:
+        body = resp.text[:500]
+        if resp.status_code == 400 and any(h in body.lower() for h in _CONTEXT_OVERFLOW_HINTS):
+            raise ContextOverflowError(f"context overflow for {req.request_tag}: {body}")
+        raise GatewayError(f"HTTP {resp.status_code} for {req.request_tag}: {body}")
 
-        try:
-            data = resp.json()
-            choice = data["choices"][0]
-            usage = _reported_object(data, "usage")
-            details = _reported_object(usage, "prompt_tokens_details")
-            finish = choice.get("finish_reason")
-            return ChatResponse(
-                content=choice["message"]["content"] or "",
-                prompt_tokens=_reported_count(usage, "prompt_tokens"),
-                cached_tokens=_reported_count(details, "cached_tokens"),
-                completion_tokens=_reported_count(usage, "completion_tokens"),
-                finish_reason=finish if finish in FINISH_REASONS else "other",
-            )
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
-            raise GatewayError(
-                f"malformed response for {req.request_tag}: {type(exc).__name__}: {exc}"
-            ) from exc
+    try:
+        data = resp.json()
+        choice = data["choices"][0]
+        usage = _reported_object(data, "usage")
+        details = _reported_object(usage, "prompt_tokens_details")
+        finish = choice.get("finish_reason")
+        return ChatResponse(
+            content=choice["message"]["content"] or "",
+            prompt_tokens=usage.get("prompt_tokens"),
+            cached_tokens=details.get("cached_tokens"),
+            completion_tokens=usage.get("completion_tokens"),
+            finish_reason=finish if finish in FINISH_REASONS else "other",
+        )
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise GatewayError(
+            f"malformed response for {req.request_tag}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _reported_object(parent: dict, key: str) -> dict:
@@ -253,19 +250,6 @@ def _reported_object(parent: dict, key: str) -> dict:
         return {}
     if type(value) is not dict:
         raise TypeError(f"{key} is a {type(value).__name__}, not an object")
-    return value
-
-
-def _reported_count(usage: dict, key: str) -> int | None:
-    """A usage count of a reply, or None when the reply omits it. Anything
-    but a non-negative integer is a malformed reply, never coerced."""
-    value = usage.get(key)
-    if value is None:
-        return None
-    if type(value) is not int:  # a JSON true is not a token count
-        raise TypeError(f"usage {key} is a {type(value).__name__}, not int")
-    if value < 0:
-        raise ValueError(f"usage {key} is negative: {value}")
     return value
 
 

@@ -15,26 +15,30 @@ JSON value per line, in the order the lines were written:
   [backend, strategy label, doc id, null, reason].
 
 No field holds wall-clock time, and the requests are not stored: they are a
-function of the hashed plan, the shipped templates and the replies. Loading
-a cell replays its record through the strategy, which rebuilds its requests,
-transcript and translation, and refuses the record unless the rebuilt
-requests hash to its digest. The cost ledgers are pure functions of the
-transcript, so none is stored: a cell walks its ledgers only when they are
-first read, and the walk cannot fail.
+function of the hashed plan, the shipped templates and the replies. Each
+turn of a cell's transcript keeps the backend's ChatResponse, so a record is
+built from the completed cell: its transcript's requests_digest, then each
+turn's response as its row. Loading a cell replays its record through the
+strategy, which rebuilds its requests, transcript and translation, and
+refuses the record unless the rebuilt requests hash to its digest; the
+loaded transcript holds the responses its rows logged, usage included, so
+the loaded cell equals the fresh one. The cost ledgers are pure functions of
+the transcript, so none is stored: a cell walks its ledgers only when they
+are first read, and the walk cannot fail.
 
-A record is built in memory while its cell runs and appended, with one write
-and a flush under one lock, once the cell has completed or been skipped, so
-concurrent cells append in the order they finish, an interrupted cell leaves
-nothing, and re-executing the run executes exactly the cells that have no
-completed record. A run with none writes nothing. Bytes after the log's last
-newline are a line torn by a crash: loading ignores them and execute
-truncates them away before it appends. ResumeMismatchError refuses a header
-from another layout, configuration or template set before any record is
-read; then a line that does not parse, a second completed record for a cell,
-a record for a cell outside the plan, and a record whose requests differ
-from the rebuilt ones or that has a missing, extra or unparseable turn. A
-directory whose log has no complete header must hold nothing else: any other
-is from an older layout and is refused too.
+A record is appended, with one write and a flush under one lock, once its
+cell has completed or been skipped, so concurrent cells append in the order
+they finish, an interrupted cell leaves nothing, and re-executing the run
+executes exactly the cells that have no completed record. A run with none
+writes nothing. Bytes after the log's last newline are a line torn by a
+crash: loading ignores them and execute truncates them away before it
+appends. ResumeMismatchError refuses a header from another layout,
+configuration or template set before any record is read; then a line that
+does not parse, a second completed record for a cell, a record for a cell
+outside the plan, and a record whose requests differ from the rebuilt ones
+or that has a missing, extra or unparseable turn. A directory whose log has
+no complete header must hold nothing else: any other is from an older layout
+and is refused too.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ def requests_digest(transcript: Transcript) -> str:
         for message in request[keep:]:
             content = message.content.encode("utf-8")
             digest.update(b"%s %d\n%s" % (message.role.encode("ascii"), len(content), content))
-        state = request + (assistant(turn.response_text),)
+        state = request + (assistant(turn.response.content),)
     return digest.hexdigest()
 
 
@@ -210,17 +214,13 @@ def _drive_cell(
                     f"budget {plan.max_context_tokens} for document '{doc.id}'"
                 )
         response = reply(turn, request)
-        transcript.turns.append(
-            TranscriptTurn(request_messages=request.messages, response_text=response.content)
-        )
-        if response.finish_reason == "length":
-            session.warnings.append(f"turn {turn}: output truncated (finish_reason=length)")
+        transcript.turns.append(TranscriptTurn(request.messages, response))
         ingest_response(session, response.content)
 
     if strategy.mode.is_multi_turn:
         check_prefix_stability(
             [t.request_messages for t in transcript.turns],
-            [t.response_text for t in transcript.turns],
+            [t.response.content for t in transcript.turns],
         )
     return CellArtifact(assemble_hypothesis(session), transcript)
 
@@ -233,26 +233,22 @@ def _run_cell(
     complete: CompleteFn,
 ) -> tuple[CellArtifact, bytes]:
     """A fresh cell: replies come from the backend. Returns the cell and its
-    record, one line for the log. A completed cell with a reply cut at the
-    output limit is logged as a warning."""
-    record: list = [group.backend.name, group.strategy.label, doc.id, None]
-    truncated: list[str] = []
-
-    def reply(turn: int, request: ChatRequest) -> ChatResponse:
-        response = complete(request, group.backend)
-        record.append(response.to_row())
-        if response.finish_reason == "length":
-            truncated.append(str(turn))
-        return response
-
-    cell = _drive_cell(artifacts, group, doc, templates, reply)
+    record, one line for the log, built from the cell's transcript. A
+    completed cell with a reply cut at the output limit is logged as a
+    warning."""
+    backend, label = group.backend, group.strategy.label
+    cell = _drive_cell(
+        artifacts, group, doc, templates, lambda turn, request: complete(request, backend)
+    )
+    turns = cell.transcript.turns
+    truncated = [str(i) for i, t in enumerate(turns) if t.response.finish_reason == "length"]
     if truncated:
         logger.warning(
             "%s/%s/%s: output truncated (finish_reason=length) at turn %s",
-            group.backend.name, group.strategy.label, doc.id, ", ".join(truncated),
+            backend.name, label, doc.id, ", ".join(truncated),
         )
-    record[3] = requests_digest(cell.transcript)
-    return cell, _json_line(record)
+    rows = [t.response.to_row() for t in turns]
+    return cell, _json_line([backend.name, label, doc.id, requests_digest(cell.transcript), *rows])
 
 
 def _json_line(value: dict | list) -> bytes:
@@ -269,8 +265,9 @@ def _replay_cell(
 ) -> CellArtifact:
     """A completed cell: replies come from its record's rows, and the
     requests the session rebuilds must hash to the record's digest. `where`
-    names the record in errors. The cell keeps the rebuilt transcript, so it
-    equals the cell the run produced."""
+    names the record in errors. The cell's transcript holds the rebuilt
+    requests and the rows' responses, usage included, so it equals the cell
+    the run produced."""
     turns = record[4:]
 
     def mismatch(turn: int, problem: str) -> ResumeMismatchError:
@@ -415,6 +412,7 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     groups = _load_completed(artifacts, templates, done)
     if complete_bytes and not any(group.pending for group in groups):
         return artifacts
+    _warn_exemplar_directions(plan, artifacts.testset)
 
     artifacts.run_dir.mkdir(parents=True, exist_ok=True)
     with (artifacts.run_dir / LOG).open("ab") as file:
@@ -432,6 +430,22 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
             if group.pending:
                 _run_group(artifacts, group, templates, complete, log)
     return artifacts
+
+
+def _warn_exemplar_directions(plan: RunPlan, testset: TestSet) -> None:
+    """Log a warning for each ICL strategy whose exemplars are not all in the
+    direction of each test-set document, naming both sides."""
+    directions = {doc.direction for doc in testset}
+    for strategy in plan.strategies:
+        if not strategy.icl:
+            continue
+        shown = {f"{ex.src_lang}-{ex.tgt_lang}" for ex in strategy.exemplars}
+        differing = sorted(d for d in directions if shown != {d})
+        if differing:
+            logger.warning(
+                "%s: exemplar direction(s) %s differ from test-set direction(s) %s",
+                strategy.label, ", ".join(sorted(shown)), ", ".join(differing),
+            )
 
 
 def _run_group(

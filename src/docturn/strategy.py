@@ -15,8 +15,10 @@ previous one by its reply and the next prompt, which is what lets a prefix
                      the full source document as context before the segment-0
                      instruction.
 
-A session holds its turn prompts, rendered once by turn_prompts, and the
-replies ingested so far; nothing else about its progress is stored. Turn
+A session (SessionState) holds its turn prompts, rendered once by
+turn_prompts, and the replies ingested so far; nothing else about its
+progress is stored, and nothing about a response but its text: its usage and
+finish reason stay with the caller's transcript. Turn
 len(replies)'s request is request_messages(mode, prefix, prompts, replies),
 the one rule the cost simulator (costing.simulate_strategy_costs) also
 assembles its synthetic requests with.
@@ -25,7 +27,8 @@ In-context exemplars (icl=True) are encoded as alternating user/assistant
 message pairs placed before any document content; the exemplar prefix is a
 pure function of the strategy config, so it is byte-identical across
 documents and therefore cache-stable. A session builds it once, or takes the
-tuple its caller built for every session of the strategy.
+tuple its caller built for every session of the strategy. The runner, not
+the session, warns when the exemplars' direction differs from a document's.
 
 Driver loop:
 
@@ -113,7 +116,7 @@ STATUS_DONE = "done"
 
 @dataclass
 class SessionState:
-    """Per-document translation session.
+    """Per-document translation session: its prompts and the reply texts.
 
     prompts holds every turn's user message, rendered once; replies and
     outputs grow by one per ingested reply, so the turn in progress is
@@ -127,7 +130,6 @@ class SessionState:
     icl_prefix: tuple[Message, ...] = ()  # exemplar_messages(config, templates)
     replies: list[Message] = field(default_factory=list)  # raw replies, as sent back
     outputs: list[str] = field(default_factory=list)  # the replies after strip_wrapping
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def requests_issued(self) -> int:
@@ -203,19 +205,7 @@ def init_session(
         templates = load_template_set()
     if prefix is None:
         prefix = exemplar_messages(config, templates)
-    s = SessionState(config, doc, turn_prompts(config, doc, templates), prefix)
-    if config.icl:
-        mismatched = [
-            f"{ex.src_lang}-{ex.tgt_lang}"
-            for ex in config.exemplars
-            if (ex.src_lang, ex.tgt_lang) != (doc.src_lang, doc.tgt_lang)
-        ]
-        if mismatched:
-            s.warnings.append(
-                f"exemplar direction(s) {sorted(set(mismatched))} differ from "
-                f"document direction {doc.direction}"
-            )
-    return s
+    return SessionState(config, doc, turn_prompts(config, doc, templates), prefix)
 
 
 def next_request(s: SessionState) -> ChatRequest | None:
@@ -277,8 +267,6 @@ class DocumentTranslation:
     doc_id: str
     hypothesis_segments: tuple[str, ...]
     alignment_ok: bool
-    raw_output: str | None = None
-    warnings: tuple[str, ...] = ()
 
 
 def assemble_hypothesis(s: SessionState) -> DocumentTranslation:
@@ -293,25 +281,19 @@ def assemble_hypothesis(s: SessionState) -> DocumentTranslation:
     if s.status != STATUS_DONE:
         raise SessionContractError(f"assemble_hypothesis on a {s.status} session")
 
-    warnings = tuple(s.warnings)
+    doc_id = s.document.id
     if s.config.mode != Mode.SINGLE_TURN:
-        return DocumentTranslation(
-            doc_id=s.document.id,
-            hypothesis_segments=tuple(s.outputs),
-            alignment_ok=True,
-            raw_output=None,
-            warnings=warnings,
-        )
+        return DocumentTranslation(doc_id, tuple(s.outputs), True)
 
     raw = s.outputs[0]
     k = s.document.num_segments
     blank_split = split_into_segments(raw, "blank_line")
     if len(blank_split) == k:
-        return DocumentTranslation(s.document.id, tuple(blank_split), True, raw, warnings)
+        return DocumentTranslation(doc_id, tuple(blank_split), True)
     newline_split = split_into_segments(raw, "single_newline")
     if len(newline_split) == k:
-        return DocumentTranslation(s.document.id, tuple(newline_split), True, raw, warnings)
-    return DocumentTranslation(s.document.id, tuple(blank_split), False, raw, warnings)
+        return DocumentTranslation(doc_id, tuple(newline_split), True)
+    return DocumentTranslation(doc_id, tuple(blank_split), False)
 
 
 def check_prefix_stability(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docturn import costing
-from docturn.chat import Message, assistant, count_tokens, user
+from docturn.chat import ChatResponse, Message, assistant, count_tokens, user
 from docturn.costing import (
     MODE_CACHED,
     _ledger_over_keyed_turns,
@@ -87,7 +87,7 @@ def multi_turn_transcript(k: int, user_tokens: int, reply_tokens: int) -> Transc
     for i in range(k):
         history.append(user(words(user_tokens, f"u{i}_")))
         transcript.turns.append(
-            TranscriptTurn(request_messages=tuple(history), response_text=words(reply_tokens, f"a{i}_"))
+            TranscriptTurn(tuple(history), ChatResponse(words(reply_tokens, f"a{i}_")))
         )
         history.append(assistant(words(reply_tokens, f"a{i}_")))
     return transcript
@@ -149,7 +149,7 @@ class TestLedgerInvariants:
         transcript = multi_turn_transcript(3, 5, 5)
         last = transcript.turns[-1]
         tampered = (user("something else"),) + last.request_messages[1:]
-        transcript.turns[-1] = TranscriptTurn(tampered, last.response_text)
+        transcript.turns[-1] = TranscriptTurn(tampered, last.response)
         cached = ledger_for_session(transcript)[MODE_CACHED]
         assert [e.prefill_reused for e in cached.entries] == [0, 10, 0]
         assert cached.entries[-1].prefill_new == 2 + 5 * 4
@@ -159,7 +159,7 @@ class TestLedgerInvariants:
         transcript = Transcript()
         for i in range(3):
             transcript.turns.append(
-                TranscriptTurn((shared, user(words(5, f"u{i}_"))), words(4, f"a{i}_"))
+                TranscriptTurn((shared, user(words(5, f"u{i}_"))), ChatResponse(words(4, f"a{i}_")))
             )
         cached = ledger_for_session(transcript)[MODE_CACHED]
         assert [e.prefill_reused for e in cached.entries] == [0, 7, 7]
@@ -324,7 +324,7 @@ def segment_level_transcript(k: int) -> Transcript:
     transcript = Transcript()
     for i in range(k):
         request = (shared, user(words(5, f"u{i}_")))
-        transcript.turns.append(TranscriptTurn(request, words(4, f"a{i}_")))
+        transcript.turns.append(TranscriptTurn(request, ChatResponse(words(4, f"a{i}_"))))
     return transcript
 
 
@@ -337,7 +337,7 @@ def test_ledger_counts_each_distinct_message_once(monkeypatch, transcript):
     counted = counted_messages(monkeypatch)
     distinct = sorted(
         {m.content for t in transcript.turns for m in t.request_messages}
-        | {t.response_text for t in transcript.turns}
+        | {t.response.content for t in transcript.turns}
     )
     # One walk gives both ledgers and counts each distinct message once.
     ledgers = ledger_for_session(transcript)
@@ -347,7 +347,7 @@ def test_ledger_counts_each_distinct_message_once(monkeypatch, transcript):
     # each turn's reply, which the walk builds afresh.
     counted.clear()
     again = ledger_for_session(transcript)
-    assert [m.content for m in counted] == [t.response_text for t in transcript.turns]
+    assert [m.content for m in counted] == [t.response.content for t in transcript.turns]
     assert {mode: _entries(ledger) for mode, ledger in again.items()} == {
         mode: _entries(ledger) for mode, ledger in ledgers.items()
     }

@@ -315,7 +315,7 @@ def test_concurrent_run_logs_the_sequential_usage(tmp_path, corpus):
             cell = artifacts.cells[key]
             expected = [
                 (sum(oracles.tokens(m.content) for m in turn.request_messages), None,
-                 oracles.tokens(turn.response_text))
+                 oracles.tokens(turn.response.content))
                 for turn in cell.transcript.turns
             ]
             ledger = [
@@ -341,7 +341,7 @@ def test_english_instruction_counts_the_same_for_every_target(mode):
         document = make_random_document(random.Random(5), "doc", 3, tgt_lang=tgt_lang)
         request = next_request(init_session(StrategyConfig(mode=mode), document))
         response = complete(request, BackendConfig(kind="mock_identity"))
-        transcript = Transcript([TranscriptTurn(request.messages, response.content)])
+        transcript = Transcript([TranscriptTurn(request.messages, response)])
         prefill = ledger_for_session(transcript)[MODE_UNCACHED].total_prefill_new
         counts.add((response.prompt_tokens, prefill))
     words = sum(len(m.content.split()) for m in request.messages)
@@ -520,7 +520,7 @@ class TestOpenAiCompatible:
         usage = {"prompt_tokens": counts["prompt_tokens"],
                  "completion_tokens": counts["completion_tokens"],
                  "prompt_tokens_details": {"cached_tokens": counts["cached_tokens"]}}
-        with pytest.raises(GatewayError, match=f"malformed response for .*usage {key}"):
+        with pytest.raises(GatewayError, match=f"malformed response for .*response {key} is"):
             self.reply_with_usage(usage)
         row = ["x", counts["prompt_tokens"], counts["cached_tokens"], counts["completion_tokens"],
                "stop"]

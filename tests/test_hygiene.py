@@ -229,6 +229,82 @@ def test_unmentioned_definition_check(source, expected):
     assert unmentioned_definitions(source, mentioned_names(source)) == expected
 
 
+def read_attributes(source: str) -> set[str]:
+    """Every attribute a module's code reads: x.name in a load, or a
+    getattr(x, "name") call with a constant name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(source: str, read: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each annotated field of a module-level dataclass that
+    read holds no attribute for. A ClassVar is no field; building a value or
+    assigning a field is no read."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+            continue
+        for sub in node.body:
+            if not (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)):
+                continue
+            if "ClassVar" in _annotation_names(sub.annotation) or sub.target.id in read:
+                continue
+            found.append((sub.lineno, f"{node.name}.{sub.target.id}"))
+    return found
+
+
+def test_every_dataclass_field_in_src_is_read():
+    """No dataclass in src/ has a field that no code in src/ or bench/ reads:
+    a field only the tests read is a copy nothing uses."""
+    sources = {path: path.read_text("utf-8") for root in (SRC, BENCH) for path in root.rglob("*.py")}
+    read = set().union(*map(read_attributes, sources.values()))
+    found = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path, source in sorted(sources.items()) if path.is_relative_to(SRC)
+        for line, name in unread_fields(source, read)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("@dataclass\nclass A:\n    x: int\n", [(3, "A.x")]),
+        ("@dataclass\nclass A:\n    x: int\nA(1).x\n", []),
+        ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\nA(1).y\n", [(3, "A.x")]),
+        ("@dataclasses.dataclass\nclass A:\n    x: int\n", [(3, "A.x")]),
+        ("class A:\n    x: int\n", []),  # not a dataclass
+        ("@dataclass\nclass A:\n    x: ClassVar[int] = 0\n", []),
+        ("@dataclass\nclass A:\n    x: int\nA(x=1)\n", [(3, "A.x")]),  # built, not read
+        ("@dataclass\nclass A:\n    x: int\na.x = 1\n", [(3, "A.x")]),  # assigned, not read
+        ("@dataclass\nclass A:\n    x: int\ngetattr(a, 'x')\n", []),
+        ("@dataclass\nclass A:\n    x: int\nprint('x')\n", [(3, "A.x")]),  # prose is no read
+        ("@dataclass\nclass A:\n    x: int\n    def f(self):\n        return self.x\n", []),
+        ("def f():\n    @dataclass\n    class A:\n        x: int\n", []),  # not module-level
+    ],
+)
+def test_unread_field_check(source, expected):
+    assert unread_fields(source, read_attributes(source)) == expected
+
+
 def test_readme_shows_exactly_the_cli_commands():
     """The README's CLI block, the bash block that runs `docturn run`, lists
     every subcommand, and every `docturn <command>` the README names exists."""

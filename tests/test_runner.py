@@ -417,15 +417,39 @@ def recording(tags: list):
 
 
 class TestCellLog:
-    def test_loaded_cells_equal_fresh_cells(self, tmp_path):
-        plan = plan_from_dict(mixed_plan_dict(tmp_path))
-        executed = execute(plan)
+    @pytest.mark.parametrize("backends", ["mocks", "http"])
+    def test_loaded_cells_equal_fresh_cells(self, tmp_path, monkeypatch, backends):
+        """Every mode with and without ICL, on two mocks or on an HTTP
+        backend whose usage reports a prefix cache: each loaded cell equals
+        the fresh one, and each loaded turn's response is the one its
+        backend sent, cached_tokens included."""
+        record = mixed_plan_dict(tmp_path)
+        if backends == "http":
+            monkeypatch.setenv("DOCTURN_TEST_KEY", "sk-test")
+            record["backends"] = [
+                {"kind": "openai_compatible", "name": "http", "base_url": "http://fake",
+                 "api_key_env_var": "DOCTURN_TEST_KEY"},
+            ]
+        plan = plan_from_dict(record)
+        sent_cached: list[int] = []
+        server = prefix_caching_server(sent_cached)
+        executed = execute(plan, gateway.Gateway(plan.backends, http_post=server).complete)
         loaded = load_artifacts(plan)
-        assert len(executed.cells) == 2 * 8 * 2 and set(loaded.cells) == set(executed.cells)
+        assert len(executed.cells) == len(plan.backends) * 8 * 2
+        assert set(loaded.cells) == set(executed.cells)
         for key, cell in executed.cells.items():
             assert loaded.cells[key].translation == cell.translation
             assert loaded.cells[key].transcript == cell.transcript
+            assert [t.response for t in loaded.cells[key].transcript.turns] == [
+                t.response for t in cell.transcript.turns
+            ]
             assert loaded.cells[key].ledgers == cell.ledgers
+        cached = [
+            t.response.cached_tokens for cell in loaded.cells.values() for t in cell.transcript.turns
+        ]
+        # A mock has no prefix cache; a sequential run sends its requests in
+        # plan order, the order of the cells.
+        assert cached == (sent_cached if backends == "http" else [None] * len(cached))
 
     def test_run_directory_holds_one_log(self, tmp_path):
         """One log for the run: its header, then one record per cell in the
@@ -635,21 +659,7 @@ class TestCellLog:
         ))
         sent_cached = []
 
-        def post(url, json=None, headers=None, timeout=None):
-            # A prefix cache that holds every message but the new one.
-            *history, final = json["messages"]
-            payload = extract_fenced_payload(final["content"])
-            sent_cached.append(sum(len(m["content"].split()) for m in history))
-            return FakeResponse({
-                "choices": [{"message": {"content": payload}, "finish_reason": "stop"}],
-                "usage": {
-                    "prompt_tokens": sent_cached[-1] + len(final["content"].split()),
-                    "completion_tokens": len(payload.split()),
-                    "prompt_tokens_details": {"cached_tokens": sent_cached[-1]},
-                },
-            })
-
-        backends = gateway.Gateway(plan.backends, http_post=post)
+        backends = gateway.Gateway(plan.backends, http_post=prefix_caching_server(sent_cached))
         fresh = execute(plan, complete_fn=backends.complete)
         requests = "584e3664734ed44af0d9b05891863933"
         header = run_log(plan).read_bytes().split(b"\n")[0]
@@ -807,6 +817,35 @@ class TestExemplarPrefix:
         assert len(text.splitlines()) == 1 + 2 * 8 * documents
         assert len(artifacts.cells) == 2 * 8 * documents
 
+    def test_direction_mismatch_warned_once_per_icl_strategy(self, tmp_path, caplog):
+        """An en->zh document under en->de exemplars is warned once per ICL
+        strategy, whatever the backends, when execute has cells to run; a
+        matching corpus, a resume with nothing pending and a load warn of
+        nothing."""
+        mixed = tmp_path / "mixed.jsonl"
+        write_jsonl(mixed, [
+            {"id": "de-doc", "src_lang": "en", "tgt_lang": "de", "src": ["One two."]},
+            {"id": "zh-doc", "src_lang": "en", "tgt_lang": "zh", "src": ["Three four."]},
+        ])
+
+        def logged() -> list[str]:
+            messages = [r.getMessage() for r in caplog.records if r.name == executor.__name__]
+            caplog.clear()
+            return messages
+
+        with caplog.at_level(logging.WARNING):
+            plan = plan_from_dict(mixed_plan_dict(tmp_path, testsets=[str(mixed)]))
+            execute(plan)
+            assert logged() == [
+                f"{mode}+icl: exemplar direction(s) en-de differ from test-set direction(s) en-zh"
+                for mode in ("single_turn", "segment_level", "multi_turn", "multi_turn_sp")
+            ]
+            execute(plan)
+            load_artifacts(plan)
+            assert logged() == []
+            execute(plan_from_dict(mixed_plan_dict(tmp_path, run_id="matching")))
+            assert logged() == []
+
     def test_prefix_built_once_per_group(self, tmp_path, monkeypatch):
         """exemplar_messages runs once per (backend, strategy), never per
         document or per request, on a run and on a load."""
@@ -835,8 +874,8 @@ class TestRequestsDigest:
     def test_digest_hashes_the_documented_bytes(self):
         prompt, reply, follow_up = user("Grüße, Welt."), "Hallo.", user("Und?")
         transcript = Transcript([
-            TranscriptTurn((prompt,), reply),
-            TranscriptTurn((prompt, assistant(reply), follow_up), "Ja."),
+            TranscriptTurn((prompt,), ChatResponse(reply)),
+            TranscriptTurn((prompt, assistant(reply), follow_up), ChatResponse("Ja.")),
         ])
         # Turn 0 keeps nothing; turn 1 keeps the first request and its reply.
         payload = "0\nuser 14\nGrüße, Welt.2\nuser 4\nUnd?".encode("utf-8")
@@ -1078,6 +1117,8 @@ class TestReports:
         assert all(m["dbleu"] is None and m["blonde"] is None for m in scores.values())
 
     def test_length_truncation_warning_attached(self, tmp_path):
+        """A reply cut at the output limit stays in its turn's response, in
+        the fresh cell and in the cell loaded from its record."""
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
 
         def truncating(request, backend):
@@ -1089,9 +1130,10 @@ class TestReports:
                 finish_reason="length",
             )
 
-        artifacts = execute(plan, complete_fn=truncating)
-        cell = artifacts.cells[("identity", "multi_turn", "doc-1")]
-        assert any("finish_reason=length" in w for w in cell.translation.warnings)
+        key = ("identity", "multi_turn", "doc-1")
+        cell = execute(plan, complete_fn=truncating).cells[key]
+        assert [t.response.finish_reason for t in cell.transcript.turns] == ["length"] * 3
+        assert load_artifacts(plan).cells[key] == cell
 
 
 def run_dir_bytes(run_dir: Path) -> dict[Path, bytes]:
@@ -1619,6 +1661,9 @@ class TestResumeAcrossTheCountRule:
     def test_a_cell_within_budget_under_both_rules_resumes_to_a_fresh_run(
         self, tmp_path, monkeypatch
     ):
+        """The resumed run's translations, requests and reports are a fresh
+        run's. Its zh->en cells keep the usage their old-rule rows logged, so
+        only its en->zh cells, run under the new rule, equal fresh cells."""
         sizes = self.request_sizes(tmp_path)
         # Every request fits under the new rule; en->zh did not under the old
         # one, which counted its English in characters.
@@ -1628,7 +1673,8 @@ class TestResumeAcrossTheCountRule:
             tmp_path, run_id="resumed", max_context_tokens=budget
         ))
         self.execute_under_the_old_rule(resumed, monkeypatch)
-        assert {tuple(r[:3]) for r in read_records(resumed)} == {
+        old_rule_records = read_records(resumed)
+        assert set(old_rule_records) == {
             ("identity", strategy, "zh-en") for strategy in ("segment_level", "multi_turn")
         }
         sent: list[str] = []
@@ -1640,7 +1686,21 @@ class TestResumeAcrossTheCountRule:
         ))
         execute(fresh)
         loaded = {plan.run_id: load_artifacts(plan) for plan in (resumed, fresh)}
-        assert loaded["resumed"].cells == loaded["fresh"].cells
+
+        def sent_and_translated(artifacts) -> dict:
+            return {
+                key: ([t.request_messages for t in cell.transcript.turns], cell.translation)
+                for key, cell in artifacts.cells.items()
+            }
+
+        assert sent_and_translated(loaded["resumed"]) == sent_and_translated(loaded["fresh"])
+        for key, cell in loaded["resumed"].cells.items():
+            rows = [list(t.response.to_row()) for t in cell.transcript.turns]
+            if key in old_rule_records:
+                assert rows == old_rule_records[key][4:]
+                assert cell != loaded["fresh"].cells[key]  # counted in words, not per character
+            else:
+                assert cell == loaded["fresh"].cells[key]
         assert loaded["resumed"].exclusions == loaded["fresh"].exclusions == []
         for artifacts in loaded.values():
             emit_reports(artifacts)
@@ -1754,9 +1814,9 @@ class TestInterruptedRun:
         assert listed == [MULTI_TURN_DOC_2]
 
     def test_truncated_turn_warns_its_cells_on_run_resume_and_load(self, tmp_path, caplog):
-        """A reply cut at the output limit at doc-2's turn 1 warns doc-2's
-        cells only, and the warning is rebuilt from the log on resume and load.
-        Each of those cells is logged as a warning once, when it runs."""
+        """A reply cut at the output limit at doc-2's turn 1 is in doc-2's
+        cells only, and it is rebuilt from the log on resume and load. Each
+        of those cells is logged as a warning once, when it runs."""
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
 
         def truncating_doc_2_turn_1(request, backend):
@@ -1765,8 +1825,12 @@ class TestInterruptedRun:
                 return dataclasses.replace(response, finish_reason="length")
             return response
 
-        def warnings(artifacts) -> dict:
-            return {key: cell.translation.warnings for key, cell in artifacts.cells.items()}
+        def truncated(artifacts) -> dict:
+            return {
+                key: [i for i, t in enumerate(cell.transcript.turns)
+                      if t.response.finish_reason == "length"]
+                for key, cell in artifacts.cells.items()
+            }
 
         def logged() -> list[str]:
             messages = [r.getMessage() for r in caplog.records if r.name == executor.__name__]
@@ -1774,17 +1838,16 @@ class TestInterruptedRun:
             return messages
 
         with caplog.at_level(logging.WARNING):
-            fresh = warnings(execute(plan, complete_fn=truncating_doc_2_turn_1))
+            fresh = truncated(execute(plan, complete_fn=truncating_doc_2_turn_1))
             assert logged() == [
                 f"identity/{strategy}/doc-2: output truncated (finish_reason=length) at turn 1"
                 for strategy in ("segment_level", "multi_turn")
             ]
-            warning = "turn 1: output truncated (finish_reason=length)"
-            assert fresh == {key: (warning,) if key[2] == "doc-2" else () for key in ALL_CELLS}
+            assert fresh == {key: [1] if key[2] == "doc-2" else [] for key in ALL_CELLS}
             sent: list[str] = []
-            assert warnings(execute(plan, complete_fn=recording(sent))) == fresh
+            assert truncated(execute(plan, complete_fn=recording(sent))) == fresh
             assert sent == []
-            assert warnings(load_artifacts(plan)) == fresh
+            assert truncated(load_artifacts(plan)) == fresh
             assert logged() == []  # a replayed cell is not logged again
 
 
@@ -2104,6 +2167,27 @@ class FakeResponse:
 
     def json(self):
         return self.payload
+
+
+def prefix_caching_server(sent_cached: list[int]):
+    """An http_post seam for an identity backend with a prefix cache that
+    holds every message but the new one. Each reply's usage counts words;
+    the cached_tokens it reports are appended to sent_cached."""
+
+    def post(url, json=None, headers=None, timeout=None):
+        *history, final = json["messages"]
+        payload = extract_fenced_payload(final["content"])
+        sent_cached.append(sum(len(m["content"].split()) for m in history))
+        return FakeResponse({
+            "choices": [{"message": {"content": payload}, "finish_reason": "stop"}],
+            "usage": {
+                "prompt_tokens": sent_cached[-1] + len(final["content"].split()),
+                "completion_tokens": len(payload.split()),
+                "prompt_tokens_details": {"cached_tokens": sent_cached[-1]},
+            },
+        })
+
+    return post
 
 
 def module_state() -> dict[str, object]:
