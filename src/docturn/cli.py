@@ -1,13 +1,18 @@
 """Command-line interface.
 
 Subcommands: validate-corpus, run, report, simulate-cost.
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Exit codes: 0 success, 1 validation error, 2 runtime failure. A config,
+corpus or resume-identity error is a validation error; any other harness
+error and any file-system error is a runtime failure. Either ends the
+command with one line on standard error, never a traceback.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -46,6 +51,21 @@ def validate_corpus(path: str) -> None:
     click.echo(f"  domains:    {', '.join(sorted(testset.domains))}")
 
 
+@contextmanager
+def _exit_on_error(runtime_prefix: str = "error") -> Iterator[None]:
+    """End the command with its exit code and one line on stderr when the
+    block raises a harness or file-system error."""
+    try:
+        yield
+    except (ConfigError, CorpusError, ResumeMismatchError) as exc:
+        # Missing API keys are ConfigErrors, raised before any request.
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    except (DocturnError, OSError) as exc:
+        click.echo(f"{runtime_prefix}: {exc}", err=True)
+        sys.exit(EXIT_RUNTIME)
+
+
 def _load_plan(config_path: str):
     try:
         return load_run_config(config_path)
@@ -60,25 +80,15 @@ def _load_plan(config_path: str):
 def run(config_path: str, no_reports: bool) -> None:
     """Execute the run matrix (resuming completed cells), then emit reports."""
     plan = _load_plan(config_path)
-    try:
+    with _exit_on_error("run failed"):
         artifacts = execute(plan)
-    except (ConfigError, CorpusError, ResumeMismatchError) as exc:
-        # Missing API keys are ConfigErrors, raised before any request.
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    except DocturnError as exc:
-        click.echo(f"run failed: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
     click.echo(f"completed {len(artifacts.cells)} cells into {artifacts.run_dir}")
     if artifacts.exclusions:
         reasons = LOG if no_reports else "reports/exclusions.csv"
         click.echo(f"excluded {len(artifacts.exclusions)} cells (see {reasons})")
     if not no_reports:
-        try:
+        with _exit_on_error():
             written = emit_reports(artifacts)
-        except DocturnError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_RUNTIME)
         click.echo(f"wrote {len(written)} report files under {artifacts.run_dir / 'reports'}")
 
 
@@ -87,12 +97,9 @@ def run(config_path: str, no_reports: bool) -> None:
 def report(config_path: str) -> None:
     """Re-emit report files from persisted artifacts, then print the main table."""
     plan = _load_plan(config_path)
-    try:
+    with _exit_on_error():
         artifacts = load_artifacts(plan)
         written = emit_reports(artifacts)
-    except DocturnError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
     for path in written:
         click.echo(str(path))
     click.echo((artifacts.run_dir / "reports" / "main.md").read_text("utf-8"), nl=False)
@@ -130,7 +137,8 @@ def simulate_cost(
         sys.exit(EXIT_VALIDATION)
     csv = comparison_csv(compare_strategies(shape))
     if out_path:
-        Path(out_path).write_text(csv, "utf-8")
+        with _exit_on_error():
+            Path(out_path).write_text(csv, "utf-8")
         click.echo(f"wrote {out_path}")
     else:
         click.echo(csv, nl=False)

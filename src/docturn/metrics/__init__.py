@@ -4,7 +4,7 @@ segment-mean external scoring, and length/omission statistics."""
 from .bleu import BleuConfig, brevity_penalty, doc_bleu, ngram_clipped_counts
 from .blonde import BlondeResources, blonde_lite, load_blonde_resources
 from .lengths import LengthReport, LengthRow
-from .report import StrategyMetrics, length_report, score_strategy
+from .report import ScoringConfig, StrategyMetrics, length_report, score_strategy
 from .segment_mean import CallableScorer, SubprocessScorer, segment_mean_score
 from .tokenizers import tokenize, tokenizer_for_language
 
@@ -14,6 +14,7 @@ __all__ = [
     "CallableScorer",
     "LengthReport",
     "LengthRow",
+    "ScoringConfig",
     "StrategyMetrics",
     "SubprocessScorer",
     "blonde_lite",

@@ -3,6 +3,10 @@
 Bundles document-level BLEU (per direction and averaged), BlonDE-lite,
 segment-mean external scoring and length statistics into one report, tracking
 which metrics could not be computed and why instead of defaulting them.
+ScoringConfig, the run config's `scoring` object, is what score_strategy
+reads: it builds its own BLEU settings and segment scorer from it, so a
+report run scores each (backend, strategy) once and every table is a view
+of those StrategyMetrics.
 
 Each side of a scored document is tokenized and counted once, into one
 DocumentSide: its BLEU n-grams under its direction's tokenizer, its
@@ -27,6 +31,7 @@ from typing import Iterable, Mapping
 
 from ..corpus import Document, TestSet
 from ..chat import count_tokens
+from ..errors import ConfigError
 from ..strategy import DocumentTranslation
 from . import blonde
 from .blonde import (
@@ -49,11 +54,30 @@ from .bleu import (
 )
 from .bleu import doc_bleu  # noqa: F401  (re-exported for existing importers)
 from .lengths import LengthReport, LengthRow
-from .segment_mean import SegmentScorer, segment_mean_score
+from .segment_mean import SubprocessScorer, segment_mean_score
 from .tokenizers import tokenizer_for_language
 
 FLAG_SEGMENT_METRICS_SKIPPED = "segment_metrics_skipped"
 FLAG_NO_REFERENCE = "no_reference"
+
+
+@dataclass(frozen=True)
+class ScoringConfig:
+    """How a run's reports score its translations: BlonDE-lite on or off,
+    the external segment scorer's command (none when empty), the length
+    table's top-N, and BLEU's case sensitivity and maximum n-gram order."""
+
+    blonde: bool = True
+    scorer_command: tuple[str, ...] = ()
+    top_n: int = 10
+    case_sensitive: bool = True
+    max_n: int = 4
+
+    def __post_init__(self) -> None:
+        if self.top_n < 0:
+            raise ConfigError("top_n: must be >= 0")
+        if self.max_n < 1:
+            raise ConfigError("max_n: must be >= 1")
 
 
 @dataclass
@@ -171,11 +195,7 @@ def _mean(values: list[float]) -> float | None:
 def score_strategy(
     testset: TestSet,
     translations: Mapping[str, DocumentTranslation],
-    *,
-    bleu_config: BleuConfig | None = None,
-    compute_blonde: bool = True,
-    scorer: SegmentScorer | None = None,
-    top_n: int = 10,
+    scoring: ScoringConfig = ScoringConfig(),
     table: ScoringTable | None = None,
 ) -> StrategyMetrics:
     """Score every translated document of one strategy against the test set.
@@ -184,10 +204,11 @@ def score_strategy(
     tokenizer and averaged (unweighted) across directions; the per-domain
     table averages each domain's per-direction scores the same way. Lengths
     are counted by chat.count_tokens, the rule the cost ledgers and the
-    context budget count by, in every language. Reference sides and
-    document scores are taken from, and added to, table.
+    context budget count by, in every language. Segment-mean runs
+    scoring.scorer_command, if it is set, over aligned documents. Reference
+    sides and document scores are taken from, and added to, table.
     """
-    cfg = bleu_config or BleuConfig()
+    cfg = BleuConfig(max_n=scoring.max_n, case_sensitive=scoring.case_sensitive)
     metrics = StrategyMetrics()
     table = ScoringTable() if table is None else table
 
@@ -213,7 +234,7 @@ def score_strategy(
         if dir_cfg is None:
             dir_cfg = replace(cfg, tokenizer=tokenizer_for_language(doc.tgt_lang))
             dir_cfgs[doc.direction] = dir_cfg
-        res = load_blonde_resources(doc.tgt_lang) if compute_blonde else None
+        res = load_blonde_resources(doc.tgt_lang) if scoring.blonde else None
         score = table.score(doc, hyp, dir_cfg, res)
         _accumulate(direction_stats, doc.direction, score.bleu)
         _accumulate(slice_stats.setdefault(doc.direction, {}), doc.domain, score.bleu)
@@ -242,7 +263,7 @@ def score_strategy(
     }
 
     # Segment-mean external scoring over alignment-safe documents only.
-    if scorer is not None:
+    if scoring.scorer_command:
         pairs = []
         for doc, hyp in scored:
             if not hyp.alignment_ok:
@@ -251,11 +272,12 @@ def score_strategy(
             for src, h, ref in zip(doc.source_segments, hyp.hypothesis_segments, refs):
                 pairs.append((src, h, ref))
         if pairs:
+            scorer = SubprocessScorer(scoring.scorer_command)
             metrics.segment_mean = segment_mean_score(scorer, pairs)
     if any(not hyp.alignment_ok for _, hyp in scored):
         metrics.flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
 
-    metrics.lengths = LengthReport.from_rows(length_rows, top_n)
+    metrics.lengths = LengthReport.from_rows(length_rows, scoring.top_n)
     return metrics
 
 
@@ -271,4 +293,4 @@ def length_report(
     count. Documents without references or without a translation are
     skipped. A top_n larger than the corpus returns the full corpus.
     """
-    return score_strategy(testset, translations, compute_blonde=False, top_n=top_n).lengths
+    return score_strategy(testset, translations, ScoringConfig(blonde=False, top_n=top_n)).lengths

@@ -1,12 +1,15 @@
 """Run-plan schema: strict parsing and validation of experiment configs.
 
 The config file is JSON, and the dataclasses are its schema: the keys of each
-JSON object are exactly the fields of its class (RunPlan, BackendConfig,
-StrategyConfig, Exemplar, ScoringConfig), a field without a default is
+JSON object are exactly the fields of its class, a field without a default is
 required, and each value must have its field's annotated type. An unknown or
 missing key, a value of the wrong type and a broken component invariant are
 all a ConfigError naming the full key path, so a typo or a mistyped value
 never silently changes an experiment.
+
+RunPlan is defined here; each other schema class lives with the code that
+reads it: BackendConfig in gateway, StrategyConfig in strategy, Exemplar in
+corpus and ScoringConfig in metrics.report.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 from ..corpus import Exemplar
 from ..errors import ConfigError, CorpusError
 from ..gateway import BackendConfig
+from ..metrics.report import ScoringConfig
 from ..strategy import Mode, StrategyConfig
 
 FAIL_POLICIES = ("halt", "skip_and_report")
@@ -36,21 +40,6 @@ OPERATIONAL = frozenset({"output_dir", "max_concurrent_documents", "timeout_s", 
 # A run id or a backend name names one directory or file of a run: not empty,
 # not "." or "..", and without a path separator.
 _RUN_ID_RE = re.compile(r"^(?!\.\.?$)[A-Za-z0-9._-]+$")
-
-
-@dataclass(frozen=True)
-class ScoringConfig:
-    blonde: bool = True
-    scorer_command: tuple[str, ...] = ()
-    top_n: int = 10
-    case_sensitive: bool = True
-    max_n: int = 4
-
-    def __post_init__(self) -> None:
-        if self.top_n < 0:
-            raise ConfigError("top_n: must be >= 0")
-        if self.max_n < 1:
-            raise ConfigError("max_n: must be >= 1")
 
 
 @dataclass

@@ -412,7 +412,10 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     groups = _load_completed(artifacts, templates, done)
     if complete_bytes and not any(group.pending for group in groups):
         return artifacts
-    _warn_exemplar_directions(plan, artifacts.testset)
+    pending = {group.strategy.label for group in groups if group.pending}
+    _warn_exemplar_directions(
+        [strategy for strategy in plan.strategies if strategy.label in pending], artifacts.testset
+    )
 
     artifacts.run_dir.mkdir(parents=True, exist_ok=True)
     with (artifacts.run_dir / LOG).open("ab") as file:
@@ -432,11 +435,11 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     return artifacts
 
 
-def _warn_exemplar_directions(plan: RunPlan, testset: TestSet) -> None:
-    """Log a warning for each ICL strategy whose exemplars are not all in the
-    direction of each test-set document, naming both sides."""
+def _warn_exemplar_directions(strategies: list[StrategyConfig], testset: TestSet) -> None:
+    """Log a warning for each ICL strategy of strategies whose exemplars are
+    not all in the direction of each test-set document, naming both sides."""
     directions = {doc.direction for doc in testset}
-    for strategy in plan.strategies:
+    for strategy in strategies:
         if not strategy.icl:
             continue
         shown = {f"{ex.src_lang}-{ex.tgt_lang}" for ex in strategy.exemplars}

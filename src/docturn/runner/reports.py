@@ -9,22 +9,24 @@ Emitted files (under <run_dir>/reports/):
     exclusions.csv                cells dropped from aggregates, with reasons
     scores.json                   raw metric numbers, machine-readable
 
-Missing metrics render as "-" (segment-mean is never reported for the
-single-turn strategy: its outputs carry no trustworthy segment alignment).
-All ordering is deterministic and no report embeds a timestamp, so identical
-runs produce byte-identical report files.
+Each (backend, strategy) is scored once, by score_strategy under the run's
+ScoringConfig, into one plan-ordered list of (backend, strategy, metrics);
+every table above is a projection of that list. Missing metrics render as
+"-" (segment-mean is never reported for the single-turn strategy: its
+outputs carry no trustworthy segment alignment, so it is scored without the
+segment scorer). All ordering is deterministic and no report embeds a
+timestamp, so identical runs produce byte-identical report files.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
-from ..metrics.bleu import BleuConfig
-from ..metrics.report import ScoringTable, StrategyMetrics, score_strategy
-from ..metrics.segment_mean import SubprocessScorer
+from ..metrics.report import ScoringTable, score_strategy
 from ..strategy import Mode
-from .config import RunPlan
 from .executor import RunArtifacts
 
 MISSING = "-"
@@ -58,108 +60,67 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join([line(table[0]), sep] + [line(r) for r in table[1:]]) + "\n"
 
 
-def _strategy_scores(artifacts: RunArtifacts) -> dict[tuple[str, str], StrategyMetrics]:
-    plan = artifacts.plan
-    bleu_cfg = BleuConfig(
-        max_n=plan.scoring.max_n, case_sensitive=plan.scoring.case_sensitive
-    )
-    scorer = (
-        SubprocessScorer(plan.scoring.scorer_command)
-        if plan.scoring.scorer_command
-        else None
-    )
-    out: dict[tuple[str, str], StrategyMetrics] = {}
-    table = ScoringTable()  # every strategy is scored against one test set
-    for backend in plan.backends:
-        for strategy in plan.strategies:
-            translations = artifacts.translations_for(backend.name, strategy.label)
-            out[(backend.name, strategy.label)] = score_strategy(
-                artifacts.testset,
-                translations,
-                bleu_config=bleu_cfg,
-                compute_blonde=plan.scoring.blonde,
-                # Single-turn outputs have no trusted segment alignment.
-                scorer=None if strategy.mode == Mode.SINGLE_TURN else scorer,
-                top_n=plan.scoring.top_n,
-                table=table,
-            )
-    return out
-
-
-def _blonde_cell(metrics: StrategyMetrics) -> str:
-    if metrics.blonde is None:
-        return MISSING
-    return _fmt(metrics.blonde.combined_f1, 4)
-
-
-def _baseline_label(plan: RunPlan) -> str | None:
-    for strategy in plan.strategies:
-        if strategy.mode == Mode.SEGMENT_LEVEL:
-            return strategy.label
-    return None
-
-
 def emit_reports(artifacts: RunArtifacts) -> list[Path]:
     """Write every report file, scoring against the test set the artifacts
     were loaded with; returns the paths written."""
     plan = artifacts.plan
     reports_dir = artifacts.run_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
-    scores = _strategy_scores(artifacts)
+    # Single-turn outputs have no trusted segment alignment, so no segment scorer.
+    single_turn = replace(plan.scoring, scorer_command=())
+    table = ScoringTable()  # every strategy is scored against one test set
+    scored = [
+        (backend, strategy, score_strategy(
+            artifacts.testset,
+            artifacts.translations_for(backend.name, strategy.label),
+            single_turn if strategy.mode == Mode.SINGLE_TURN else plan.scoring,
+            table,
+        ))
+        for backend in plan.backends
+        for strategy in plan.strategies
+    ]
     written: list[Path] = []
 
     # (a) Main table: strategy x metric, averaged across directions.
     header = ["backend", "strategy", "dbleu", "segment_mean", "blonde_lite_f1"]
-    rows: list[list[str]] = []
-    for backend in plan.backends:
-        for strategy in plan.strategies:
-            m = scores[(backend.name, strategy.label)]
-            rows.append(
-                [
-                    backend.name,
-                    strategy.display_name,
-                    _fmt(m.dbleu),
-                    _fmt(m.segment_mean, 4),
-                    _blonde_cell(m),
-                ]
-            )
+    rows = [
+        [
+            backend.name,
+            strategy.display_name,
+            _fmt(m.dbleu),
+            _fmt(m.segment_mean, 4),
+            _fmt(None if m.blonde is None else m.blonde.combined_f1, 4),
+        ]
+        for backend, strategy, m in scored
+    ]
     written.extend(_write_pair(reports_dir, "main", header, rows))
 
     # (b) Per-direction dBLEU table.
-    directions = sorted(
-        {d for m in scores.values() for d in m.per_direction_dbleu}
-    )
+    directions = sorted({d for *_, m in scored for d in m.per_direction_dbleu})
     header = ["backend", "strategy"] + directions
-    rows = []
-    for backend in plan.backends:
-        for strategy in plan.strategies:
-            m = scores[(backend.name, strategy.label)]
-            rows.append(
-                [backend.name, strategy.display_name]
-                + [_fmt(m.per_direction_dbleu.get(d)) for d in directions]
-            )
+    rows = [
+        [backend.name, strategy.display_name]
+        + [_fmt(m.per_direction_dbleu.get(d)) for d in directions]
+        for backend, strategy, m in scored
+    ]
     written.extend(_write_pair(reports_dir, "per_direction", header, rows))
 
-    # (c) Per-domain dBLEU with signed deltas against the segment-level baseline.
-    baseline = _baseline_label(plan)
-    domains = sorted({d for m in scores.values() for d in m.per_domain_dbleu})
+    # (c) Per-domain dBLEU with signed deltas against each backend's score
+    # under the plan's first segment-level strategy.
+    domains = sorted({d for *_, m in scored for d in m.per_domain_dbleu})
     header = ["backend", "domain"] + [s.display_name for s in plan.strategies]
     rows = []
-    for backend in plan.backends:
+    for backend_name, group in groupby(scored, key=lambda item: item[0].name):
+        group = list(group)
+        base = next((m for _, s, m in group if s.mode == Mode.SEGMENT_LEVEL), None)
         for domain in domains:
-            row = [backend.name, domain]
-            base_score = None
-            if baseline is not None:
-                base_score = scores[(backend.name, baseline)].per_domain_dbleu.get(domain)
-            for strategy in plan.strategies:
-                value = scores[(backend.name, strategy.label)].per_domain_dbleu.get(domain)
+            base_score = None if base is None else base.per_domain_dbleu.get(domain)
+            row = [backend_name, domain]
+            for *_, m in group:
+                value = m.per_domain_dbleu.get(domain)
                 if value is None:
                     row.append(MISSING)
-                elif (
-                    baseline is None
-                    or strategy.label == baseline
-                    or base_score is None
-                ):
+                elif m is base or base_score is None:
                     row.append(f"{value:.2f}")
                 else:
                     row.append(f"{value:.2f} ({value - base_score:+.2f})")
@@ -167,12 +128,10 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
     written.extend(_write_pair(reports_dir, "per_domain", header, rows))
 
     # (d) Top-N length CSVs for plotting, one per (backend, strategy).
-    for backend in plan.backends:
-        for strategy in plan.strategies:
-            m = scores[(backend.name, strategy.label)]
-            path = reports_dir / f"lengths_{backend.name}_{strategy.label}.csv"
-            _write_csv(path, *m.lengths.to_table())
-            written.append(path)
+    for backend, strategy, m in scored:
+        path = reports_dir / f"lengths_{backend.name}_{strategy.label}.csv"
+        _write_csv(path, *m.lengths.to_table())
+        written.append(path)
 
     # Exclusions: cells missing from the aggregates above.
     header = ["backend", "strategy", "doc_id", "reason"]
@@ -182,9 +141,8 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
     written.append(exclusions_path)
 
     # Machine-readable scores.
-    payload = {}
-    for (backend_name, strategy_label), m in sorted(scores.items()):
-        payload[f"{backend_name}/{strategy_label}"] = {
+    payload = {
+        f"{backend.name}/{strategy.label}": {
             "dbleu": m.dbleu,
             "per_direction_dbleu": m.per_direction_dbleu,
             "per_domain_dbleu": m.per_domain_dbleu,
@@ -192,6 +150,8 @@ def emit_reports(artifacts: RunArtifacts) -> list[Path]:
             "blonde": m.blonde.to_dict() if m.blonde else None,
             "flags": sorted(m.flags),
         }
+        for backend, strategy, m in scored
+    }
     scores_path = reports_dir / "scores.json"
     scores_path.write_text(
         json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n", "utf-8"

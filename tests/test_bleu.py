@@ -18,7 +18,12 @@ from docturn.metrics.bleu import (
     doc_bleu,
     ngram_clipped_counts,
 )
-from docturn.metrics.report import FLAG_NO_REFERENCE, ScoringTable, score_strategy
+from docturn.metrics.report import (
+    FLAG_NO_REFERENCE,
+    ScoringConfig,
+    ScoringTable,
+    score_strategy,
+)
 from docturn.strategy import DocumentTranslation
 
 from . import oracles
@@ -220,10 +225,10 @@ class TestPooledStatistics:
                 doc.id: DocumentTranslation(doc.id, doc.reference_segments, True)
                 for doc in documents
             }
-            score_strategy(testset, references, compute_blonde=False, table=table)
+            score_strategy(testset, references, ScoringConfig(blonde=False), table=table)
             assert len(table.references) == len(table.scores) == len(documents)
             hypotheses |= {(doc.id, doc.reference_segments) for doc in documents}
-        metrics = score_strategy(testset, translations, compute_blonde=False, table=table)
+        metrics = score_strategy(testset, translations, ScoringConfig(blonde=False), table=table)
         # One reference side per document, one score per distinct hypothesis.
         assert len(table.references) == len(documents)
         assert len(table.scores) == len(hypotheses)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docturn.corpus import Document, TestSet
-from docturn.metrics.bleu import BleuConfig
 from docturn.metrics.blonde import (
     BlondeResources,
     blonde_lite,
@@ -25,7 +24,7 @@ from docturn.metrics.blonde import (
     marker_counts,
     pooled_report,
 )
-from docturn.metrics.report import ScoringTable, score_strategy
+from docturn.metrics.report import ScoringConfig, ScoringTable, score_strategy
 from docturn.metrics.tokenizers import tokenize_13a_like
 from docturn.strategy import DocumentTranslation
 
@@ -238,14 +237,14 @@ def test_score_strategy_blonde_equals_per_pair_scores(pairs, case_sensitive):
         for i, (_, ref) in enumerate(pairs)
     ]
     testset = TestSet("t", documents)
-    cfg = BleuConfig(case_sensitive=case_sensitive)
+    cfg = ScoringConfig(case_sensitive=case_sensitive)
     table = ScoringTable()
     references = {d.id: DocumentTranslation(d.id, d.reference_segments, True) for d in documents}
-    score_strategy(testset, references, bleu_config=cfg, table=table)
+    score_strategy(testset, references, cfg, table=table)
     translations = {
         d.id: DocumentTranslation(d.id, (hyp,), True) for d, (hyp, _) in zip(documents, pairs)
     }
-    metrics = score_strategy(testset, translations, bleu_config=cfg, table=table)
+    metrics = score_strategy(testset, translations, cfg, table=table)
     assert metrics.blonde == pooled_report(category_counts([h], [r], RES) for h, r in pairs)
 
 

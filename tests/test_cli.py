@@ -227,13 +227,13 @@ class TestRun:
             assert result.output == f"invalid config: {config}: not valid UTF-8\n"
         assert not (tmp_path / "runs" / "test-run").exists()
 
-    def test_report_on_unreadable_header_exit_2(self, runner, tmp_path):
+    def test_report_on_unreadable_header_exit_1(self, runner, tmp_path):
         config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
         assert runner.invoke(main, ["run", "--config", config]).exit_code == 0
         log = tmp_path / "runs" / "test-run" / "run.jsonl"
         log.write_text('{"torn\n' + log.read_text("utf-8").split("\n", 1)[1], "utf-8")
         result = runner.invoke(main, ["report", "--config", config])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
         assert result.output == f"error: {log}: line 1 does not hold a JSON object header\n"
         assert isinstance(result.exception, SystemExit)  # no traceback
 
@@ -279,6 +279,32 @@ class TestRun:
         result = runner.invoke(main, ["report", "--config", config])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_missing_test_set_exit_1(self, runner, tmp_path, command):
+        """A test set that cannot be read is a validation error for either
+        command, reported in one line."""
+        config = self.write_config(tmp_path, minimal_plan_dict(tmp_path))
+        assert runner.invoke(main, ["run", "--config", config]).exit_code == 0
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.unlink()
+        result = runner.invoke(main, [command, "--config", config])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: testsets[0]: cannot read {corpus} (No such file or directory)\n"
+        )
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
+    def test_output_dir_under_a_file_exit_2(self, runner, tmp_path):
+        (tmp_path / "file").write_text("", "utf-8")
+        output_dir = tmp_path / "file" / "runs"
+        record = minimal_plan_dict(tmp_path, output_dir=str(output_dir))
+        config = self.write_config(tmp_path, record)
+        result = runner.invoke(main, ["run", "--config", config])
+        assert result.exit_code == 2
+        assert result.output.startswith("run failed: ") and result.output.count("\n") == 1
+        assert "Not a directory" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+
 
 class TestSimulateCost:
     def test_output_matches_costing_module(self, runner):
@@ -307,6 +333,18 @@ class TestSimulateCost:
         )
         assert result.exit_code == 0
         assert out.read_text("utf-8").startswith("strategy,cache_mode,")
+
+    def test_out_in_missing_directory_exit_2(self, runner, tmp_path):
+        out = tmp_path / "nodir" / "x.csv"
+        result = runner.invoke(
+            main,
+            ["simulate-cost", "--segments", "4", "--seg-tokens", "10",
+             "--out-tokens", "10", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert str(out) in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
 
     @pytest.mark.parametrize(
         "option, value, field",

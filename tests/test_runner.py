@@ -819,8 +819,9 @@ class TestExemplarPrefix:
 
     def test_direction_mismatch_warned_once_per_icl_strategy(self, tmp_path, caplog):
         """An en->zh document under en->de exemplars is warned once per ICL
-        strategy, whatever the backends, when execute has cells to run; a
-        matching corpus, a resume with nothing pending and a load warn of
+        strategy, whatever the backends, when execute has cells of that
+        strategy to run; a matching corpus, a resume with nothing pending, a
+        resume whose only pending cell is not ICL and a load warn of
         nothing."""
         mixed = tmp_path / "mixed.jsonl"
         write_jsonl(mixed, [
@@ -844,6 +845,13 @@ class TestExemplarPrefix:
             load_artifacts(plan)
             assert logged() == []
             execute(plan_from_dict(mixed_plan_dict(tmp_path, run_id="matching")))
+            assert logged() == []
+            header, *records = run_log(plan).read_text("utf-8").splitlines(keepends=True)
+            dropped = ["identity", "segment_level", "zh-doc"]
+            kept = [line for line in records if json.loads(line)[:3] != dropped]
+            assert len(kept) == len(records) - 1
+            run_log(plan).write_text(header + "".join(kept), "utf-8")
+            assert len(execute(plan).cells) == len(records)
             assert logged() == []
 
     def test_prefix_built_once_per_group(self, tmp_path, monkeypatch):
