@@ -126,8 +126,9 @@ def drop_trailing_tokens(text: str, drop_fraction: float) -> str:
 
 def _read_dictionary(path: str, key: str, files: dict[str, bytes]) -> dict[str, str]:
     """A mock_dictionary file: a JSON object mapping source text to its
-    translation, parsed from the bytes files holds for path, which are read
-    and added if it holds none. key names the setting in ConfigError."""
+    translation, a string, parsed from the bytes files holds for path, which
+    are read and added if it holds none. key names the setting in
+    ConfigError."""
     try:
         if path not in files:
             files[path] = Path(path).read_bytes()
@@ -136,7 +137,12 @@ def _read_dictionary(path: str, key: str, files: dict[str, bytes]) -> dict[str, 
         raise ConfigError(f"{key}: cannot read {path} as JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{key}: {path} must hold a JSON object")
-    return {str(k): str(v) for k, v in data.items()}
+    for source, target in data.items():
+        if not isinstance(target, str):
+            raise ConfigError(
+                f"{key}: {path} maps {source!r} to {json.dumps(target)}, not a string"
+            )
+    return data
 
 
 def _dictionary_reply(req: ChatRequest, table: dict[str, str]) -> str:

@@ -9,6 +9,7 @@ return exactly one decimal score per input line.
 
 from __future__ import annotations
 
+import math
 import subprocess
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -78,10 +79,14 @@ class CallableScorer:
 
 
 def segment_mean_score(adapter: SegmentScorer, pairs: Sequence[ScoreTriple]) -> float:
-    """Arithmetic mean of per-segment scores. Order-invariant by construction."""
+    """Arithmetic mean of per-segment scores. Order-invariant by construction.
+    A score that is not finite, nan or inf, is refused."""
     if not pairs:
         raise ScorerError("segment_mean_score needs at least one segment")
     scores = adapter.score(pairs)
     if len(scores) != len(pairs):
         raise ScorerError(f"adapter returned {len(scores)} scores for {len(pairs)} segments")
+    for i, score in enumerate(scores):
+        if not math.isfinite(score):
+            raise ScorerError(f"score {score} for segment {i + 1} is not finite")
     return sum(scores) / len(scores)

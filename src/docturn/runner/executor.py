@@ -27,29 +27,34 @@ the transcript, so none is stored: a cell walks its ledgers only when they
 are first read, and the walk cannot fail.
 
 A record is appended, with one write and a flush under one lock, once its
-cell has completed or been skipped, so concurrent cells append in the order
-they finish, an interrupted cell leaves nothing, and re-executing the run
-executes exactly the cells that have no completed record. A run with none
-writes nothing. Bytes after the log's last newline are a line torn by a
+cell has completed or been skipped, and applied to the run's artifacts
+under that lock; loading reads the log in one pass, replaying each record
+as its line is read. So on run, resume and load alike artifacts.cells is in
+the order of the lines, and the exclusions are the last skip reason of each
+cell with no completed record, by cell. An interrupted cell leaves nothing,
+a run with no cell to execute writes nothing, and any failure that leaves a
+cell, a failed append included, ends the run, except a skip under
+skip_and_report. Bytes after the log's last newline are a line torn by a
 crash: loading ignores them and execute truncates them away before it
 appends. ResumeMismatchError refuses a header from another layout,
-configuration or template set before any record is read; then a line that
-does not parse, a second completed record for a cell, a record for a cell
-outside the plan, and a record whose requests differ from the rebuilt ones
-or that has a missing, extra or unparseable turn. A directory whose log has
-no complete header must hold nothing else: any other is from an older layout
-and is refused too.
+configuration or template set before any record is read; then, at its
+line, one that does not parse, a second completed record for a cell, a
+record for a cell outside the plan, and a record whose requests differ from
+the rebuilt ones or that has a missing, extra or unparseable turn. A
+directory whose log has no complete header must hold nothing else: any
+other is from an older layout and is refused too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -101,8 +106,17 @@ class RunArtifacts:
     run_dir: Path
     plan: RunPlan
     testset: TestSet
-    cells: dict[CellKey, CellArtifact] = field(default_factory=dict)
-    exclusions: list[dict] = field(default_factory=list)
+    cells: dict[CellKey, CellArtifact] = field(default_factory=dict)  # in log line order
+    skipped: dict[CellKey, str] = field(default_factory=dict)  # each skipped cell's last reason
+
+    @property
+    def exclusions(self) -> list[dict]:
+        """The last skip reason of each cell with no completed record, by cell."""
+        return [
+            {"backend": backend, "strategy": strategy, "doc_id": doc_id, "reason": reason}
+            for (backend, strategy, doc_id), reason in sorted(self.skipped.items())
+            if (backend, strategy, doc_id) not in self.cells
+        ]
 
     def translations_for(self, backend_name: str, strategy_label: str) -> dict[str, DocumentTranslation]:
         return {
@@ -154,18 +168,32 @@ class _Group:
     pending: list[Document] = field(default_factory=list)  # documents without a completed record
 
 
-class _Log:
-    """The run's log, open for appending. Each line is one write and a flush
-    under one lock, so lines of concurrent cells never interleave."""
+def _apply(artifacts: RunArtifacts, key: CellKey, cell: CellArtifact | str) -> None:
+    """Apply one logged cell, completed or skipped with its reason."""
+    if isinstance(cell, str):
+        artifacts.skipped[key] = cell
+    else:
+        artifacts.cells[key] = cell
 
-    def __init__(self, file: BinaryIO) -> None:
+
+class _Log:
+    """The run's log, open for appending, and the artifacts it is the image of.
+    Each line is one write and a flush, and its cell is applied, under one
+    lock, so concurrent lines never interleave and artifacts follow them."""
+
+    def __init__(self, file: BinaryIO, artifacts: RunArtifacts) -> None:
         self.file = file
+        self.artifacts = artifacts
         self.lock = threading.Lock()
 
-    def append(self, line: bytes) -> None:
+    def append(
+        self, line: bytes, key: CellKey | None = None, cell: CellArtifact | str | None = None
+    ) -> None:
         with self.lock:
             self.file.write(line)
             self.file.flush()
+            if key is not None:
+                _apply(self.artifacts, key, cell)
 
 
 def requests_digest(transcript: Transcript) -> str:
@@ -293,32 +321,12 @@ def _replay_cell(
     return cell
 
 
-def _read_log(
-    artifacts: RunArtifacts, config_hash: str, templates: PromptTemplateSet
-) -> tuple[int, dict[CellKey, tuple[int, list]], dict[CellKey, str]]:
-    """The run's log, read once: its length up to its last newline (0 when it
-    has no complete header), each completed cell's (line number, record), and
-    each skipped cell's last reason. Bytes after the last newline are a line
-    torn by a crash and are ignored. The header is refused unless its layout
-    is this version's, its config hash is config_hash and its template set
-    hash is that of templates, before any record is read."""
-    run_dir = artifacts.run_dir
-    log = run_dir / LOG
+def _check_header(log: Path, line: bytes, config_hash: str, templates: PromptTemplateSet) -> None:
+    """Refuse the log's header unless its layout is this version's, its config
+    hash is config_hash and its template set hash is that of templates."""
+    run_dir = log.parent
     try:
-        data = log.read_bytes()
-    except FileNotFoundError:
-        data = b""
-    complete_bytes = data.rfind(b"\n") + 1
-    lines = data.split(b"\n")[:-1]  # the last item is empty or a torn line
-    if not lines:
-        if run_dir.is_dir() and any(p.name != LOG for p in run_dir.iterdir()):
-            raise ResumeMismatchError(
-                f"{run_dir} has files but no {LOG} header: an older layout wrote it; "
-                "re-run into a new directory"
-            )
-        return 0, {}, {}
-    try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
     except ValueError:
         header = None
     if not isinstance(header, dict):
@@ -340,59 +348,65 @@ def _read_log(
             f"{templates.content_hash!r}; refusing to mix runs"
         )
 
-    plan, docs = artifacts.plan, artifacts.testset
-    cells = {(b.name, s.label, d.id) for b in plan.backends for s in plan.strategies for d in docs}
-    done: dict[CellKey, tuple[int, list]] = {}
-    skipped: dict[CellKey, str] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-            if not isinstance(record, list) or not all(isinstance(i, str) for i in record[:3]):
-                raise TypeError("not an array that starts with backend, strategy and doc")
-            skip = len(record) == 5 and record[3] is None and isinstance(record[4], str)
-            if len(record) < 4 or not (isinstance(record[3], str) or skip):
-                raise TypeError("requests is not a string, nor null before a reason")
-        except (ValueError, TypeError) as exc:
-            raise ResumeMismatchError(f"{log}: line {number}: unparseable record ({exc})") from None
-        backend, strategy, doc_id = key = tuple(record[:3])
-        where = f"{log}: line {number}: {backend}/{strategy} doc '{doc_id}'"
-        if key not in cells:
-            raise ResumeMismatchError(f"{where} is not a cell of the plan")
-        if skip:
-            skipped[key] = record[4]
-        elif key in done:
-            raise ResumeMismatchError(
-                f"{where}: duplicate record, the first is on line {done[key][0]}"
-            )
-        else:
-            done[key] = (number, record)
-    return complete_bytes, done, skipped
 
+def _read_log(
+    artifacts: RunArtifacts, config_hash: str, templates: PromptTemplateSet
+) -> tuple[int, list[_Group]]:
+    """Read the run's log into artifacts in one pass: check the header, then
+    parse, check and apply each record as its line is read. Returns the log's
+    length up to its last newline, after which a line torn by a crash is
+    ignored (0 with no complete header), and every (backend, strategy) group
+    with the test-set documents that have no completed record."""
+    plan, testset = artifacts.plan, artifacts.testset
+    groups = {
+        (b.name, s.label): _Group(b, s, exemplar_messages(s, templates))
+        for b in plan.backends for s in plan.strategies
+    }
+    docs = {doc.id: doc for doc in testset}
+    completed_on: dict[CellKey, int] = {}  # each completed cell's line number
+    run_dir = artifacts.run_dir
+    log = run_dir / LOG
+    complete_bytes = 0
+    with (log.open("rb") if log.exists() else io.BytesIO()) as file:  # no log: a new run
+        for number, line in enumerate(file, start=1):
+            if not line.endswith(b"\n"):
+                break  # a line torn by a crash
+            complete_bytes += len(line)
+            if number == 1:
+                _check_header(log, line, config_hash, templates)
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, list) or not all(isinstance(i, str) for i in record[:3]):
+                    raise TypeError("not an array that starts with backend, strategy and doc")
+                skip = len(record) == 5 and record[3] is None and isinstance(record[4], str)
+                if len(record) < 4 or not (isinstance(record[3], str) or skip):
+                    raise TypeError("requests is not a string, nor null before a reason")
+            except (ValueError, TypeError) as exc:
+                raise ResumeMismatchError(f"{log}: line {number}: unparseable record ({exc})") from None
+            backend, strategy, doc_id = key = tuple(record[:3])
+            where = f"{log}: line {number}: {backend}/{strategy} doc '{doc_id}'"
+            group, doc = groups.get((backend, strategy)), docs.get(doc_id)
+            if group is None or doc is None:
+                raise ResumeMismatchError(f"{where} is not a cell of the plan")
+            if skip:
+                _apply(artifacts, key, record[4])
+            elif key in completed_on:
+                raise ResumeMismatchError(
+                    f"{where}: duplicate record, the first is on line {completed_on[key]}"
+                )
+            else:
+                completed_on[key] = number
+                _apply(artifacts, key, _replay_cell(artifacts, group, doc, templates, record, where))
+    if not complete_bytes and run_dir.is_dir() and any(p.name != LOG for p in run_dir.iterdir()):
+        raise ResumeMismatchError(
+            f"{run_dir} has files but no {LOG} header: an older layout wrote it; "
+            "re-run into a new directory"
+        )
 
-def _load_completed(
-    artifacts: RunArtifacts, templates: PromptTemplateSet, done: dict[CellKey, tuple[int, list]]
-) -> list[_Group]:
-    """Replay every completed cell into artifacts.cells, in plan order, taking
-    its record out of done, so that no parsed record outlives its replay;
-    return every (backend, strategy) group with the documents that have no
-    completed record."""
-    log = artifacts.run_dir / LOG
-    groups = []
-    for backend in artifacts.plan.backends:
-        for strategy in artifacts.plan.strategies:
-            group = _Group(backend, strategy, exemplar_messages(strategy, templates))
-            for doc in artifacts.testset:
-                key = (backend.name, strategy.label, doc.id)
-                if key in done:
-                    number, record = done.pop(key)
-                    artifacts.cells[key] = _replay_cell(
-                        artifacts, group, doc, templates, record,
-                        f"{log}: line {number}: {backend.name}/{strategy.label} doc '{doc.id}'",
-                    )
-                else:
-                    group.pending.append(doc)
-            groups.append(group)
-    return groups
+    for (backend, strategy), group in groups.items():
+        group.pending = [doc for doc in testset if (backend, strategy, doc.id) not in artifacts.cells]
+    return complete_bytes, list(groups.values())
 
 
 def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifacts:
@@ -400,19 +414,19 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
 
     Completed cells found in the log are reused. Failures follow
     plan.fail_policy: 'halt' re-raises immediately (completed cells remain
-    for resume), 'skip_and_report' logs and returns an exclusion and
-    continues. The returned exclusions are this call's alone.
+    for resume), 'skip_and_report' logs the cell's reason and continues.
+    The returned artifacts are the log's image, as load_artifacts reads it.
     """
     # Each file and key the run reads is read once, before the run directory exists.
     backends = gateway.Gateway(plan.backends)
     artifacts, config_hash = _open_run(plan, dict(backends.files))
     complete = complete_fn or backends.complete
     templates = load_template_set()
-    complete_bytes, done, _ = _read_log(artifacts, config_hash, templates)
-    groups = _load_completed(artifacts, templates, done)
-    if complete_bytes and not any(group.pending for group in groups):
+    complete_bytes, groups = _read_log(artifacts, config_hash, templates)
+    groups = [group for group in groups if group.pending]
+    if complete_bytes and not groups:
         return artifacts
-    pending = {group.strategy.label for group in groups if group.pending}
+    pending = {group.strategy.label for group in groups}
     _warn_exemplar_directions(
         [strategy for strategy in plan.strategies if strategy.label in pending], artifacts.testset
     )
@@ -420,7 +434,7 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
     artifacts.run_dir.mkdir(parents=True, exist_ok=True)
     with (artifacts.run_dir / LOG).open("ab") as file:
         file.truncate(complete_bytes)  # drop a line torn by a crash
-        log = _Log(file)
+        log = _Log(file, artifacts)
         if not complete_bytes:
             log.append(_json_line({
                 "layout_version": LAYOUT_VERSION,
@@ -430,8 +444,7 @@ def execute(plan: RunPlan, complete_fn: CompleteFn | None = None) -> RunArtifact
                 "template_set_hash": templates.content_hash,
             }))
         for group in groups:
-            if group.pending:
-                _run_group(artifacts, group, templates, complete, log)
+            _run_group(artifacts, group, templates, complete, log)
     return artifacts
 
 
@@ -458,66 +471,49 @@ def _run_group(
     complete: CompleteFn,
     log: _Log,
 ) -> None:
-    """Run a group's pending cells, appending each completed or skipped
-    cell's record to the log, up to plan.max_concurrent_documents at a time."""
-    plan, backend, strategy = artifacts.plan, group.backend, group.strategy
+    """Run a group's pending cells, up to plan.max_concurrent_documents at a
+    time. Each cell appends its record as it ends, completed or, under
+    skip_and_report, skipped; any other failure that leaves a cell, a failed
+    append included, ends the run: no queued cell starts."""
+    plan = artifacts.plan
     run_ends = threading.Event()
 
-    def run_one(doc: Document) -> CellArtifact | None:
+    def run_one(doc: Document) -> None:
         # A queued cell can start between a run-ending failure and the
         # cancellation of the queue; it must send nothing.
         if run_ends.is_set():
-            return None
+            return
+        key = (group.backend.name, group.strategy.label, doc.id)
         try:
-            cell, record = _run_cell(artifacts, group, doc, templates, complete)
-        except BaseException as exc:
-            if plan.fail_policy == "halt" or not isinstance(exc, DocturnError):
-                run_ends.set()
+            try:
+                cell, record = _run_cell(artifacts, group, doc, templates, complete)
+            except DocturnError as exc:
+                if plan.fail_policy == "halt":
+                    raise
+                logger.warning("skipping %s/%s/%s: %s", *key, exc)
+                cell, record = str(exc), _json_line([*key, None, str(exc)])
+            log.append(record, key, cell)
+        except BaseException:
+            run_ends.set()
             raise
-        log.append(record)
-        return cell
-
-    def settle(doc: Document, result: Callable[[], CellArtifact | None]) -> None:
-        key = (backend.name, strategy.label, doc.id)
-        try:
-            artifacts.cells[key] = result()
-        except DocturnError as exc:
-            if plan.fail_policy == "halt":
-                raise
-            logger.warning("skipping %s/%s/%s: %s", *key, exc)
-            artifacts.exclusions.append(_exclusion(key, str(exc)))
-            log.append(_json_line([*key, None, str(exc)]))
 
     if plan.max_concurrent_documents > 1 and len(group.pending) > 1:
         pool = ThreadPoolExecutor(max_workers=plan.max_concurrent_documents)
         try:
-            futures = [(doc, pool.submit(run_one, doc)) for doc in group.pending]
-            for doc, future in futures:
-                settle(doc, future.result)
+            for future in [pool.submit(run_one, doc) for doc in group.pending]:
+                future.result()
         finally:
             pool.shutdown(cancel_futures=True)
     else:
         for doc in group.pending:
-            settle(doc, partial(run_one, doc))
-
-
-def _exclusion(key: CellKey, reason: str) -> dict:
-    backend, strategy, doc_id = key
-    return {"backend": backend, "strategy": strategy, "doc_id": doc_id, "reason": reason}
+            run_one(doc)
 
 
 def load_artifacts(plan: RunPlan) -> RunArtifacts:
-    """Load previously executed cells from disk (for the report command).
-    The exclusions are each skipped cell's last reason, for every cell that
-    has no completed record."""
+    """Load a run's log (for the report command): its completed cells in the
+    order of their lines, and its exclusions."""
     artifacts, config_hash = _open_run(plan, {})
-    templates = load_template_set()
-    complete_bytes, done, skipped = _read_log(artifacts, config_hash, templates)
+    complete_bytes, _ = _read_log(artifacts, config_hash, load_template_set())
     if not complete_bytes:
         raise DocturnError(f"no run found at {artifacts.run_dir} (no {LOG} header)")
-    _load_completed(artifacts, templates, done)
-    artifacts.exclusions = [
-        _exclusion(key, reason) for key, reason in sorted(skipped.items())
-        if key not in artifacts.cells
-    ]
     return artifacts

@@ -74,6 +74,19 @@ class TestMockDictionary:
         with pytest.raises(ConfigError, match="^dictionary_path: required by mock_dictionary$"):
             BackendConfig(kind="mock_dictionary")
 
+    @pytest.mark.parametrize("entry, shown", [
+        ('"Hallo": null', "'Hallo' to null"),
+        ('"Welt": 3', "'Welt' to 3"),
+        ('"x": ["a"]', """'x' to ["a"]"""),
+    ], ids=["null", "number", "array"])
+    def test_non_string_translation_rejected(self, tmp_path, entry, shown):
+        path = tmp_path / "dict.json"
+        path.write_text('{"chat": "cat", %s}' % entry, "utf-8")
+        backend = BackendConfig(kind="mock_dictionary", dictionary_path=str(path))
+        with pytest.raises(ConfigError) as info:
+            Gateway([BackendConfig(kind="mock_identity"), backend])
+        assert str(info.value) == f"backends[1].dictionary_path: {path} maps {shown}, not a string"
+
 
 class TestDropTrailingTokens:
     def test_hundred_tokens_drop_fifth(self):

@@ -6,6 +6,7 @@ import builtins
 import copy
 import csv
 import dataclasses
+import errno
 import hashlib
 import importlib
 import io
@@ -229,9 +230,8 @@ class TestExecute:
         )
 
     def test_loading_keeps_each_skipped_cell_last_reason(self, tmp_path):
-        """A resume retries each skipped cell and logs its new reason; loading
-        lists the last reason of each cell that never completed, and execute
-        returns only the exclusions of its own call."""
+        """A resume retries each skipped cell and logs its new reason; execute
+        and loading list the last reason of each cell that never completed."""
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
 
         def failing(doc_id: str, reason: str):
@@ -245,6 +245,7 @@ class TestExecute:
         assert len(execute(plan, complete_fn=failing("doc-", "first")).exclusions) == 4
         second = execute(plan, complete_fn=failing("doc-2", "second"))
         assert [(e["doc_id"], e["reason"]) for e in second.exclusions] == 2 * [("doc-2", "second")]
+        assert second.exclusions == load_artifacts(plan).exclusions
         assert sum(line[3] is None for line in log_lines(plan)[1:]) == 6
         loaded = load_artifacts(plan)
         assert set(loaded.cells) == {key for key in PLAN_ORDER if key[2] == "doc-1"}
@@ -252,6 +253,26 @@ class TestExecute:
             {"backend": "identity", "strategy": strategy, "doc_id": "doc-2", "reason": "second"}
             for strategy in ("multi_turn", "segment_level")
         ]
+
+    def test_cells_follow_the_log_lines_on_run_resume_and_load(self, tmp_path):
+        """A run that skips doc-1 and a resume that completes it log doc-2's
+        cells first; the resumed and the loaded cells follow those lines."""
+        plan = plan_from_dict(minimal_plan_dict(tmp_path))
+
+        def doc_1_down(request, backend):
+            if request.request_tag.startswith("doc-1"):
+                raise GatewayError("down")
+            return gateway.complete(request, backend)
+
+        assert len(execute(plan, complete_fn=doc_1_down).exclusions) == 2
+        resumed = execute(plan)
+        completed = list(read_records(plan))
+        assert completed == [
+            ("identity", strategy, doc) for doc in ("doc-2", "doc-1")
+            for strategy in ("segment_level", "multi_turn")
+        ]
+        assert list(resumed.cells) == completed
+        assert list(load_artifacts(plan).cells) == completed
 
     def test_halt_policy_raises(self, tmp_path):
         plan = plan_from_dict(minimal_plan_dict(tmp_path, fail_policy="halt"))
@@ -294,6 +315,45 @@ class TestExecute:
         ]
         assert started_after_failure == []
         assert {tag.split(":")[0] for tag, _ in sent} <= {"doc-0", "doc-1"}
+
+    def test_failed_append_starts_no_queued_cell(self, tmp_path, monkeypatch):
+        """An append that raises, on a full disk say, ends the run even under
+        skip_and_report: the worker whose append failed starts no queued
+        cell."""
+        corpus = tmp_path / "eight.jsonl"
+        write_jsonl(corpus, [
+            {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": "news",
+             "src": [f"Segment {i} a.", f"Segment {i} b."]}
+            for i in range(8)
+        ])
+        plan = plan_from_dict(minimal_plan_dict(
+            tmp_path, testsets=[str(corpus)], strategies=[{"mode": "segment_level"}],
+            max_concurrent_documents=2,
+        ))
+        failed = threading.Event()
+        append = executor._Log.append
+
+        def full_disk(log, line: bytes, *cell) -> None:
+            if b'"doc-0"' in line:
+                failed.set()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return append(log, line, *cell)
+
+        sent: list[str] = []
+
+        def complete(request, backend):
+            sent.append(request.request_tag)
+            if not request.request_tag.startswith("doc-0:"):
+                # Hold the other worker's cell until doc-0's append has
+                # failed, so that no cell completes before it.
+                failed.wait(timeout=5)
+                time.sleep(0.05)
+            return gateway.complete(request, backend)
+
+        monkeypatch.setattr(executor._Log, "append", full_disk)
+        with pytest.raises(OSError, match="No space left on device"):
+            execute(plan, complete_fn=complete)
+        assert {tag.split(":")[0] for tag in sent} <= {"doc-0", "doc-1"}
 
     def test_missing_api_key_fails_before_any_request(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCTURN_NO_SUCH_KEY", raising=False)
@@ -1196,7 +1256,9 @@ class TestWallClockFields:
         """At max_concurrent_documents 4 records are appended in the order
         their cells complete: the log holds the same lines as a sequential
         run's, each group's after the group before it, and every other file
-        is byte-identical."""
+        is byte-identical. The run's cells and the loaded cells follow the
+        log's completed lines, which doc-0, held until doc-1's line is in
+        its group, puts out of plan order."""
         documents = [
             {"id": f"doc-{i}", "src_lang": "en", "tgt_lang": "de", "domain": "news",
              "src": [f"Paragraph {j} of {i}." for j in range(1 + i % 3)]}
@@ -1209,9 +1271,29 @@ class TestWallClockFields:
                 tmp_path, output_dir=str(tmp_path / output_dir),
                 max_concurrent_documents=concurrency,
             ))
-            artifacts = execute(plan)
+
+            def doc_0_after_doc_1(request, backend):
+                # Each earlier group has logged one doc-0 and one doc-1
+                # line, so one more doc-1 line is this group's.
+                deadline = time.monotonic() + 5
+                while request.request_tag.startswith("doc-0:") and time.monotonic() < deadline:
+                    lines = run_log(plan).read_bytes().split(b"\n")[1:-1]  # records, none torn
+                    logged = [json.loads(line)[2:3] for line in lines]
+                    if logged.count(["doc-1"]) > logged.count(["doc-0"]):
+                        break
+                    time.sleep(0.001)
+                return gateway.complete(request, backend)
+
+            artifacts = execute(plan, complete_fn=doc_0_after_doc_1 if concurrency > 1 else None)
             emit_reports(artifacts)
             runs.append(run_dir_bytes(artifacts.run_dir))
+        completed = list(read_records(plan))
+        assert completed != [
+            (b.name, s.label, d.id)
+            for b in plan.backends for s in plan.strategies for d in load_testsets(plan)
+        ]
+        assert list(artifacts.cells) == completed
+        assert list(load_artifacts(plan).cells) == completed
         sequential, concurrent = runs
         assert sequential.keys() == concurrent.keys()
         for path, data in sequential.items():
@@ -1898,10 +1980,10 @@ class TestCrashResume:
         appended: list[bytes] = []
         append = executor._Log.append
 
-        def crashing(log, line: bytes) -> None:
+        def crashing(log, line: bytes, *cell) -> None:
             appended.append(line)
             if len(appended) <= crash_at:
-                return append(log, line)
+                return append(log, line, *cell)
             log.file.write(CUTS[cut](line))
             log.file.flush()
             raise Crash

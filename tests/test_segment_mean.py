@@ -50,6 +50,12 @@ def test_empty_pairs_rejected():
         segment_mean_score(CallableScorer(lambda pair: 1.0), [])
 
 
+def test_non_finite_score_rejected():
+    scorer = CallableScorer(lambda pair: float("nan") if pair == PAIRS[1] else 0.5)
+    with pytest.raises(ScorerError, match="^score nan for segment 2 is not finite$"):
+        segment_mean_score(scorer, PAIRS)
+
+
 class TestSubprocessScorer:
     def test_line_aligned_round_trip(self):
         # A scorer that emits the hypothesis column's word count per line.
@@ -70,6 +76,14 @@ class TestSubprocessScorer:
                  "    print('oops')"
         scorer = SubprocessScorer((sys.executable, "-c", script))
         with pytest.raises(ScorerError, match="non-numeric"):
+            segment_mean_score(scorer, PAIRS)
+
+    def test_non_finite_score_rejected(self):
+        script = "import sys\n" \
+                 "for i, line in enumerate(sys.stdin):\n" \
+                 "    print('-inf' if i == 2 else 0.5)"
+        scorer = SubprocessScorer((sys.executable, "-c", script))
+        with pytest.raises(ScorerError, match="^score -inf for segment 3 is not finite$"):
             segment_mean_score(scorer, PAIRS)
 
     def test_failing_command_rejected(self):
