@@ -44,7 +44,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence, TypeVar
 
 from .chat import ChatRequest, Message, assistant, user
@@ -186,9 +185,19 @@ def request_messages(
     multi-turn modes only, each earlier prompt followed by its reply, then
     the turn's own prompt. Multi-turn requests therefore only ever grow by
     the previous reply and the next prompt, the property that makes prefix
-    caching valid."""
-    history = chain.from_iterable(zip(prompts, replies)) if mode.is_multi_turn else ()
-    return tuple(chain(prefix, history, (prompts[len(replies)],)))
+    caching valid.
+
+    The history is interleaved by slice assignment, which makes no object
+    per message: a runner builds each request between two backend calls,
+    where temporary objects are what can start a garbage collection
+    inside the turn."""
+    turn = len(replies)
+    if not mode.is_multi_turn:
+        return (*prefix, prompts[turn])
+    history = [None] * (2 * turn + 1)
+    history[0::2] = prompts[: turn + 1]
+    history[1::2] = replies
+    return (*prefix, *history)
 
 
 def init_session(
