@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import chat
 from .chat import ChatResponse, Message, assistant, common_prefix_length
-from .strategy import Mode, request_messages
+from .strategy import Mode, request_messages, turn_layout
 
 MODE_CACHED = "cached"
 MODE_UNCACHED = "uncached"
@@ -189,7 +189,8 @@ def ledger_for_session(transcript: Transcript) -> dict[str, CostLedger]:
 
 
 # ---------------------------------------------------------------------------
-# Strategy cost simulation (synthetic documents described by token counts).
+# Strategy cost simulation: token-count documents in the sessions' one turn
+# layout (strategy.turn_layout), a reply counting its segment's or document's.
 
 
 @dataclass(frozen=True)
@@ -241,20 +242,21 @@ class DocShape:
 def _synthetic_turns(
     strategy: Mode, shape: DocShape
 ) -> list[tuple[tuple[_KeyedMessage, ...], _KeyedMessage]]:
-    """The (request, reply) turns of a synthetic session: the mode's keyed
-    turn prompts and replies, assembled into requests by the rule the
-    harness's sessions use."""
+    """The (request, reply) turns of a synthetic session, by the sessions'
+    turn layout and request rule. A prompt counts its payload's source
+    tokens, the instruction overhead and, in the source-primed slot, the
+    primer overhead; a reply counts its segment's target tokens, or its
+    document's when it has none."""
     shared = (("shared", shape.shared_prefix_tokens),) if shape.shared_prefix_tokens else ()
-    overhead, source = shape.instruction_overhead, shape.source_tokens
-    if strategy == Mode.SINGLE_TURN:
-        prompts = [("u_doc", overhead + sum(source))]
-        replies = [("a_doc", sum(shape.target_tokens))]
-    else:
-        prompts = [(f"u{i}", overhead + tokens) for i, tokens in enumerate(source)]
-        replies = [(f"a{i}", tokens) for i, tokens in enumerate(shape.target_tokens)]
-        if strategy == Mode.MULTI_TURN_SP:
-            primer = shape.primer_intro_overhead + sum(source)
-            prompts[0] = ("u0_primed", primer + prompts[0][1])
+    primer = {"source_primed_first": shape.primer_intro_overhead}
+    prompts = [
+        (f"u{i}", shape.instruction_overhead + primer.get(slot, 0) + sum(payload.values()))
+        for i, (slot, payload) in enumerate(turn_layout(strategy, shape.source_tokens, sum))
+    ]
+    replies = [
+        (f"a{i}", payload.get("segment", payload.get("document")))
+        for i, (_, payload) in enumerate(turn_layout(strategy, shape.target_tokens, sum))
+    ]
     return [
         (request_messages(strategy, shared, prompts, replies[:i]), reply)
         for i, reply in enumerate(replies)

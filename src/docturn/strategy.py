@@ -1,27 +1,19 @@
 """Document-translation sessions for the four strategies.
 
-The four strategies are two choices. The first is what each turn's user
-message carries: the whole document (single_turn), one segment
+The four strategies are two choices. turn_layout makes the first, what each
+turn's user message carries: the whole document (single_turn), one segment
 (segment_level, multi_turn), or the whole source ahead of the first segment
-(multi_turn_sp, "source-primed"). The second is whether earlier turns stay
-in the request: the multi-turn modes keep them, so every request extends the
-previous one by its reply and the next prompt, which is what lets a prefix
-(KV) cache be reused.
-
-  single_turn     -- whole document in one request.
-  segment_level   -- one independent request per segment, no shared history.
-  multi_turn      -- one growing conversation, one segment per turn.
-  multi_turn_sp   -- multi_turn whose first user message additionally carries
-                     the full source document as context before the segment-0
-                     instruction.
+(multi_turn_sp, "source-primed"). request_messages makes the second, whether
+earlier turns stay in the request: the multi-turn modes keep them, so every
+request extends the previous one by its reply and the next prompt, which is
+what lets a prefix (KV) cache be reused. The cost simulator
+(costing.simulate_strategy_costs) builds its synthetic turns by the same two,
+a turn's reply translating its segment, or its document when it has none.
 
 A session (SessionState) holds its turn prompts, rendered once by
 turn_prompts, and the replies ingested so far; nothing else about its
 progress is stored, and nothing about a response but its text: its usage and
-finish reason stay with the caller's transcript. Turn
-len(replies)'s request is request_messages(mode, prefix, prompts, replies),
-the one rule the cost simulator (costing.simulate_strategy_costs) also
-assembles its synthetic requests with.
+finish reason stay with the caller's transcript.
 
 In-context exemplars (icl=True) are encoded as alternating user/assistant
 message pairs placed before any document content; the exemplar prefix is a
@@ -44,7 +36,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .chat import ChatRequest, Message, assistant, user
 from .corpus import Document, Exemplar, segment_separator, split_into_segments
@@ -54,6 +46,7 @@ from .prompts import PromptTemplateSet, language_name, load_template_set
 EXEMPLAR_COUNT = 3  # exemplars an icl strategy carries
 
 _M = TypeVar("_M")  # a message: a chat Message, or the cost simulator's (key, tokens)
+_S = TypeVar("_S")  # a segment: its text, or the cost simulator's token count
 
 
 class Mode(str, enum.Enum):
@@ -156,26 +149,29 @@ def exemplar_messages(config: StrategyConfig, templates: PromptTemplateSet) -> t
     return tuple(messages)
 
 
+def turn_layout(
+    mode: Mode, segments: Sequence[_S], join: Callable[[Sequence[_S]], _S]
+) -> list[tuple[str, dict[str, _S]]]:
+    """Each turn's (template slot, payload): one "document" turn over
+    join(segments) for single_turn, else one "segment" turn per segment,
+    multi_turn_sp's first being "source_primed_first", which also carries
+    join(segments) as its document. A turn's reply translates its segment,
+    or its document when it has none."""
+    if mode == Mode.SINGLE_TURN:
+        return [("document", {"document": join(segments)})]
+    turns = [("segment", {"segment": segment}) for segment in segments]
+    if mode == Mode.MULTI_TURN_SP:
+        turns[0] = ("source_primed_first", {"document": join(segments), "segment": segments[0]})
+    return turns
+
+
 def turn_prompts(
     config: StrategyConfig, doc: Document, templates: PromptTemplateSet
 ) -> tuple[Message, ...]:
-    """Each turn's user message: the whole document for single_turn, else one
-    segment per turn, the first of multi_turn_sp also carrying the whole
-    source before its segment."""
-    segments = doc.source_segments
+    """Each turn's user message: its turn_layout slot rendered over its payload."""
     languages = _language_names(doc.src_lang, doc.tgt_lang)  # resolved once per document
-
-    def render(slot: str, **payload: str) -> Message:
-        return user(templates.render(slot, {**languages, **payload}))
-
-    joined = segment_separator("blank_line").join
-    if config.mode == Mode.SINGLE_TURN:
-        return (render("document", document=joined(segments)),)
-    if config.mode == Mode.MULTI_TURN_SP:
-        first = render("source_primed_first", document=joined(segments), segment=segments[0])
-    else:
-        first = render("segment", segment=segments[0])
-    return (first, *(render("segment", segment=segment) for segment in segments[1:]))
+    layout = turn_layout(config.mode, doc.source_segments, segment_separator("blank_line").join)
+    return tuple(user(templates.render(slot, {**languages, **payload})) for slot, payload in layout)
 
 
 def request_messages(

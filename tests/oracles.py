@@ -152,7 +152,7 @@ def conversation_token_count(transcript) -> int:
         return 0
     last = transcript.turns[-1]
     total = sum(tokens(m.content) for m in last.request_messages)
-    return total + tokens(last.response_text)
+    return total + tokens(last.response.content)
 
 
 # A group log record's `requests` digest, from the requests as role/content

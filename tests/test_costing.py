@@ -23,10 +23,13 @@ from docturn.costing import (
     simulate_strategy_costs,
     spec_for_target_language,
 )
-from docturn.strategy import Mode
+from docturn.prompts import language_name, load_template_set
+from docturn.runner.config import plan_from_dict
+from docturn.runner.executor import execute, load_testsets
+from docturn.strategy import Mode, exemplar_messages
 
 from . import oracles
-from .conftest import counted_messages
+from .conftest import counted_messages, write_jsonl
 from .oracles import conversation_token_count
 
 
@@ -254,7 +257,13 @@ class TestCompareStrategies:
         assert len(csv.splitlines()) == 1 + len(Mode) * 2
 
 
-def test_ledger_matches_simulation_on_real_transcript():
+EXEMPLARS = [
+    {"source": f"Example {i}.", "target": f"Beispiel {i}.", "src_lang": "en", "tgt_lang": "de"}
+    for i in range(3)
+]
+
+
+def test_ledger_matches_simulation_on_real_transcript(tmp_path):
     # A real uniform multi-turn transcript and its synthetic shape must agree.
     k, user_tokens, reply_tokens = 4, 12, 7
     transcript = multi_turn_transcript(k, user_tokens, reply_tokens)
@@ -264,6 +273,57 @@ def test_ledger_matches_simulation_on_real_transcript():
         synthetic = simulate_strategy_costs(Mode.MULTI_TURN, shape)[mode]
         assert real.total_prefill_new == synthetic.total_prefill_new
         assert real.total_generated == synthetic.total_generated
+
+    # So must every cell of a mock_identity run, in every mode with and
+    # without exemplars: the mock echoes each source segment, and the shape
+    # takes its overheads from the templates rendered with empty payloads.
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [
+        {"id": "de-doc", "src_lang": "en", "tgt_lang": "de",
+         "src": ["One two three.", "Four five six seven.", "Eight nine."]},
+        {"id": "zh-doc", "src_lang": "en", "tgt_lang": "zh", "src": ["Ten eleven.", "Twelve thirteen."]},
+        {"id": "ja-doc", "src_lang": "ja", "tgt_lang": "en", "src": ["東京へ行きます。", "大阪 2 日。"]},
+    ])
+    plan = plan_from_dict({
+        "run_id": "simulated",
+        "testsets": [str(corpus)],
+        "backends": [{"kind": "mock_identity", "name": "identity"}],
+        "strategies": [
+            {"mode": mode.value, **icl}
+            for mode in Mode for icl in ({}, {"icl": True, "exemplars": EXEMPLARS})
+        ],
+        "output_dir": str(tmp_path / "runs"),
+    })
+    cells = execute(plan).cells
+    assert len(cells) == 3 * 2 * len(Mode)
+    templates = load_template_set()
+    docs = {doc.id: doc for doc in load_testsets(plan)}
+    configs = {config.label: config for config in plan.strategies}
+    for (_, label, doc_id), cell in cells.items():
+        config, doc = configs[label], docs[doc_id]
+
+        def overhead(slot: str) -> int:
+            empty = {"src_lang": language_name(doc.src_lang), "tgt_lang": language_name(doc.tgt_lang),
+                     "segment": "", "document": ""}
+            return count_tokens(templates.render(slot, empty))
+
+        counts = [count_tokens(segment) for segment in doc.source_segments]
+        shape = DocShape(
+            counts,
+            counts,
+            instruction_overhead=overhead("document" if config.mode == Mode.SINGLE_TURN else "segment"),
+            primer_intro_overhead=(
+                overhead("source_primed_first") - overhead("segment")
+                if config.mode == Mode.MULTI_TURN_SP else 0
+            ),
+            shared_prefix_tokens=sum(m.tokens for m in exemplar_messages(config, templates)),
+        )
+        simulated = simulate_strategy_costs(config.mode, shape)
+        for mode in (MODE_CACHED, MODE_UNCACHED):
+            totals = cell.ledgers[mode]["totals"]
+            assert (totals["prefill_new"], totals["generated"]) == (
+                simulated[mode].total_prefill_new, simulated[mode].total_generated
+            ), (label, doc_id, mode)
 
 
 def _entries(ledger):
