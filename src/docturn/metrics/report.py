@@ -13,20 +13,24 @@ DocumentSide: its BLEU n-grams under its direction's tokenizer, its
 BlonDE-lite markers and its length. When the direction's BLEU tokens are
 13a-like and case-sensitive, BlonDE-lite reuses them instead of tokenizing
 again. A reference side does not depend on the hypothesis, and a document's
-scores depend only on its reference side, its hypothesis segments and whether
-they are aligned, so callers that score several strategies against one test
-set pass one ScoringTable to every call: each reference side is built once
-per report run, and each distinct hypothesis is tokenized and clipped once.
-The per-direction and per-domain dBLEU are computed from sums of
-per-document statistics, which is exact: corpus BLEU depends on the summed
-statistics alone. The length table is counted from the same records, and
-length_report is a view of it.
+scores depend only on its reference side and its hypothesis segments, so
+callers that score several strategies against one test set pass one
+ScoringTable to every call: each reference side is built once per report run,
+and each distinct hypothesis is tokenized and clipped once. The per-direction
+and per-domain dBLEU are computed from sums of per-document statistics, which
+is exact: corpus BLEU depends on the summed statistics alone. The length table
+is counted from the same records, and length_report is a view of it.
+BlonDE-lite and segment-mean pool only aligned documents, those with one
+hypothesis segment per source segment (the one rule, aligned); any other
+scored document flags its strategy segment_metrics_skipped.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Iterable, Mapping
 
 from ..corpus import Document, TestSet
@@ -134,6 +138,11 @@ class DocumentScore:
     blonde: dict[str, tuple[int, int, int]] | None
 
 
+def aligned(doc: Document, hyp: DocumentTranslation) -> bool:
+    """Whether hyp has one hypothesis segment per source segment of doc."""
+    return len(hyp.hypothesis_segments) == doc.num_segments
+
+
 # (doc id, direction BLEU config, BlonDE-lite scored)
 SideKey = tuple[str, BleuConfig, bool]
 
@@ -142,14 +151,11 @@ SideKey = tuple[str, BleuConfig, bool]
 class ScoringTable:
     """The scoring work shared by the score_strategy calls of one report run,
     all against one test set: each document's reference side, and the score of
-    each distinct (reference side, hypothesis segments, alignment_ok). The
-    alignment belongs to the key because BlonDE-lite skips a misaligned
-    hypothesis."""
+    each distinct (reference side, hypothesis segments). Whether BlonDE-lite
+    counts a hypothesis is the aligned rule, read off those two."""
 
     references: dict[SideKey, DocumentSide] = field(default_factory=dict)
-    scores: dict[tuple[SideKey, tuple[str, ...], bool], DocumentScore] = field(
-        default_factory=dict
-    )
+    scores: dict[tuple[SideKey, tuple[str, ...]], DocumentScore] = field(default_factory=dict)
 
     def score(
         self,
@@ -160,7 +166,7 @@ class ScoringTable:
     ) -> DocumentScore:
         """hyp scored against doc's reference, built on first use."""
         side_key = (doc.id, dir_cfg, res is not None)
-        key = (side_key, hyp.hypothesis_segments, hyp.alignment_ok)
+        key = (side_key, hyp.hypothesis_segments)
         score = self.scores.get(key)
         if score is not None:
             return score
@@ -169,27 +175,16 @@ class ScoringTable:
             ref = self.references[side_key] = document_side(
                 doc.reference_segments or (), dir_cfg, res
             )
-        side = document_side(hyp.hypothesis_segments, dir_cfg, res if hyp.alignment_ok else None)
-        # BlonDE-lite: pooled over aligned documents whose target language
-        # has resources.
-        blonde_counts = None
-        if side.markers is not None and ref.markers is not None:
-            blonde_counts = counts_against(side.markers, ref.markers)
+        # BlonDE-lite counts an aligned hypothesis whose target language has
+        # resources; the reference side then has markers too.
+        side = document_side(hyp.hypothesis_segments, dir_cfg, res if aligned(doc, hyp) else None)
         score = self.scores[key] = DocumentScore(
             bleu=stats_against(side.ngrams, ref.ngrams),
             ref_tokens=ref.tokens,
             hyp_tokens=side.tokens,
-            blonde=blonde_counts,
+            blonde=None if side.markers is None else counts_against(side.markers, ref.markers),
         )
         return score
-
-
-def _accumulate(totals: dict[str, BleuStats], key: str, stats: BleuStats) -> None:
-    totals[key] = totals[key] + stats if key in totals else stats
-
-
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
 
 
 def score_strategy(
@@ -212,70 +207,59 @@ def score_strategy(
     metrics = StrategyMetrics()
     table = ScoringTable() if table is None else table
 
-    scored: list[tuple[Document, DocumentTranslation]] = []
+    # One pass: each scored document's score comes from table (one per
+    # distinct hypothesis, from one side per reference), and its BLEU
+    # statistics, length, BlonDE-lite counts and segment triples are kept.
+    dir_cfgs: dict[str, BleuConfig] = {}
+    slices: dict[str, dict[str, list[BleuStats]]] = {}  # direction -> domain -> document stats
+    length_rows: list[LengthRow] = []
+    blonde_counts = []
+    triples = []
     for doc in testset:
-        if doc.id not in translations:
+        hyp = translations.get(doc.id)
+        if hyp is None:
             continue
         if doc.reference_segments is None:
             metrics.flags.add(FLAG_NO_REFERENCE)
             continue
-        scored.append((doc, translations[doc.id]))
-
-    # One score per distinct hypothesis of a document, from one side per
-    # reference (both shared through table); the BLEU statistics, BlonDE-lite
-    # counts and lengths are summed from the scores.
-    dir_cfgs: dict[str, BleuConfig] = {}
-    direction_stats: dict[str, BleuStats] = {}
-    slice_stats: dict[str, dict[str, BleuStats]] = {}  # direction -> domain -> stats
-    length_rows: list[LengthRow] = []
-    blonde_counts = []
-    for doc, hyp in scored:
-        dir_cfg = dir_cfgs.get(doc.direction)
-        if dir_cfg is None:
-            dir_cfg = replace(cfg, tokenizer=tokenizer_for_language(doc.tgt_lang))
-            dir_cfgs[doc.direction] = dir_cfg
+        dir_cfg = replace(cfg, tokenizer=tokenizer_for_language(doc.tgt_lang))
+        dir_cfgs[doc.direction] = dir_cfg
         res = load_blonde_resources(doc.tgt_lang) if scoring.blonde else None
         score = table.score(doc, hyp, dir_cfg, res)
-        _accumulate(direction_stats, doc.direction, score.bleu)
-        _accumulate(slice_stats.setdefault(doc.direction, {}), doc.domain, score.bleu)
+        slices.setdefault(doc.direction, {}).setdefault(doc.domain, []).append(score.bleu)
         length_rows.append(LengthRow(doc.id, score.ref_tokens, score.hyp_tokens))
         if score.blonde is not None:
             blonde_counts.append(score.blonde)
+        if not aligned(doc, hyp):
+            metrics.flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
+        elif scoring.scorer_command:
+            triples.extend(
+                zip(doc.source_segments, hyp.hypothesis_segments, doc.reference_segments)
+            )
     if blonde_counts:
         metrics.blonde = pooled_report(blonde_counts)
+    if triples:
+        metrics.segment_mean = segment_mean_score(SubprocessScorer(scoring.scorer_command), triples)
 
-    # Per-direction scores, averaged unweighted; per-domain scores average
-    # each (direction, domain) slice's score over the directions in which
-    # the domain occurs.
+    # Per-direction scores, each from the sum of its domain slices, averaged
+    # unweighted; per-domain scores average each (direction, domain) slice's
+    # score over the directions in which the domain occurs.
     domain_direction_scores: dict[str, list[float]] = {}
-    for direction in sorted(direction_stats):
+    for direction in sorted(slices):
         dir_cfg = dir_cfgs[direction]
+        domains = {domain: reduce(operator.add, s) for domain, s in slices[direction].items()}
         metrics.per_direction_dbleu[direction] = bleu_from_stats(
-            direction_stats[direction], dir_cfg
+            reduce(operator.add, domains.values()), dir_cfg
         )
-        for domain, stats in slice_stats[direction].items():
+        for domain, stats in domains.items():
             domain_direction_scores.setdefault(domain, []).append(
                 bleu_from_stats(stats, dir_cfg)
             )
-    metrics.dbleu = _mean(list(metrics.per_direction_dbleu.values()))
+    if metrics.per_direction_dbleu:
+        metrics.dbleu = sum(metrics.per_direction_dbleu.values()) / len(metrics.per_direction_dbleu)
     metrics.per_domain_dbleu = {
         domain: sum(vals) / len(vals) for domain, vals in sorted(domain_direction_scores.items())
     }
-
-    # Segment-mean external scoring over alignment-safe documents only.
-    if scoring.scorer_command:
-        pairs = []
-        for doc, hyp in scored:
-            if not hyp.alignment_ok:
-                continue
-            refs = doc.reference_segments or ()
-            for src, h, ref in zip(doc.source_segments, hyp.hypothesis_segments, refs):
-                pairs.append((src, h, ref))
-        if pairs:
-            scorer = SubprocessScorer(scoring.scorer_command)
-            metrics.segment_mean = segment_mean_score(scorer, pairs)
-    if any(not hyp.alignment_ok for _, hyp in scored):
-        metrics.flags.add(FLAG_SEGMENT_METRICS_SKIPPED)
 
     metrics.lengths = LengthReport.from_rows(length_rows, scoring.top_n)
     return metrics

@@ -267,38 +267,34 @@ def ingest_response(s: SessionState, assistant_text: str) -> SessionState:
 
 @dataclass(frozen=True)
 class DocumentTranslation:
-    """Final per-document hypothesis, segment-aligned when possible."""
+    """Final per-document hypothesis, aligned when it has one segment per source segment."""
 
     doc_id: str
     hypothesis_segments: tuple[str, ...]
-    alignment_ok: bool
 
 
 def assemble_hypothesis(s: SessionState) -> DocumentTranslation:
     """Turn a completed session into a DocumentTranslation.
 
-    Multi-turn and segment-level outputs are already one-per-segment. A
-    single-turn reply is split on blank lines, falling back to single
-    newlines; if neither split matches the segment count the document is
-    marked misaligned (still scorable at the document level, but excluded
-    from segment-aligned metrics).
+    Multi-turn and segment-level outputs are already one per segment. A
+    single-turn reply is split on blank lines, or on single newlines when
+    only that split has one segment per source segment; when neither does,
+    the blank-line split stands, and scoring leaves the document out of the
+    segment-aligned metrics.
     """
     if s.status != STATUS_DONE:
         raise SessionContractError(f"assemble_hypothesis on a {s.status} session")
 
-    doc_id = s.document.id
     if s.config.mode != Mode.SINGLE_TURN:
-        return DocumentTranslation(doc_id, tuple(s.outputs), True)
+        return DocumentTranslation(s.document.id, tuple(s.outputs))
 
-    raw = s.outputs[0]
     k = s.document.num_segments
-    blank_split = split_into_segments(raw, "blank_line")
-    if len(blank_split) == k:
-        return DocumentTranslation(doc_id, tuple(blank_split), True)
-    newline_split = split_into_segments(raw, "single_newline")
-    if len(newline_split) == k:
-        return DocumentTranslation(doc_id, tuple(newline_split), True)
-    return DocumentTranslation(doc_id, tuple(blank_split), False)
+    segments = split_into_segments(s.outputs[0], "blank_line")
+    if len(segments) != k:
+        newline_split = split_into_segments(s.outputs[0], "single_newline")
+        if len(newline_split) == k:
+            segments = newline_split
+    return DocumentTranslation(s.document.id, tuple(segments))
 
 
 def check_prefix_stability(

@@ -119,6 +119,27 @@ def closed_form_sp_uncached(k: int, s: int, t: int, o: int = 0, sp: int = 0, pi:
     return closed_form_multi_turn_uncached(k, s, t, o, sp) + k * (pi + k * s)
 
 
+def single_turn_segments(text: str, k: int) -> list[str]:
+    """The segments a single-turn reply whose unwrapped text is text splits
+    into, for a document of k segments, by the documented rule read line by
+    line: its paragraphs (lines separated by lines holding only whitespace)
+    if there are k of them, else its non-empty lines if there are k of
+    those, else its paragraphs. Every segment is trimmed."""
+    paragraphs: list[str] = []
+    lines: list[str] = []
+    current: list[str] = []
+    for line in text.split("\n") + [""]:
+        if line.strip():
+            current.append(line)
+            lines.append(line.strip())
+        elif current:
+            paragraphs.append("\n".join(current).strip())
+            current = []
+    if len(paragraphs) != k and len(lines) == k:
+        return lines
+    return paragraphs
+
+
 # Cached ledger by brute force: a request reuses its longest common prefix
 # (by message key) with any earlier request-plus-reply state. Turns are
 # (request, reply) over (key, tokens) messages; returns per-turn

@@ -81,8 +81,7 @@ def test_criterion_1_bleu_oracle_equivalence():
             hyp_tokens = [f"w{rng.randint(0, 14)}" for _ in range(n_hyp)]
             ref_tokens = [f"w{rng.randint(0, 14)}" for _ in range(n_ref)]
             hyps.append(
-                DocumentTranslation(doc_id=f"d{d}", hypothesis_segments=(" ".join(hyp_tokens),),
-                                    alignment_ok=True)
+                DocumentTranslation(doc_id=f"d{d}", hypothesis_segments=(" ".join(hyp_tokens),))
             )
             refs.append(
                 Document(id=f"d{d}", src_lang="en", tgt_lang="de", domain="n",
@@ -103,17 +102,17 @@ def test_criterion_2_bleu_boundary_suite():
     """Identity 100.0, disjoint 0.0, clipped 'the the the the' case 25.0 -- exact."""
     segs = ("Hello world again.", "And more text here.")
     identity = doc_bleu(
-        [DocumentTranslation("a", segs, True)],
+        [DocumentTranslation("a", segs)],
         [Document(id="a", src_lang="en", tgt_lang="de", domain="n",
                   source_segments=("s", "s2"), reference_segments=segs)],
     )
     disjoint = doc_bleu(
-        [DocumentTranslation("a", ("aaa bbb ccc",), True)],
+        [DocumentTranslation("a", ("aaa bbb ccc",))],
         [Document(id="a", src_lang="en", tgt_lang="de", domain="n",
                   source_segments=("s",), reference_segments=("xxx yyy zzz",))],
     )
     clipped = doc_bleu(
-        [DocumentTranslation("a", ("the the the the",), True)],
+        [DocumentTranslation("a", ("the the the the",))],
         [Document(id="a", src_lang="en", tgt_lang="de", domain="n",
                   source_segments=("s",), reference_segments=("the cat",))],
         BleuConfig(max_n=1),

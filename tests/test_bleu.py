@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from docturn.metrics.bleu import (
 )
 from docturn.metrics.report import (
     FLAG_NO_REFERENCE,
+    FLAG_SEGMENT_METRICS_SKIPPED,
     ScoringConfig,
     ScoringTable,
     score_strategy,
@@ -30,8 +32,7 @@ from . import oracles
 
 
 def doc_pair(doc_id: str, hyp_segments, ref_segments, direction=("en", "de")):
-    hyp = DocumentTranslation(doc_id=doc_id, hypothesis_segments=tuple(hyp_segments),
-                              alignment_ok=True)
+    hyp = DocumentTranslation(doc_id=doc_id, hypothesis_segments=tuple(hyp_segments))
     ref = Document(id=doc_id, src_lang=direction[0], tgt_lang=direction[1], domain="news",
                    source_segments=tuple(f"src {i}" for i in range(len(ref_segments))),
                    reference_segments=tuple(ref_segments))
@@ -103,8 +104,7 @@ class TestDocBleuBoundaries:
         assert score == pytest.approx(25.0, abs=1e-9)
 
     def test_missing_reference_lists_doc_ids(self):
-        hyp = DocumentTranslation(doc_id="missing-doc", hypothesis_segments=("x",),
-                                  alignment_ok=True)
+        hyp = DocumentTranslation(doc_id="missing-doc", hypothesis_segments=("x",))
         ref = Document(id="other", src_lang="en", tgt_lang="de", domain="n",
                        source_segments=("s",), reference_segments=("r",))
         with pytest.raises(DocturnError, match="missing-doc"):
@@ -214,7 +214,7 @@ class TestPooledStatistics:
                            source_segments=("source",), reference_segments=(" ".join(ref),))
             documents.append(doc)
             translations[doc.id] = DocumentTranslation(
-                doc_id=doc.id, hypothesis_segments=(" ".join(hyp),), alignment_ok=True
+                doc_id=doc.id, hypothesis_segments=(" ".join(hyp),)
             )
         testset = TestSet("t", documents)
         table = ScoringTable()
@@ -222,7 +222,7 @@ class TestPooledStatistics:
         if shared_sides:
             # Another strategy scored first builds every reference side.
             references = {
-                doc.id: DocumentTranslation(doc.id, doc.reference_segments, True)
+                doc.id: DocumentTranslation(doc.id, doc.reference_segments)
                 for doc in documents
             }
             score_strategy(testset, references, ScoringConfig(blonde=False), table=table)
@@ -260,8 +260,8 @@ class TestPooledStatistics:
         unreferenced = Document(id="noref", src_lang="de", tgt_lang="en", domain="news",
                                 source_segments=("Sie blieben.",))
         translations = {
-            "ref": DocumentTranslation("ref", ("He came.", "However, he left."), True),
-            "noref": DocumentTranslation("noref", ("They stayed.",), True),
+            "ref": DocumentTranslation("ref", ("He came.", "However, he left.")),
+            "noref": DocumentTranslation("noref", ("They stayed.",)),
         }
         both = score_strategy(TestSet("t", [unreferenced, referenced]), translations)
         alone = score_strategy(TestSet("t", [referenced]), translations)
@@ -273,6 +273,48 @@ class TestPooledStatistics:
         )
         assert both.blonde == alone.blonde
         assert both.lengths == alone.lengths
+
+    def test_segment_metrics_take_only_aligned_documents(self, tmp_path):
+        """A single-turn hypothesis re-split into another segment count than
+        its source is left out of BlonDE-lite and the segment scorer and flags
+        the strategy; the same text in one segment per source segment gets
+        all three. Document-level BLEU reads the same tokens either way."""
+        received = tmp_path / "received.tsv"
+        # Records the segment triples it is sent and scores each 1.
+        scorer = (sys.executable, "-c", "import sys\nlines = sys.stdin.readlines()\n"
+                  f"open({str(received)!r}, 'a', encoding='utf-8').writelines(lines)\n"
+                  "for _ in lines: print(1)")
+        documents = [
+            Document(id=doc_id, src_lang="de", tgt_lang="en", domain="news",
+                     source_segments=(f"{doc_id} kam.", "Er ging jedoch."),
+                     reference_segments=("He came home.", "However, he left early."))
+            for doc_id in ("a", "b")
+        ]
+        testset = TestSet("t", documents)
+        cfg = ScoringConfig(scorer_command=scorer)
+        a = DocumentTranslation("a", ("He came.", "However, he left."))
+
+        def score(b_segments):
+            received.unlink(missing_ok=True)
+            translations = {"a": a}
+            if b_segments is not None:
+                translations["b"] = DocumentTranslation("b", b_segments)
+            metrics = score_strategy(testset, translations, cfg)
+            return metrics, received.read_text(encoding="utf-8")
+
+        alone, alone_sent = score(None)
+        misaligned, misaligned_sent = score(("He came.", "However,", "he left."))
+        aligned, aligned_sent = score(("He came.", "However, he left."))
+        a_sent = ("a kam.\tHe came.\tHe came home.\n"
+                  "Er ging jedoch.\tHowever, he left.\tHowever, he left early.\n")
+        assert alone_sent == misaligned_sent == a_sent
+        assert aligned_sent == a_sent + a_sent.replace("a kam.", "b kam.")
+        assert alone.blonde is not None and misaligned.blonde == alone.blonde
+        assert aligned.blonde is not None and aligned.blonde != alone.blonde
+        assert alone.segment_mean == misaligned.segment_mean == aligned.segment_mean == 1.0
+        assert misaligned.flags == {FLAG_SEGMENT_METRICS_SKIPPED}
+        assert alone.flags == aligned.flags == set()
+        assert misaligned.dbleu == aligned.dbleu
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
     def test_shared_table_equals_fresh_tables(self, order):
@@ -292,24 +334,23 @@ class TestPooledStatistics:
         ]
         testset = TestSet("t", documents)
 
-        def strategy(en_segments, en_aligned, zh, de):
+        def strategy(en_segments, zh, de):
             return {
-                "en": DocumentTranslation("en", en_segments, en_aligned),
-                "zh": DocumentTranslation("zh", zh, True),
-                "de": DocumentTranslation("de", de, True),
-                "noref": DocumentTranslation("noref", ("They stayed.",), True),
+                "en": DocumentTranslation("en", en_segments),
+                "zh": DocumentTranslation("zh", zh),
+                "de": DocumentTranslation("de", de),
+                "noref": DocumentTranslation("noref", ("They stayed.",)),
             }
 
         segments = (en, "They will go.")
         strategies = [
-            # The same en segments, aligned and misaligned: only the aligned
-            # one is scored by BlonDE-lite.
-            strategy(segments, True, ("他回家了。",), ("Er kam nach Hause.",)),
-            strategy(segments, False, ("他回家。",), ("Er kam.",)),
+            # The same en text as two segments (aligned) and as three
+            # (misaligned): only the aligned one is scored by BlonDE-lite.
+            strategy(segments, ("他回家了。",), ("Er kam nach Hause.",)),
+            strategy((en, "They", "will go."), ("他回家。",), ("Er kam.",)),
             # Every hypothesis equal to its reference.
-            strategy(documents[0].reference_segments, True, ("他回家了。",),
-                     ("Er kam nach Hause.",)),
-            strategy(segments, True, ("他回家。",), ("Er kam nach Hause.",)),
+            strategy(documents[0].reference_segments, ("他回家了。",), ("Er kam nach Hause.",)),
+            strategy(segments, ("他回家。",), ("Er kam nach Hause.",)),
         ][::order]
 
         def score(translations, table=None):

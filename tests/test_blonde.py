@@ -239,10 +239,10 @@ def test_score_strategy_blonde_equals_per_pair_scores(pairs, case_sensitive):
     testset = TestSet("t", documents)
     cfg = ScoringConfig(case_sensitive=case_sensitive)
     table = ScoringTable()
-    references = {d.id: DocumentTranslation(d.id, d.reference_segments, True) for d in documents}
+    references = {d.id: DocumentTranslation(d.id, d.reference_segments) for d in documents}
     score_strategy(testset, references, cfg, table=table)
     translations = {
-        d.id: DocumentTranslation(d.id, (hyp,), True) for d, (hyp, _) in zip(documents, pairs)
+        d.id: DocumentTranslation(d.id, (hyp,)) for d, (hyp, _) in zip(documents, pairs)
     }
     metrics = score_strategy(testset, translations, cfg, table=table)
     assert metrics.blonde == pooled_report(category_counts([h], [r], RES) for h, r in pairs)

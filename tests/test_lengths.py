@@ -12,8 +12,7 @@ from .conftest import make_random_document, make_testset
 
 
 def identity_translation(doc) -> DocumentTranslation:
-    return DocumentTranslation(doc_id=doc.id, hypothesis_segments=doc.source_segments,
-                               alignment_ok=True)
+    return DocumentTranslation(doc_id=doc.id, hypothesis_segments=doc.source_segments)
 
 
 def test_identity_translations_have_equal_counts():
@@ -67,8 +66,7 @@ def test_truncated_hypothesis_lowers_ratio():
     doc = make_random_document(rng, "doc", 4, min_tokens=10, max_tokens=10)
     testset = make_testset([doc])
     kept = " ".join(" ".join(doc.source_segments).split()[:32])  # drop 8 of 40 tokens
-    translations = {"doc": DocumentTranslation(doc_id="doc", hypothesis_segments=(kept,),
-                                               alignment_ok=False)}
+    translations = {"doc": DocumentTranslation(doc_id="doc", hypothesis_segments=(kept,))}
     report = length_report(testset, translations, top_n=1)
     assert report.rows[0].ref_tokens == 40
     assert report.rows[0].hyp_tokens == 32
@@ -94,8 +92,8 @@ def test_zh_target_counted_in_characters():
                   source_segments=("Guten Tag.",), reference_segments=("Good day to you.",))
     testset = TestSet("t", [zh, en])
     translations = {
-        "zh-1": DocumentTranslation("zh-1", ("你好。", "天气好。"), True),
-        "en-1": DocumentTranslation("en-1", ("Good day.",), True),
+        "zh-1": DocumentTranslation("zh-1", ("你好。", "天气好。")),
+        "en-1": DocumentTranslation("en-1", ("Good day.",)),
     }
     # One token per Han character and per punctuation run, spaces uncounted,
     # for zh; words for en.

@@ -140,8 +140,10 @@ class TestExecute:
         plan = plan_from_dict(minimal_plan_dict(tmp_path))
         artifacts = execute(plan)
         assert len(artifacts.cells) == 1 * 2 * 2  # backends x strategies x documents
+        documents = {doc.id: doc for doc in artifacts.testset}
         for (backend, strategy, doc_id), cell in artifacts.cells.items():
-            assert cell.translation.alignment_ok
+            # One hypothesis segment per source segment.
+            assert len(cell.translation.hypothesis_segments) == documents[doc_id].num_segments
         assert len(read_records(plan)[("identity", "multi_turn", "doc-1")][4:]) == 3
 
     def test_header_records_the_shipped_template_set(self, tmp_path):
@@ -1627,7 +1629,7 @@ class TestCountOnce:
 
     def test_reference_side_built_once_per_document(self, tmp_path, monkeypatch):
         """One reference side per document, one hypothesis side per distinct
-        (document, hypothesis segments, alignment_ok) over every cell."""
+        (document, hypothesis segments) over every cell."""
         plan = plan_from_dict(mixed_plan_dict(tmp_path))
         artifacts = execute(plan)
         testset = artifacts.testset
@@ -1797,9 +1799,9 @@ class TestResumeAcrossTheCountRule:
         assert report_bytes(loaded["resumed"].run_dir) == report_bytes(loaded["fresh"].run_dir)
 
 
-def distinct_hypotheses(artifacts) -> set[tuple[str, tuple[str, ...], bool]]:
+def distinct_hypotheses(artifacts) -> set[tuple[str, tuple[str, ...]]]:
     return {
-        (doc_id, cell.translation.hypothesis_segments, cell.translation.alignment_ok)
+        (doc_id, cell.translation.hypothesis_segments)
         for (_, _, doc_id), cell in artifacts.cells.items()
     }
 

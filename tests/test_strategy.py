@@ -23,6 +23,7 @@ from docturn.strategy import (
     strip_wrapping,
 )
 
+from . import oracles
 from .conftest import make_random_document
 
 ALL_MODES = list(Mode)
@@ -229,34 +230,69 @@ class TestAssembleHypothesis:
         session, _ = drive(StrategyConfig(mode=Mode.MULTI_TURN), doc3, templates,
                            reply=lambda req, i: f"out {i}")
         translation = assemble_hypothesis(session)
-        assert translation.alignment_ok
+        assert len(translation.hypothesis_segments) == doc3.num_segments
         assert translation.hypothesis_segments == ("out 0", "out 1", "out 2")
 
     def test_single_turn_blank_line_split_aligns(self, doc3, templates):
         session, _ = drive(StrategyConfig(mode=Mode.SINGLE_TURN), doc3, templates,
                            reply=lambda req, i: "Eins.\n\nZwei.\n\nDrei.")
         translation = assemble_hypothesis(session)
-        assert translation.alignment_ok
+        assert len(translation.hypothesis_segments) == doc3.num_segments
         assert translation.hypothesis_segments == ("Eins.", "Zwei.", "Drei.")
 
     def test_single_turn_newline_fallback(self, doc3, templates):
         session, _ = drive(StrategyConfig(mode=Mode.SINGLE_TURN), doc3, templates,
                            reply=lambda req, i: "Eins.\nZwei.\nDrei.")
         translation = assemble_hypothesis(session)
-        assert translation.alignment_ok
+        assert len(translation.hypothesis_segments) == doc3.num_segments
         assert translation.hypothesis_segments == ("Eins.", "Zwei.", "Drei.")
 
     def test_single_turn_misalignment_recorded_not_raised(self, doc3, templates):
         session, _ = drive(StrategyConfig(mode=Mode.SINGLE_TURN), doc3, templates,
                            reply=lambda req, i: "Eins.\n\nZwei.")
         translation = assemble_hypothesis(session)
-        assert not translation.alignment_ok
+        assert len(translation.hypothesis_segments) != doc3.num_segments
         assert translation.hypothesis_segments == ("Eins.", "Zwei.")
 
     def test_assemble_before_done_rejected(self, doc3, templates):
         session = init_session(StrategyConfig(mode=Mode.MULTI_TURN), doc3, templates)
         with pytest.raises(SessionContractError):
             assemble_hypothesis(session)
+
+
+# A single-turn reply: paragraphs of words with stray spaces, joined by
+# blank lines, single newlines or both, with stray blank lines around them
+# and a fence or translation label around the whole.
+REPLY_WORDS = ["Eins", "zwei.", "drei", "Vier,", "天气", "好。", "alpha", "beta"]
+REPLY_PARAGRAPH = st.builds(
+    lambda pad, words: pad + " ".join(words) + pad,
+    st.sampled_from(["", " ", "  "]),
+    st.lists(st.sampled_from(REPLY_WORDS), min_size=1, max_size=4),
+)
+REPLY_JOINS = st.sampled_from(["\n\n", "\n", "\n \n", "\n\n\n", "\n\t\n\n"])
+REPLY_EDGES = st.sampled_from(["", "\n", "\n\n", " \n\n"])
+REPLY_WRAPPERS = st.sampled_from(
+    ["{}", "```\n{}\n```", "```text\n{}\n```", "Translation: {}", "翻译：{}",
+     "```\nTranslation: {}\n```"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=6),
+    paragraphs=st.lists(REPLY_PARAGRAPH, min_size=1, max_size=7),
+    joins=st.lists(REPLY_JOINS, min_size=6, max_size=6),
+    edges=st.tuples(REPLY_EDGES, REPLY_EDGES),
+    wrapper=REPLY_WRAPPERS,
+)
+def test_single_turn_split_matches_oracle(k, paragraphs, joins, edges, wrapper):
+    text = paragraphs[0] + "".join(j + p for j, p in zip(joins, paragraphs[1:]))
+    text = edges[0] + text + edges[1]
+    doc = make_random_document(random.Random(k), f"doc-{k}", k)
+    session, _ = drive(StrategyConfig(mode=Mode.SINGLE_TURN), doc, TEMPLATES,
+                       reply=lambda req, i: wrapper.format(text))
+    segments = list(assemble_hypothesis(session).hypothesis_segments)
+    assert segments == oracles.single_turn_segments(text, k)
 
 
 @settings(max_examples=60, deadline=None)
